@@ -4,7 +4,8 @@ Config files are flat key = value text grouped in [sections]; unknown
 sections or keys are hard errors, because a silently ignored typo in a
 mathematical parameter is the worst failure mode available here.
 
-Exit codes: 0 all pass; 2 any FAIL; 3 any SKIP without FAIL; 4 config error.
+Exit codes: 0 all pass; 2 any FAIL; 3 any SKIP without FAIL (a budget
+overrun is a SKIP); 4 config error (an oversized ring is one).
 """
 
 from __future__ import annotations
@@ -241,6 +242,7 @@ def cmd_principal_series(cfg):
         level = cfg.pseries_level or cfg.level
         ring = make_ring_level(cfg.branch, cfg.p, cfg.f, level, cfg.poly)
         chars = select_characters(ring, cfg.chars, cfg.n)
+        from .matgroup import BudgetExceededError
         from .pseries import ConductorNotVisible, PSeriesModel
         from .verify import pseries_model_checks
 
@@ -249,6 +251,8 @@ def cmd_principal_series(cfg):
             pseries_model_checks(
                 model, rec, samples=cfg.samples, rng=np.random.default_rng(cfg.seed)
             )
+        except BudgetExceededError as e:
+            rec.skip("pseries/model", "model build", {}, str(e))
         except ConductorNotVisible as e:
             rec.skip("pseries/newform", "minimal invariant line", {}, str(e))
     else:

@@ -262,17 +262,21 @@ def invariant_vectors(sub, gens):
     return basis
 
 
+def _stack(ks, n):
+    """Group elements (MatK or code arrays) as one (N, n, n) code stack."""
+    return np.array([getattr(k, "a", k) for k in ks], dtype=np.int64).reshape(-1, n, n)
+
+
 def verify_addition_theorem(sub, zonal, ks):
     """max over sampled k (and all x) of the addition identity residual."""
     space = sub.space
     d = sub.dim
     worst = 0.0
     en = space.index.e_n
-    for k in ks:
-        a = getattr(k, "a", k)
+    mats = _stack(ks, space.n)
+    for a, ainv in zip(mats, mat_inv(space.ring, mats)):
         perm = space.index.perm_of_matrix(a)
         qk = sub.basis[:, perm[en]]  # Q_j(e_n k)
-        ainv = mat_inv(space.ring, np.asarray(a))
         perm_inv = space.index.perm_of_matrix(ainv)
         lhs = qk.conj() @ sub.basis
         rhs = d * zonal[perm_inv]
@@ -299,10 +303,10 @@ def verify_zonal_symmetry(space, zonal, ks):
     """Residual of zonal(e_n k) = conj(zonal(e_n k^{-1}))."""
     worst = 0.0
     en = space.index.e_n
-    for k in ks:
-        a = np.asarray(getattr(k, "a", k))
+    mats = _stack(ks, space.n)
+    for a, ainv in zip(mats, mat_inv(space.ring, mats)):
         perm = space.index.perm_of_matrix(a)
-        perm_inv = space.index.perm_of_matrix(mat_inv(space.ring, a))
+        perm_inv = space.index.perm_of_matrix(ainv)
         worst = max(worst, abs(zonal[perm[en]] - np.conj(zonal[perm_inv[en]])))
     return float(worst)
 
@@ -338,10 +342,8 @@ def idempotent_sum_residual(space, chis, m, ks, zonal_cache=None):
         vol_k0_inv = q ** ((m - 1) * (n - 1)) * (q**n - 1) // (q - 1)
 
     worst = 0.0
-    en = space.index.e_n
-    for k in ks:
-        a = np.asarray(getattr(k, "a", k))
-        ainv = mat_inv(ring, a)
+    mats = _stack(ks, n)
+    for a, ainv in zip(mats, mat_inv(ring, mats)):
         x_idx = space.index.idx(ainv[n - 1])  # e_n k^{-1}
         vals_bottom = ring.val_arr(a[n - 1, : n - 1]) if n > 1 else np.array([ring.m])
         in_k0 = bool((vals_bottom >= min(m, ring.m)).all())

@@ -11,6 +11,7 @@ factorisation is re-multiplied exactly.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations, product
 
 import numpy as np
@@ -90,48 +91,57 @@ class MatK:
 
 
 def det(ring, a):
-    """Leibniz expansion; exact over any commutative ring, fine for small n."""
-    n = a.shape[0]
-    total = 0
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = 1
-        for i in range(n):
-            term = ring.mul(term, int(a[i, perm[i]]))
-        total = ring.add(total, term if sign > 0 else ring.neg(term))
-    return total
+    """Determinant of an (n, n) matrix (an int) or an (N, n, n) stack.
+
+    Leibniz expansion over a cached permutation table, vectorised over the
+    stack: exact over any commutative ring, singular matrices included.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[-1]
+    perms, odd = _perm_table(n)
+    terms = a[..., np.arange(n), perms]  # (..., n!, n): entries a[i, perm[i]]
+    prod = terms[..., 0]
+    for i in range(1, n):
+        prod = ring.mul_arr(prod, terms[..., i])
+    prod[..., odd] = ring.neg_arr(prod[..., odd])
+    total = prod[..., 0]
+    for t in range(1, len(perms)):
+        total = ring.add_arr(total, prod[..., t])
+    return int(total) if a.ndim == 2 else total
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+@cache
+def _perm_table(n):
+    """All permutations of range(n) as an (n!, n) array, and their odd mask."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    inversions = (perms[:, :, None] > perms[:, None, :]) & np.triu(np.ones((n, n), dtype=bool), 1)
+    return perms, inversions.sum(axis=(1, 2)) % 2 == 1
 
 
 def mat_inv(ring, a):
-    """Adjugate divided by the determinant."""
-    n = a.shape[0]
-    d = det(ring, a)
-    dinv = ring.inv(d)
-    adj = np.zeros_like(a)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            c = det(ring, minor) if n > 1 else 1
-            if (i + j) % 2:
-                c = ring.neg(c)
-            adj[j, i] = c
-    return ring.mul_arr(adj, np.int64(dinv))
+    """Inverse of an (n, n) matrix or of each matrix in an (N, n, n) stack.
+
+    Gauss-Jordan with unit pivots, exact over the local ring O/p^m; raises
+    ValueError when some column has no unit pivot (a non-invertible matrix).
+    """
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[-1]
+    A = a.reshape(-1, n, n)
+    M = np.concatenate([A, np.broadcast_to(np.eye(n, dtype=np.int64), A.shape)], axis=2)
+    rows = np.arange(A.shape[0])
+    for col in range(n):
+        unit = ring.val_arr(M[:, col:, col]) == 0
+        if not unit.any(axis=1).all():
+            raise ValueError("matrix is not invertible: no unit pivot")
+        # a non-unit diagonal entry gets the first unit row below added to
+        # it: a non-unit plus a unit is a unit in a local ring
+        r = col + unit.argmax(axis=1)
+        M[:, col] = ring.add_arr(M[:, col], M[rows, r] * (r != col)[:, None])
+        M[:, col] = ring.mul_arr(ring.inv_arr(M[:, col, col])[:, None], M[:, col])
+        f = M[:, :, col, None].copy()
+        f[:, col] = 0
+        M = ring.sub_arr(M, ring.mul_arr(f, M[:, col, None, :]))
+    return M[:, :, n:].reshape(a.shape)
 
 
 class SubgroupSpec:

@@ -42,50 +42,40 @@ def flag_count(ring, n):
 
 
 def flag_canon(ring, a):
-    """Canonical representative of the left B-coset of ``a``.
+    """Canonical representative of the left B-coset of ``a``, or of each
+    matrix in an (N, n, n) stack.
 
     Returns (rep, pivots): rep = T a for upper-triangular T, with pivot
     rows scaled to 1 and entries above pivots cleared; pivots[i] is the
-    diagonal of the B-factor a rep^{-1}.
+    diagonal of the B-factor a rep^{-1}.  Rows are processed bottom-up and
+    each takes its first free unit column as pivot.  A single matrix gives
+    pivots as a list of ints, a stack as an (N, n) array.
     """
-    n = a.shape[0]
-    A = a.copy()
-    piv_cols = [0] * n
-    piv_vals = [1] * n
-    taken = set()
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[-1]
+    A = a.reshape(-1, n, n).copy()
+    N = A.shape[0]
+    rows = np.arange(N)
+    piv_cols = np.zeros((N, n), dtype=np.int64)
+    piv_vals = np.ones((N, n), dtype=np.int64)
+    free = np.ones((N, n), dtype=bool)
     for i in range(n - 1, -1, -1):
         # clear bottom-up: row r is zero at the pivots of rows below it, so
         # later subtractions cannot repollute columns cleared earlier
         for r in range(n - 1, i, -1):
-            x = int(A[i, piv_cols[r]])
-            if x:
-                A[i, :] = ring.sub_arr(A[i, :], ring.mul_arr(np.int64(x), A[r, :]))
-        j = next(
-            c for c in range(n) if c not in taken and ring.is_unit(int(A[i, c]))
-        )
-        piv_cols[i] = j
-        piv_vals[i] = int(A[i, j])
-        taken.add(j)
-        A[i, :] = ring.mul_arr(np.int64(ring.inv(piv_vals[i])), A[i, :])
+            x = A[rows, i, piv_cols[:, r]]
+            A[:, i] = ring.sub_arr(A[:, i], ring.mul_arr(x[:, None], A[:, r]))
+        cand = free & (ring.val_arr(A[:, i]) == 0)
+        if not cand.any(axis=1).all():
+            raise ValueError("matrix is not invertible: no unit pivot")
+        j = cand.argmax(axis=1)
+        piv_cols[:, i] = j
+        piv_vals[:, i] = A[rows, i, j]
+        free[rows, j] = False
+        A[:, i] = ring.mul_arr(ring.inv_arr(piv_vals[:, i])[:, None], A[:, i])
+    if a.ndim == 2:
+        return A[0], [int(v) for v in piv_vals[0]]
     return A, piv_vals
-
-
-def _canon_batch_n2(ring, P):
-    """Vectorised flag_canon for n = 2; P is (N, 2, 2)."""
-    A = P.copy()
-    N = A.shape[0]
-    rows = np.arange(N)
-    piv_col = np.where(ring.val_arr(A[:, 1, 0]) == 0, 0, 1)
-    piv1 = A[rows, 1, piv_col]
-    s1 = ring.inv_arr(piv1)
-    A[:, 1, :] = ring.mul_arr(A[:, 1, :], s1[:, None])
-    f = A[rows, 0, piv_col]
-    A[:, 0, :] = ring.sub_arr(A[:, 0, :], ring.mul_arr(f[:, None], A[:, 1, :]))
-    other = 1 - piv_col
-    piv0 = A[rows, 0, other]
-    s0 = ring.inv_arr(piv0)
-    A[:, 0, :] = ring.mul_arr(A[:, 0, :], s0[:, None])
-    return A, piv0, piv1
 
 
 class FlagCosets:
@@ -109,9 +99,8 @@ class FlagCosets:
             fresh = []
             stack = np.array(frontier, dtype=np.int64)
             for g in gens:
-                moved = ring.matmul(stack, g.a)
-                for row in moved:
-                    rep, _ = flag_canon(ring, row)
+                canon, _ = flag_canon(ring, ring.matmul(stack, g.a))
+                for rep in canon:
                     key = rep.tobytes()
                     if key not in index:
                         index[key] = len(reps)
@@ -182,23 +171,10 @@ class PSeriesModel:
         key = np.asarray(a).tobytes()
         if key in self._action_cache:
             return self._action_cache[key]
-        ring, n = self.ring, self.n
-        moved = ring.matmul(self.cosets.reps, np.asarray(a))
-        if n == 2:
-            canon, piv0, piv1 = _canon_batch_n2(ring, moved)
-            pivots = np.stack([piv0, piv1], axis=1)
-            perm = np.fromiter(
-                (self.cosets.index[row.tobytes()] for row in canon),
-                dtype=np.int64,
-                count=self.dim,
-            )
-        else:
-            perm = np.empty(self.dim, dtype=np.int64)
-            pivots = np.empty((self.dim, n), dtype=np.int64)
-            for i in range(self.dim):
-                rep, piv = flag_canon(ring, moved[i])
-                perm[i] = self.cosets.index[rep.tobytes()]
-                pivots[i] = piv
+        canon, pivots = flag_canon(self.ring, self.ring.matmul(self.cosets.reps, np.asarray(a)))
+        perm = np.fromiter(
+            (self.cosets.index[row.tobytes()] for row in canon), dtype=np.int64, count=self.dim
+        )
         action = (perm, self._scale_from_pivots(pivots))
         self._action_cache[key] = action
         return action

@@ -14,6 +14,15 @@ element by its polynomial coefficients in base p.  With this packing,
 reduction to level l is ``code % q**l`` and division by the l-th
 uniformiser power is ``code // q**l`` on both branches.
 
+Each ring builds q^m x q^m addition and multiplication tables once, at
+construction: modular arithmetic for padic, digitwise F_q addition and
+digit convolution for laurent.  Negation and unit inverses are read off
+the tables.  From then on every scalar op, array op and matrix product is
+a table lookup, the same code on both branches.  The tables take
+16 q^(2m) bytes, so rings with more than MAX_RING_SIZE = 4096 elements are
+rejected before anything is allocated (256 MiB at the bound; a sphere
+under the 10^6-point cap lives on at most about 1,155 elements).
+
 Character values are kept exact as rotation indices k/N, meaning
 e^(2*pi*i*k/N); conversion to floating complex happens on demand.
 """
@@ -25,6 +34,8 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+MAX_RING_SIZE = 4096
 
 # Built-in irreducible polynomials over F_p (little-endian, monic) for the
 # small residue fields used by default; callers may supply their own.
@@ -136,13 +147,6 @@ class Fq:
                 mul[a, b] = encode(_poly_mod(conv, poly, p) + [0] * f)
         self.add = add
         self.mul = mul
-        self.neg = np.array(
-            [encode([(-c) % p for c in decode(a)]) for a in range(q)], dtype=np.int64
-        )
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
-        self.inv = inv
 
 
 class RingLevel:
@@ -163,71 +167,59 @@ class RingLevel:
             raise ValueError("extension degree f must be >= 1")
         if branch == "padic" and f != 1:
             raise ValueError("padic branch requires f = 1 (Galois rings are unsupported)")
+        q = p**f
+        if q**m > MAX_RING_SIZE:
+            raise ValueError(
+                f"ring of size {q}^{m} exceeds {MAX_RING_SIZE} elements; its tables would not fit"
+            )
         self.branch = branch
         self.p = p
         self.f = f
         self.m = m
-        self.q = p**f
-        self.size = self.q**m
+        self.q = q
+        self.size = size = q**m
         self.fq = None if branch == "padic" else Fq(p, f, poly)
         self.poly = None if self.fq is None else self.fq.poly
-        # Per-code tables: valuation, negation, unit inverse (0 at non-units).
+        codes = np.arange(size, dtype=np.int64)
         if branch == "padic":
-            codes = np.arange(self.size, dtype=np.int64)
-            val = np.zeros(self.size, dtype=np.int64)
-            rem = codes.copy()
-            for _ in range(m):
-                divisible = (rem != 0) & (rem % p == 0)
-                val[divisible] += 1
-                rem[divisible] //= p
-            val[codes == 0] = m
-            self._val = val
-            self._neg = (-codes) % self.size
+            self._add = (codes[:, None] + codes) % size
+            self._mul = (codes[:, None] * codes) % size
         else:
-            q, fq = self.q, self.fq
-            codes = np.arange(self.size, dtype=np.int64)
-            digits = self._digits_of(codes)
-            nz = digits != 0
-            val = np.where(nz.any(axis=1), nz.argmax(axis=1), m)
-            self._val = val.astype(np.int64)
-            neg_digits = fq.neg[digits]
-            self._neg = self._encode_digits(neg_digits)
-        inv = np.zeros(self.size, dtype=np.int64)
-        for a in range(self.size):
-            if self._val[a] == 0:
-                inv[a] = self._inv_scalar(a)
-        self._inv = inv
-        self._units = np.nonzero(self._val == 0)[0]
+            self._add, self._mul = self._laurent_tables()
+        # valuation: reduction to level l is code % q**l on both branches
+        self._val = sum((codes % q**ell == 0).astype(np.int64) for ell in range(1, m + 1))
+        self._neg = (self._add == 0).argmax(axis=1)
+        units = self._val == 0
+        self._inv = np.where(units, (self._mul == 1).argmax(axis=1), 0)
+        self._units = np.nonzero(units)[0]
         self._levels = {}
         self._unit_basis = None
         self._characters = None
         self._unit_subgroup_bases = {}
 
-    # -- encoding helpers (laurent) --------------------------------------
+    def _laurent_tables(self):
+        """Add and mul tables by digitwise F_q addition and digit convolution."""
+        fq, q = self.fq, self.q
+        digits = self._digits_of(np.arange(self.size))
+        add = np.zeros((self.size, self.size), dtype=np.int64)
+        mul = np.zeros((self.size, self.size), dtype=np.int64)
+        for k in range(self.m):
+            add += fq.add[digits[:, None, k], digits[:, k]] * q**k
+            acc = fq.mul[digits[:, None, 0], digits[:, k]]
+            for i in range(1, k + 1):
+                acc = fq.add[acc, fq.mul[digits[:, None, i], digits[:, k - i]]]
+            mul += acc * q**k
+        return add, mul
 
     def _digits_of(self, codes):
-        q, m = self.q, self.m
+        """Base-q digits of codes, little-endian, along a new last axis."""
         codes = np.asarray(codes, dtype=np.int64)
-        out = np.empty(codes.shape + (m,), dtype=np.int64)
-        rem = codes
-        for i in range(m):
-            out[..., i] = rem % q
-            rem = rem // q
-        return out
-
-    def _encode_digits(self, digits):
-        q = self.q
-        out = np.zeros(digits.shape[:-1], dtype=np.int64)
-        for i in range(self.m - 1, -1, -1):
-            out = out * q + digits[..., i]
-        return out
+        return codes[..., None] // self.q ** np.arange(self.m) % self.q
 
     # -- scalar arithmetic ------------------------------------------------
 
     def add(self, a, b):
-        if self.branch == "padic":
-            return (a + b) % self.size
-        return int(self._encode_digits(self.fq.add[self._digits_of(a), self._digits_of(b)]))
+        return int(self._add[a, b])
 
     def neg(self, a):
         return int(self._neg[a])
@@ -236,29 +228,7 @@ class RingLevel:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self.branch == "padic":
-            return (a * b) % self.size
-        da, db = self._digits_of(a), self._digits_of(b)
-        fq, m = self.fq, self.m
-        out = np.zeros(m, dtype=np.int64)
-        for k in range(m):
-            acc = 0
-            for i in range(k + 1):
-                acc = fq.add[acc, fq.mul[da[i], db[k - i]]]
-            out[k] = acc
-        return int(self._encode_digits(out))
-
-    def _inv_scalar(self, a):
-        if self.branch == "padic":
-            return pow(int(a), -1, self.size)
-        # Hensel lift of the residue-field inverse: y -> y*(2 - a*y).
-        y = int(self.fq.inv[a % self.q])
-        two = self.add(1, 1)
-        prec = 1
-        while prec < self.m:
-            y = self.mul(y, self.sub(two, self.mul(a, y)))
-            prec *= 2
-        return y
+        return int(self._mul[a, b])
 
     def inv(self, a):
         if self._val[a] != 0:
@@ -289,28 +259,16 @@ class RingLevel:
     # -- vectorised arithmetic on code arrays ------------------------------
 
     def add_arr(self, A, B):
-        if self.branch == "padic":
-            return (A + B) % self.size
-        return self._encode_digits(self.fq.add[self._digits_of(A), self._digits_of(B)])
+        return self._add[A, B]
 
     def neg_arr(self, A):
         return self._neg[A]
 
     def sub_arr(self, A, B):
-        return self.add_arr(A, self._neg[B])
+        return self._add[A, self._neg[B]]
 
     def mul_arr(self, A, B):
-        if self.branch == "padic":
-            return (A * B) % self.size
-        da, db = self._digits_of(A), self._digits_of(B)
-        fq, m = self.fq, self.m
-        out = np.empty(np.broadcast(A, B).shape + (m,), dtype=np.int64)
-        for k in range(m):
-            acc = np.zeros(np.broadcast(A, B).shape, dtype=np.int64)
-            for i in range(k + 1):
-                acc = fq.add[acc, fq.mul[da[..., i], db[..., k - i]]]
-            out[..., k] = acc
-        return self._encode_digits(out)
+        return self._mul[A, B]
 
     def val_arr(self, A):
         return self._val[A]
@@ -321,15 +279,12 @@ class RingLevel:
         return self._inv[A]
 
     def matmul(self, A, B):
-        """Ring matrix product; A is (..., r, s), B is (s, t)."""
+        """Ring matrix product; A is (..., r, s) or a row (s,), B is (s, t)."""
         A = np.asarray(A)
         B = np.asarray(B)
-        if self.branch == "padic":
-            return (A @ B) % self.size
-        s = A.shape[-1]
-        out = np.zeros(A.shape[:-1] + (B.shape[-1],), dtype=np.int64)
-        for j in range(s):
-            out = self.add_arr(out, self.mul_arr(A[..., j, None], B[j, None, :]))
+        out = self._mul[A[..., 0, None], B[0]]
+        for j in range(1, A.shape[-1]):
+            out = self._add[out, self._mul[A[..., j, None], B[j]]]
         return out
 
     # -- structure maps -----------------------------------------------------

@@ -169,6 +169,27 @@ class TestMain:
         assert not any(r["status"] == "FAIL" for r in records)
 
 
+    def test_oversized_ring_is_config_error(self, tmp_path):
+        # 4099 > 4096 elements: refused before the arithmetic tables exist
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("[ring]\np = 4099\n\n[run]\nlevel = 1\n")
+        assert main(["double-cosets", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_coset_budget_overrun_is_skip(self, tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(
+            "[ring]\nbranch = padic\np = 11\nf = 1\n\n"
+            "[run]\nn = 3\nlevel = 2\n\n"
+            "[pseries]\nchars = 0,0,0\n"
+        )
+        out = tmp_path / "ps.jsonl"
+        code = main(["principal-series", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_SKIP
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["status"] for r in records] == ["SKIP"]
+        assert "exceed budget" in records[0]["observed"]
+
+
 class TestEmitReport:
     def _rec(self, status):
         return CheckRecord("x/check", "law", {}, "1", "2" if status == "FAIL" else "1",

@@ -114,6 +114,13 @@ class TestRingLevel:
         with pytest.raises(ValueError):
             make_ring_level("padic", 1, 1, 2)
 
+    def test_oversized_ring_rejected(self):
+        # more than 4096 elements: the arithmetic tables are never built
+        with pytest.raises(ValueError, match="exceeds 4096"):
+            make_ring_level("padic", 4099, 1, 1)
+        with pytest.raises(ValueError, match="exceeds 4096"):
+            make_ring_level("laurent", 2, 2, 7)
+
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             make_ring_level("padic", 2, 1, 0)

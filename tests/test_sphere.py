@@ -122,6 +122,14 @@ class TestAction:
             rhs = act_point(reduce_point(pt, 1), k.reduce_to(1))
             assert lhs.coords == rhs.coords
 
+    def test_laurent_row_action(self):
+        # a 1-D row times a matrix stays 1-D on the laurent branch too
+        from ultrasph.matgroup import MatK
+
+        R = make_ring_level("laurent", 2, 2, 2)
+        moved = act_point(SpherePoint(R, (1, 0)), MatK(R, [[1, 5], [0, 1]]))
+        assert moved == SpherePoint(R, (1, 5))
+
     def test_dimension_mismatch(self):
         R = make_ring_level("padic", 2, 1, 2)
         with pytest.raises(ValueError):
