@@ -4,8 +4,9 @@ Config files are flat key = value text grouped in [sections]; unknown
 sections or keys are hard errors, because a silently ignored typo in a
 mathematical parameter is the worst failure mode available here.
 
-Exit codes: 0 all pass; 2 any FAIL; 3 any SKIP without FAIL (a budget
-overrun is a SKIP); 4 config error (an oversized ring is one).
+Exit codes: 0 all pass; 2 any FAIL (an ambiguous rank decision is one);
+3 any SKIP without FAIL (a budget overrun is a SKIP); 4 config error (an
+oversized ring is one).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matgroup import BudgetExceededError
+from .numerics import RankCertificateError
 from .ring import characters, make_ring_level
 from .verify import (
     Recorder,
@@ -215,10 +218,13 @@ def emit_report(records, out_path=None, seed=None):
 def cmd_decompose(cfg):
     ring = cfg.ring()
     rec = Recorder()
-    decompose_suite(
-        ring, cfg.n, rec=rec, budget=cfg.budget,
-        rng=np.random.default_rng(cfg.seed), include_commutants=True,
-    )
+    try:
+        decompose_suite(
+            ring, cfg.n, rec=rec, budget=cfg.budget,
+            rng=np.random.default_rng(cfg.seed), include_commutants=True,
+        )
+    except BudgetExceededError as e:
+        rec.skip("decompose/budget", "suite within its budgets", {}, str(e))
     return rec
 
 
@@ -242,7 +248,6 @@ def cmd_principal_series(cfg):
         level = cfg.pseries_level or cfg.level
         ring = make_ring_level(cfg.branch, cfg.p, cfg.f, level, cfg.poly)
         chars = select_characters(ring, cfg.chars, cfg.n)
-        from .matgroup import BudgetExceededError
         from .pseries import ConductorNotVisible, PSeriesModel
         from .verify import pseries_model_checks
 
@@ -319,6 +324,9 @@ def main(argv=None):
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except RankCertificateError as e:
+        print(f"rank certificate failed: {e}", file=sys.stderr)
+        return EXIT_FAIL
     return emit_report(rec.sorted_records(), out_path=cfg.out, seed=cfg.seed)
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .matgroup import mat_inv
-from .numerics import kernel_basis, orthonormalize_rows
+from .numerics import kernel_basis, kernel_dimension, orthonormalize_rows
 from .sphere import SphereIndex
 
 
@@ -233,19 +233,32 @@ def commutant_dimension(sub, gens):
     """dim of the algebra commuting with the action on ``sub``; 1 is irreducible.
 
     ``gens`` must be verified generators of the full group at working level.
+    The commutant of a permutation representation is spanned by its orbital
+    operators, the indicators A_j of the group's orbits on S x S, and an
+    invariant subspace with projector P has commutant P span{A_j} P
+    (Serre, Linear Representations of Finite Groups, 7.3).  Scaled to unit
+    Frobenius norm, the A_j are orthonormal and compression by P is an
+    orthogonal projection on their span, so the stacked compressions have
+    singular values 0 or 1 and their rank is the commutant dimension.
+    Generators that generate too little give finer orbitals and a larger
+    dimension, so the certificate fails closed.
     """
     d = sub.dim
     if d == 0:
         return 0
     eye = np.eye(d)
-    blocks = []
     for g in gens:
         r = sub.rho(g)
         if np.abs(r @ r.conj().T - eye).max() > 1e-6:
             raise RuntimeError("subspace is not invariant under a generator")
-        blocks.append(np.kron(eye, r) - np.kron(r.T, eye))
-    dim, _ = kernel_basis(np.concatenate(blocks, axis=0))
-    return dim
+    labels, count = sub.space.index.orbital_labels(gens)
+    b = sub.basis * np.sqrt(sub.space.weight)  # orthonormal rows
+    bt, bc = b.T, b.conj()
+    rows = np.empty((count, d * d), dtype=np.complex128)
+    for j in range(count):
+        a = labels == j
+        rows[j] = ((bc @ a) @ bt).ravel() / np.sqrt(np.count_nonzero(a))
+    return d * d - kernel_dimension(rows)
 
 
 def invariant_vectors(sub, gens):

@@ -60,6 +60,15 @@ def orthonormalize_rows(V, weight=1.0, expected_rank=None):
     return np.array(kept_rows)
 
 
+def _kept_count(s, rel_tol, what):
+    """Number of singular values kept at the pivot threshold, gap-certified."""
+    smax = max(s[0], 1.0) if len(s) else 1.0
+    small = [x for x in s if x <= rel_tol * smax]
+    large = [x for x in s if x > rel_tol * smax]
+    _check_gap(large if large else [smax], small, what)
+    return len(large)
+
+
 def kernel_basis(M, rel_tol=PIVOT_THRESHOLD):
     """Orthonormal basis of the (numerical) kernel of M with a gap certificate.
 
@@ -71,15 +80,20 @@ def kernel_basis(M, rel_tol=PIVOT_THRESHOLD):
         return n, np.eye(n, dtype=np.complex128)
     # economy SVD suffices when rows >= cols (the stacked systems always are)
     _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < n)
-    smax = max(s[0], 1.0) if len(s) else 1.0
-    small = [x for x in s if x <= rel_tol * smax]
-    large = [x for x in s if x > rel_tol * smax]
-    _check_gap(large if large else [smax], small, "kernel_basis")
-    dim = n - len(large)
-    basis = vh[len(large):].conj() if dim else np.zeros((0, n), dtype=np.complex128)
+    rank = _kept_count(s, rel_tol, "kernel_basis")
+    dim = n - rank
+    basis = vh[rank:].conj() if dim else np.zeros((0, n), dtype=np.complex128)
     return dim, basis
 
 
 def kernel_dimension(M, rel_tol=PIVOT_THRESHOLD):
-    dim, _ = kernel_basis(M, rel_tol=rel_tol)
-    return dim
+    """Dimension of the (numerical) kernel of M from its singular values alone.
+
+    Same threshold and gap certificate as ``kernel_basis``.
+    """
+    M = np.asarray(M, dtype=np.complex128)
+    n = M.shape[1]
+    if M.shape[0] == 0:
+        return n
+    s = np.linalg.svd(M, compute_uv=False)
+    return n - _kept_count(s, rel_tol, "kernel_dimension")

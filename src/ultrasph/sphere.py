@@ -12,6 +12,12 @@ from itertools import product
 
 import numpy as np
 
+from .matgroup import BudgetExceededError
+
+# Cap on the bytes of the (N, N) int64 orbital label array (N <= 2048);
+# labelling needs a few arrays of that size at once.
+ORBITAL_BYTES_MAX = 2**25
+
 
 def sphere_size(q, n, m):
     """q^((m-1)n) * (q^n - 1): tuples with at least one unit coordinate."""
@@ -71,6 +77,7 @@ class SphereIndex:
         self.coord_vals = ring.val_arr(self.points)
         self._scalar_perms = {}
         self._matrix_perms = {}
+        self._orbitals = {}
         self._children = {}
 
     def idx(self, coords):
@@ -87,6 +94,39 @@ class SphereIndex:
                 (idx[tuple(row)] for row in moved.tolist()), dtype=np.int64, count=self.size
             )
         return self._matrix_perms[key]
+
+    def orbital_labels(self, mats):
+        """Orbits of the group generated by ``mats`` on pairs of points.
+
+        Returns (labels, r): labels[x, y] in 0..r-1 names the orbit of
+        (x, y) under (x, y) -> (x k, y k), numbered by first pair in
+        row-major order.  Labels come from min-label propagation along the
+        generator permutations and their inverses, with pointer jumping;
+        the fixed point is the least pair index of each orbit.  Cached per
+        generator list; raises BudgetExceededError before allocating when
+        the label array would exceed ORBITAL_BYTES_MAX.
+        """
+        mats = [np.asarray(getattr(k, "a", k), dtype=np.int64) for k in mats]
+        key = tuple(k.tobytes() for k in mats)
+        if key not in self._orbitals:
+            nbytes = self.size**2 * 8
+            if nbytes > ORBITAL_BYTES_MAX:
+                raise BudgetExceededError(
+                    f"orbital labels need {nbytes} bytes, over the cap {ORBITAL_BYTES_MAX}"
+                )
+            perms = [self.perm_of_matrix(k) for k in mats]
+            perms += [np.argsort(s) for s in perms]
+            lab = np.arange(self.size**2, dtype=np.int64).reshape(self.size, self.size)
+            while True:
+                prev = lab
+                for s in perms:
+                    lab = np.minimum(lab, lab[np.ix_(s, s)])
+                lab = lab.ravel()[lab]
+                if np.array_equal(lab, prev):
+                    break
+            firsts, labels = np.unique(lab, return_inverse=True)
+            self._orbitals[key] = (labels.reshape(lab.shape), len(firsts))
+        return self._orbitals[key]
 
     def scalar_perm(self, a):
         """Permutation i -> index of a * points[i] for a unit code a."""

@@ -164,7 +164,7 @@ def decompose_suite(ring, n, rec=None, budget=200000, rng=None, include_commutan
         q ** (M - 1) * (q - 1),
         len(chs),
     )
-    subspaces = []
+    pieces = {}
     total = 0
     for chi in chs:
         cl = _chi_label(chi)
@@ -186,7 +186,7 @@ def decompose_suite(ring, n, rec=None, budget=200000, rng=None, include_commutan
                 dim_harmonic(q, n, m, chi.c),
                 H.dim,
             )
-            subspaces.append(H)
+            pieces[chi.exps, m] = H
             total += H.dim
     rec.exact(
         f"{lab}/completeness",
@@ -195,7 +195,7 @@ def decompose_suite(ring, n, rec=None, budget=200000, rng=None, include_commutan
         space.size,
         total,
     )
-    stack = np.concatenate([H.basis for H in subspaces if H.dim], axis=0)
+    stack = np.concatenate([H.basis for H in pieces.values() if H.dim], axis=0)
     gram = stack @ stack.conj().T * space.weight
     rec.residual(
         f"{lab}/orthogonality",
@@ -226,24 +226,31 @@ def decompose_suite(ring, n, rec=None, budget=200000, rng=None, include_commutan
             f"|K| = {korder} beyond budget {budget}",
         )
     if include_commutants:
-        irreducibility_suite(ring, n, rec=rec, budget=budget, rng=rng, space=space)
+        irreducibility_suite(
+            ring, n, rec=rec, budget=budget, rng=rng, space=space, pieces=pieces
+        )
     return rec
 
 
-def irreducibility_suite(ring, n, rec=None, budget=200000, rng=None, space=None):
-    """Commutant dimension certificates against verified group generators."""
+def irreducibility_suite(ring, n, rec=None, budget=200000, rng=None, space=None, pieces=None):
+    """Commutant dimension certificates against verified group generators.
+
+    ``pieces`` maps (chi.exps, m) to harmonic pieces already built on
+    ``space``; missing ones are built here.
+    """
     rec = rec if rec is not None else Recorder()
     rng = rng if rng is not None else np.random.default_rng(0)
     q, M = ring.q, ring.m
     lab = _ring_label(ring, n)
     space = space if space is not None else SphereSpace(ring, n)
+    pieces = pieces if pieces is not None else {}
     chs = characters(ring)
     verify_generators(SubgroupSpec("K"), ring, n, budget=budget, rng=rng)
     gens = subgroup_generators(SubgroupSpec("K"), ring, n)
     for chi in chs:
         cl = _chi_label(chi)
         for m in range(chi.c, M + 1):
-            H = harmonic_subspace(space, chi, m)
+            H = pieces.get((chi.exps, m)) or harmonic_subspace(space, chi, m)
             rec.exact(
                 f"{lab}/commutant/{cl}/m{m}",
                 "dim End = 1 certifies irreducibility",

@@ -189,6 +189,41 @@ class TestMain:
         assert [r["status"] for r in records] == ["SKIP"]
         assert "exceed budget" in records[0]["observed"]
 
+    def test_decompose_q2_n4_m2_certifies_irreducibility(self, tmp_path):
+        # a 240-point sphere; the commutant certificates fit in memory and
+        # only the exhaustive |K| enumeration is over budget
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("[ring]\nbranch = padic\np = 2\n\n[run]\nn = 4\nlevel = 2\n")
+        out = tmp_path / "d.jsonl"
+        assert main(["decompose", "--config", str(cfg), "--out", str(out)]) == EXIT_SKIP
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        skipped = [r["check_id"] for r in records if r["status"] != "PASS"]
+        assert skipped == ["padic-q2-n4-m2/uniform-stabilisers"]
+        commutants = [r for r in records if "/commutant/" in r["check_id"]]
+        assert len(commutants) == 4 and all(r["observed"] == "1" for r in commutants)
+
+    def test_decompose_orbital_budget_overrun_is_skip(self, tmp_path, monkeypatch):
+        import ultrasph.sphere
+
+        # the 12-point sphere's label array needs 12 * 12 * 8 = 1152 bytes
+        monkeypatch.setattr(ultrasph.sphere, "ORBITAL_BYTES_MAX", 1000)
+        out = tmp_path / "d.jsonl"
+        assert main(["decompose", "--out", str(out)]) == EXIT_SKIP
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        skipped = [r for r in records if r["status"] != "PASS"]
+        assert [r["check_id"] for r in skipped] == ["decompose/budget"]
+        assert "over the cap 1000" in skipped[0]["observed"]
+        assert not any("/commutant" in r["check_id"] for r in records)
+
+    def test_rank_certificate_error_is_fail(self, tmp_path, monkeypatch, capsys):
+        import ultrasph.numerics
+
+        # no pivot gap can reach 1e300, so the first rank decision refuses
+        monkeypatch.setattr(ultrasph.numerics, "GAP_MIN", 1e300)
+        out = tmp_path / "d.jsonl"
+        assert main(["decompose", "--out", str(out)]) == EXIT_FAIL
+        assert "rank certificate failed" in capsys.readouterr().err
+
 
 class TestEmitReport:
     def _rec(self, status):

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultrasph.harmonics import (
     SphereSpace,
@@ -25,7 +28,9 @@ from ultrasph.matgroup import (
     random_in_K,
     subgroup_generators,
 )
+from ultrasph.numerics import kernel_basis
 from ultrasph.ring import characters, make_ring_level
+from ultrasph.sphere import sphere_size
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +263,66 @@ class TestCommutant:
         gens = subgroup_generators(SubgroupSpec("K"), sp222.ring, 2)
         H = harmonic_subspace(sp222, trivial_of(chars222), 0)
         assert commutant_dimension(H, gens) == 1
+
+
+def kron_commutant_dimension(sub, gens):
+    """Reference: kernel of the stacked Sylvester systems X r - r X = 0."""
+    eye = np.eye(sub.dim)
+    blocks = [np.kron(eye, r) - np.kron(r.T, eye) for r in (sub.rho(g) for g in gens)]
+    return kernel_basis(np.concatenate(blocks, axis=0))[0]
+
+
+# the reference SVD costs about (#gens) d^6 for a d-dimensional space; these
+# points keep d <= 15 and each sweep point under a second
+SMALL_SPHERES = [
+    (branch, p, f, m, n)
+    for branch, p, f in [
+        ("padic", 2, 1), ("padic", 3, 1), ("padic", 5, 1), ("padic", 7, 1),
+        ("laurent", 2, 1), ("laurent", 2, 2), ("laurent", 3, 1),
+    ]
+    for m in (1, 2, 3)
+    for n in (2, 3, 4)
+    if sphere_size(p**f, n, m) <= 48
+]
+
+
+@lru_cache(maxsize=None)
+def small_space(point):
+    branch, p, f, m, n = point
+    return SphereSpace(make_ring_level(branch, p, f, m), n)
+
+
+class TestCommutantAgainstKron:
+    """The orbital-operator rank against the Sylvester-system SVD it replaced."""
+
+    @given(point=st.sampled_from(SMALL_SPHERES))
+    @settings(max_examples=12, deadline=None)
+    def test_pieces_and_filtration(self, point):
+        space = small_space(point)
+        M = space.ring.m
+        gens = subgroup_generators(SubgroupSpec("K"), space.ring, space.n)
+        for chi in characters(space.ring):
+            for m in range(chi.c, M + 1):
+                H = harmonic_subspace(space, chi, m)
+                assert commutant_dimension(H, gens) == kron_commutant_dimension(H, gens) == 1
+            C = chi_level_subspace(space, chi, M)
+            want = M - chi.c + 1
+            assert commutant_dimension(C, gens) == kron_commutant_dimension(C, gens) == want
+
+    @given(point=st.sampled_from(SMALL_SPHERES), data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_short_generator_list_fails_closed(self, point, data):
+        # one elementary matrix generates a cyclic group, whose commutant on
+        # any space of dimension d >= 2 has dimension at least d
+        space = small_space(point)
+        M = space.ring.m
+        chi = data.draw(st.sampled_from(characters(space.ring)))
+        m = data.draw(st.integers(chi.c, M))
+        gens = subgroup_generators(SubgroupSpec("K"), space.ring, space.n)[:1]
+        for sub in (harmonic_subspace(space, chi, m), chi_level_subspace(space, chi, M)):
+            got = commutant_dimension(sub, gens)
+            assert got == kron_commutant_dimension(sub, gens)
+            assert got > 1 or sub.dim == 1
 
 
 class TestIdentities:

@@ -39,6 +39,18 @@ class TestKernel:
         dim, basis = kernel_basis(np.zeros((0, 5)))
         assert dim == 5 and basis.shape == (5, 5)
 
+    @pytest.mark.parametrize("rows,cols,rank", [(6, 4, 2), (3, 7, 3), (5, 5, 0), (4, 9, 4)])
+    def test_dimension_matches_basis(self, rows, cols, rank):
+        rng = np.random.default_rng(rows * cols + rank)
+        m = (rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank))) @ rng.normal(
+            size=(rank, cols)
+        )
+        assert kernel_dimension(m) == kernel_basis(m)[0] == cols - rank
+
+    def test_dimension_ambiguous_gap_fails_closed(self):
+        with pytest.raises(RankCertificateError):
+            kernel_dimension(np.diag([1.0, 1e-5, 1e-7]))
+
 
 class TestOrthonormalize:
     def test_clean_case(self):

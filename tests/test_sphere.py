@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from ultrasph.matgroup import SubgroupSpec, closure, enumerate_group, subgroup_generators
-from ultrasph.ring import make_ring_level
+import ultrasph.sphere
+from ultrasph.matgroup import (
+    BudgetExceededError,
+    SubgroupSpec,
+    closure,
+    enumerate_group,
+    subgroup_generators,
+)
+from ultrasph.ring import characters, make_ring_level
 from ultrasph.sphere import (
     SpherePoint,
     act_point,
@@ -160,3 +167,55 @@ class TestAction:
             perm = S.scalar_perm(a)
             diag = np.diag([a, a]).astype(np.int64)
             assert np.array_equal(perm, S.perm_of_matrix(diag))
+
+
+class TestOrbitals:
+    @pytest.mark.parametrize(
+        "point,kind",
+        [
+            (("padic", 2, 1, 2, 2), "K"),
+            (("padic", 3, 1, 1, 2), "K"),
+            (("padic", 2, 1, 1, 3), "K"),
+            (("padic", 2, 1, 2, 2), "Kmirab"),
+            (("laurent", 2, 2, 1, 2), "Kmirab"),
+        ],
+    )
+    def test_labels_match_closure(self, point, kind):
+        # brute force: the least pair index over every group element
+        branch, p, f, m, n = point
+        R = make_ring_level(branch, p, f, m)
+        S = enumerate_sphere(R, n)
+        gens = subgroup_generators(SubgroupSpec(kind), R, n)
+        N = S.size
+        least = np.full((N, N), N * N)
+        for k in closure(gens):
+            perm = S.perm_of_matrix(k.a)
+            least = np.minimum(least, perm[:, None] * N + perm[None, :])
+        firsts, want = np.unique(least, return_inverse=True)
+        labels, count = S.orbital_labels(gens)
+        assert count == len(firsts)
+        assert np.array_equal(labels, want.reshape(N, N))
+
+    @pytest.mark.parametrize(
+        "branch,p,f,m,n",
+        [
+            ("padic", 2, 1, 3, 2),
+            ("padic", 3, 1, 2, 2),
+            ("padic", 2, 1, 2, 3),
+            ("laurent", 2, 2, 2, 2),
+            ("padic", 2, 1, 2, 4),
+        ],
+    )
+    def test_orbital_count_is_piece_count(self, branch, p, f, m, n):
+        # L^2(S) is multiplicity free, so dim End_K = #orbitals = #pieces
+        R = make_ring_level(branch, p, f, m)
+        S = enumerate_sphere(R, n)
+        _, count = S.orbital_labels(subgroup_generators(SubgroupSpec("K"), R, n))
+        assert count == sum(m - ch.c + 1 for ch in characters(R))
+
+    def test_label_array_cap(self, monkeypatch):
+        R = make_ring_level("padic", 2, 1, 2)
+        S = enumerate_sphere(R, 2)
+        monkeypatch.setattr(ultrasph.sphere, "ORBITAL_BYTES_MAX", 12 * 12 * 8 - 1)
+        with pytest.raises(BudgetExceededError):
+            S.orbital_labels(subgroup_generators(SubgroupSpec("K"), R, 2))
