@@ -31,6 +31,7 @@ from .matgroup import (
     enumerate_group,
     factor_into_generators,
     group_order,
+    group_stack,
     subgroup_generators,
     subgroup_membership,
     subgroup_order,

@@ -215,9 +215,8 @@ def emit_report(records, out_path=None, seed=None):
     return EXIT_PASS
 
 
-def cmd_decompose(cfg):
+def cmd_decompose(cfg, rec):
     ring = cfg.ring()
-    rec = Recorder()
     try:
         decompose_suite(
             ring, cfg.n, rec=rec, budget=cfg.budget,
@@ -225,25 +224,19 @@ def cmd_decompose(cfg):
         )
     except BudgetExceededError as e:
         rec.skip("decompose/budget", "suite within its budgets", {}, str(e))
-    return rec
 
 
-def cmd_zonal(cfg):
+def cmd_zonal(cfg, rec):
     ring = cfg.ring()
-    rec = Recorder()
     zonal_suite(ring, cfg.n, rec=rec, samples=cfg.samples, seed=cfg.seed, budget=cfg.budget)
-    return rec
 
 
-def cmd_double_cosets(cfg):
+def cmd_double_cosets(cfg, rec):
     ring = cfg.ring()
-    rec = Recorder()
     double_coset_suite(ring, cfg.n, rec=rec, budget=cfg.budget)
-    return rec
 
 
-def cmd_principal_series(cfg):
-    rec = Recorder()
+def cmd_principal_series(cfg, rec):
     if cfg.chars is not None:
         level = cfg.pseries_level or cfg.level
         ring = make_ring_level(cfg.branch, cfg.p, cfg.f, level, cfg.poly)
@@ -267,21 +260,18 @@ def cmd_principal_series(cfg):
             samples=cfg.samples, seed=cfg.seed, budget=cfg.budget, poly=cfg.poly,
             level_override=cfg.pseries_level,
         )
-    return rec
 
 
-def cmd_arch(cfg):
-    rec = Recorder()
+def cmd_arch(cfg, rec):
     arch_suite(
         rec=rec,
         real_bounds=(cfg.real_degree, cfg.real_nmax),
         complex_bounds=(cfg.complex_degree, cfg.complex_nmax),
     )
-    return rec
 
 
-def cmd_verify_all(cfg):
-    return verify_all(samples=cfg.samples, seed=cfg.seed, budget=cfg.budget)
+def cmd_verify_all(cfg, rec):
+    verify_all(samples=cfg.samples, seed=cfg.seed, budget=cfg.budget, rec=rec)
 
 
 COMMANDS = {
@@ -319,14 +309,19 @@ def main(argv=None):
     except (ConfigError, OSError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    rec = Recorder()
     try:
-        rec = COMMANDS[args.command](cfg)
+        COMMANDS[args.command](cfg, rec)
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except RankCertificateError as e:
+        # the records made so far are kept, and this one names the failure
         print(f"rank certificate failed: {e}", file=sys.stderr)
-        return EXIT_FAIL
+        rec.fail(
+            f"{args.command}/rank-certificate",
+            "every rank decision has a certified pivot gap", {}, str(e),
+        )
     return emit_report(rec.sorted_records(), out_path=cfg.out, seed=cfg.seed)
 
 

@@ -356,8 +356,8 @@ def idempotent_sum_residual(space, chis, m, ks, zonal_cache=None):
 
     worst = 0.0
     mats = _stack(ks, n)
-    for a, ainv in zip(mats, mat_inv(ring, mats)):
-        x_idx = space.index.idx(ainv[n - 1])  # e_n k^{-1}
+    x_slots = space.index.idx(mat_inv(ring, mats)[:, n - 1])  # e_n k^{-1}
+    for a, x_idx in zip(mats, x_slots):
         vals_bottom = ring.val_arr(a[n - 1, : n - 1]) if n > 1 else np.array([ring.m])
         in_k0 = bool((vals_bottom >= min(m, ring.m)).all())
         d_entry = int(a[n - 1, n - 1])

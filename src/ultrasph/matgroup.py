@@ -11,6 +11,7 @@ factorisation is re-multiplied exactly.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from itertools import permutations, product
 
@@ -317,33 +318,72 @@ def subgroup_order(spec, ring, n):
     raise AssertionError
 
 
+def row_keys(ring, stack):
+    """One sortable key per matrix or point of an (N, ...) stack of codes.
+
+    The key is the int64 mixed-radix code of the entries, most significant
+    first, so key order is the lexicographic order of the entries.  When
+    ring.size ** entries does not fit an int64, the key is the row's raw
+    bytes as a void scalar: equal exactly when the entries are, and sortable,
+    though in no numeric order.
+    """
+    stack = np.asarray(stack, dtype=np.int64)
+    flat = stack.reshape(stack.shape[0], math.prod(stack.shape[1:]))
+    width = flat.shape[1]
+    if ring.size**width < 2**63:
+        return flat @ ring.size ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.ascontiguousarray(flat).view(np.dtype((np.void, 8 * width))).ravel()
+
+
+def find_keys(sorted_keys, keys):
+    """Positions of ``keys`` in the sorted array ``sorted_keys``; KeyError
+    when one is absent."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    if not (sorted_keys[pos] == keys).all():
+        raise KeyError("key not in the index")
+    return pos
+
+
+def orbit_stack(ring, start, gens, canon=None, budget=None):
+    """Breadth-first orbit of the (n, n) matrix ``start`` under right
+    multiplication by the (n, n) arrays ``gens``, as an (N, n, n) stack.
+
+    ``canon`` maps a product stack to the representatives it stands for
+    (cosets); without it the products themselves are the elements.  Each
+    layer multiplies the frontier by every generator, generator-major, and
+    keeps the first occurrence of each key not seen before, in stack order,
+    so the order is that of a one-at-a-time BFS.  Raises
+    BudgetExceededError when the orbit outgrows ``budget``.
+    """
+    frontier = np.asarray(start, dtype=np.int64)[None]
+    layers = [frontier]
+    seen = row_keys(ring, frontier)
+    total = 1
+    while len(frontier):
+        cand = np.concatenate([ring.matmul(frontier, g) for g in gens])
+        if canon is not None:
+            cand = canon(cand)
+        keys, first = np.unique(row_keys(ring, cand), return_index=True)
+        slot = np.searchsorted(seen, keys)
+        new = seen[np.minimum(slot, len(seen) - 1)] != keys
+        total += int(new.sum())
+        if budget is not None and total > budget:
+            raise BudgetExceededError(f"closure exceeded budget {budget}")
+        frontier = cand[np.sort(first[new])]
+        layers.append(frontier)
+        seen = np.insert(seen, slot[new], keys[new])  # a sorted merge
+    return np.concatenate(layers)
+
+
 def closure(gens, budget=200000):
-    """Breadth-first closure of a generating set; raises past the budget."""
+    """Breadth-first closure of a generating set of MatK, as an (N, n, n)
+    stack with the identity first; raises past the budget."""
     if not gens:
         return []
     ring, n = gens[0].ring, gens[0].n
-    gen_arrays = [g.a for g in gens]
-    seen = {MatK.identity(ring, n).key()}
-    elems = [MatK.identity(ring, n)]
-    frontier = np.eye(n, dtype=np.int64)[None, :, :]
-    while frontier.shape[0]:
-        batches = []
-        for g in gen_arrays:
-            batches.append(ring.matmul(frontier, g))
-        cand = np.concatenate(batches, axis=0)
-        fresh = []
-        for row in cand:
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                fresh.append(row)
-                elems.append(MatK(ring, row, check=False))
-                if len(elems) > budget:
-                    raise BudgetExceededError(
-                        f"closure exceeded budget {budget}"
-                    )
-        frontier = np.array(fresh, dtype=np.int64) if fresh else np.empty((0, n, n), dtype=np.int64)
-    return elems
+    return orbit_stack(
+        ring, np.eye(n, dtype=np.int64), [g.a for g in gens], budget=budget
+    )
 
 
 def verify_generators(spec, ring, n, budget=200000, rng=None, samples=25):
@@ -701,19 +741,28 @@ def double_coset_witness(k, m):
 # -- exhaustive enumeration ---------------------------------------------------
 
 
-def enumerate_group(ring, n):
-    """Stream all of GL_n(O/p^m): invertible residue parts times lift corrections.
+def group_stack(ring, n):
+    """All of GL_n(O/p^m) as one (|K|, n, n) stack: invertible residue parts
+    times lift corrections.
 
     Deterministic order: residue matrices lexicographically, then correction
-    matrices lexicographically.
+    matrices lexicographically.  Callers check group_order against their
+    budget first; the stack takes 8 n^2 |K| bytes.
     """
-    q, m = ring.q, ring.m
-    lifts = q ** (m - 1)
+    q = ring.q
+    res = _all_matrices(q, n)
+    res = res[ring.val_arr(det(ring, res)) == 0]
+    lifts = _all_matrices(q ** (ring.m - 1), n)
+    return ring.add_arr(res[:, None], lifts[None] * q).reshape(-1, n, n)
+
+
+def _all_matrices(base, n):
+    """Every (n, n) matrix with entries in range(base), lexicographically."""
     cells = n * n
-    for base in product(range(q), repeat=cells):
-        mat0 = np.array(base, dtype=np.int64).reshape(n, n)
-        if not ring.is_unit(det(ring, mat0)):
-            continue
-        for corr in product(range(lifts), repeat=cells):
-            add = np.array(corr, dtype=np.int64).reshape(n, n) * q
-            yield MatK(ring, ring.add_arr(mat0, add), check=False)
+    return np.indices((base,) * cells, dtype=np.int64).reshape(cells, -1).T.reshape(-1, n, n)
+
+
+def enumerate_group(ring, n):
+    """Stream all of GL_n(O/p^m) as MatK, in ``group_stack`` order."""
+    for a in group_stack(ring, n):
+        yield MatK(ring, a, check=False)

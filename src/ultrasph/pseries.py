@@ -22,9 +22,12 @@ from .matgroup import (
     MatK,
     SubgroupSpec,
     _complete_to_invertible,
-    enumerate_group,
+    find_keys,
     group_order,
+    group_stack,
     mat_inv,
+    orbit_stack,
+    row_keys,
     subgroup_generators,
     verify_generators,
 )
@@ -82,7 +85,8 @@ class FlagCosets:
     """Canonical representatives of B\\G, found by closure from the identity.
 
     Reaching the full count certifies transitivity of the generated group
-    on the flag space.
+    on the flag space.  ``keys`` holds the reps' keys sorted and ``slots``
+    the rep slot of each sorted key.
     """
 
     def __init__(self, ring, n, gens, budget=300000):
@@ -92,28 +96,22 @@ class FlagCosets:
         self.ring = ring
         self.n = n
         start, _ = flag_canon(ring, np.eye(n, dtype=np.int64))
-        reps = [start]
-        index = {start.tobytes(): 0}
-        frontier = [start]
-        while frontier:
-            fresh = []
-            stack = np.array(frontier, dtype=np.int64)
-            for g in gens:
-                canon, _ = flag_canon(ring, ring.matmul(stack, g.a))
-                for rep in canon:
-                    key = rep.tobytes()
-                    if key not in index:
-                        index[key] = len(reps)
-                        reps.append(rep)
-                        fresh.append(rep)
-            frontier = fresh
+        reps = orbit_stack(
+            ring, start, [g.a for g in gens], canon=lambda s: flag_canon(ring, s)[0]
+        )
         if len(reps) != expected:
             raise RuntimeError(
                 f"flag closure found {len(reps)} cosets, expected {expected}"
             )
-        self.reps = np.array(reps, dtype=np.int64)
-        self.index = index
+        self.reps = reps
+        keys = row_keys(ring, reps)
+        self.slots = np.argsort(keys)
+        self.keys = keys[self.slots]
         self.size = expected
+
+    def slot_of(self, canon):
+        """Rep slot of each canonical representative in an (N, n, n) stack."""
+        return self.slots[find_keys(self.keys, row_keys(self.ring, canon))]
 
 
 _VERIFIED_GENS = {}
@@ -172,10 +170,7 @@ class PSeriesModel:
         if key in self._action_cache:
             return self._action_cache[key]
         canon, pivots = flag_canon(self.ring, self.ring.matmul(self.cosets.reps, np.asarray(a)))
-        perm = np.fromiter(
-            (self.cosets.index[row.tobytes()] for row in canon), dtype=np.int64, count=self.dim
-        )
-        action = (perm, self._scale_from_pivots(pivots))
+        action = (self.cosets.slot_of(canon), self._scale_from_pivots(pivots))
         self._action_cache[key] = action
         return action
 
@@ -356,10 +351,10 @@ def vector_from_harmonic(model, space, P, v0, method="auto", budget=120000, rng=
     if method == "enumerate":
         if order > budget:
             raise BudgetExceededError(f"group order {order} exceeds budget {budget}")
+        ks = group_stack(ring, n)
+        coeffs = P[space.index.idx(mat_inv(ring, ks)[:, n - 1])]  # P(e_n k^{-1})
         acc = np.zeros(model.dim, dtype=np.complex128)
-        for k in enumerate_group(ring, n):
-            x = mat_inv(ring, k.a)[n - 1]
-            coeff = P[space.index.idx(x)]
+        for k, coeff in zip(ks, coeffs):
             if coeff != 0:
                 acc += coeff * model.apply(model.action_of(k), v0)
         return dim_tau * acc / order

@@ -8,11 +8,9 @@ keyed by downstream.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
-from .matgroup import BudgetExceededError
+from .matgroup import BudgetExceededError, find_keys, row_keys
 
 # Cap on the bytes of the (N, N) int64 orbital label array (N <= 2048);
 # labelling needs a few arrays of that size at once.
@@ -52,7 +50,9 @@ class SphereIndex:
     """Dense index of all sphere points at one level, plus action helpers.
 
     Immutable after construction.  ``points`` is an (N, n) array of codes
-    in enumeration order; ``index_of`` maps a code tuple back to its slot.
+    in enumeration order and ``codes`` their int64 mixed-radix keys, which
+    that order sorts (under the point cap, size**n fits an int64); ``idx``
+    maps points back to slots by binary search.
     """
 
     def __init__(self, ring, n, cap=10**6):
@@ -63,17 +63,14 @@ class SphereIndex:
             raise ValueError(f"sphere size {expected} exceeds cap {cap}")
         self.ring = ring
         self.n = n
-        pts = [
-            t
-            for t in product(range(ring.size), repeat=n)
-            if any(ring.is_unit(c) for c in t)
-        ]
+        tuples = np.indices((ring.size,) * n, dtype=np.int64).reshape(n, -1).T
+        pts = tuples[(ring.val_arr(tuples) == 0).any(axis=1)]
         if len(pts) != expected:
             raise RuntimeError("sphere enumeration does not match the size formula")
-        self.points = np.array(pts, dtype=np.int64)
-        self.index_of = {t: i for i, t in enumerate(pts)}
+        self.points = pts
+        self.codes = row_keys(ring, pts)
         self.size = expected
-        self.e_n = self.index_of[(0,) * (n - 1) + (1,)]
+        self.e_n = self.idx(np.eye(n, dtype=np.int64)[n - 1])
         self.coord_vals = ring.val_arr(self.points)
         self._scalar_perms = {}
         self._matrix_perms = {}
@@ -81,18 +78,23 @@ class SphereIndex:
         self._children = {}
 
     def idx(self, coords):
-        return self.index_of[tuple(int(c) for c in coords)]
+        """Slot of one point (an int), or of each row of an (N, n) stack (an
+        int64 array); KeyError on a row that is not a sphere point."""
+        rows = np.asarray(coords, dtype=np.int64)
+        stack = rows.reshape(-1, rows.shape[-1])
+        if stack.shape[1] != self.n or (
+            stack.size and (stack.min() < 0 or stack.max() >= self.ring.size)
+        ):
+            raise KeyError("not a sphere point: wrong length or entries outside the ring")
+        slots = find_keys(self.codes, row_keys(self.ring, stack))
+        return int(slots[0]) if rows.ndim == 1 else slots
 
     def perm_of_matrix(self, k):
         """Permutation sigma with sigma[i] = index of points[i] . k."""
         k = np.asarray(k, dtype=np.int64)
         key = k.tobytes()
         if key not in self._matrix_perms:
-            moved = self.ring.matmul(self.points, k)
-            idx = self.index_of
-            self._matrix_perms[key] = np.fromiter(
-                (idx[tuple(row)] for row in moved.tolist()), dtype=np.int64, count=self.size
-            )
+            self._matrix_perms[key] = self.idx(self.ring.matmul(self.points, k))
         return self._matrix_perms[key]
 
     def orbital_labels(self, mats):
@@ -134,11 +136,7 @@ class SphereIndex:
         if a not in self._scalar_perms:
             if not self.ring.is_unit(a):
                 raise ValueError("scalar action requires a unit")
-            moved = self.ring.mul_arr(self.points, np.int64(a))
-            idx = self.index_of
-            self._scalar_perms[a] = np.fromiter(
-                (idx[tuple(row)] for row in moved.tolist()), dtype=np.int64, count=self.size
-            )
+            self._scalar_perms[a] = self.idx(self.ring.mul_arr(self.points, np.int64(a)))
         return self._scalar_perms[a]
 
     def child(self, ell, cap=10**6):
@@ -151,13 +149,7 @@ class SphereIndex:
             return self, np.arange(self.size)
         if ell not in self._children:
             sub = SphereIndex(self.ring.at_level(ell), self.n, cap=cap)
-            red = self.ring.reduce_arr(self.points, ell)
-            proj = np.fromiter(
-                (sub.index_of[tuple(row)] for row in red.tolist()),
-                dtype=np.int64,
-                count=self.size,
-            )
-            self._children[ell] = (sub, proj)
+            self._children[ell] = (sub, sub.idx(self.ring.reduce_arr(self.points, ell)))
         return self._children[ell]
 
 

@@ -40,6 +40,7 @@ from .matgroup import (
     double_coset_witness,
     enumerate_group,
     group_order,
+    group_stack,
     random_in_K,
     random_in_K0,
     subgroup_generators,
@@ -119,6 +120,11 @@ class Recorder:
     def skip(self, check_id, formula, params, reason):
         self.records.append(
             CheckRecord(check_id, formula, params, "-", reason, None, "SKIP", self._elapsed())
+        )
+
+    def fail(self, check_id, formula, params, reason):
+        self.records.append(
+            CheckRecord(check_id, formula, params, "-", reason, None, "FAIL", self._elapsed())
         )
 
     def sorted_records(self):
@@ -207,9 +213,8 @@ def decompose_suite(ring, n, rec=None, budget=200000, rng=None, include_commutan
     # measure lemma: transitivity and constant stabiliser size at level M
     korder = group_order(ring, n)
     if korder <= budget:
-        counts = np.zeros(space.size, dtype=np.int64)
-        for k in enumerate_group(ring, n):
-            counts[space.index.idx(k.a[n - 1])] += 1
+        bottom = group_stack(ring, n)[:, n - 1]
+        counts = np.bincount(space.index.idx(bottom), minlength=space.size)
         ok = counts.min() == counts.max() == korder // space.size
         rec.exact(
             f"{lab}/uniform-stabilisers",
@@ -753,8 +758,8 @@ DOUBLE_COSET_POINTS = [
 ]
 
 
-def verify_all(samples=500, seed=0, budget=200000):
-    rec = Recorder()
+def verify_all(samples=500, seed=0, budget=200000, rec=None):
+    rec = rec if rec is not None else Recorder()
     for branch, p, f, m, n in DIMENSION_GRID:
         ring = make_ring_level(branch, p, f, m)
         decompose_suite(ring, n, rec=rec, budget=budget, rng=np.random.default_rng(seed))

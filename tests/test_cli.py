@@ -223,6 +223,12 @@ class TestMain:
         out = tmp_path / "d.jsonl"
         assert main(["decompose", "--out", str(out)]) == EXIT_FAIL
         assert "rank certificate failed" in capsys.readouterr().err
+        assert out.exists()
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        failed = [r for r in records if r["status"] == "FAIL"]
+        assert [r["check_id"] for r in failed] == ["decompose/rank-certificate"]
+        assert "pivot gap" in failed[0]["observed"]
+        assert any(r["status"] == "PASS" for r in records)
 
 
 class TestEmitReport:

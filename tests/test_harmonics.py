@@ -374,7 +374,7 @@ class TestIdentities:
         z = zonal_fn(sp222, chi, 2)
         e = sp222.index.e_n
         for k in mirab:
-            perm = sp222.index.perm_of_matrix(k.a)
+            perm = sp222.index.perm_of_matrix(k)
             assert np.abs(H.basis[:, perm[e]] - H.basis[:, e]).max() < 1e-12
             rhs = H.dim * (H.basis[:, perm] @ z.conj()) * sp222.weight
             assert np.abs(rhs - H.basis[:, e]).max() < 1e-9

@@ -1,8 +1,11 @@
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultrasph.matgroup import (
     BudgetExceededError,
@@ -16,7 +19,9 @@ from ultrasph.matgroup import (
     enumerate_group,
     factor_into_generators,
     group_order,
+    group_stack,
     random_in_K,
+    row_keys,
     subgroup_generators,
     subgroup_membership,
     subgroup_order,
@@ -24,6 +29,55 @@ from ultrasph.matgroup import (
     verify_generators,
 )
 from ultrasph.ring import make_ring_level
+
+
+def reference_closure(gens):
+    """One-at-a-time BFS over a set of byte keys: the order closure keeps."""
+    ring, n = gens[0].ring, gens[0].n
+    seen = {np.eye(n, dtype=np.int64).tobytes()}
+    elems = [np.eye(n, dtype=np.int64)]
+    frontier = np.eye(n, dtype=np.int64)[None]
+    while len(frontier):
+        fresh = []
+        for row in np.concatenate([ring.matmul(frontier, g.a) for g in gens]):
+            if row.tobytes() not in seen:
+                seen.add(row.tobytes())
+                fresh.append(row)
+        elems += fresh
+        frontier = np.array(fresh, dtype=np.int64).reshape(-1, n, n)
+    return np.array(elems, dtype=np.int64)
+
+
+def reference_enumeration(ring, n):
+    """Residue matrices, then lifts, each in itertools.product order."""
+    q, m = ring.q, ring.m
+    out = []
+    for base in product(range(q), repeat=n * n):
+        mat0 = np.array(base, dtype=np.int64).reshape(n, n)
+        if not ring.is_unit(det(ring, mat0)):
+            continue
+        for corr in product(range(q ** (m - 1)), repeat=n * n):
+            add = np.array(corr, dtype=np.int64).reshape(n, n) * q
+            out.append(ring.add_arr(mat0, add))
+    return np.array(out, dtype=np.int64).reshape(-1, n, n)
+
+
+# small (branch, p, f, m, n) with |GL_n| <= 5000, so the references stay quick
+GROUP_POINTS = [
+    (branch, p, f, m, n)
+    for branch, p, f in [
+        ("padic", 2, 1), ("padic", 3, 1), ("padic", 5, 1),
+        ("laurent", 2, 1), ("laurent", 2, 2), ("laurent", 3, 1),
+    ]
+    for m in (1, 2, 3)
+    for n in (1, 2, 3)
+    if group_order(make_ring_level(branch, p, f, m), n) <= 5000
+]
+
+
+@lru_cache(maxsize=None)
+def ring_of(branch, p, f, m):
+    return make_ring_level(branch, p, f, m)
 
 
 @pytest.fixture(scope="module")
@@ -173,10 +227,41 @@ class TestGenerators:
         with pytest.raises(BudgetExceededError):
             closure(gens, budget=10)
 
+    @given(point=st.sampled_from([pt for pt in GROUP_POINTS if pt[4] >= 2]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_closure_matches_reference_bfs(self, point, data):
+        branch, p, f, m, n = point
+        R = ring_of(branch, p, f, m)
+        spec = data.draw(
+            st.sampled_from(
+                [SubgroupSpec("K"), SubgroupSpec("Kmirab")]
+                + [SubgroupSpec("K1", ell) for ell in range(m + 1)]
+            )
+        )
+        gens = subgroup_generators(spec, R, n)
+        got = closure(gens)
+        assert len(got) == subgroup_order(spec, R, n)
+        assert np.array_equal(got, reference_closure(gens))
+        mask = data.draw(
+            st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)).filter(any)
+        )
+        subset = [g for g, keep in zip(gens, mask) if keep]
+        assert np.array_equal(closure(subset), reference_closure(subset))
+
+    def test_closure_beyond_int64_codes(self):
+        # 256**9 = 2**72: matrices are keyed by their raw bytes
+        R = make_ring_level("padic", 2, 1, 8)
+        spec = SubgroupSpec("Kprin", 7)
+        gens = subgroup_generators(spec, R, 3)
+        got = closure(gens)
+        assert row_keys(R, got).dtype.kind == "V"
+        assert len(got) == subgroup_order(spec, R, 3) == 512
+        assert np.array_equal(got, reference_closure(gens))
+
     def test_subgroup_identities(self, R4, gl2_z4):
         # K_{n-1,1} * K(p^m) = K_1(p^m) and Z * K_1 = K_0, checked exhaustively
         mirab = set(
-            k.key() for k in closure(subgroup_generators(SubgroupSpec("Kmirab"), R4, 2))
+            k.tobytes() for k in closure(subgroup_generators(SubgroupSpec("Kmirab"), R4, 2))
         )
         for ell in (1, 2):
             prin = closure(subgroup_generators(SubgroupSpec("Kprin", ell), R4, 2))
@@ -191,7 +276,7 @@ class TestGenerators:
             ]
             for a in mirab_mats:
                 for b in prin:
-                    prod.add((a @ b).key())
+                    prod.add(R4.matmul(a.a, b).tobytes())
             assert prod == k1
             k0 = {
                 k.key()
@@ -315,6 +400,15 @@ class TestChangBeta:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("point", GROUP_POINTS)
+    def test_stack_matches_reference_order(self, point):
+        branch, p, f, m, n = point
+        R = ring_of(branch, p, f, m)
+        got = group_stack(R, n)
+        assert len(got) == group_order(R, n)
+        assert np.array_equal(got, reference_enumeration(R, n))
+        assert np.array_equal(got, [k.a for k in enumerate_group(R, n)])
+
     def test_stream_deterministic(self, R4):
         first = [k.key() for k in enumerate_group(R4, 2)]
         second = [k.key() for k in enumerate_group(R4, 2)]

@@ -65,6 +65,36 @@ class TestEnumeration:
         )
 
 
+class TestLookup:
+    @pytest.mark.parametrize(
+        "branch,p,f,m,n",
+        [
+            ("padic", 2, 1, 2, 2),
+            ("padic", 3, 1, 1, 3),
+            ("padic", 2, 1, 2, 3),
+            ("laurent", 2, 2, 1, 2),
+        ],
+    )
+    def test_stack_matches_point_lookup(self, branch, p, f, m, n):
+        S = enumerate_sphere(make_ring_level(branch, p, f, m), n)
+        reference = {tuple(row): i for i, row in enumerate(S.points.tolist())}
+        rows = S.points[np.random.default_rng(0).integers(0, S.size, 50)]
+        got = S.idx(rows)
+        assert got.tolist() == [reference[tuple(r)] for r in rows.tolist()]
+        assert got.tolist() == [S.idx(r) for r in rows]
+        assert np.array_equal(S.idx(S.points), np.arange(S.size))
+
+    def test_non_point_raises(self):
+        S = enumerate_sphere(make_ring_level("padic", 2, 1, 2), 2)
+        # no unit coordinate, entries outside range(4) (code 5 would alias
+        # the point (1, 1)), a negative entry, a row of the wrong length
+        for bad in ([2, 0], [0, 0], [0, 5], [4, 1], [-1, 1], [1, 1, 1]):
+            with pytest.raises(KeyError):
+                S.idx(bad)
+        with pytest.raises(KeyError):
+            S.idx(np.array([[1, 0], [2, 2]]))
+
+
 class TestReduce:
     def test_examples(self):
         R4 = make_ring_level("padic", 2, 1, 2)
@@ -189,7 +219,7 @@ class TestOrbitals:
         N = S.size
         least = np.full((N, N), N * N)
         for k in closure(gens):
-            perm = S.perm_of_matrix(k.a)
+            perm = S.perm_of_matrix(k)
             least = np.minimum(least, perm[:, None] * N + perm[None, :])
         firsts, want = np.unique(least, return_inverse=True)
         labels, count = S.orbital_labels(gens)
