@@ -77,11 +77,6 @@ class SphereSpace:
         a = getattr(k, "a", k)
         return f[self.index.perm_of_matrix(a)]
 
-    def value_at_en_k(self, f, k):
-        """f(e_n k): the value at the bottom row of k."""
-        a = getattr(k, "a", k)
-        return f[self.index.idx(a[self.n - 1])]
-
     def min_val_head(self):
         """min coordinate valuation over the first n-1 slots, per point."""
         return self.index.coord_vals[:, : self.n - 1].min(axis=1)
@@ -104,10 +99,6 @@ class Subspace:
     def gram_residual(self):
         g = self.basis @ self.basis.conj().T * self.space.weight
         return float(np.abs(g - np.eye(self.dim)).max()) if self.dim else 0.0
-
-    def project(self, f):
-        coef = self.basis @ f.conj() * self.space.weight
-        return (coef.conj() @ self.basis) if self.dim else np.zeros_like(f)
 
     def rho(self, k):
         """Matrix of R(k) on this basis; unitary when the space is invariant."""

@@ -6,6 +6,13 @@ right translation.  Functions are stored by their values on canonical
 coset representatives of B\\G, computed by bottom-up row pivoting with
 unit pivots scaled to 1 and entries above pivots cleared.
 
+K acts by monomial matrices: a permutation of the coset slots times a
+phase e^{2 pi i rot/L}, rot an exact rotation index mod the exponent L of
+the character group.  Invariant and equivariant subspaces are exact orbit
+and cocycle counts, one line per generator orbit on which the phase
+cocycle closes (Mackey; Serre, Linear Representations of Finite Groups,
+7.3), with no tolerance and no SVD.
+
 The strongest end-to-end integrity check lives here: the declared
 conductor (sum of the character conductors) must coincide with the
 least depth at which invariant vectors appear, and any disagreement is
@@ -27,11 +34,13 @@ from .matgroup import (
     group_stack,
     mat_inv,
     orbit_stack,
+    random_in_K,
     row_keys,
     subgroup_generators,
     verify_generators,
 )
-from .numerics import kernel_basis, orthonormalize_rows
+
+COSET_BUDGET = 300000  # flag cosets a model may hold
 
 
 class ConductorNotVisible(RuntimeError):
@@ -89,20 +98,16 @@ class FlagCosets:
     the rep slot of each sorted key.
     """
 
-    def __init__(self, ring, n, gens, budget=300000):
+    def __init__(self, ring, n, gens):
         expected = flag_count(ring, n)
-        if expected > budget:
-            raise BudgetExceededError(f"{expected} cosets exceed budget {budget}")
+        if expected > COSET_BUDGET:
+            raise BudgetExceededError(f"{expected} cosets exceed budget {COSET_BUDGET}")
         self.ring = ring
         self.n = n
         start, _ = flag_canon(ring, np.eye(n, dtype=np.int64))
-        reps = orbit_stack(
-            ring, start, [g.a for g in gens], canon=lambda s: flag_canon(ring, s)[0]
-        )
+        reps = orbit_stack(ring, start, [g.a for g in gens], canon=lambda s: flag_canon(ring, s)[0])
         if len(reps) != expected:
-            raise RuntimeError(
-                f"flag closure found {len(reps)} cosets, expected {expected}"
-            )
+            raise RuntimeError(f"flag closure found {len(reps)} cosets, expected {expected}")
         self.reps = reps
         keys = row_keys(ring, reps)
         self.slots = np.argsort(keys)
@@ -112,6 +117,43 @@ class FlagCosets:
     def slot_of(self, canon):
         """Rep slot of each canonical representative in an (N, n, n) stack."""
         return self.slots[find_keys(self.keys, row_keys(self.ring, canon))]
+
+
+def monomial_orbits(perms, rots, twists, L):
+    """Exact invariants of a monomial action: orbits and closing cocycles.
+
+    Generator g acts by (g f)[i] = w^rots[g][i] f[perms[g][i]], w = e^{2 pi i/L}.
+    A vector with g f = w^twists[g] f for every g is c_O w^phase on each orbit
+    O, with phase[perm[i]] = phase[i] + twist - rot[i] (mod L) on every edge
+    when O closes.  Returns per-slot arrays (root, phase, closed): the least
+    slot of the orbit (phase 0 there), the phase, and whether O closes.
+    """
+    dim = len(perms[0])
+    # min-label propagation along the generators and their inverses, with pointer jumping
+    steps = perms + [np.argsort(s) for s in perms]
+    root = np.arange(dim)
+    while True:
+        prev = root
+        for s in steps:
+            root = np.minimum(root, root[s])
+        root = root[root]
+        if np.array_equal(root, prev):
+            break
+    # phases: one breadth-first pass from every root at once
+    phase = np.full(dim, -1, dtype=np.int64)
+    front = np.flatnonzero(root == np.arange(dim))
+    phase[front] = 0
+    while front.size:
+        tgt = np.concatenate([s[front] for s in perms])
+        ph = np.concatenate([(phase[front] + t - r[front]) % L for r, t in zip(rots, twists)])
+        tgt, first = np.unique(tgt, return_index=True)
+        new = phase[tgt] < 0
+        front = tgt[new]
+        phase[front] = ph[first[new]]
+    broken = np.zeros(dim, dtype=bool)
+    for s, r, t in zip(perms, rots, twists):
+        broken[root[(phase[s] - phase + r - t) % L != 0]] = True
+    return root, phase, ~broken[root]
 
 
 _VERIFIED_GENS = {}
@@ -128,7 +170,7 @@ def _verified_subgroup_gens(ring, n, spec, rng=None, budget=60000, samples=12):
 class PSeriesModel:
     """chi-induced model of a principal-series restriction at level M."""
 
-    def __init__(self, chars, n=None, rng=None, coset_budget=300000):
+    def __init__(self, chars, n=None, rng=None):
         chars = tuple(chars)
         if n is None:
             n = len(chars)
@@ -146,71 +188,70 @@ class PSeriesModel:
         for ch in chars[1:]:
             self.chi_pi = self.chi_pi * ch
         self.c_declared = sum(ch.c for ch in chars)
+        self.L = self.chi_pi.order
+        self._roots = np.exp(2j * np.pi * np.arange(self.L) / self.L)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.k_gens = _verified_subgroup_gens(ring, n, SubgroupSpec("K"), rng=rng)
-        self.cosets = FlagCosets(ring, n, self.k_gens, budget=coset_budget)
+        self.cosets = FlagCosets(ring, n, self.k_gens)
         self.dim = self.cosets.size
         self._invariants = {}
         self._action_cache = {}
-        self.gen_actions = [self.action_of(g) for g in self.k_gens]
         self._spot_check(rng)
 
     # -- action ---------------------------------------------------------
 
-    def _scale_from_pivots(self, pivots):
-        out = np.ones(pivots.shape[0], dtype=np.complex128)
-        for j, ch in enumerate(self.chars):
-            out *= ch.eval_arr(pivots[:, j])
-        return out
+    def _monomial(self, k):
+        """Cached (perm, rot, scale): (pi(k)f)[i] = scale[i] * f[perm[i]], where
+        scale = e^{2 pi i rot/L} and rot sums the characters' rotation indices at the pivots."""
+        a = np.asarray(getattr(k, "a", k))
+        key = a.tobytes()
+        if key not in self._action_cache:
+            canon, pivots = flag_canon(self.ring, self.ring.matmul(self.cosets.reps, a))
+            rot = sum(ch._nums[pivots[:, j]] for j, ch in enumerate(self.chars)) % self.L
+            self._action_cache[key] = (self.cosets.slot_of(canon), rot, self._roots[rot])
+        return self._action_cache[key]
 
     def action_of(self, k):
         """(perm, scale) with (pi(k)f)[i] = scale[i] * f[perm[i]]."""
-        a = getattr(k, "a", k)
-        key = np.asarray(a).tobytes()
-        if key in self._action_cache:
-            return self._action_cache[key]
-        canon, pivots = flag_canon(self.ring, self.ring.matmul(self.cosets.reps, np.asarray(a)))
-        action = (self.cosets.slot_of(canon), self._scale_from_pivots(pivots))
-        self._action_cache[key] = action
-        return action
+        perm, _, scale = self._monomial(k)
+        return perm, scale
 
     def apply(self, action, v):
         perm, scale = action
         return scale * v[perm]
-
-    def rho(self, k_or_action):
-        if isinstance(k_or_action, tuple):
-            perm, scale = k_or_action
-        else:
-            perm, scale = self.action_of(k_or_action)
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        out[np.arange(self.dim), perm] = scale
-        return out
 
     def ip(self, v, w):
         return (v @ w.conj()) / self.dim
 
     def _spot_check(self, rng, trials=6):
         """Action tables verified: homomorphism and central character."""
-        from .matgroup import random_in_K
-
         for _ in range(trials):
             g1 = random_in_K(self.ring, self.n, rng)
             g2 = random_in_K(self.ring, self.n, rng)
-            p1, s1 = self.action_of(g1)
-            p2, s2 = self.action_of(g2)
-            p12, s12 = self.action_of(g1 @ g2)
-            if not (np.array_equal(p12, p2[p1]) and np.abs(s12 - s1 * s2[p1]).max() < 1e-9):
+            p1, r1, _ = self._monomial(g1)
+            p2, r2, _ = self._monomial(g2)
+            p12, r12, _ = self._monomial(g1 @ g2)
+            if not (np.array_equal(p12, p2[p1]) and np.array_equal(r12, (r1 + r2[p1]) % self.L)):
                 raise RuntimeError("action tables are not a homomorphism")
         units = self.ring.units()
         a = int(units[rng.integers(0, len(units))])
         za = MatK(self.ring, np.diag([a] * self.n).astype(np.int64), check=False)
-        perm, scale = self.action_of(za)
-        expected = self.chi_pi(a)
-        if not (np.array_equal(perm, np.arange(self.dim)) and np.abs(scale - expected).max() < 1e-9):
+        perm, rot, _ = self._monomial(za)
+        if not (np.array_equal(perm, np.arange(self.dim)) and (rot == self.chi_pi._nums[a]).all()):
             raise RuntimeError("central character mismatch in the model")
 
     # -- invariants and the newform ---------------------------------------
+
+    def orbit_lines(self, gens, twists):
+        """Orthonormal rows w^phase / sqrt|O|, one per orbit O of ``gens`` on
+        which the cocycle twisted by the rotation indices ``twists`` closes."""
+        perms, rots, _ = zip(*(self._monomial(g) for g in gens))
+        root, phase, closed = monomial_orbits(list(perms), rots, twists, self.L)
+        on = np.flatnonzero(closed)
+        heads, row = np.unique(root[on], return_inverse=True)
+        basis = np.zeros((len(heads), self.dim), dtype=np.complex128)
+        basis[row, on] = self._roots[phase[on]] / np.sqrt(np.bincount(root)[root[on]])
+        return basis
 
     def invariant_space(self, ell, kind="K1", rng=None):
         """Orthonormal basis (rows) of the depth-ell invariant subspace.
@@ -223,35 +264,18 @@ class PSeriesModel:
             return self._invariants[key]
         spec = SubgroupSpec("K1" if kind == "K1" else "K0", ell)
         gens = _verified_subgroup_gens(self.ring, self.n, spec, rng=rng)
-        blocks = []
-        for g in gens:
-            r = self.rho(g)
-            if kind == "K1":
-                blocks.append(r - np.eye(self.dim))
-            else:
-                d = int(g.a[self.n - 1, self.n - 1])
-                blocks.append(r - self.chi_pi(d) * np.eye(self.dim))
-        _, basis = kernel_basis(np.concatenate(blocks, axis=0))
-        self._invariants[key] = basis
-        return basis
+        n = self.n
+        twists = [0 if kind == "K1" else self.chi_pi._nums[g.a[n - 1, n - 1]] for g in gens]
+        self._invariants[key] = self.orbit_lines(gens, twists)
+        return self._invariants[key]
 
     def invariant_dims(self, ell, kind="K1", rng=None):
         return self.invariant_space(ell, kind, rng=rng).shape[0]
 
     def graded_dims(self, rng=None):
-        """Dimensions of the successive orthogonal complements up to level M."""
-        out = []
-        prev = np.zeros((0, self.dim), dtype=np.complex128)
-        for ell in range(self.ring.m + 1):
-            cur = self.invariant_space(ell, rng=rng)
-            if prev.shape[0]:
-                resid = cur - (cur @ prev.conj().T) @ prev
-            else:
-                resid = cur
-            graded = orthonormalize_rows(resid, weight=1.0)
-            out.append(graded.shape[0])
-            prev = cur
-        return out
+        """Dimensions of the successive quotients of the nested invariant spaces."""
+        dims = [self.invariant_dims(ell, rng=rng) for ell in range(self.ring.m + 1)]
+        return [b - a for a, b in zip([0] + dims, dims)]
 
     def newform(self, rng=None):
         """Unit vector spanning the minimal invariant line, plus its depth.
@@ -264,9 +288,7 @@ class PSeriesModel:
             basis = self.invariant_space(ell, rng=rng)
             if basis.shape[0]:
                 if ell != self.c_declared:
-                    raise RuntimeError(
-                        f"empirical conductor {ell} != declared {self.c_declared}"
-                    )
+                    raise RuntimeError(f"empirical conductor {ell} != declared {self.c_declared}")
                 if basis.shape[0] != 1:
                     raise RuntimeError("newform space is not one-dimensional")
                 v = basis[0]
@@ -308,65 +330,54 @@ class PSeriesModel:
         return 0.0
 
     def coefficient_residual(self, v0, ks):
-        worst = 0.0
-        for k in ks:
-            got = self.matrix_coefficient(k, v0)
-            want = self.expected_coefficient(k)
-            worst = max(worst, abs(got - want))
-        return worst
+        res = [abs(self.matrix_coefficient(k, v0) - self.expected_coefficient(k)) for k in ks]
+        return max(res, default=0.0)
 
 
-def build_model(chars, n=None, rng=None, coset_budget=300000):
-    return PSeriesModel(chars, n=n, rng=rng, coset_budget=coset_budget)
+def build_model(chars, n=None, rng=None):
+    return PSeriesModel(chars, n=n, rng=rng)
 
 
 def mirab_average(model, v, rng=None):
     """Orthogonal projection onto the stabiliser-invariant vectors.
 
     Equals the group average because the action is unitary for the
-    coset-uniform inner product.
+    coset-uniform inner product; orbit by orbit it is the sum over closing
+    orbits O of u_O <v, u_O> / |O|, with u_O = e^{2 pi i phase/L} on O.
     """
     gens = _verified_subgroup_gens(model.ring, model.n, SubgroupSpec("Kmirab"), rng=rng)
-    blocks = [model.rho(g) - np.eye(model.dim) for g in gens]
-    _, basis = kernel_basis(np.concatenate(blocks, axis=0))
-    if basis.shape[0] == 0:
-        return np.zeros_like(v)
+    basis = model.orbit_lines(gens, [0] * len(gens))
     return basis.T @ (basis.conj() @ v)
 
 
-def vector_from_harmonic(model, space, P, v0, method="auto", budget=120000, rng=None):
+def vector_from_harmonic(model, space, P, v0, method, budget=120000, rng=None):
     """Distinguished-type vector attached to a harmonic function.
 
     v = dim * avg over the group of P(e_n k^{-1}) pi(k) v0, either by
-    exhaustive enumeration or by restructuring the sum over sphere points
-    (one stabiliser coset per point).
+    exhaustive enumeration ("enumerate", refused above ``budget`` group
+    elements) or by restructuring the sum over sphere points ("coset", one
+    stabiliser coset per point).
     """
     if space.ring != model.ring or space.n != model.n:
         raise ValueError("sphere space and model must share ring and n")
     ring, n = model.ring, model.n
     dim_tau = dim_harmonic(ring.q, n, model.c_declared, model.chi_pi.c)
     order = group_order(ring, n)
-    if method == "auto":
-        method = "enumerate" if order <= budget else "coset"
     if method == "enumerate":
         if order > budget:
             raise BudgetExceededError(f"group order {order} exceeds budget {budget}")
         ks = group_stack(ring, n)
         coeffs = P[space.index.idx(mat_inv(ring, ks)[:, n - 1])]  # P(e_n k^{-1})
         acc = np.zeros(model.dim, dtype=np.complex128)
-        for k, coeff in zip(ks, coeffs):
-            if coeff != 0:
-                acc += coeff * model.apply(model.action_of(k), v0)
+        for i in np.flatnonzero(coeffs):
+            acc += coeffs[i] * model.apply(model.action_of(ks[i]), v0)
         return dim_tau * acc / order
     if method == "coset":
         w = mirab_average(model, v0, rng=rng)
         acc = np.zeros(model.dim, dtype=np.complex128)
-        for xi in range(space.size):
-            coeff = P[xi]
-            if coeff == 0:
-                continue
+        for xi in np.flatnonzero(P):
             hx = _complete_to_invertible(ring, space.points[xi])
             hinv = MatK(ring, mat_inv(ring, hx), check=False)
-            acc += coeff * model.apply(model.action_of(hinv), w)
+            acc += P[xi] * model.apply(model.action_of(hinv), w)
         return dim_tau * acc / space.size
     raise ValueError(f"unknown method {method!r}")

@@ -30,7 +30,6 @@ e^(2*pi*i*k/N); conversion to floating complex happens on demand.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -251,10 +250,6 @@ class RingLevel:
 
     def is_unit(self, a):
         return self._val[a] == 0
-
-    def abs_exponent(self, a):
-        """|a| encoded as q^(-v); returns the Fraction q^(-val)."""
-        return Fraction(1, self.q ** self.val(a))
 
     # -- vectorised arithmetic on code arrays ------------------------------
 

@@ -189,6 +189,21 @@ class TestMain:
         assert [r["status"] for r in records] == ["SKIP"]
         assert "exceed budget" in records[0]["observed"]
 
+    def test_principal_series_q5_n3_m2_passes(self, tmp_path):
+        # 23,250 flag cosets: the exact orbit invariants need O(dim) memory,
+        # where one dense dim x dim action matrix would take 8.6 GB
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(
+            "[ring]\nbranch = padic\np = 5\nf = 1\n\n"
+            "[run]\nn = 3\nlevel = 2\nsamples = 20\n\n"
+            "[pseries]\nchars = 0,0,0\n"
+        )
+        out = tmp_path / "ps.jsonl"
+        code = main(["principal-series", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_PASS
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 7 and all(r["status"] == "PASS" for r in records)
+
     def test_decompose_q2_n4_m2_certifies_irreducibility(self, tmp_path):
         # a 240-point sphere; the commutant certificates fit in memory and
         # only the exhaustive |K| enumeration is over budget

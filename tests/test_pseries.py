@@ -1,15 +1,28 @@
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultrasph.harmonics import SphereSpace, harmonic_subspace, zonal_fn
-from ultrasph.matgroup import MatK, enumerate_group, mat_inv, random_in_K, u_ell
+from ultrasph.matgroup import (
+    BudgetExceededError,
+    MatK,
+    SubgroupSpec,
+    enumerate_group,
+    mat_inv,
+    random_in_K,
+    u_ell,
+)
+from ultrasph.numerics import kernel_basis, orthonormalize_rows
 from ultrasph.pseries import (
     ConductorNotVisible,
+    _verified_subgroup_gens,
     build_model,
     flag_canon,
     flag_count,
+    mirab_average,
     vector_from_harmonic,
 )
 from ultrasph.ring import characters, make_ring_level
@@ -140,6 +153,13 @@ class TestModel:
         model = build_model([ram, ram])  # declared conductor 4 > M = 2
         with pytest.raises(ConductorNotVisible):
             model.newform()
+
+    def test_coset_budget_is_checked_before_the_closure(self, chars4, monkeypatch):
+        import ultrasph.pseries
+
+        monkeypatch.setattr(ultrasph.pseries, "COSET_BUDGET", 5)
+        with pytest.raises(BudgetExceededError, match="6 cosets exceed budget 5"):
+            build_model([trivial_of(chars4), trivial_of(chars4)])
 
     def test_character_level_mismatch_rejected(self, chars4):
         R9 = make_ring_level("padic", 3, 1, 2)
@@ -312,6 +332,21 @@ class TestVectorFromHarmonic:
         proj = w @ (w.conj().T @ v)
         assert np.abs(v - proj).max() < 1e-9
 
+    def test_method_is_required_and_enumeration_is_budgeted(self, chars4):
+        model = build_model([trivial_of(chars4), trivial_of(chars4)])
+        space = SphereSpace(model.ring, 2)
+        v0, _ = model.newform()
+        z = zonal_fn(space, model.chi_pi, 0)
+        with pytest.raises(TypeError):
+            vector_from_harmonic(model, space, z, v0)
+        with pytest.raises(ValueError):
+            vector_from_harmonic(model, space, z, v0, method="auto")
+        # |GL_2(Z/4)| = 96, refused before the group stack is built
+        with pytest.raises(BudgetExceededError):
+            vector_from_harmonic(model, space, z, v0, method="enumerate", budget=95)
+        v = vector_from_harmonic(model, space, z, v0, method="enumerate", budget=96)
+        assert np.abs(v - v0).max() < 1e-9
+
     def test_mismatched_character_vanishes(self, chars4):
         triv = trivial_of(chars4)
         ram = next(c for c in chars4 if c.c == 2)
@@ -353,3 +388,120 @@ class TestCharacterTuples:
             key = tuple(sorted((c.c,) + c.exps for c in t))
             assert key not in seen
             seen.add(key)
+
+
+# -- exact monomial invariants against the dense reference -----------------------
+
+
+def reference_rho(model, g):
+    """Dense dim x dim matrix of the monomial action of g."""
+    perm, scale = model.action_of(g)
+    out = np.zeros((model.dim, model.dim), dtype=np.complex128)
+    out[np.arange(model.dim), perm] = scale
+    return out
+
+
+def reference_kernel(model, gens, twists):
+    """Rows spanning {v : pi(g) v = twist_g v for every g}, by SVD."""
+    eye = np.eye(model.dim)
+    blocks = [reference_rho(model, g) - t * eye for g, t in zip(gens, twists)]
+    return kernel_basis(np.concatenate(blocks, axis=0))[1]
+
+
+def reference_invariant_space(model, ell, kind):
+    """The dense path: rho plus kernel_basis on the stacked generator blocks."""
+    spec = SubgroupSpec("K1" if kind == "K1" else "K0", ell)
+    gens = _verified_subgroup_gens(model.ring, model.n, spec)
+    if kind == "K1":
+        twists = [1.0] * len(gens)
+    else:
+        twists = [model.chi_pi(int(g.a[model.n - 1, model.n - 1])) for g in gens]
+    return reference_kernel(model, gens, twists)
+
+
+def reference_graded_dims(spaces):
+    """Ranks of the successive orthogonal complements, by Gram-Schmidt."""
+    out, prev = [], np.zeros((0, spaces[0].shape[1]))
+    for cur in spaces:
+        out.append(orthonormalize_rows(cur - (cur @ prev.conj().T) @ prev).shape[0])
+        prev = cur
+    return out
+
+
+def projector(rows):
+    return rows.T @ rows.conj()
+
+
+def flag_dim(q, n, M):
+    """|B\\GL_n(O/p^M)| = [n]_q! q^((M-1) n(n-1)/2)."""
+    return prod((q**i - 1) // (q - 1) for i in range(1, n + 1)) * q ** ((M - 1) * n * (n - 1) // 2)
+
+
+MODEL_POINTS = [
+    (branch, p, f, M, n)
+    for branch, p, f in [
+        ("padic", 2, 1), ("padic", 3, 1), ("padic", 5, 1), ("padic", 7, 1),
+        ("laurent", 2, 1), ("laurent", 2, 2), ("laurent", 3, 1), ("laurent", 2, 3),
+        ("laurent", 3, 2),
+    ]
+    for M in (1, 2, 3)
+    for n in (2, 3)
+    if flag_dim(p**f, n, M) <= 200
+]
+
+
+def check_against_reference(chars, seed):
+    """Exact spaces, graded dims and mirabolic average = the dense path."""
+    model = build_model(chars, rng=np.random.default_rng(seed))
+    ring, n, M = model.ring, model.n, model.ring.m
+    assert model.dim == flag_dim(ring.q, n, M) <= 200
+    for kind in ("K1", "K0chi"):
+        refs = []
+        for ell in range(M + 1):
+            exact = model.invariant_space(ell, kind)
+            refs.append(reference_invariant_space(model, ell, kind))
+            assert exact.shape[0] == refs[-1].shape[0]
+            assert np.abs(projector(exact) - projector(refs[-1])).max() < 1e-9
+        if kind == "K1":
+            assert model.graded_dims() == reference_graded_dims(refs)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
+    gens = _verified_subgroup_gens(ring, n, SubgroupSpec("Kmirab"))
+    ref = reference_kernel(model, gens, [1.0] * len(gens))
+    assert np.abs(mirab_average(model, v) - projector(ref) @ v).max() < 1e-9
+
+
+class TestExactInvariants:
+    @given(point=st.sampled_from(MODEL_POINTS), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_equals_dense_reference(self, point, data):
+        branch, p, f, M, n = point
+        chs = characters(make_ring_level(branch, p, f, M))
+        chars = [data.draw(st.sampled_from(chs)) for _ in range(n)]
+        check_against_reference(chars, data.draw(st.integers(0, 99)))
+
+    @pytest.mark.parametrize(
+        "point,exps",
+        [
+            (("padic", 5, 1, 2), [(1, 0), (3, 0)]),
+            (("laurent", 2, 2, 2), [(0, 0, 1), (0, 0, 2)]),
+        ],
+    )
+    def test_phase_sign_matters(self, point, exps):
+        # two conductor-1 slots whose characters have order > 2: here a
+        # phase propagated with the wrong sign breaks the level-2 newform
+        chs = characters(make_ring_level(*point))
+        check_against_reference([next(c for c in chs if c.exps == e) for e in exps], 0)
+
+    def test_rows_are_exact_roots_of_unity(self):
+        # each row is w^phase / sqrt|O| on one orbit: equal moduli, phases in mu_L
+        R9 = make_ring_level("padic", 3, 1, 2)
+        chs = characters(R9)
+        quad = next(c for c in chs if c.c == 1)
+        model = build_model([quad, quad])
+        for ell in range(3):
+            for row in model.invariant_space(ell, "K0chi"):
+                on = row[row != 0]
+                assert np.allclose(np.abs(on), 1 / np.sqrt(len(on)), atol=0, rtol=1e-15)
+                turns = np.angle(on) * model.L / (2 * np.pi)
+                assert np.abs(turns - np.round(turns)).max() < 1e-9
