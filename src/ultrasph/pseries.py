@@ -26,7 +26,6 @@ import numpy as np
 from .harmonics import dim_harmonic, zonal_shell_coefficient
 from .matgroup import (
     BudgetExceededError,
-    MatK,
     SubgroupSpec,
     _complete_to_invertible,
     find_keys,
@@ -41,6 +40,7 @@ from .matgroup import (
 )
 
 COSET_BUDGET = 300000  # flag cosets a model may hold
+ACTION_CHUNK_BYTES = 1 << 21  # products reps k formed at once for a stack of ks
 
 
 class ConductorNotVisible(RuntimeError):
@@ -200,44 +200,71 @@ class PSeriesModel:
 
     # -- action ---------------------------------------------------------
 
+    def _monomials(self, K):
+        """(perm, rot) of shape (C, dim) for a (C, n, n) stack K:
+        (pi(K[c])f)[i] = w^rot[c, i] f[perm[c, i]], w = e^{2 pi i/L}, where rot
+        sums the characters' rotation indices at the pivots of reps[i] K[c]."""
+        K = np.asarray(K, dtype=np.int64)
+        prods = self.ring.matmul(self.cosets.reps, K).reshape(-1, self.n, self.n)
+        canon, pivots = flag_canon(self.ring, prods)
+        rot = sum(ch._nums[pivots[:, j]] for j, ch in enumerate(self.chars)) % self.L
+        shape = (len(K), self.dim)
+        return self.cosets.slot_of(canon).reshape(shape), rot.reshape(shape)
+
+    def _actions(self, K):
+        """(lo, perm, rot) for consecutive chunks K[lo:lo + len(perm)] of a
+        (C, n, n) stack; a chunk's products reps k take at most
+        ACTION_CHUNK_BYTES, and a chunk holds at least one k.  Nothing is cached."""
+        step = max(1, ACTION_CHUNK_BYTES // (8 * self.n * self.n * self.dim))
+        for lo in range(0, len(K), step):
+            yield (lo, *self._monomials(K[lo : lo + step]))
+
     def _monomial(self, k):
-        """Cached (perm, rot, scale): (pi(k)f)[i] = scale[i] * f[perm[i]], where
-        scale = e^{2 pi i rot/L} and rot sums the characters' rotation indices at the pivots."""
+        """Cached (perm, rot) of one k: the generator tables."""
         a = np.asarray(getattr(k, "a", k))
         key = a.tobytes()
         if key not in self._action_cache:
-            canon, pivots = flag_canon(self.ring, self.ring.matmul(self.cosets.reps, a))
-            rot = sum(ch._nums[pivots[:, j]] for j, ch in enumerate(self.chars)) % self.L
-            self._action_cache[key] = (self.cosets.slot_of(canon), rot, self._roots[rot])
+            perm, rot = self._monomials(a[None])
+            self._action_cache[key] = (perm[0], rot[0])
         return self._action_cache[key]
 
     def action_of(self, k):
         """(perm, scale) with (pi(k)f)[i] = scale[i] * f[perm[i]]."""
-        perm, _, scale = self._monomial(k)
-        return perm, scale
+        perm, rot = self._monomial(k)
+        return perm, self._roots[rot]
 
     def apply(self, action, v):
         perm, scale = action
         return scale * v[perm]
 
+    def translate_sum(self, coeffs, K, v):
+        """sum_c coeffs[c] pi(K[c]) v over a (C, n, n) stack, chunk by chunk."""
+        acc = np.zeros(self.dim, dtype=np.complex128)
+        for lo, perm, rot in self._actions(K):
+            acc += coeffs[lo : lo + len(perm)] @ (self._roots[rot] * v[perm])
+        return acc
+
     def ip(self, v, w):
         return (v @ w.conj()) / self.dim
 
     def _spot_check(self, rng, trials=6):
-        """Action tables verified: homomorphism and central character."""
-        for _ in range(trials):
-            g1 = random_in_K(self.ring, self.n, rng)
-            g2 = random_in_K(self.ring, self.n, rng)
-            p1, r1, _ = self._monomial(g1)
-            p2, r2, _ = self._monomial(g2)
-            p12, r12, _ = self._monomial(g1 @ g2)
-            if not (np.array_equal(p12, p2[p1]) and np.array_equal(r12, (r1 + r2[p1]) % self.L)):
-                raise RuntimeError("action tables are not a homomorphism")
+        """Action tables verified: homomorphism and central character.  The
+        sampled ks go through the chunked stack, not the generator cache."""
+        g = [random_in_K(self.ring, self.n, rng) for _ in range(2 * trials)]
+        g1, g2 = g[0::2], g[1::2]
         units = self.ring.units()
         a = int(units[rng.integers(0, len(units))])
-        za = MatK(self.ring, np.diag([a] * self.n).astype(np.int64), check=False)
-        perm, rot, _ = self._monomial(za)
-        if not (np.array_equal(perm, np.arange(self.dim)) and (rot == self.chi_pi._nums[a]).all()):
+        K = [x.a for x in g1 + g2] + [(x @ y).a for x, y in zip(g1, g2)] + [np.diag([a] * self.n)]
+        chunks = [(p, r) for _, p, r in self._actions(np.array(K, dtype=np.int64))]
+        perm, rot = (np.concatenate(t) for t in zip(*chunks))
+        p1, p2, p12 = perm[:-1].reshape(3, trials, -1)
+        r1, r2, r12 = rot[:-1].reshape(3, trials, -1)
+        if not (
+            np.array_equal(p12, np.take_along_axis(p2, p1, axis=1))
+            and np.array_equal(r12, (r1 + np.take_along_axis(r2, p1, axis=1)) % self.L)
+        ):
+            raise RuntimeError("action tables are not a homomorphism")
+        if not (np.array_equal(perm[-1], np.arange(self.dim)) and (rot[-1] == self.chi_pi._nums[a]).all()):
             raise RuntimeError("central character mismatch in the model")
 
     # -- invariants and the newform ---------------------------------------
@@ -245,7 +272,7 @@ class PSeriesModel:
     def orbit_lines(self, gens, twists):
         """Orthonormal rows w^phase / sqrt|O|, one per orbit O of ``gens`` on
         which the cocycle twisted by the rotation indices ``twists`` closes."""
-        perms, rots, _ = zip(*(self._monomial(g) for g in gens))
+        perms, rots = zip(*(self._monomial(g) for g in gens))
         root, phase, closed = monomial_orbits(list(perms), rots, twists, self.L)
         on = np.flatnonzero(closed)
         heads, row = np.unique(root[on], return_inverse=True)
@@ -309,10 +336,6 @@ class PSeriesModel:
             worst = max(worst, float(np.abs(got - want * v).max()))
         return worst
 
-    def matrix_coefficient(self, k, v0):
-        act = self.action_of(k)
-        return self.ip(self.apply(act, v0), v0) / self.ip(v0, v0)
-
     def expected_coefficient(self, k):
         """Three-case closed form for the newform matrix coefficient."""
         ring, n, q = self.ring, self.n, self.ring.q
@@ -330,8 +353,19 @@ class PSeriesModel:
         return 0.0
 
     def coefficient_residual(self, v0, ks):
-        res = [abs(self.matrix_coefficient(k, v0) - self.expected_coefficient(k)) for k in ks]
-        return max(res, default=0.0)
+        """Worst |<pi(k) v0, v0>/<v0, v0> - expected_coefficient(k)| over ks,
+        and the index in ks where it occurs (None when ks is empty)."""
+        K = np.array([getattr(k, "a", k) for k in ks], dtype=np.int64).reshape(-1, self.n, self.n)
+        norm = self.ip(v0, v0)
+        got = np.empty(len(K), dtype=np.complex128)
+        for lo, perm, rot in self._actions(K):
+            got[lo : lo + len(perm)] = (self._roots[rot] * v0[perm]) @ v0.conj() / self.dim / norm
+        want = np.array([self.expected_coefficient(k) for k in ks], dtype=np.complex128)
+        err = np.abs(got - want)
+        if not len(err):
+            return 0.0, None
+        worst = int(err.argmax())
+        return float(err[worst]), worst
 
 
 def build_model(chars, n=None, rng=None):
@@ -368,16 +402,12 @@ def vector_from_harmonic(model, space, P, v0, method, budget=120000, rng=None):
             raise BudgetExceededError(f"group order {order} exceeds budget {budget}")
         ks = group_stack(ring, n)
         coeffs = P[space.index.idx(mat_inv(ring, ks)[:, n - 1])]  # P(e_n k^{-1})
-        acc = np.zeros(model.dim, dtype=np.complex128)
-        for i in np.flatnonzero(coeffs):
-            acc += coeffs[i] * model.apply(model.action_of(ks[i]), v0)
-        return dim_tau * acc / order
+        on = np.flatnonzero(coeffs)
+        return dim_tau * model.translate_sum(coeffs[on], ks[on], v0) / order
     if method == "coset":
         w = mirab_average(model, v0, rng=rng)
-        acc = np.zeros(model.dim, dtype=np.complex128)
-        for xi in np.flatnonzero(P):
-            hx = _complete_to_invertible(ring, space.points[xi])
-            hinv = MatK(ring, mat_inv(ring, hx), check=False)
-            acc += P[xi] * model.apply(model.action_of(hinv), w)
-        return dim_tau * acc / space.size
+        on = np.flatnonzero(P)
+        hx = [_complete_to_invertible(ring, space.points[xi]) for xi in on]
+        hinv = mat_inv(ring, np.array(hx, dtype=np.int64).reshape(-1, n, n))
+        return dim_tau * model.translate_sum(P[on], hinv, w) / space.size
     raise ValueError(f"unknown method {method!r}")

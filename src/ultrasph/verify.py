@@ -107,11 +107,16 @@ class Recorder:
         )
         return status == "PASS"
 
-    def residual(self, check_id, formula, params, value, tol):
+    def residual(self, check_id, formula, params, value, tol, witness=None):
+        """A residual check; on FAIL the observed string also names ``witness``,
+        the worst-case point, when one is given."""
         status = "PASS" if value < tol else "FAIL"
+        observed = f"{value:.3e}"
+        if status == "FAIL" and witness is not None:
+            observed += f" at {witness}"
         self.records.append(
             CheckRecord(
-                check_id, formula, params, f"< {tol:g}", f"{value:.3e}", float(value),
+                check_id, formula, params, f"< {tol:g}", observed, float(value),
                 status, self._elapsed(),
             )
         )
@@ -620,12 +625,14 @@ def pseries_model_checks(model, rec, samples=500, rng=None, label=None):
             a = random_in_K0(ring, n, c_pi, rng)
             b = random_in_K0(ring, n, c_pi, rng)
             ks.append(a @ u_ell(ring, n, ell) @ b)
+    worst, at = model.coefficient_residual(v0, ks)
     rec.residual(
         label + "/matrix-coefficient",
         "<pi(k) v, v>/<v, v> follows the three-case zonal law",
         {"q": q, "n": n, "c": c_pi, "samples": len(ks)},
-        model.coefficient_residual(v0, ks),
+        worst,
         TOL_RESIDUAL,
+        witness=None if at is None else f"k={ks[at].a.tolist()}",
     )
     ramified = sum(1 for ch in model.chars if ch.c > 0)
     rec.exact(

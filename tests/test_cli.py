@@ -204,6 +204,25 @@ class TestMain:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 7 and all(r["status"] == "PASS" for r in records)
 
+    def test_principal_series_order_four_characters_pass(self, tmp_path):
+        # chi and chi^-1 of order 4 and conductor 1 at level 2: the newform
+        # lives on closing orbits whose phases have order 4, so a phase
+        # cocycle propagated with the wrong sign fails these records
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(
+            "[ring]\nbranch = padic\np = 5\nf = 1\n\n"
+            "[run]\nn = 2\nlevel = 2\n\n"
+            "[pseries]\nchars = 1:0,1:2\n"
+        )
+        ring = make_ring_level("padic", 5, 1, 2)
+        chosen = select_characters(ring, "1:0,1:2", 2)
+        assert [ch.exps for ch in chosen] == [(1, 0), (3, 0)]
+        out = tmp_path / "ps.jsonl"
+        code = main(["principal-series", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_PASS
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 7 and all(r["status"] == "PASS" for r in records)
+
     def test_decompose_q2_n4_m2_certifies_irreducibility(self, tmp_path):
         # a 240-point sphere; the commutant certificates fit in memory and
         # only the exhaustive |K| enumeration is over budget

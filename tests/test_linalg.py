@@ -100,6 +100,16 @@ class TestStacks:
 
     @given(point=points, n=st.integers(1, 3), seed=seeds)
     @sweep
+    def test_matmul_stack_on_the_right(self, point, n, seed):
+        # (N, n, n), (n, n) and row (n,) on the left, each times a (C, n, n) stack
+        R = ring_of(point)
+        a, b = draw(R, n, seed), draw(R, n, seed + 1, count=5)
+        for left in (a, a[0], a[0, 0]):
+            want = np.array([R.matmul(left, y) for y in b])
+            assert np.array_equal(R.matmul(left, b), want)
+
+    @given(point=points, n=st.integers(1, 3), seed=seeds)
+    @sweep
     def test_inverse(self, point, n, seed):
         R = ring_of(point)
         eye = np.eye(n, dtype=np.int64)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultrasph import pseries
 from ultrasph.harmonics import SphereSpace, harmonic_subspace, zonal_fn
 from ultrasph.matgroup import (
     BudgetExceededError,
@@ -13,11 +14,13 @@ from ultrasph.matgroup import (
     enumerate_group,
     mat_inv,
     random_in_K,
+    random_in_K0,
     u_ell,
 )
 from ultrasph.numerics import kernel_basis, orthonormalize_rows
 from ultrasph.pseries import (
     ConductorNotVisible,
+    PSeriesModel,
     _verified_subgroup_gens,
     build_model,
     flag_canon,
@@ -26,7 +29,7 @@ from ultrasph.pseries import (
     vector_from_harmonic,
 )
 from ultrasph.ring import characters, make_ring_level
-from ultrasph.verify import character_tuples
+from ultrasph.verify import Recorder, character_tuples, pseries_model_checks
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +140,22 @@ class TestModel:
             assert np.array_equal(p12, p2[p1])
             assert np.abs(s12 - s1 * s2[p1]).max() < 1e-12
 
+    @pytest.mark.parametrize(
+        "seed,corrupt,message",
+        [
+            (0, lambda perm, rot: (np.roll(perm, 1, axis=-1), rot), "not a homomorphism"),
+            (2, lambda perm, rot: (perm, 0 * rot), "central character mismatch"),
+        ],
+    )
+    def test_spot_check_refuses_broken_tables(self, chars4, monkeypatch, seed, corrupt, message):
+        # rolled slots break pi(g1 g2) = pi(g1) pi(g2); zero phases pass that but
+        # give the trivial central character, and the unit drawn at seed 2 sees it
+        ram = next(c for c in chars4 if c.c == 2)
+        good = PSeriesModel._monomials
+        monkeypatch.setattr(PSeriesModel, "_monomials", lambda self, K: corrupt(*good(self, K)))
+        with pytest.raises(RuntimeError, match=message):
+            build_model([ram, trivial_of(chars4)], rng=np.random.default_rng(seed))
+
     def test_inner_product_invariance(self, chars4):
         ram = next(c for c in chars4 if c.c == 2)
         model = build_model([ram, ram])
@@ -229,18 +248,29 @@ class TestNewform:
         assert model.equivariance_residual(v0) < 1e-9
 
 
+def reference_matrix_coefficient(model, k, v0):
+    """<pi(k) v0, v0>/<v0, v0> from the one-k action table."""
+    return model.ip(model.apply(model.action_of(k), v0), v0) / model.ip(v0, v0)
+
+
+def reference_coefficient_residual(model, v0, ks):
+    """The per-k loop the chunked coefficient_residual replaces."""
+    res = [reference_matrix_coefficient(model, k, v0) - model.expected_coefficient(k) for k in ks]
+    return max(map(abs, res), default=0.0)
+
+
 class TestMatrixCoefficient:
     def test_identity_element(self, chars4):
         model = build_model([trivial_of(chars4), trivial_of(chars4)])
         v0, _ = model.newform()
         one = MatK.identity(model.ring, 2)
-        assert abs(model.matrix_coefficient(one, v0) - 1) < 1e-12
+        assert abs(reference_matrix_coefficient(model, one, v0) - 1) < 1e-12
 
     def test_spherical_constant_one(self, chars4):
         model = build_model([trivial_of(chars4), trivial_of(chars4)])
         v0, _ = model.newform()
         for k in enumerate_group(model.ring, 2):
-            assert abs(model.matrix_coefficient(k, v0) - 1) < 1e-9
+            assert abs(reference_matrix_coefficient(model, k, v0) - 1) < 1e-9
 
     def test_shell_value(self, chars4):
         # q=2, n=2, c(pi)=1 via q=3 instead: c=1 with c(chi_pi)=... use q=3 quad
@@ -252,14 +282,14 @@ class TestMatrixCoefficient:
         assert c == 2 and model.chi_pi.c == 0
         alpha = -1.0 / (3 - 1)  # -1/(q^{n-1}-1) for m = 2
         k = u_ell(model.ring, 2, 1)
-        assert abs(model.matrix_coefficient(k, v0) - alpha) < 1e-9
+        assert abs(reference_matrix_coefficient(model, k, v0) - alpha) < 1e-9
 
     def test_three_case_form_exhaustive(self, chars4):
         ram = next(c for c in chars4 if c.c == 2)
         model = build_model([ram, trivial_of(chars4)])
         v0, _ = model.newform()
         ks = list(enumerate_group(model.ring, 2))
-        assert model.coefficient_residual(v0, ks) < 1e-9
+        assert model.coefficient_residual(v0, ks)[0] < 1e-9
 
     def test_support_outside_vanishes(self):
         R9 = make_ring_level("padic", 3, 1, 2)
@@ -268,7 +298,7 @@ class TestMatrixCoefficient:
         model = build_model([quad, quad])
         v0, c = model.newform()
         k = u_ell(model.ring, 2, 0)  # outside K0(p^{c-1})
-        assert abs(model.matrix_coefficient(k, v0)) < 1e-9
+        assert abs(reference_matrix_coefficient(model, k, v0)) < 1e-9
 
 
 class TestVectorFromHarmonic:
@@ -358,6 +388,129 @@ class TestVectorFromHarmonic:
         assert np.linalg.norm(v) < 1e-9
 
 
+# -- chunked actions of sampled ks against the per-k reference --------------------
+
+# (branch, p, f, M, n) and one (conductor, index) selector per slot
+BATCH_POINTS = [
+    (("padic", 2, 1, 2, 2), [(2, 0), (0, 0)]),
+    (("padic", 3, 1, 2, 2), [(1, 0), (1, -1)]),
+    (("padic", 5, 1, 2, 2), [(1, 0), (1, -1)]),
+    (("laurent", 2, 2, 2, 2), [(1, 0), (1, -1)]),
+    (("padic", 2, 1, 2, 3), [(2, 0), (0, 0), (0, 0)]),
+    (("padic", 3, 1, 1, 3), [(1, 0), (0, 0), (0, 0)]),
+    (("padic", 5, 1, 1, 3), [(1, 0), (0, 0), (0, 0)]),
+    (("laurent", 2, 2, 1, 3), [(1, 0), (0, 0), (0, 0)]),
+]
+
+
+def sample_ks(model, rng, count=40):
+    """Uniform ks plus ks from each double coset K_0 u_ell K_0, as the suite draws them."""
+    ring, n, c = model.ring, model.n, model.c_declared
+    ks = [random_in_K(ring, n, rng) for _ in range(count)]
+    for ell in range(min(c, ring.m) + 1):
+        for _ in range(count // 4):
+            a, b = random_in_K0(ring, n, c, rng), random_in_K0(ring, n, c, rng)
+            ks.append(a @ u_ell(ring, n, ell) @ b)
+    return ks
+
+
+@pytest.fixture(scope="module", params=BATCH_POINTS, ids=lambda pt: "-".join(map(str, pt[0])))
+def batch_case(request):
+    (branch, p, f, M, n), selectors = request.param
+    chs = characters(make_ring_level(branch, p, f, M))
+    chars = [[ch for ch in chs if ch.c == c][i] for c, i in selectors]
+    model = build_model(chars, rng=np.random.default_rng(0))
+    v0, _ = model.newform()
+    return model, v0, sample_ks(model, np.random.default_rng(1))
+
+
+class TestBatchedActions:
+    @pytest.mark.parametrize("per_chunk", ["one", "all"])
+    def test_tables_equal_per_k_tables(self, batch_case, per_chunk, monkeypatch):
+        model, _, ks = batch_case
+        monkeypatch.setattr(pseries, "ACTION_CHUNK_BYTES", 1 if per_chunk == "one" else 1 << 40)
+        K = np.array([k.a for k in ks])
+        chunks = list(model._actions(K))
+        assert len(chunks) == (len(ks) if per_chunk == "one" else 1)
+        assert [lo for lo, _, _ in chunks] == list(range(0, len(ks), len(ks) // len(chunks)))
+        perm = np.concatenate([c[1] for c in chunks])
+        rot = np.concatenate([c[2] for c in chunks])
+        assert perm.shape == rot.shape == (len(ks), model.dim)
+        for k, p, r in zip(ks, perm, rot):
+            p1, r1 = model._monomial(k)
+            assert np.array_equal(p, p1) and np.array_equal(r, r1)
+
+    @pytest.mark.parametrize("per_chunk", ["one", "all"])
+    def test_coefficients_equal_per_k_reference(self, batch_case, per_chunk, monkeypatch):
+        model, v0, ks = batch_case
+        monkeypatch.setattr(pseries, "ACTION_CHUNK_BYTES", 1 if per_chunk == "one" else 1 << 40)
+        ref = reference_coefficient_residual(model, v0, ks)
+        worst, at = model.coefficient_residual(v0, ks)
+        assert ref < 1e-9 and abs(worst - ref) < 1e-15 and 0 <= at < len(ks)
+        assert model.coefficient_residual(v0, []) == (0.0, None)
+        # with the per-k coefficients as the expected values, the residual is their difference
+        want = {k.a.tobytes(): reference_matrix_coefficient(model, k, v0) for k in ks}
+        monkeypatch.setattr(
+            PSeriesModel, "expected_coefficient", lambda self, k: want[k.a.tobytes()]
+        )
+        assert model.coefficient_residual(v0, ks)[0] < 1e-15
+
+
+class TestNoCacheEntryPerSample:
+    def test_model_checks_cache_the_same_tables_at_any_sample_count(self):
+        R9 = make_ring_level("padic", 3, 1, 2)
+        chs = characters(R9)
+        quad = next(c for c in chs if c.c == 1)
+        sizes = []
+        for samples in (4, 200):
+            model = build_model([quad, trivial_of(chs)], rng=np.random.default_rng(0))
+            rec = Recorder()
+            pseries_model_checks(model, rec, samples=samples, rng=np.random.default_rng(1))
+            assert [r.status for r in rec.records] == ["PASS"] * 7
+            sizes.append(len(model._action_cache))
+        assert sizes[0] == sizes[1]
+
+    def test_vector_from_harmonic_caches_no_translate(self, chars4):
+        model = build_model([next(c for c in chars4 if c.c == 2), trivial_of(chars4)])
+        space = SphereSpace(model.ring, 2)
+        v0, c = model.newform()
+        z = zonal_fn(space, model.chi_pi, c)
+        mirab_average(model, v0)  # the coset path's generator tables
+        before = len(model._action_cache)
+        for method in ("enumerate", "coset"):
+            v = vector_from_harmonic(model, space, z, v0, method=method)
+            assert np.abs(v - v0).max() < 1e-9
+        assert len(model._action_cache) == before
+
+
+class TestWitness:
+    def test_matrix_coefficient_failure_names_the_worst_k(self, monkeypatch):
+        R9 = make_ring_level("padic", 3, 1, 2)
+        chs = characters(R9)
+        quad = next(c for c in chs if c.c == 1)
+        model = build_model([quad, quad], rng=np.random.default_rng(0))
+        right = PSeriesModel.expected_coefficient
+        seen = []
+
+        def wrong_once(self, k):
+            seen.append(k)
+            return right(self, k) + (0.5 if len(seen) == 7 else 0.0)
+
+        monkeypatch.setattr(PSeriesModel, "expected_coefficient", wrong_once)
+        rec = Recorder()
+        pseries_model_checks(model, rec, samples=40, rng=np.random.default_rng(1))
+        failed = [r for r in rec.records if r.status != "PASS"]
+        assert [r.check_id.split("/")[-1] for r in failed] == ["matrix-coefficient"]
+        assert failed[0].observed == f"5.000e-01 at k={seen[6].a.tolist()}"
+        assert not any(" at " in r.observed for r in rec.records if r.status == "PASS")
+
+    def test_pass_records_ignore_the_witness(self):
+        rec = Recorder()
+        rec.residual("x", "law", {}, 1e-12, 1e-9, witness="k=[[1]]")
+        rec.residual("y", "law", {}, 1e-12, 1e-9)
+        assert [r.observed for r in rec.records] == ["1.000e-12", "1.000e-12"]
+
+
 class TestLaurentBranch:
     def test_ramified_model_over_f4(self):
         R = make_ring_level("laurent", 2, 2, 2)
@@ -371,7 +524,7 @@ class TestLaurentBranch:
         assert [model.invariant_dims(l) for l in range(3)] == [0, 1, 2]
         rng = np.random.default_rng(1)
         ks = [random_in_K(R, 2, rng) for _ in range(100)]
-        assert model.coefficient_residual(v0, ks) < 1e-9
+        assert model.coefficient_residual(v0, ks)[0] < 1e-9
         assert model.equivariance_residual(v0) < 1e-9
 
 
