@@ -7,6 +7,12 @@ units, then verified, either by breadth-first closure when the subgroup
 is small enough, or by a constructive membership certificate: random
 subgroup elements are factored into generator powers and the
 factorisation is re-multiplied exactly.
+
+Uniform samples of K and K_0(p^l) are drawn as whole stacks by rejection,
+one random draw and one stacked determinant per batch.  Each batch rewinds
+the generator to just past the last candidate it keeps, so a stack consumes
+exactly the stream of the one-at-a-time loop it replaces: a seed gives the
+same samples, and the same later draws, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ from itertools import permutations, product
 import numpy as np
 
 from .ring import unit_group_basis, unit_subgroup_basis
+
+
+SAMPLE_BATCH_BYTES = 1 << 21  # Leibniz terms of one batch of sampler candidates
 
 
 class BudgetExceededError(RuntimeError):
@@ -425,22 +434,51 @@ def verify_generators(spec, ring, n, budget=200000, rng=None, samples=25):
 # -- random sampling ---------------------------------------------------------
 
 
+def random_stack(ring, n, count, rng, ell=None):
+    """(count, n, n) stack uniform on K, or on K_0(p^ell) when ``ell`` is given.
+
+    Candidate i is the i-th pass of the rejection loop: n^2 entries drawn
+    below ring.size in row-major order, then, for K_0(p^ell), the n - 1
+    bottom-left digits drawn below size / q^min(ell, m) and scaled by
+    q^min(ell, m).  With an array ``high``, Generator.integers draws element
+    by element in C order, as the separate scalar-``high`` calls did, and a
+    ``high`` of 1 consumes nothing; so one (B, width) draw is B passes.  The
+    round that completes the stack rewinds the generator and redraws only up
+    to its last kept candidate, leaving the stream where the loop left it.
+    """
+    highs = [ring.size] * (n * n)
+    if ell is not None:
+        step = ring.q ** min(ell, ring.m)
+        highs += [ring.size // step] * (n - 1)
+    highs = np.array(highs, dtype=np.int64)
+    # K's acceptance rate exactly; a lower bound for K_0(p^ell)
+    rate = math.prod(1 - ring.q ** -i for i in range(1, n + 1))
+    cap = max(1, SAMPLE_BATCH_BYTES // (8 * n * math.factorial(n)))
+    out = []
+    need = count
+    while need > 0:
+        batch = min(cap, math.ceil((need + 2 * math.sqrt(need)) / rate) + 2)
+        state = rng.bit_generator.state
+        draw = rng.integers(0, highs, size=(batch, len(highs)))
+        cand = draw[:, : n * n].reshape(batch, n, n)
+        if ell is not None:
+            cand[:, n - 1, : n - 1] = draw[:, n * n :] * step
+        kept = np.flatnonzero(ring.val_arr(det(ring, cand)) == 0)[:need]
+        if len(kept) == need:
+            rng.bit_generator.state = state
+            rng.integers(0, highs, size=(kept[-1] + 1, len(highs)))
+        out.append(cand[kept])
+        need -= len(kept)
+    return np.concatenate(out) if out else np.zeros((0, n, n), dtype=np.int64)
+
+
 def random_in_K(ring, n, rng):
-    while True:
-        a = rng.integers(0, ring.size, size=(n, n))
-        if ring.is_unit(det(ring, a.astype(np.int64))):
-            return MatK(ring, a, check=False)
+    return MatK(ring, random_stack(ring, n, 1, rng)[0], check=False)
 
 
 def random_in_K0(ring, n, ell, rng):
     """Uniform on K_0(p^ell): bottom-left entries drawn from p^ell."""
-    step = ring.q ** min(ell, ring.m)
-    lows = ring.size // step
-    while True:
-        a = rng.integers(0, ring.size, size=(n, n)).astype(np.int64)
-        a[n - 1, : n - 1] = rng.integers(0, lows, size=n - 1) * step
-        if ring.is_unit(det(ring, a)):
-            return MatK(ring, a, check=False)
+    return MatK(ring, random_stack(ring, n, 1, rng, ell=ell)[0], check=False)
 
 
 def random_subgroup_element(spec, ring, n, rng):

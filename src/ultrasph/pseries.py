@@ -33,7 +33,7 @@ from .matgroup import (
     group_stack,
     mat_inv,
     orbit_stack,
-    random_in_K,
+    random_stack,
     row_keys,
     subgroup_generators,
     verify_generators,
@@ -205,7 +205,7 @@ class PSeriesModel:
         (pi(K[c])f)[i] = w^rot[c, i] f[perm[c, i]], w = e^{2 pi i/L}, where rot
         sums the characters' rotation indices at the pivots of reps[i] K[c]."""
         K = np.asarray(K, dtype=np.int64)
-        prods = self.ring.matmul(self.cosets.reps, K).reshape(-1, self.n, self.n)
+        prods = self.ring.matmul(self.cosets.reps, K[:, None]).reshape(-1, self.n, self.n)
         canon, pivots = flag_canon(self.ring, prods)
         rot = sum(ch._nums[pivots[:, j]] for j, ch in enumerate(self.chars)) % self.L
         shape = (len(K), self.dim)
@@ -250,12 +250,13 @@ class PSeriesModel:
     def _spot_check(self, rng, trials=6):
         """Action tables verified: homomorphism and central character.  The
         sampled ks go through the chunked stack, not the generator cache."""
-        g = [random_in_K(self.ring, self.n, rng) for _ in range(2 * trials)]
+        g = random_stack(self.ring, self.n, 2 * trials, rng)
         g1, g2 = g[0::2], g[1::2]
         units = self.ring.units()
         a = int(units[rng.integers(0, len(units))])
-        K = [x.a for x in g1 + g2] + [(x @ y).a for x, y in zip(g1, g2)] + [np.diag([a] * self.n)]
-        chunks = [(p, r) for _, p, r in self._actions(np.array(K, dtype=np.int64))]
+        centre = np.diag([a] * self.n)[None]
+        K = np.concatenate([g1, g2, self.ring.matmul(g1, g2), centre])
+        chunks = [(p, r) for _, p, r in self._actions(K)]
         perm, rot = (np.concatenate(t) for t in zip(*chunks))
         p1, p2, p12 = perm[:-1].reshape(3, trials, -1)
         r1, r2, r12 = rot[:-1].reshape(3, trials, -1)

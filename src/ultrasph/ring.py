@@ -274,17 +274,17 @@ class RingLevel:
         return self._inv[A]
 
     def matmul(self, A, B):
-        """Ring matrix product; A is (..., r, s) or a row (s,), B is (s, t) or
-        a stack (C, s, t).  A stack on the right broadcasts over A's leading
-        axes: (dim, r, s) x (C, s, t) gives (C, dim, r, t)."""
+        """Ring matrix product, broadcast as numpy's ``@``: A is (..., r, s)
+        or a row (s,), B is (..., s, t), and the leading axes broadcast.  So
+        (N, r, s) x (N, s, t) is the pairwise product, and (dim, r, s) x
+        (C, 1, s, t) gives (C, dim, r, t)."""
         A = np.asarray(A)
         B = np.asarray(B)
-        if B.ndim > 2:
-            # B's stack axes go in front of every axis of A but the column axis
-            B = B.reshape(B.shape[:-2] + (1,) * (A.ndim - 1) + B.shape[-2:])
-        out = self._mul[A[..., 0, None], B[..., 0, :]]
+        if A.ndim == 1:
+            return self.matmul(A[None], B)[..., 0, :]
+        out = self._mul[A[..., :, 0, None], B[..., 0, None, :]]
         for j in range(1, A.shape[-1]):
-            out = self._add[out, self._mul[A[..., j, None], B[..., j, :]]]
+            out = self._add[out, self._mul[A[..., :, j, None], B[..., j, None, :]]]
         return out
 
     # -- structure maps -----------------------------------------------------

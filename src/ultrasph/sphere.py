@@ -15,6 +15,9 @@ from .matgroup import BudgetExceededError, find_keys, row_keys
 # Cap on the bytes of the (N, N) int64 orbital label array (N <= 2048);
 # labelling needs a few arrays of that size at once.
 ORBITAL_BYTES_MAX = 2**25
+# Cap on the bytes of the dense complex piece bases, 16 |S|^2 in all, that
+# decompose builds (|S| <= 8192); its orthogonality Gram takes as much again.
+BASIS_BYTES_MAX = 2**30
 
 
 def sphere_size(q, n, m):

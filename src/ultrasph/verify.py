@@ -41,8 +41,7 @@ from .matgroup import (
     enumerate_group,
     group_order,
     group_stack,
-    random_in_K,
-    random_in_K0,
+    random_stack,
     subgroup_generators,
     subgroup_membership,
     u_ell,
@@ -54,7 +53,7 @@ from .pseries import (
     vector_from_harmonic,
 )
 from .ring import characters, make_ring_level
-from .sphere import sphere_size
+from .sphere import BASIS_BYTES_MAX, sphere_size
 
 TOL_TIGHT = 1e-9
 TOL_RESIDUAL = 1e-8
@@ -150,10 +149,17 @@ def _chi_label(chi):
 
 def decompose_suite(ring, n, rec=None, budget=200000, rng=None, include_commutants=True):
     """Dimension grid, completeness, orthogonality, and (optionally)
-    the commutant certificates of irreducibility."""
+    the commutant certificates of irreducibility.  Raises
+    BudgetExceededError, before building anything, when the dense piece
+    bases would exceed BASIS_BYTES_MAX."""
     rec = rec if rec is not None else Recorder()
     rng = rng if rng is not None else np.random.default_rng(0)
     q, M = ring.q, ring.m
+    nbytes = 16 * sphere_size(q, n, M) ** 2
+    if nbytes > BASIS_BYTES_MAX:
+        raise BudgetExceededError(
+            f"dense piece bases need {nbytes} bytes, over the cap {BASIS_BYTES_MAX}"
+        )
     lab = _ring_label(ring, n)
     space = SphereSpace(ring, n)
     params = {"q": q, "n": n, "m": M}
@@ -363,7 +369,7 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0, budget=200000):
             nk = max(
                 -(-samples // space.size), -(-samples // max(H.dim, 1)), 8
             )
-            ks = [random_in_K(ring, n, rng) for _ in range(nk)]
+            ks = random_stack(ring, n, nk, rng)
             rec.residual(
                 f"{lab}/addition-theorem/{cl}/m{m}",
                 "sum_j Q_j(x) conj(Q_j(e_n k)) = dim * P(x k^{-1})",
@@ -392,7 +398,7 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0, budget=200000):
         ks = list(enumerate_group(ring, n))
         mode = "exhaustive"
     else:
-        ks = [random_in_K(ring, n, rng) for _ in range(1000)]
+        ks = random_stack(ring, n, 1000, rng)
         mode = "sampled-1000"
     cache = {}
     for m in range(M + 1):
@@ -618,13 +624,14 @@ def pseries_model_checks(model, rec, samples=500, rng=None, label=None):
         model.equivariance_residual(v0, rng=rng),
         TOL_TIGHT,
     )
-    ks = [random_in_K(ring, n, rng) for _ in range(samples - samples // 2)]
+    uniform = random_stack(ring, n, samples - samples // 2, rng)
+    # per shell l, pairs (a, b) from K_0(p^c) in draw order, and k = a u_l b
     shells = min(c_pi, M) + 1
-    for ell in range(shells):
-        for _ in range(-(-samples // (2 * shells))):
-            a = random_in_K0(ring, n, c_pi, rng)
-            b = random_in_K0(ring, n, c_pi, rng)
-            ks.append(a @ u_ell(ring, n, ell) @ b)
+    per = -(-samples // (2 * shells))
+    pairs = random_stack(ring, n, 2 * shells * per, rng, ell=c_pi).reshape(shells, per, 2, n, n)
+    us = np.array([u_ell(ring, n, ell).a for ell in range(shells)])[:, None]
+    shelled = ring.matmul(ring.matmul(pairs[:, :, 0], us), pairs[:, :, 1])
+    ks = np.concatenate([uniform, shelled.reshape(-1, n, n)])
     worst, at = model.coefficient_residual(v0, ks)
     rec.residual(
         label + "/matrix-coefficient",
@@ -632,7 +639,7 @@ def pseries_model_checks(model, rec, samples=500, rng=None, label=None):
         {"q": q, "n": n, "c": c_pi, "samples": len(ks)},
         worst,
         TOL_RESIDUAL,
-        witness=None if at is None else f"k={ks[at].a.tolist()}",
+        witness=None if at is None else f"k={ks[at].tolist()}",
     )
     ramified = sum(1 for ch in model.chars if ch.c > 0)
     rec.exact(

@@ -1,6 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ultrasph
 
 from ultrasph.cli import (
     EXIT_CONFIG,
@@ -248,6 +255,30 @@ class TestMain:
         assert [r["check_id"] for r in skipped] == ["decompose/budget"]
         assert "over the cap 1000" in skipped[0]["observed"]
         assert not any("/commutant" in r["check_id"] for r in records)
+
+    def test_decompose_q5_n2_m3_fails_closed_under_a_memory_limit(self, tmp_path):
+        # |S| = 15,000: the dense piece bases would need 3.6 GB.  The suite
+        # must refuse before allocating, in a child with 2 GiB of address space.
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("[ring]\nbranch = padic\np = 5\n\n[run]\nn = 2\nlevel = 3\n")
+        out = tmp_path / "d.jsonl"
+        limit = 2 << 30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(ultrasph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ultrasph.cli", "decompose", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_address_space,
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_SKIP
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["check_id"], r["status"]) for r in records] == [("decompose/budget", "SKIP")]
 
     def test_rank_certificate_error_is_fail(self, tmp_path, monkeypatch, capsys):
         import ultrasph.numerics

@@ -106,7 +106,16 @@ class TestStacks:
         a, b = draw(R, n, seed), draw(R, n, seed + 1, count=5)
         for left in (a, a[0], a[0, 0]):
             want = np.array([R.matmul(left, y) for y in b])
-            assert np.array_equal(R.matmul(left, b), want)
+            assert np.array_equal(R.matmul(left, b[:, None] if left.ndim == 3 else b), want)
+
+    @given(point=points, n=st.integers(1, 3), seed=seeds)
+    @sweep
+    def test_matmul_pairwise_over_equal_stacks(self, point, n, seed):
+        R = ring_of(point)
+        a, b = draw(R, n, seed), draw(R, n, seed + 1)
+        want = np.array([R.matmul(x, y) for x, y in zip(a, b)])
+        assert np.array_equal(R.matmul(a, b), want)
+        assert np.array_equal(R.matmul(a.reshape(3, 4, n, n), b.reshape(3, 4, n, n)), want.reshape(3, 4, n, n))
 
     @given(point=points, n=st.integers(1, 3), seed=seeds)
     @sweep

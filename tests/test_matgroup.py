@@ -21,6 +21,7 @@ from ultrasph.matgroup import (
     group_order,
     group_stack,
     random_in_K,
+    random_stack,
     row_keys,
     subgroup_generators,
     subgroup_membership,
@@ -60,6 +61,25 @@ def reference_enumeration(ring, n):
             add = np.array(corr, dtype=np.int64).reshape(n, n) * q
             out.append(ring.add_arr(mat0, add))
     return np.array(out, dtype=np.int64).reshape(-1, n, n)
+
+
+def reference_random_in_K(ring, n, rng):
+    """One-at-a-time rejection on K: the stream random_stack replays."""
+    while True:
+        a = rng.integers(0, ring.size, size=(n, n))
+        if ring.is_unit(det(ring, a.astype(np.int64))):
+            return MatK(ring, a, check=False)
+
+
+def reference_random_in_K0(ring, n, ell, rng):
+    """One-at-a-time rejection on K_0(p^ell): bottom-left entries drawn from p^ell."""
+    step = ring.q ** min(ell, ring.m)
+    lows = ring.size // step
+    while True:
+        a = rng.integers(0, ring.size, size=(n, n)).astype(np.int64)
+        a[n - 1, : n - 1] = rng.integers(0, lows, size=n - 1) * step
+        if ring.is_unit(det(ring, a)):
+            return MatK(ring, a, check=False)
 
 
 # small (branch, p, f, m, n) with |GL_n| <= 5000, so the references stay quick
@@ -290,6 +310,48 @@ class TestGenerators:
                     if k.key() in k1:
                         zk1.add((z @ k).key())
             assert zk1 == k0
+
+
+SAMPLER_RINGS = [
+    (branch, p, f, m)
+    for branch, p, f in [
+        ("padic", 2, 1), ("padic", 3, 1), ("padic", 5, 1), ("padic", 7, 1),
+        ("laurent", 2, 1), ("laurent", 2, 2), ("laurent", 3, 1), ("laurent", 2, 3),
+    ]
+    for m in (1, 2, 3)
+]
+
+
+class TestRandomStack:
+    @given(point=st.sampled_from(SAMPLER_RINGS), n=st.integers(1, 4), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_replays_the_one_at_a_time_stream(self, point, n, data):
+        # ell >= m makes the bottom-left high 1, which draws nothing
+        R = ring_of(*point)
+        ell = data.draw(st.sampled_from([None, *range(R.m + 2)]))
+        count = data.draw(st.integers(0, 300))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if ell is None:
+            want = [reference_random_in_K(R, n, ref) for _ in range(count)]
+        else:
+            want = [reference_random_in_K0(R, n, ell, ref) for _ in range(count)]
+        got = random_stack(R, n, count, rng, ell=ell)
+        assert got.shape == (count, n, n) and got.dtype == np.int64
+        assert np.array_equal(got, np.array([k.a for k in want]).reshape(count, n, n))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+    def test_batches_smaller_than_the_count(self, monkeypatch):
+        # a one-candidate byte cap forces a round per candidate
+        import ultrasph.matgroup
+
+        monkeypatch.setattr(ultrasph.matgroup, "SAMPLE_BATCH_BYTES", 1)
+        R = ring_of("padic", 3, 1, 2)
+        ref, rng = np.random.default_rng(3), np.random.default_rng(3)
+        want = [reference_random_in_K0(R, 3, 1, ref) for _ in range(25)]
+        assert np.array_equal(random_stack(R, 3, 25, rng, ell=1), np.array([k.a for k in want]))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestDoubleCosets:

@@ -403,12 +403,14 @@ BATCH_POINTS = [
 ]
 
 
-def sample_ks(model, rng, count=40):
-    """Uniform ks plus ks from each double coset K_0 u_ell K_0, as the suite draws them."""
+def sample_ks(model, rng, count=40, per=None):
+    """``count`` uniform ks plus ``per`` ks from each double coset K_0 u_ell K_0,
+    one MatK at a time, in the order the suite draws them."""
     ring, n, c = model.ring, model.n, model.c_declared
+    per = count // 4 if per is None else per
     ks = [random_in_K(ring, n, rng) for _ in range(count)]
     for ell in range(min(c, ring.m) + 1):
-        for _ in range(count // 4):
+        for _ in range(per):
             a, b = random_in_K0(ring, n, c, rng), random_in_K0(ring, n, c, rng)
             ks.append(a @ u_ell(ring, n, ell) @ b)
     return ks
@@ -422,6 +424,50 @@ def batch_case(request):
     model = build_model(chars, rng=np.random.default_rng(0))
     v0, _ = model.newform()
     return model, v0, sample_ks(model, np.random.default_rng(1))
+
+
+# c = 2 < M; F_4; and c = M, where the K_0(p^c) bottom-left digits draw nothing
+SUITE_DRAW_POINTS = [
+    (("padic", 2, 1, 3, 3), [(2, 0), (0, 0), (0, 0)]),
+    (("laurent", 2, 2, 2, 2), [(1, 0), (0, 0)]),
+    (("padic", 2, 1, 2, 2), [(2, 0), (0, 0)]),
+]
+
+
+class TestSuiteDraws:
+    @pytest.mark.parametrize(
+        "point", SUITE_DRAW_POINTS, ids=lambda pt: "-".join(map(str, pt[0]))
+    )
+    def test_suite_ks_equal_the_matk_construction(self, point, monkeypatch):
+        (branch, p, f, M, n), selectors = point
+        chs = characters(make_ring_level(branch, p, f, M))
+        model = build_model(
+            [[ch for ch in chs if ch.c == c][i] for c, i in selectors], rng=np.random.default_rng(0)
+        )
+        seen = {}
+        equivariance, coefficient = model.equivariance_residual, model.coefficient_residual
+
+        def before_draws(v, rng=None):
+            out = equivariance(v, rng=rng)
+            seen["state"] = rng.bit_generator.state
+            return out
+
+        def drawn(v0, ks):
+            seen["ks"] = np.asarray(ks)
+            return coefficient(v0, ks)
+
+        monkeypatch.setattr(model, "equivariance_residual", before_draws)
+        monkeypatch.setattr(model, "coefficient_residual", drawn)
+        rng, samples = np.random.default_rng(1), 60
+        rec = Recorder()
+        pseries_model_checks(model, rec, samples=samples, rng=rng)
+        assert all(r.status == "PASS" for r in rec.records)
+        ref = np.random.default_rng()
+        ref.bit_generator.state = seen["state"]
+        shells = min(model.c_declared, M) + 1
+        want = sample_ks(model, ref, samples - samples // 2, -(-samples // (2 * shells)))
+        assert np.array_equal(seen["ks"], np.array([k.a for k in want]))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestBatchedActions:
@@ -501,7 +547,7 @@ class TestWitness:
         pseries_model_checks(model, rec, samples=40, rng=np.random.default_rng(1))
         failed = [r for r in rec.records if r.status != "PASS"]
         assert [r.check_id.split("/")[-1] for r in failed] == ["matrix-coefficient"]
-        assert failed[0].observed == f"5.000e-01 at k={seen[6].a.tolist()}"
+        assert failed[0].observed == f"5.000e-01 at k={np.asarray(seen[6]).tolist()}"
         assert not any(" at " in r.observed for r in rec.records if r.status == "PASS")
 
     def test_pass_records_ignore_the_witness(self):
