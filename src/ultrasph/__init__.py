@@ -29,7 +29,6 @@ from .matgroup import (
     double_coset_index,
     double_coset_witness,
     enumerate_group,
-    factor_into_generators,
     group_order,
     group_stack,
     subgroup_generators,

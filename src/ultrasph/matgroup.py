@@ -3,10 +3,9 @@
 All matrices live at a fixed working level M; subgroup specifications
 with depth l <= M are membership predicates on level-M matrices.
 Generating sets are proposed from elementary matrices and diagonal
-units, then verified, either by breadth-first closure when the subgroup
-is small enough, or by a constructive membership certificate: random
-subgroup elements are factored into generator powers and the
-factorisation is re-multiplied exactly.
+units, then certified exactly: every generator satisfies the membership
+predicate, and a stabiliser chain of the group they generate reaches the
+order formula (Sims 1970; Seress, Permutation Group Algorithms, 2003, ch. 4).
 
 Uniform samples of K and K_0(p^l) are drawn as whole stacks by rejection,
 one random draw and one stacked determinant per batch.  Each batch rewinds
@@ -27,6 +26,9 @@ from .ring import unit_group_basis, unit_subgroup_basis
 
 
 SAMPLE_BATCH_BYTES = 1 << 21  # Leibniz terms of one batch of sampler candidates
+CHAIN_BATCH = 64  # Schreier generators sifted at once
+CHAIN_QUIET_PASSES = 4  # random passes that add nothing before every Schreier generator is sifted
+CHAIN_BYTES_MAX = 1 << 27  # cap on the bound of a stabiliser chain's transversals
 
 
 class BudgetExceededError(RuntimeError):
@@ -311,11 +313,11 @@ def group_order(ring, n):
 
 def subgroup_order(spec, ring, n):
     q, m = ring.q, ring.m
-    ell = spec.level if spec.level is not None else None
+    # a depth beyond the working level is the depth-m subgroup, as in subgroup_membership
+    ell = None if spec.level is None else min(spec.level, m)
     if spec.kind == "K" or (ell == 0 and spec.kind in ("Kprin", "K1", "K0")):
         return group_order(ring, n)
     if spec.kind == "Kprin":
-        ell = min(ell, m)
         return q ** ((m - ell) * n * n)
     if spec.kind == "K1":
         return group_order(ring, n) // (q ** ((ell - 1) * n) * (q**n - 1))
@@ -395,40 +397,177 @@ def closure(gens, budget=200000):
     )
 
 
-def verify_generators(spec, ring, n, budget=200000, rng=None, samples=25):
-    """Certificate that the proposed generators generate the subgroup.
+class _Level:
+    """One level of a stabiliser chain: the orbit of the base row e_row under
+    right multiplication by ``gens``, with a transversal ``u`` (row ``row`` of
+    u[i] is point i) and its inverses ``uinv``.  ``keys`` holds the points'
+    keys sorted, ``slots`` the transversal index of each sorted key."""
 
-    Small subgroups are closed exhaustively and the size compared with the
-    index formula.  Larger ones get a sampled constructive certificate:
-    every generator satisfies the membership predicate, and random
-    subgroup elements factor into generator powers that re-multiply
-    exactly.
+    def __init__(self, ring, n, row, gens):
+        self.ring, self.row, self.gens = ring, row, []
+        self.u = self.uinv = np.eye(n, dtype=np.int64)[None]
+        self.keys = row_keys(ring, self.u[:, row])
+        self.slots = np.zeros(1, dtype=np.int64)
+        self.extend(gens)
+
+    def extend(self, new):
+        """Add the generators ``new`` and close the orbit: images of every
+        point under them, then breadth-first under all generators.  A new
+        point's transversal element is its parent's times the generator, and
+        the inverse is the generator's inverse times the parent's."""
+        if not len(new):
+            return
+        ring = self.ring
+        self.gens = self.gens + list(new)
+        G = np.stack(self.gens)
+        Ginv = mat_inv(ring, G)
+        us, uinvs = [self.u], [self.uinv]
+        size = len(self.u)
+        apply = np.arange(len(G) - len(new), len(G))
+        while len(us[-1]) and len(apply):
+            front, front_inv = us[-1], uinvs[-1]
+            cand = np.concatenate([ring.matmul(front[:, self.row], G[g]) for g in apply])
+            ckeys = row_keys(ring, cand)
+            keys, first = np.unique(ckeys, return_index=True)
+            slot = np.searchsorted(self.keys, keys)
+            fresh = np.sort(first[self.keys[np.minimum(slot, len(self.keys) - 1)] != keys])
+            parent, g = fresh % len(front), apply[fresh // len(front)]
+            us.append(ring.matmul(front[parent], G[g]))
+            uinvs.append(ring.matmul(Ginv[g], front_inv[parent]))
+            fkeys = ckeys[fresh]
+            order = np.argsort(fkeys)
+            at = np.searchsorted(self.keys, fkeys[order])
+            self.keys = np.insert(self.keys, at, fkeys[order])  # a sorted merge
+            self.slots = np.insert(self.slots, at, size + order)
+            size += len(fresh)
+            apply = np.arange(len(G))
+        self.u, self.uinv = np.concatenate(us), np.concatenate(uinvs)
+
+    def locate(self, x):
+        """Transversal index of the point of each element of the stack x, and
+        whether that point lies in the orbit at all."""
+        keys = row_keys(self.ring, x[:, self.row])
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return self.slots[pos], self.keys[pos] == keys
+
+    def schreier(self, p, s):
+        """Schreier generators u_p g_s u_{p g_s}^{-1} for index arrays p, s."""
+        y = self.ring.matmul(self.u[p], np.stack(self.gens)[s])
+        return self.ring.matmul(y, self.uinv[self.locate(y)[0]])
+
+
+class StabiliserChain:
+    """Stabiliser chain of the group generated by (n, n) arrays ``gens``.
+
+    Elements act on row vectors by right multiplication.  The base is
+    e_{n-1}, ..., e_0: level t stabilises the rows of the levels above it and
+    moves row n-1-t, so a matrix fixing every base point is the identity.
+    Level t's generators are those of ``gens`` that fix the earlier base
+    rows, plus every residue added at level t or below.  Each orbit is then
+    an orbit of a subgroup of the true stabiliser, so ``order`` never exceeds
+    the order of the group, and equals it once ``sweep`` finds nothing to add
+    (Sims 1970; Seress, Permutation Group Algorithms, 2003, ch. 4).
+    """
+
+    def __init__(self, ring, n, gens):
+        self.ring, self.n = ring, n
+        eye = np.eye(n, dtype=np.int64)
+        self.levels = []
+        for t in range(n):
+            fixed = [g for g in gens if np.array_equal(g[n - t :], eye[n - t :])]
+            self.levels.append(_Level(ring, n, n - 1 - t, fixed))
+
+    def order(self):
+        return math.prod(len(lev.u) for lev in self.levels)
+
+    def sift(self, x, t):
+        """Sift the stack x, which fixes the base rows of levels < t, through
+        levels t, t+1, ...  Returns (level, element) for the first element
+        whose point leaves that level's orbit, or None when every element
+        sifts to the identity."""
+        for j in range(t, self.n):
+            lev = self.levels[j]
+            slot, hit = lev.locate(x)
+            if not hit.all():
+                return j, x[np.argmin(hit)]
+            x = self.ring.matmul(x, lev.uinv[slot])
+        return None
+
+    def add(self, j, h):
+        """A residue that fixes the base rows of levels < j becomes a strong
+        generator at level j and every level above it."""
+        for lev in self.levels[: j + 1]:
+            lev.extend([h])
+
+    def random_pass(self, rng):
+        """Sift CHAIN_BATCH random Schreier generators per level, top level
+        first, adding the first residue of each batch.  True when one was added."""
+        grew = False
+        for t, lev in enumerate(self.levels[:-1]):
+            if lev.gens:
+                p = rng.integers(0, len(lev.u), CHAIN_BATCH)
+                s = rng.integers(0, len(lev.gens), CHAIN_BATCH)
+                hit = self.sift(lev.schreier(p, s), t + 1)
+                if hit is not None:
+                    self.add(*hit)
+                    grew = True
+        return grew
+
+    def sweep(self):
+        """Sift every Schreier generator once, bottom level first.  Adds the
+        first residue and returns True, or returns False: then every Schreier
+        generator sifts to the identity, the chain is complete (Schreier's
+        lemma) and ``order`` is the order of the group."""
+        for t in range(self.n - 2, -1, -1):
+            lev = self.levels[t]
+            total = len(lev.u) * len(lev.gens)
+            for lo in range(0, total, CHAIN_BATCH):
+                i = np.arange(lo, min(lo + CHAIN_BATCH, total))
+                hit = self.sift(lev.schreier(i // len(lev.gens), i % len(lev.gens)), t + 1)
+                if hit is not None:
+                    self.add(*hit)
+                    return True
+        return False
+
+
+def verify_generators(spec, ring, n):
+    """Exact certificate that the proposed generators generate the subgroup.
+
+    Every generator must satisfy the membership predicate, so the group they
+    generate has order at most ``subgroup_order``.  A stabiliser chain built
+    from random Schreier generators bounds that order from below; it stops
+    as soon as the bound reaches the formula.  The random batches come from
+    a private generator with a fixed seed, so the result is deterministic and
+    no caller's generator is drawn from.  When CHAIN_QUIET_PASSES passes add
+    nothing, every Schreier generator is sifted: the chain is then complete
+    and a RuntimeError names the exact order next to the formula.
     """
     gens = subgroup_generators(spec, ring, n)
     expected = subgroup_order(spec, ring, n)
     for g in gens:
         if not subgroup_membership(g, spec):
             raise RuntimeError(f"proposed generator outside {spec}")
-    if expected <= budget:
-        got = len(closure(gens, budget=budget))
-        if got != expected:
-            raise RuntimeError(
-                f"closure of {spec} generators has size {got}, expected {expected}"
-            )
-        return {"method": "closure", "size": got, "ok": True}
-    rng = rng if rng is not None else np.random.default_rng(0)
-    gen_keys = {g.key() for g in gens}
-    for _ in range(samples):
-        k = random_subgroup_element(spec, ring, n, rng)
-        fac = factor_into_generators(k, spec)
-        prod_mat = MatK.identity(ring, n)
-        for base, e in fac:
-            if base.key() not in gen_keys:
-                raise RuntimeError(f"factorisation emitted a non-generator for {spec}")
-            prod_mat = prod_mat @ base**e
-        if prod_mat != k:
-            raise RuntimeError(f"factorisation certificate failed for {spec}")
-    return {"method": "factorisation", "samples": samples, "ok": True}
+    # each of the n orbits is a set of unimodular rows, no more of them than
+    # group elements; a point's transversal element and inverse take 16 n^2 bytes
+    rows = ring.q ** ((ring.m - 1) * n) * (ring.q**n - 1)
+    nbytes = 16 * n**3 * min(rows, expected)
+    if nbytes > CHAIN_BYTES_MAX:
+        raise BudgetExceededError(
+            f"stabiliser chain of {spec} needs up to {nbytes} bytes, over the cap {CHAIN_BYTES_MAX}"
+        )
+    chain = StabiliserChain(ring, n, [g.a for g in gens])
+    rng = np.random.default_rng(0)
+    quiet = 0
+    while chain.order() < expected and quiet < CHAIN_QUIET_PASSES:
+        quiet = 0 if chain.random_pass(rng) else quiet + 1
+    while chain.order() < expected and chain.sweep():
+        pass
+    size = chain.order()
+    if size > expected:
+        raise RuntimeError(f"stabiliser chain of {spec} generators reaches order {size}, above {expected}")
+    if size < expected:
+        raise RuntimeError(f"{spec} generators generate a group of order {size}, expected {expected}")
+    return {"method": "chain", "size": size, "ok": True}
 
 
 # -- random sampling ---------------------------------------------------------
@@ -479,209 +618,6 @@ def random_in_K(ring, n, rng):
 def random_in_K0(ring, n, ell, rng):
     """Uniform on K_0(p^ell): bottom-left entries drawn from p^ell."""
     return MatK(ring, random_stack(ring, n, 1, rng, ell=ell)[0], check=False)
-
-
-def random_subgroup_element(spec, ring, n, rng):
-    if spec.kind == "K" or spec.level == 0:
-        return random_in_K(ring, n, rng)
-    if spec.kind == "Kmirab":
-        while True:
-            a = rng.integers(0, ring.size, size=(n, n)).astype(np.int64)
-            a[n - 1, : n - 1] = 0
-            a[n - 1, n - 1] = 1
-            if ring.is_unit(det(ring, a)):
-                return MatK(ring, a, check=False)
-    ell, step = spec.level, ring.q ** min(spec.level, ring.m)
-    if spec.kind == "K0":
-        return random_in_K0(ring, n, ell, rng)
-    if spec.kind == "K1":
-        while True:
-            a = rng.integers(0, ring.size, size=(n, n)).astype(np.int64)
-            a[n - 1, : n - 1] = (a[n - 1, : n - 1] // step) * step
-            a[n - 1, n - 1] = ring.add(1, (int(a[n - 1, n - 1]) // step) * step)
-            if ring.is_unit(det(ring, a)):
-                return MatK(a=a, ring=ring, check=False)
-    if spec.kind == "Kprin":
-        while True:
-            d = rng.integers(0, ring.size // step, size=(n, n)).astype(np.int64) * step
-            a = ring.add_arr(np.eye(n, dtype=np.int64), d)
-            if ring.is_unit(det(ring, a)):
-                return MatK(ring, a, check=False)
-    raise AssertionError
-
-
-# -- constructive factorisation into generators ------------------------------
-
-
-def _decompose_additive(ring, x, depth=0):
-    """Write code x (val >= depth) as sum of small multiples of the additive
-    generators at this depth; returns [(code, multiplicity)]."""
-    if x == 0:
-        return []
-    if ring.branch == "padic":
-        base = ring.uniformizer_pow(depth)
-        return [(base, x // base)]
-    out = []
-    digits = ring._digits_of(int(x))
-    for a in range(depth, ring.m):
-        d = int(digits[a])
-        for b in range(ring.f):
-            coef = (d // ring.p**b) % ring.p
-            if coef:
-                out.append((ring.q**a * ring.p**b, coef))
-    return out
-
-
-def _emit_elem(ring, n, i, j, x, depth=0):
-    return [(_elem(ring, n, i, j, b), e) for b, e in _decompose_additive(ring, x, depth)]
-
-
-def _emit_diag(ring, n, pos, u, subgroup_depth=0):
-    basis = (
-        unit_group_basis(ring)
-        if subgroup_depth == 0
-        else unit_subgroup_basis(ring, subgroup_depth)
-    )
-    vec = basis.dlog[int(u)]
-    return [
-        (_diag(ring, n, pos, g), e) for g, e in zip(basis.gens, vec) if e
-    ]
-
-
-def _emit_scalar(ring, n, u):
-    basis = unit_group_basis(ring)
-    vec = basis.dlog[int(u)]
-    return [(_scalar(ring, n, g), e) for g, e in zip(basis.gens, vec) if e]
-
-
-def _emit_last_diag_shuffle(ring, n, i, d):
-    """diag(..., d, d^{-1}, ...) at rows (i, i+1) as elementary factors.
-
-    Uses w(a) = E_{i,i+1}(a) E_{i+1,i}(-a^{-1}) E_{i,i+1}(a) and
-    diag(a, a^{-1}) = w(a) w(1)^{-1}.
-    """
-    dinv = ring.inv(d)
-    seq = []
-    seq += _emit_elem(ring, n, i, i + 1, d)
-    seq += _emit_elem(ring, n, i + 1, i, ring.neg(dinv))
-    seq += _emit_elem(ring, n, i, i + 1, d)
-    seq += _emit_elem(ring, n, i, i + 1, ring.neg(1))
-    seq += _emit_elem(ring, n, i + 1, i, 1)
-    seq += _emit_elem(ring, n, i, i + 1, ring.neg(1))
-    return seq
-
-
-def _factor_gl(k, depth=0, block=None, offset=0):
-    """Factor k in GL_n (depth 0) or K(p^depth) into generator powers.
-
-    ``block``/``offset`` restrict to an embedded top-left block so the
-    mirabolic case can reuse the routine.  Returns [(MatK, exponent)].
-    """
-    ring, nfull = k.ring, k.n
-    n = block if block is not None else nfull
-    A = k.a.copy()
-    lfac, rfac = [], []
-
-    def lapply(i, j, x):
-        # A := E_ij(-x) @ A, record E_ij(x) on the left
-        A[i, :] = ring.sub_arr(A[i, :], ring.mul_arr(np.int64(x), A[j, :]))
-        lfac.extend(_emit_elem(ring, nfull, offset + i, offset + j, x, depth))
-
-    def rapply(i, j, x):
-        # A := A @ E_ij(-x), record E_ij(x) on the right
-        A[:, j] = ring.sub_arr(A[:, j], ring.mul_arr(np.int64(x), A[:, i]))
-        rfac[:0] = _emit_elem(ring, nfull, offset + i, offset + j, x, depth)
-
-    for col in range(n - 1):
-        if not ring.is_unit(int(A[col, col])):
-            r = next(
-                rr for rr in range(col + 1, n) if ring.is_unit(int(A[rr, col]))
-            )
-            lapply(col, r, ring.neg(1))  # row_col += row_r
-        piv_inv = ring.inv(int(A[col, col]))
-        for r in range(col + 1, n):
-            x = ring.mul(int(A[r, col]), piv_inv)
-            if x:
-                lapply(r, col, x)
-        for cc in range(col + 1, n):
-            x = ring.mul(int(A[col, cc]), piv_inv)
-            if x:
-                rapply(col, cc, x)
-    # A is diagonal with unit entries; shuffle the determinant to the corner
-    if depth == 0:
-        for i in range(n - 1):
-            d = int(A[i, i])
-            if d != 1:
-                A[i, i] = 1
-                A[i + 1, i + 1] = ring.mul(int(A[i + 1, i + 1]), d)
-                # extracted factor is diag(d, d^{-1}) at rows (i, i+1)
-                rfac[:0] = _emit_last_diag_shuffle(ring, nfull, offset + i, d)
-        u = int(A[n - 1, n - 1])
-        if u != 1:
-            rfac[:0] = _emit_diag(ring, nfull, offset + n - 1, u)
-    else:
-        for i in range(n):
-            d = int(A[i, i])
-            if d != 1:
-                rfac[:0] = _emit_diag(ring, nfull, offset + i, d, subgroup_depth=depth)
-    return lfac + rfac
-
-
-def factor_into_generators(k, spec):
-    """Write k as an ordered product of generator powers of the subgroup.
-
-    Raises if k fails the membership predicate.  The factor list multiplies
-    back to k exactly; this is the membership certificate used when the
-    subgroup is too large to close exhaustively.
-    """
-    if not subgroup_membership(k, spec):
-        raise ValueError(f"matrix is not in {spec}")
-    ring, n = k.ring, k.n
-    ell = spec.level
-    if spec.kind == "K" or (spec.kind in ("Kprin", "K1", "K0") and ell == 0):
-        return _factor_gl(k)
-    if spec.kind == "Kprin":
-        return _factor_gl(k, depth=min(ell, ring.m))
-    if spec.kind == "Kmirab":
-        a = k.a
-        fac = []
-        if n > 2:
-            emb = np.eye(n, dtype=np.int64)
-            emb[: n - 1, : n - 1] = a[: n - 1, : n - 1]
-            fac += _factor_gl(MatK(ring, emb, check=False), block=n - 1)
-        else:
-            fac += _emit_diag(ring, n, 0, int(a[0, 0]))
-        ainv = mat_inv(ring, a[: n - 1, : n - 1])
-        b = ring.matmul(ainv, a[: n - 1, n - 1 :])
-        for i in range(n - 1):
-            fac += _emit_elem(ring, n, i, n - 1, int(b[i, 0]))
-        return fac
-    if spec.kind == "K1":
-        # two-factor split: k = [[a - b d^{-1} c, b d^{-1}], [0, 1]] * [[1, 0], [c, d]]
-        a = k.a
-        ab = a[: n - 1, : n - 1]
-        b = a[: n - 1, n - 1 :]
-        c = a[n - 1 : n, : n - 1]
-        d = int(a[n - 1, n - 1])
-        bd = ring.mul_arr(b, np.int64(ring.inv(d)))
-        mir = np.eye(n, dtype=np.int64)
-        mir[: n - 1, : n - 1] = ring.sub_arr(ab, ring.matmul(bd, c))
-        mir[: n - 1, n - 1 :] = bd
-        prin = np.eye(n, dtype=np.int64)
-        prin[n - 1 : n, : n - 1] = c
-        prin[n - 1, n - 1] = d
-        mirk = MatK(ring, mir, check=False)
-        prink = MatK(ring, prin, check=False)
-        return factor_into_generators(mirk, SubgroupSpec("Kmirab")) + factor_into_generators(
-            prink, SubgroupSpec("Kprin", ell)
-        )
-    if spec.kind == "K0":
-        d = int(k.a[n - 1, n - 1])
-        rest = _scalar(ring, n, ring.inv(d)) @ k
-        return _emit_scalar(ring, n, d) + factor_into_generators(
-            rest, SubgroupSpec("K1", ell)
-        )
-    raise AssertionError
 
 
 # -- double cosets -----------------------------------------------------------

@@ -159,10 +159,10 @@ def monomial_orbits(perms, rots, twists, L):
 _VERIFIED_GENS = {}
 
 
-def _verified_subgroup_gens(ring, n, spec, rng=None, budget=60000, samples=12):
+def _verified_subgroup_gens(ring, n, spec):
     key = (ring, n, spec)
     if key not in _VERIFIED_GENS:
-        verify_generators(spec, ring, n, budget=budget, rng=rng, samples=samples)
+        verify_generators(spec, ring, n)
         _VERIFIED_GENS[key] = subgroup_generators(spec, ring, n)
     return _VERIFIED_GENS[key]
 
@@ -191,8 +191,9 @@ class PSeriesModel:
         self.L = self.chi_pi.order
         self._roots = np.exp(2j * np.pi * np.arange(self.L) / self.L)
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.k_gens = _verified_subgroup_gens(ring, n, SubgroupSpec("K"), rng=rng)
-        self.cosets = FlagCosets(ring, n, self.k_gens)
+        # FlagCosets checks its budget before the certificate allocates anything
+        self.cosets = FlagCosets(ring, n, subgroup_generators(SubgroupSpec("K"), ring, n))
+        _verified_subgroup_gens(ring, n, SubgroupSpec("K"))
         self.dim = self.cosets.size
         self._invariants = {}
         self._action_cache = {}
@@ -281,7 +282,7 @@ class PSeriesModel:
         basis[row, on] = self._roots[phase[on]] / np.sqrt(np.bincount(root)[root[on]])
         return basis
 
-    def invariant_space(self, ell, kind="K1", rng=None):
+    def invariant_space(self, ell, kind="K1"):
         """Orthonormal basis (rows) of the depth-ell invariant subspace.
 
         kind "K1": plain invariance; kind "K0chi": equivariance against the
@@ -291,21 +292,21 @@ class PSeriesModel:
         if key in self._invariants:
             return self._invariants[key]
         spec = SubgroupSpec("K1" if kind == "K1" else "K0", ell)
-        gens = _verified_subgroup_gens(self.ring, self.n, spec, rng=rng)
+        gens = _verified_subgroup_gens(self.ring, self.n, spec)
         n = self.n
         twists = [0 if kind == "K1" else self.chi_pi._nums[g.a[n - 1, n - 1]] for g in gens]
         self._invariants[key] = self.orbit_lines(gens, twists)
         return self._invariants[key]
 
-    def invariant_dims(self, ell, kind="K1", rng=None):
-        return self.invariant_space(ell, kind, rng=rng).shape[0]
+    def invariant_dims(self, ell, kind="K1"):
+        return self.invariant_space(ell, kind).shape[0]
 
-    def graded_dims(self, rng=None):
+    def graded_dims(self):
         """Dimensions of the successive quotients of the nested invariant spaces."""
-        dims = [self.invariant_dims(ell, rng=rng) for ell in range(self.ring.m + 1)]
+        dims = [self.invariant_dims(ell) for ell in range(self.ring.m + 1)]
         return [b - a for a, b in zip([0] + dims, dims)]
 
-    def newform(self, rng=None):
+    def newform(self):
         """Unit vector spanning the minimal invariant line, plus its depth.
 
         Hard failure when the empirical conductor differs from the declared
@@ -313,7 +314,7 @@ class PSeriesModel:
         level cannot host the newform at all.
         """
         for ell in range(self.ring.m + 1):
-            basis = self.invariant_space(ell, rng=rng)
+            basis = self.invariant_space(ell)
             if basis.shape[0]:
                 if ell != self.c_declared:
                     raise RuntimeError(f"empirical conductor {ell} != declared {self.c_declared}")
@@ -325,10 +326,10 @@ class PSeriesModel:
             f"no invariant vectors up to level {self.ring.m}; declared conductor {self.c_declared}"
         )
 
-    def equivariance_residual(self, v, rng=None):
+    def equivariance_residual(self, v):
         """Max residual of K_0(p^c)-equivariance against the model character."""
         c = self.c_declared
-        gens = _verified_subgroup_gens(self.ring, self.n, SubgroupSpec("K0", c), rng=rng)
+        gens = _verified_subgroup_gens(self.ring, self.n, SubgroupSpec("K0", c))
         worst = 0.0
         for g in gens:
             d = int(g.a[self.n - 1, self.n - 1])
@@ -337,32 +338,31 @@ class PSeriesModel:
             worst = max(worst, float(np.abs(got - want * v).max()))
         return worst
 
-    def expected_coefficient(self, k):
-        """Three-case closed form for the newform matrix coefficient."""
-        ring, n, q = self.ring, self.n, self.ring.q
-        c = self.c_declared
-        a = getattr(k, "a", k)
-        vals = ring.val_arr(np.asarray(a)[n - 1, : n - 1])
-        depth = int(min(ring.m, vals.min()))
-        d = int(np.asarray(a)[n - 1, n - 1])
-        chi_d = self.chi_pi(d) if ring.is_unit(d) else (1.0 if self.chi_pi.is_trivial else None)
-        if depth >= min(c, ring.m):
-            return chi_d if chi_d is not None else 1.0
-        if c > self.chi_pi.c and depth == c - 1:
-            alpha = complex(zonal_shell_coefficient(q, n, c))
-            return alpha * chi_d
-        return 0.0
+    def expected_coefficients(self, K):
+        """Three-case closed form for the newform matrix coefficient at each k
+        of an (N, n, n) stack, from the depth of its bottom-left entries and
+        the character at its bottom-right entry."""
+        ring, n, c = self.ring, self.n, self.c_declared
+        K = np.asarray(K, dtype=np.int64).reshape(-1, n, n)
+        depth = np.minimum(ring.m, ring.val_arr(K[:, n - 1, : n - 1]).min(axis=1))
+        d = K[:, n - 1, n - 1]
+        chi_d = np.where(ring.val_arr(d) == 0, self.chi_pi.eval_arr(d), 1.0)
+        inner = depth >= min(c, ring.m)
+        out = np.where(inner, chi_d, 0.0)
+        if c > self.chi_pi.c:
+            shell = ~inner & (depth == c - 1)
+            out[shell] = complex(zonal_shell_coefficient(ring.q, n, c)) * chi_d[shell]
+        return out
 
     def coefficient_residual(self, v0, ks):
-        """Worst |<pi(k) v0, v0>/<v0, v0> - expected_coefficient(k)| over ks,
+        """Worst |<pi(k) v0, v0>/<v0, v0> - expected_coefficients| over ks,
         and the index in ks where it occurs (None when ks is empty)."""
         K = np.array([getattr(k, "a", k) for k in ks], dtype=np.int64).reshape(-1, self.n, self.n)
         norm = self.ip(v0, v0)
         got = np.empty(len(K), dtype=np.complex128)
         for lo, perm, rot in self._actions(K):
             got[lo : lo + len(perm)] = (self._roots[rot] * v0[perm]) @ v0.conj() / self.dim / norm
-        want = np.array([self.expected_coefficient(k) for k in ks], dtype=np.complex128)
-        err = np.abs(got - want)
+        err = np.abs(got - self.expected_coefficients(K))
         if not len(err):
             return 0.0, None
         worst = int(err.argmax())
@@ -373,19 +373,19 @@ def build_model(chars, n=None, rng=None):
     return PSeriesModel(chars, n=n, rng=rng)
 
 
-def mirab_average(model, v, rng=None):
+def mirab_average(model, v):
     """Orthogonal projection onto the stabiliser-invariant vectors.
 
     Equals the group average because the action is unitary for the
     coset-uniform inner product; orbit by orbit it is the sum over closing
     orbits O of u_O <v, u_O> / |O|, with u_O = e^{2 pi i phase/L} on O.
     """
-    gens = _verified_subgroup_gens(model.ring, model.n, SubgroupSpec("Kmirab"), rng=rng)
+    gens = _verified_subgroup_gens(model.ring, model.n, SubgroupSpec("Kmirab"))
     basis = model.orbit_lines(gens, [0] * len(gens))
     return basis.T @ (basis.conj() @ v)
 
 
-def vector_from_harmonic(model, space, P, v0, method, budget=120000, rng=None):
+def vector_from_harmonic(model, space, P, v0, method, budget=120000):
     """Distinguished-type vector attached to a harmonic function.
 
     v = dim * avg over the group of P(e_n k^{-1}) pi(k) v0, either by
@@ -406,7 +406,7 @@ def vector_from_harmonic(model, space, P, v0, method, budget=120000, rng=None):
         on = np.flatnonzero(coeffs)
         return dim_tau * model.translate_sum(coeffs[on], ks[on], v0) / order
     if method == "coset":
-        w = mirab_average(model, v0, rng=rng)
+        w = mirab_average(model, v0)
         on = np.flatnonzero(P)
         hx = [_complete_to_invertible(ring, space.points[xi]) for xi in on]
         hinv = mat_inv(ring, np.array(hx, dtype=np.int64).reshape(-1, n, n))

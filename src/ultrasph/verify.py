@@ -151,9 +151,10 @@ def decompose_suite(ring, n, rec=None, budget=200000, rng=None, include_commutan
     """Dimension grid, completeness, orthogonality, and (optionally)
     the commutant certificates of irreducibility.  Raises
     BudgetExceededError, before building anything, when the dense piece
-    bases would exceed BASIS_BYTES_MAX."""
+    bases would exceed BASIS_BYTES_MAX.  ``budget`` caps the |K| enumerated
+    for the uniform-stabiliser check; ``rng`` is accepted for callers that
+    pass one, and nothing draws from it."""
     rec = rec if rec is not None else Recorder()
-    rng = rng if rng is not None else np.random.default_rng(0)
     q, M = ring.q, ring.m
     nbytes = 16 * sphere_size(q, n, M) ** 2
     if nbytes > BASIS_BYTES_MAX:
@@ -242,26 +243,23 @@ def decompose_suite(ring, n, rec=None, budget=200000, rng=None, include_commutan
             f"|K| = {korder} beyond budget {budget}",
         )
     if include_commutants:
-        irreducibility_suite(
-            ring, n, rec=rec, budget=budget, rng=rng, space=space, pieces=pieces
-        )
+        irreducibility_suite(ring, n, rec=rec, space=space, pieces=pieces)
     return rec
 
 
-def irreducibility_suite(ring, n, rec=None, budget=200000, rng=None, space=None, pieces=None):
+def irreducibility_suite(ring, n, rec=None, space=None, pieces=None):
     """Commutant dimension certificates against verified group generators.
 
     ``pieces`` maps (chi.exps, m) to harmonic pieces already built on
     ``space``; missing ones are built here.
     """
     rec = rec if rec is not None else Recorder()
-    rng = rng if rng is not None else np.random.default_rng(0)
     q, M = ring.q, ring.m
     lab = _ring_label(ring, n)
     space = space if space is not None else SphereSpace(ring, n)
     pieces = pieces if pieces is not None else {}
     chs = characters(ring)
-    verify_generators(SubgroupSpec("K"), ring, n, budget=budget, rng=rng)
+    verify_generators(SubgroupSpec("K"), ring, n)
     gens = subgroup_generators(SubgroupSpec("K"), ring, n)
     for chi in chs:
         cl = _chi_label(chi)
@@ -575,7 +573,7 @@ def pseries_model_checks(model, rec, samples=500, rng=None, label=None):
     if label is None:
         label = f"pseries-q{q}-n{n}-M{M}/" + "-".join(_chi_label(c) for c in model.chars)
     c_pi = model.c_declared
-    dims = [model.invariant_dims(ell, rng=rng) for ell in range(M + 1)]
+    dims = [model.invariant_dims(ell) for ell in range(M + 1)]
     expected = [
         comb(ell - c_pi + n - 1, n - 1) if ell >= c_pi else 0 for ell in range(M + 1)
     ]
@@ -586,7 +584,7 @@ def pseries_model_checks(model, rec, samples=500, rng=None, label=None):
         expected,
         dims,
     )
-    graded = model.graded_dims(rng=rng)
+    graded = model.graded_dims()
     rec.exact(
         label + "/graded-dims",
         "graded pieces have dim C(l - c + n - 2, n - 2)",
@@ -595,7 +593,7 @@ def pseries_model_checks(model, rec, samples=500, rng=None, label=None):
         graded,
     )
     k0_dims = [
-        model.invariant_dims(ell, kind="K0chi", rng=rng)
+        model.invariant_dims(ell, kind="K0chi")
         for ell in range(model.chi_pi.c, M + 1)
     ]
     rec.exact(
@@ -606,7 +604,7 @@ def pseries_model_checks(model, rec, samples=500, rng=None, label=None):
         k0_dims,
     )
     try:
-        v0, c_emp = model.newform(rng=rng)
+        v0, c_emp = model.newform()
     except ConductorNotVisible as e:
         rec.skip(label + "/newform", "minimal invariant line", {}, str(e))
         return
@@ -621,7 +619,7 @@ def pseries_model_checks(model, rec, samples=500, rng=None, label=None):
         label + "/equivariance",
         "pi(k0) v = chi(d) v on depth-c generators",
         {"q": q, "n": n, "c": c_pi},
-        model.equivariance_residual(v0, rng=rng),
+        model.equivariance_residual(v0),
         TOL_TIGHT,
     )
     uniform = random_stack(ring, n, samples - samples // 2, rng)
@@ -662,7 +660,7 @@ def roundtrip_suite(rec=None, seed=0):
     space = SphereSpace(ring, 2)
     for chars, chi_label in [((triv, triv), "spherical"), ((ram, triv), "ramified")]:
         model = PSeriesModel(chars, rng=rng)
-        v0, c_emp = model.newform(rng=rng)
+        v0, c_emp = model.newform()
         z = zonal_fn(space, model.chi_pi, c_emp)
         v = vector_from_harmonic(model, space, z, v0, method="enumerate")
         rel = float(np.linalg.norm(v - v0) / np.linalg.norm(v0))

@@ -74,7 +74,7 @@ def test_criterion_2_irreducibility(grid_rings):
     t0 = time.perf_counter()
     rec = Recorder()
     for ring, n in grid_rings:
-        irreducibility_suite(ring, n, rec=rec, rng=np.random.default_rng(SEED))
+        irreducibility_suite(ring, n, rec=rec)
     dt = time.perf_counter() - t0
     _assert_all_pass(rec.records)
     commutants = [r for r in rec.records if "/commutant/" in r.check_id]

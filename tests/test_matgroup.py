@@ -1,26 +1,32 @@
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultrasph import matgroup
 from ultrasph.matgroup import (
     BudgetExceededError,
     MatK,
     SubgroupSpec,
+    _diag,
+    _elem,
+    _scalar,
     chang_beta,
     closure,
     det,
     double_coset_index,
     double_coset_witness,
     enumerate_group,
-    factor_into_generators,
     group_order,
     group_stack,
+    mat_inv,
     random_in_K,
+    random_in_K0,
     random_stack,
     row_keys,
     subgroup_generators,
@@ -29,7 +35,7 @@ from ultrasph.matgroup import (
     u_ell,
     verify_generators,
 )
-from ultrasph.ring import make_ring_level
+from ultrasph.ring import make_ring_level, unit_group_basis, unit_subgroup_basis
 
 
 def reference_closure(gens):
@@ -80,6 +86,208 @@ def reference_random_in_K0(ring, n, ell, rng):
         a[n - 1, : n - 1] = rng.integers(0, lows, size=n - 1) * step
         if ring.is_unit(det(ring, a)):
             return MatK(ring, a, check=False)
+
+
+def reference_subgroup_element(spec, ring, n, rng):
+    """A random element of the subgroup, by rejection: the samples the
+    factorisation certificate used to check."""
+    if spec.kind == "K" or spec.level == 0:
+        return random_in_K(ring, n, rng)
+    if spec.kind == "Kmirab":
+        while True:
+            a = rng.integers(0, ring.size, size=(n, n)).astype(np.int64)
+            a[n - 1, : n - 1] = 0
+            a[n - 1, n - 1] = 1
+            if ring.is_unit(det(ring, a)):
+                return MatK(ring, a, check=False)
+    ell, step = spec.level, ring.q ** min(spec.level, ring.m)
+    if spec.kind == "K0":
+        return random_in_K0(ring, n, ell, rng)
+    if spec.kind == "K1":
+        while True:
+            a = rng.integers(0, ring.size, size=(n, n)).astype(np.int64)
+            a[n - 1, : n - 1] = (a[n - 1, : n - 1] // step) * step
+            a[n - 1, n - 1] = ring.add(1, (int(a[n - 1, n - 1]) // step) * step)
+            if ring.is_unit(det(ring, a)):
+                return MatK(a=a, ring=ring, check=False)
+    if spec.kind == "Kprin":
+        while True:
+            d = rng.integers(0, ring.size // step, size=(n, n)).astype(np.int64) * step
+            a = ring.add_arr(np.eye(n, dtype=np.int64), d)
+            if ring.is_unit(det(ring, a)):
+                return MatK(ring, a, check=False)
+    raise AssertionError
+
+
+def _decompose_additive(ring, x, depth=0):
+    """Write code x (val >= depth) as sum of small multiples of the additive
+    generators at this depth; returns [(code, multiplicity)]."""
+    if x == 0:
+        return []
+    if ring.branch == "padic":
+        base = ring.uniformizer_pow(depth)
+        return [(base, x // base)]
+    out = []
+    digits = ring._digits_of(int(x))
+    for a in range(depth, ring.m):
+        d = int(digits[a])
+        for b in range(ring.f):
+            coef = (d // ring.p**b) % ring.p
+            if coef:
+                out.append((ring.q**a * ring.p**b, coef))
+    return out
+
+
+def _emit_elem(ring, n, i, j, x, depth=0):
+    return [(_elem(ring, n, i, j, b), e) for b, e in _decompose_additive(ring, x, depth)]
+
+
+def _emit_diag(ring, n, pos, u, subgroup_depth=0):
+    basis = (
+        unit_group_basis(ring)
+        if subgroup_depth == 0
+        else unit_subgroup_basis(ring, subgroup_depth)
+    )
+    vec = basis.dlog[int(u)]
+    return [
+        (_diag(ring, n, pos, g), e) for g, e in zip(basis.gens, vec) if e
+    ]
+
+
+def _emit_scalar(ring, n, u):
+    basis = unit_group_basis(ring)
+    vec = basis.dlog[int(u)]
+    return [(_scalar(ring, n, g), e) for g, e in zip(basis.gens, vec) if e]
+
+
+def _emit_last_diag_shuffle(ring, n, i, d):
+    """diag(..., d, d^{-1}, ...) at rows (i, i+1) as elementary factors.
+
+    Uses w(a) = E_{i,i+1}(a) E_{i+1,i}(-a^{-1}) E_{i,i+1}(a) and
+    diag(a, a^{-1}) = w(a) w(1)^{-1}.
+    """
+    dinv = ring.inv(d)
+    seq = []
+    seq += _emit_elem(ring, n, i, i + 1, d)
+    seq += _emit_elem(ring, n, i + 1, i, ring.neg(dinv))
+    seq += _emit_elem(ring, n, i, i + 1, d)
+    seq += _emit_elem(ring, n, i, i + 1, ring.neg(1))
+    seq += _emit_elem(ring, n, i + 1, i, 1)
+    seq += _emit_elem(ring, n, i, i + 1, ring.neg(1))
+    return seq
+
+
+def _factor_gl(k, depth=0, block=None, offset=0):
+    """Factor k in GL_n (depth 0) or K(p^depth) into generator powers.
+
+    ``block``/``offset`` restrict to an embedded top-left block so the
+    mirabolic case can reuse the routine.  Returns [(MatK, exponent)].
+    """
+    ring, nfull = k.ring, k.n
+    n = block if block is not None else nfull
+    A = k.a.copy()
+    lfac, rfac = [], []
+
+    def lapply(i, j, x):
+        # A := E_ij(-x) @ A, record E_ij(x) on the left
+        A[i, :] = ring.sub_arr(A[i, :], ring.mul_arr(np.int64(x), A[j, :]))
+        lfac.extend(_emit_elem(ring, nfull, offset + i, offset + j, x, depth))
+
+    def rapply(i, j, x):
+        # A := A @ E_ij(-x), record E_ij(x) on the right
+        A[:, j] = ring.sub_arr(A[:, j], ring.mul_arr(np.int64(x), A[:, i]))
+        rfac[:0] = _emit_elem(ring, nfull, offset + i, offset + j, x, depth)
+
+    for col in range(n - 1):
+        if not ring.is_unit(int(A[col, col])):
+            r = next(
+                rr for rr in range(col + 1, n) if ring.is_unit(int(A[rr, col]))
+            )
+            lapply(col, r, ring.neg(1))  # row_col += row_r
+        piv_inv = ring.inv(int(A[col, col]))
+        for r in range(col + 1, n):
+            x = ring.mul(int(A[r, col]), piv_inv)
+            if x:
+                lapply(r, col, x)
+        for cc in range(col + 1, n):
+            x = ring.mul(int(A[col, cc]), piv_inv)
+            if x:
+                rapply(col, cc, x)
+    # A is diagonal with unit entries; shuffle the determinant to the corner
+    if depth == 0:
+        for i in range(n - 1):
+            d = int(A[i, i])
+            if d != 1:
+                A[i, i] = 1
+                A[i + 1, i + 1] = ring.mul(int(A[i + 1, i + 1]), d)
+                # extracted factor is diag(d, d^{-1}) at rows (i, i+1)
+                rfac[:0] = _emit_last_diag_shuffle(ring, nfull, offset + i, d)
+        u = int(A[n - 1, n - 1])
+        if u != 1:
+            rfac[:0] = _emit_diag(ring, nfull, offset + n - 1, u)
+    else:
+        for i in range(n):
+            d = int(A[i, i])
+            if d != 1:
+                rfac[:0] = _emit_diag(ring, nfull, offset + i, d, subgroup_depth=depth)
+    return lfac + rfac
+
+
+def reference_factorisation(k, spec):
+    """Write k as an ordered product of generator powers of the subgroup.
+
+    Raises if k fails the membership predicate.  The factor list multiplies
+    back to k exactly: the sampled membership certificate that the exact
+    stabiliser chain replaced.
+    """
+    if not subgroup_membership(k, spec):
+        raise ValueError(f"matrix is not in {spec}")
+    ring, n = k.ring, k.n
+    ell = spec.level
+    if spec.kind == "K" or (spec.kind in ("Kprin", "K1", "K0") and ell == 0):
+        return _factor_gl(k)
+    if spec.kind == "Kprin":
+        return _factor_gl(k, depth=min(ell, ring.m))
+    if spec.kind == "Kmirab":
+        a = k.a
+        fac = []
+        if n > 2:
+            emb = np.eye(n, dtype=np.int64)
+            emb[: n - 1, : n - 1] = a[: n - 1, : n - 1]
+            fac += _factor_gl(MatK(ring, emb, check=False), block=n - 1)
+        else:
+            fac += _emit_diag(ring, n, 0, int(a[0, 0]))
+        ainv = mat_inv(ring, a[: n - 1, : n - 1])
+        b = ring.matmul(ainv, a[: n - 1, n - 1 :])
+        for i in range(n - 1):
+            fac += _emit_elem(ring, n, i, n - 1, int(b[i, 0]))
+        return fac
+    if spec.kind == "K1":
+        # two-factor split: k = [[a - b d^{-1} c, b d^{-1}], [0, 1]] * [[1, 0], [c, d]]
+        a = k.a
+        ab = a[: n - 1, : n - 1]
+        b = a[: n - 1, n - 1 :]
+        c = a[n - 1 : n, : n - 1]
+        d = int(a[n - 1, n - 1])
+        bd = ring.mul_arr(b, np.int64(ring.inv(d)))
+        mir = np.eye(n, dtype=np.int64)
+        mir[: n - 1, : n - 1] = ring.sub_arr(ab, ring.matmul(bd, c))
+        mir[: n - 1, n - 1 :] = bd
+        prin = np.eye(n, dtype=np.int64)
+        prin[n - 1 : n, : n - 1] = c
+        prin[n - 1, n - 1] = d
+        mirk = MatK(ring, mir, check=False)
+        prink = MatK(ring, prin, check=False)
+        return reference_factorisation(mirk, SubgroupSpec("Kmirab")) + reference_factorisation(
+            prink, SubgroupSpec("Kprin", ell)
+        )
+    if spec.kind == "K0":
+        d = int(k.a[n - 1, n - 1])
+        rest = _scalar(ring, n, ring.inv(d)) @ k
+        return _emit_scalar(ring, n, d) + reference_factorisation(
+            rest, SubgroupSpec("K1", ell)
+        )
+    raise AssertionError
 
 
 # small (branch, p, f, m, n) with |GL_n| <= 5000, so the references stay quick
@@ -209,10 +417,8 @@ class TestGenerators:
 
     def test_verified_generators_large_group(self):
         R = make_ring_level("padic", 3, 1, 3)
-        rep = verify_generators(
-            SubgroupSpec("K"), R, 2, budget=1000, rng=np.random.default_rng(0), samples=8
-        )
-        assert rep["method"] == "factorisation" and rep["ok"]
+        rep = verify_generators(SubgroupSpec("K"), R, 2)
+        assert rep == {"method": "chain", "size": subgroup_order(SubgroupSpec("K"), R, 2), "ok": True}
 
     def test_factorisation_remultiplies(self):
         rng = np.random.default_rng(5)
@@ -224,11 +430,9 @@ class TestGenerators:
                 SubgroupSpec("Kprin", 1),
                 SubgroupSpec("Kmirab"),
             ]:
-                from ultrasph.matgroup import random_subgroup_element
-
-                k = random_subgroup_element(spec, ring, 2, rng)
+                k = reference_subgroup_element(spec, ring, 2, rng)
                 prod_mat = MatK.identity(ring, 2)
-                for base, e in factor_into_generators(k, spec):
+                for base, e in reference_factorisation(k, spec):
                     prod_mat = prod_mat @ base**e
                 assert prod_mat == k
 
@@ -238,7 +442,7 @@ class TestGenerators:
         for _ in range(10):
             k = random_in_K(R, 3, rng)
             prod_mat = MatK.identity(R, 3)
-            for base, e in factor_into_generators(k, SubgroupSpec("K")):
+            for base, e in reference_factorisation(k, SubgroupSpec("K")):
                 prod_mat = prod_mat @ base**e
             assert prod_mat == k
 
@@ -310,6 +514,71 @@ class TestGenerators:
                     if k.key() in k1:
                         zk1.add((z @ k).key())
             assert zk1 == k0
+
+
+class TestStabiliserChain:
+    @given(point=st.sampled_from([pt for pt in GROUP_POINTS if pt[4] >= 2]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_holds_exactly_when_the_closure_reaches_the_order(self, point, data):
+        branch, p, f, m, n = point
+        R = ring_of(branch, p, f, m)
+        kind = data.draw(st.sampled_from(SubgroupSpec.KINDS))
+        depth = data.draw(st.integers(0, m + 1)) if kind in ("Kprin", "K1", "K0") else None
+        spec = SubgroupSpec(kind, depth)
+        gens = subgroup_generators(spec, R, n)
+        mask = data.draw(
+            st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)).filter(any)
+        )
+        subset = [g for g, keep in zip(gens, mask) if keep]
+        size = len(closure(subset))
+        # with no random passes, the exhaustive sweep alone must complete the chain
+        quiet = data.draw(st.sampled_from([matgroup.CHAIN_QUIET_PASSES, 0]))
+        with mock.patch.multiple(
+            matgroup, subgroup_generators=lambda *args: subset, CHAIN_QUIET_PASSES=quiet
+        ):
+            if size == subgroup_order(spec, R, n):
+                assert verify_generators(spec, R, n) == {"method": "chain", "size": size, "ok": True}
+            else:
+                with pytest.raises(RuntimeError, match=rf"of order {size}, expected"):
+                    verify_generators(spec, R, n)
+
+    @pytest.mark.parametrize("point", [("padic", 3, 1, 2, 2), ("padic", 2, 1, 2, 3)])
+    def test_strong_generators_nest(self, point):
+        # Schreier's lemma needs each level's generators among those of every level above
+        R = ring_of(*point[:4])
+        n = point[4]
+        gens = subgroup_generators(SubgroupSpec("K"), R, n)
+        chain = matgroup.StabiliserChain(R, n, [g.a for g in gens])
+        while chain.sweep():
+            pass
+        assert chain.order() == group_order(R, n)
+        keys = [{g.tobytes() for g in lev.gens} for lev in chain.levels]
+        assert all(lower <= upper for upper, lower in zip(keys, keys[1:]))
+        assert any(len(k) > 0 for k in keys[1:])
+
+    @pytest.mark.parametrize(
+        "point",
+        [("padic", 7, 1, 2, 2), ("laurent", 2, 3, 1, 3), ("padic", 3, 1, 3, 2)],
+        ids=lambda pt: "-".join(map(str, pt)),
+    )
+    def test_exact_certificate_beyond_any_closure(self, point):
+        branch, p, f, m, n = point
+        R = ring_of(branch, p, f, m)
+        rep = verify_generators(SubgroupSpec("K"), R, n)
+        assert rep == {"method": "chain", "size": group_order(R, n), "ok": True}
+
+    def test_order_above_the_formula_raises(self):
+        R = ring_of("padic", 3, 1, 2)
+        with mock.patch.object(matgroup, "subgroup_order", lambda *args: 24):
+            with pytest.raises(RuntimeError, match=r"reaches order \d+, above 24"):
+                verify_generators(SubgroupSpec("K"), R, 2)
+
+    def test_generator_outside_the_subgroup_raises(self):
+        R = ring_of("padic", 3, 1, 2)
+        gens = subgroup_generators(SubgroupSpec("K"), R, 2)
+        with mock.patch.object(matgroup, "subgroup_generators", lambda *args: gens):
+            with pytest.raises(RuntimeError, match="outside K1"):
+                verify_generators(SubgroupSpec("K1", 1), R, 2)
 
 
 SAMPLER_RINGS = [

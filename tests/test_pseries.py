@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultrasph import pseries
-from ultrasph.harmonics import SphereSpace, harmonic_subspace, zonal_fn
+from ultrasph import pseries, verify
+from ultrasph.harmonics import SphereSpace, harmonic_subspace, zonal_fn, zonal_shell_coefficient
 from ultrasph.matgroup import (
     BudgetExceededError,
     MatK,
@@ -253,9 +253,29 @@ def reference_matrix_coefficient(model, k, v0):
     return model.ip(model.apply(model.action_of(k), v0), v0) / model.ip(v0, v0)
 
 
+def reference_expected_coefficient(model, k):
+    """The three-case closed form at one k: the oracle for expected_coefficients."""
+    ring, n, q = model.ring, model.n, model.ring.q
+    c = model.c_declared
+    a = getattr(k, "a", k)
+    vals = ring.val_arr(np.asarray(a)[n - 1, : n - 1])
+    depth = int(min(ring.m, vals.min()))
+    d = int(np.asarray(a)[n - 1, n - 1])
+    chi_d = model.chi_pi(d) if ring.is_unit(d) else (1.0 if model.chi_pi.is_trivial else None)
+    if depth >= min(c, ring.m):
+        return chi_d if chi_d is not None else 1.0
+    if c > model.chi_pi.c and depth == c - 1:
+        alpha = complex(zonal_shell_coefficient(q, n, c))
+        return alpha * chi_d
+    return 0.0
+
+
 def reference_coefficient_residual(model, v0, ks):
     """The per-k loop the chunked coefficient_residual replaces."""
-    res = [reference_matrix_coefficient(model, k, v0) - model.expected_coefficient(k) for k in ks]
+    res = [
+        reference_matrix_coefficient(model, k, v0) - reference_expected_coefficient(model, k)
+        for k in ks
+    ]
     return max(map(abs, res), default=0.0)
 
 
@@ -445,18 +465,17 @@ class TestSuiteDraws:
             [[ch for ch in chs if ch.c == c][i] for c, i in selectors], rng=np.random.default_rng(0)
         )
         seen = {}
-        equivariance, coefficient = model.equivariance_residual, model.coefficient_residual
+        sampler, coefficient = verify.random_stack, model.coefficient_residual
 
-        def before_draws(v, rng=None):
-            out = equivariance(v, rng=rng)
-            seen["state"] = rng.bit_generator.state
-            return out
+        def first_draw(ring, n, count, rng, ell=None):
+            seen.setdefault("state", rng.bit_generator.state)
+            return sampler(ring, n, count, rng, ell=ell)
 
         def drawn(v0, ks):
             seen["ks"] = np.asarray(ks)
             return coefficient(v0, ks)
 
-        monkeypatch.setattr(model, "equivariance_residual", before_draws)
+        monkeypatch.setattr(verify, "random_stack", first_draw)
         monkeypatch.setattr(model, "coefficient_residual", drawn)
         rng, samples = np.random.default_rng(1), 60
         rec = Recorder()
@@ -468,6 +487,28 @@ class TestSuiteDraws:
         want = sample_ks(model, ref, samples - samples // 2, -(-samples // (2 * shells)))
         assert np.array_equal(seen["ks"], np.array([k.a for k in want]))
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("cache", ["cleared", "warm"])
+    def test_draws_do_not_depend_on_earlier_models(self, cache, monkeypatch):
+        # the first run starts with the verified-generator cache as given; the second finds it warm
+        monkeypatch.setattr(pseries, "_VERIFIED_GENS", {})
+        (branch, p, f, M, n), selectors = SUITE_DRAW_POINTS[0]
+        chs = characters(make_ring_level(branch, p, f, M))
+        chars = [[ch for ch in chs if ch.c == c][i] for c, i in selectors]
+
+        def run():
+            rng = np.random.default_rng(5)
+            rec = Recorder()
+            pseries_model_checks(build_model(chars, rng=rng), rec, samples=60, rng=rng)
+            records = [(r.check_id, r.status, r.expected, r.observed) for r in rec.records]
+            return records, rng.bit_generator.state
+
+        if cache == "warm":
+            run()
+        assert bool(pseries._VERIFIED_GENS) == (cache == "warm")
+        first, second = run(), run()
+        assert first == second
+        assert all(status == "PASS" for _, status, _, _ in first[0])
 
 
 class TestBatchedActions:
@@ -497,9 +538,17 @@ class TestBatchedActions:
         # with the per-k coefficients as the expected values, the residual is their difference
         want = {k.a.tobytes(): reference_matrix_coefficient(model, k, v0) for k in ks}
         monkeypatch.setattr(
-            PSeriesModel, "expected_coefficient", lambda self, k: want[k.a.tobytes()]
+            PSeriesModel,
+            "expected_coefficients",
+            lambda self, K: np.array([want[k.tobytes()] for k in K]),
         )
         assert model.coefficient_residual(v0, ks)[0] < 1e-15
+
+    def test_closed_form_equals_per_k_oracle_bitwise(self, batch_case):
+        model, _, ks = batch_case
+        want = np.array([reference_expected_coefficient(model, k) for k in ks], dtype=np.complex128)
+        got = model.expected_coefficients(np.array([k.a for k in ks]))
+        assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
 
 
 class TestNoCacheEntryPerSample:
@@ -535,14 +584,16 @@ class TestWitness:
         chs = characters(R9)
         quad = next(c for c in chs if c.c == 1)
         model = build_model([quad, quad], rng=np.random.default_rng(0))
-        right = PSeriesModel.expected_coefficient
+        right = PSeriesModel.expected_coefficients
         seen = []
 
-        def wrong_once(self, k):
-            seen.append(k)
-            return right(self, k) + (0.5 if len(seen) == 7 else 0.0)
+        def wrong_once(self, K):
+            seen.extend(K)
+            out = right(self, K)
+            out[6] += 0.5
+            return out
 
-        monkeypatch.setattr(PSeriesModel, "expected_coefficient", wrong_once)
+        monkeypatch.setattr(PSeriesModel, "expected_coefficients", wrong_once)
         rec = Recorder()
         pseries_model_checks(model, rec, samples=40, rng=np.random.default_rng(1))
         failed = [r for r in rec.records if r.status != "PASS"]
