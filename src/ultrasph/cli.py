@@ -228,7 +228,10 @@ def cmd_decompose(cfg, rec):
 
 def cmd_zonal(cfg, rec):
     ring = cfg.ring()
-    zonal_suite(ring, cfg.n, rec=rec, samples=cfg.samples, seed=cfg.seed, budget=cfg.budget)
+    try:
+        zonal_suite(ring, cfg.n, rec=rec, samples=cfg.samples, seed=cfg.seed, budget=cfg.budget)
+    except BudgetExceededError as e:
+        rec.skip("zonal/budget", "suite within its budgets", {}, str(e))
 
 
 def cmd_double_cosets(cfg, rec):

@@ -13,6 +13,14 @@ scalar equivariance under a character is supported on scalar orbits of
 the level-l sphere, one basis vector per orbit, so the Gram matrix is
 the identity by construction.  Orthogonal complements (the irreducible
 pieces) are the only place Gram-Schmidt appears.
+
+The four zonal identity checks (addition theorem, reproducing kernel,
+zonal symmetry, projector sums) act on the whole (N, n, n) stack of
+sampled ks at once.  The point e_n k is the bottom row of k, so the
+values at e_n k and e_n k^{-1} are one slot lookup per stack.  Where a
+check needs R(k^{-1}) on all of S, it builds the (chunk, |S|) permutation
+stack in chunks, and caches nothing per sample.  Each check returns its
+worst residual and the index of the k where it occurs.
 """
 
 from __future__ import annotations
@@ -23,7 +31,14 @@ import numpy as np
 
 from .matgroup import mat_inv
 from .numerics import kernel_basis, kernel_dimension, orthonormalize_rows
-from .sphere import SphereIndex
+from .sphere import SphereIndex, sphere_size
+
+# Bytes of the (chunk, |S|, n) point products behind one chunk of the
+# stacked addition-theorem and reproducing-kernel checks.  The chunk's
+# other (chunk, |S|) arrays take about 8x this at n = 2, so a few MB in
+# all; chunks 16x larger raised the peak RSS of the grid zonal suites by
+# about 3 MB and ran no faster.
+IDENTITY_CHUNK_BYTES = 1 << 18
 
 
 def dim_chi_level(q, n, ell, c):
@@ -266,53 +281,104 @@ def invariant_vectors(sub, gens):
     return basis
 
 
+def zonal_piece_bytes(q, n, m, gens):
+    """Predicted peak bytes of building one level-m piece and its invariant
+    line, before anything is allocated.
+
+    The largest piece has d = dim_chi_level(q, n, m, 0) dense complex rows
+    over |S|.  ``harmonic_subspace`` holds up to six such (d, |S|) arrays at
+    once: the depth-m rows, their stacked and normalised copies, the
+    residual, the Gram-Schmidt input and its kept rows, with the depth-(m-1)
+    rows on top.  ``invariant_vectors`` then holds the basis, the stacked
+    (gens d, d) fixed-vector system and its SVD factors, about four systems.
+    """
+    size = sphere_size(q, n, m)
+    d = dim_chi_level(q, n, m, 0)
+    return 16 * d * max(6 * size, size + 4 * gens * d)
+
+
 def _stack(ks, n):
-    """Group elements (MatK or code arrays) as one (N, n, n) code stack."""
+    """Group elements (MatK, code arrays or one stack) as one (N, n, n) code stack."""
+    if isinstance(ks, np.ndarray):
+        return ks.astype(np.int64, copy=False).reshape(-1, n, n)
     return np.array([getattr(k, "a", k) for k in ks], dtype=np.int64).reshape(-1, n, n)
 
 
+def _worst(err):
+    """(max, index of the first max) of a per-k residual array; (0.0, None)
+    when there are no ks."""
+    if not len(err):
+        return 0.0, None
+    at = int(err.argmax())
+    return float(err[at]), at
+
+
+def _abs(x):
+    """|x| elementwise by hypot, which is what scalar abs computes; numpy's
+    vectorised complex abs can differ from it in the last bit."""
+    return np.hypot(x.real, x.imag)
+
+
+def _inverse_perms(space, K):
+    """Yield (lo, P) per chunk of the stack K, with P[i, x] the slot of
+    points[x] k^{-1} for k = K[lo + i]: R(k^{-1}) as one uncached (chunk, |S|)
+    permutation stack, with the (chunk, |S|, n) point products kept under
+    IDENTITY_CHUNK_BYTES."""
+    ring, n, size = space.ring, space.n, space.size
+    step = max(1, IDENTITY_CHUNK_BYTES // (8 * n * size))
+    for lo in range(0, len(K), step):
+        kinv = mat_inv(ring, K[lo : lo + step])
+        moved = ring.matmul(space.points, kinv)  # (chunk, |S|, n)
+        yield lo, space.index.idx(moved.reshape(-1, n)).reshape(len(kinv), size)
+
+
 def verify_addition_theorem(sub, zonal, ks):
-    """max over sampled k (and all x) of the addition identity residual."""
+    """Worst addition-identity residual over the sampled ks (and all x), and
+    the index in ks where it occurs (None when ks is empty).
+
+    sum_j Q_j(x) conj(Q_j(e_n k)) is row k of qk^* @ basis, and the right side
+    dim * P(x k^{-1}) gathers the zonal through R(k^{-1}).
+    """
     space = sub.space
-    d = sub.dim
-    worst = 0.0
-    en = space.index.e_n
-    mats = _stack(ks, space.n)
-    for a, ainv in zip(mats, mat_inv(space.ring, mats)):
-        perm = space.index.perm_of_matrix(a)
-        qk = sub.basis[:, perm[en]]  # Q_j(e_n k)
-        perm_inv = space.index.perm_of_matrix(ainv)
-        lhs = qk.conj() @ sub.basis
-        rhs = d * zonal[perm_inv]
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    K = _stack(ks, space.n)
+    qk = sub.basis[:, space.index.idx(K[:, space.n - 1])]  # Q_j(e_n k), (d, N)
+    err = np.zeros(len(K))
+    for lo, perm_inv in _inverse_perms(space, K):
+        hi = lo + len(perm_inv)
+        lhs = qk[:, lo:hi].conj().T @ sub.basis
+        rhs = sub.dim * zonal[perm_inv]
+        err[lo:hi] = np.abs(lhs - rhs).max(axis=1)
+    return _worst(err)
 
 
 def verify_reproducing_kernel(sub, zonal, ks):
-    """Residual of P(e_n k) = dim * <R(k) P, zonal> over the basis and samples."""
+    """Worst residual of P(e_n k) = dim * <R(k) P, zonal> over the basis and
+    the sampled ks, and the index in ks where it occurs.
+
+    <R(k) Q_j, zonal> sums Q_j(x k) conj(zonal(x)) over x, which is
+    Q_j(y) conj(zonal(y k^{-1})) summed over y = x k: one product of the
+    basis with the gathered conj(zonal) rows per chunk.
+    """
     space = sub.space
-    d = sub.dim
-    worst = 0.0
-    en = space.index.e_n
-    for k in ks:
-        a = getattr(k, "a", k)
-        perm = space.index.perm_of_matrix(a)
-        lhs = sub.basis[:, perm[en]]
-        rhs = d * (sub.basis[:, perm] @ zonal.conj()) * space.weight
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    K = _stack(ks, space.n)
+    lhs = sub.basis[:, space.index.idx(K[:, space.n - 1])]  # (d, N)
+    zc = zonal.conj()
+    err = np.zeros(len(K))
+    for lo, perm_inv in _inverse_perms(space, K):
+        hi = lo + len(perm_inv)
+        rhs = sub.dim * (sub.basis @ zc[perm_inv].T) * space.weight
+        err[lo:hi] = np.abs(lhs[:, lo:hi] - rhs).max(axis=0)
+    return _worst(err)
 
 
 def verify_zonal_symmetry(space, zonal, ks):
-    """Residual of zonal(e_n k) = conj(zonal(e_n k^{-1}))."""
-    worst = 0.0
-    en = space.index.e_n
-    mats = _stack(ks, space.n)
-    for a, ainv in zip(mats, mat_inv(space.ring, mats)):
-        perm = space.index.perm_of_matrix(a)
-        perm_inv = space.index.perm_of_matrix(ainv)
-        worst = max(worst, abs(zonal[perm[en]] - np.conj(zonal[perm_inv[en]])))
-    return float(worst)
+    """Worst |zonal(e_n k) - conj(zonal(e_n k^{-1}))| over the ks, and its
+    index: e_n k and e_n k^{-1} are the bottom rows of k and k^{-1}."""
+    n = space.n
+    K = _stack(ks, n)
+    at_k = space.index.idx(K[:, n - 1])
+    at_kinv = space.index.idx(mat_inv(space.ring, K)[:, n - 1])
+    return _worst(_abs(zonal[at_k] - np.conj(zonal[at_kinv])))
 
 
 def idempotent_sum_residual(space, chis, m, ks, zonal_cache=None):
@@ -321,7 +387,10 @@ def idempotent_sum_residual(space, chis, m, ks, zonal_cache=None):
     For each character the weighted zonal sum over levels c..m must match
     the bottom-right-character form supported on the depth-m congruence
     subgroup; summing over characters gives the unramified-subgroup form.
-    Returns the max residual over the supplied group elements.
+    Returns the max residual over the supplied group elements and the index
+    in ks where it occurs.  Every k is evaluated at once: the slot of
+    e_n k^{-1}, the K_0 and K_1 membership masks and the bottom-right entry
+    are arrays over the stack.
     """
     ring, n, q = space.ring, space.n, space.ring.q
     chis = [ch for ch in chis if ch.c <= m]
@@ -345,29 +414,26 @@ def idempotent_sum_residual(space, chis, m, ks, zonal_cache=None):
     else:
         vol_k0_inv = q ** ((m - 1) * (n - 1)) * (q**n - 1) // (q - 1)
 
-    worst = 0.0
-    mats = _stack(ks, n)
-    x_slots = space.index.idx(mat_inv(ring, mats)[:, n - 1])  # e_n k^{-1}
-    for a, x_idx in zip(mats, x_slots):
-        vals_bottom = ring.val_arr(a[n - 1, : n - 1]) if n > 1 else np.array([ring.m])
-        in_k0 = bool((vals_bottom >= min(m, ring.m)).all())
-        d_entry = int(a[n - 1, n - 1])
-        total_k1 = 0.0 + 0.0j
-        for ch in chis:
-            lhs = 0.0 + 0.0j
-            for ell in range(ch.c, m + 1):
-                z, dh = zd(ch, ell)
-                lhs += dh * z[x_idx]
-            total_k1 += lhs
-            if m == 0:
-                rhs = 1.0 + 0.0j
-            elif in_k0:
-                rhs = np.conj(ch(d_entry)) * vol_k0_inv
-            else:
-                rhs = 0.0 + 0.0j
-            worst = max(worst, abs(lhs - rhs))
-        d1 = ring.sub(d_entry, 1)
-        in_k1 = in_k0 and ring.val(d1) >= min(m, ring.m)
-        rhs_k1 = vol_k1_inv if (in_k1 or m == 0) else 0.0
-        worst = max(worst, abs(total_k1 - rhs_k1))
-    return worst
+    K = _stack(ks, n)
+    x_slots = space.index.idx(mat_inv(ring, K)[:, n - 1])  # e_n k^{-1}
+    depth = min(m, ring.m)
+    d = K[:, n - 1, n - 1]
+    in_k0 = (ring.val_arr(K[:, n - 1, : n - 1]) >= depth).all(axis=1)
+    in_k1 = in_k0 & (ring.val_arr(ring.sub_arr(d, 1)) >= depth)
+    err = np.zeros(len(K))
+    total_k1 = np.zeros(len(K), dtype=np.complex128)
+    for ch in chis:
+        lhs = np.zeros(len(K), dtype=np.complex128)
+        for ell in range(ch.c, m + 1):
+            z, dh = zd(ch, ell)
+            lhs = lhs + dh * z[x_slots]
+        total_k1 = total_k1 + lhs
+        if m == 0:
+            rhs = 1.0 + 0.0j
+        else:
+            # off K_0 the entry d may be a non-unit; the mask drops its value
+            rhs = np.where(in_k0, np.conj(ch._vals[d]) * vol_k0_inv, 0.0 + 0.0j)
+        err = np.maximum(err, _abs(lhs - rhs))
+    rhs_k1 = np.where(in_k1 | (m == 0), vol_k1_inv, 0.0)
+    err = np.maximum(err, _abs(total_k1 - rhs_k1))
+    return _worst(err)

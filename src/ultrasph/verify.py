@@ -31,6 +31,7 @@ from .harmonics import (
     verify_reproducing_kernel,
     verify_zonal_symmetry,
     zonal_fn,
+    zonal_piece_bytes,
     zonal_shell_coefficient,
 )
 from .matgroup import (
@@ -289,16 +290,24 @@ def irreducibility_suite(ring, n, rec=None, space=None, pieces=None):
 
 def zonal_suite(ring, n, rec=None, samples=200, seed=0, budget=200000):
     """Zonal closed form, norms, symmetry, addition and reproducing identities,
-    the invariant-pairing Gram matrix, and the projector-sum identities."""
+    the invariant-pairing Gram matrix, and the projector-sum identities.
+    Raises BudgetExceededError, before building anything, when the largest
+    dense piece and its invariant line would exceed BASIS_BYTES_MAX.  A
+    failed identity record names its worst k."""
     rec = rec if rec is not None else Recorder()
     rng = np.random.default_rng(seed)
     q, M = ring.q, ring.m
+    mirab_gens = subgroup_generators(SubgroupSpec("Kmirab"), ring, n)
+    nbytes = zonal_piece_bytes(q, n, M, len(mirab_gens))
+    if nbytes > BASIS_BYTES_MAX:
+        raise BudgetExceededError(
+            f"a dense piece and its invariant line need {nbytes} bytes, "
+            f"over the cap {BASIS_BYTES_MAX}"
+        )
     lab = _ring_label(ring, n)
     space = SphereSpace(ring, n)
     chs = characters(ring)
-    mirab_gens = subgroup_generators(SubgroupSpec("Kmirab"), ring, n)
     minv = space.min_val_head()
-    zonal_cache = {}
     for chi in chs:
         cl = _chi_label(chi)
         # invariant-pairing Gram of the depth functions
@@ -323,7 +332,6 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0, budget=200000):
         for m in range(chi.c, M + 1):
             H = harmonic_subspace(space, chi, m)
             z = zonal_fn(space, chi, m)
-            zonal_cache[(chi.exps, m)] = (z, H.dim)
             # multiplicity one: the invariant line inside H
             inv = invariant_vectors(H, mirab_gens)
             fixed_dim = 0
@@ -368,46 +376,59 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0, budget=200000):
                 -(-samples // space.size), -(-samples // max(H.dim, 1)), 8
             )
             ks = random_stack(ring, n, nk, rng)
+            worst, at = verify_addition_theorem(H, z, ks)
             rec.residual(
                 f"{lab}/addition-theorem/{cl}/m{m}",
                 "sum_j Q_j(x) conj(Q_j(e_n k)) = dim * P(x k^{-1})",
                 {"q": q, "n": n, "m": m, "c": chi.c, "pairs": len(ks) * space.size},
-                verify_addition_theorem(H, z, ks),
+                worst,
                 TOL_RESIDUAL,
+                witness=_k_witness(ks, at),
             )
+            worst, at = verify_reproducing_kernel(H, z, ks)
             rec.residual(
                 f"{lab}/reproducing-kernel/{cl}/m{m}",
                 "P(e_n k) = dim * <R(k) P, zonal>",
                 {"q": q, "n": n, "m": m, "c": chi.c, "pairs": len(ks) * H.dim},
-                verify_reproducing_kernel(H, z, ks),
+                worst,
                 TOL_RESIDUAL,
+                witness=_k_witness(ks, at),
             )
+            worst, at = verify_zonal_symmetry(space, z, ks)
             rec.residual(
                 f"{lab}/zonal-symmetry/{cl}/m{m}",
                 "zonal(e_n k) = conj(zonal(e_n k^{-1}))",
                 {"q": q, "n": n, "m": m, "c": chi.c, "samples": len(ks)},
-                verify_zonal_symmetry(space, z, ks),
+                worst,
                 TOL_TIGHT,
+                witness=_k_witness(ks, at),
             )
     # projector-sum identities
     korder = group_order(ring, n)
     exhaustive_cap = 5000
     if korder <= exhaustive_cap:
-        ks = list(enumerate_group(ring, n))
+        ks = group_stack(ring, n)
         mode = "exhaustive"
     else:
         ks = random_stack(ring, n, 1000, rng)
         mode = "sampled-1000"
     cache = {}
     for m in range(M + 1):
+        worst, at = idempotent_sum_residual(space, chs, m, ks, zonal_cache=cache)
         rec.residual(
             f"{lab}/projector-sums/m{m}",
             "level sums of dim * zonal match the congruence-subgroup indicators",
             {"q": q, "n": n, "m": m, "mode": mode},
-            idempotent_sum_residual(space, chs, m, ks, zonal_cache=cache),
+            worst,
             TOL_TIGHT,
+            witness=_k_witness(ks, at),
         )
     return rec
+
+
+def _k_witness(ks, at):
+    """Witness string for the k at index ``at`` of a stack; None without one."""
+    return None if at is None else f"k={ks[at].tolist()}"
 
 
 def _phi_ip_expected(q, n, l1, l2):
@@ -637,7 +658,7 @@ def pseries_model_checks(model, rec, samples=500, rng=None, label=None):
         {"q": q, "n": n, "c": c_pi, "samples": len(ks)},
         worst,
         TOL_RESIDUAL,
-        witness=None if at is None else f"k={ks[at].tolist()}",
+        witness=_k_witness(ks, at),
     )
     ramified = sum(1 for ch in model.chars if ch.c > 0)
     rec.exact(

@@ -21,8 +21,34 @@ from ultrasph.cli import (
     parse_config_text,
     select_characters,
 )
+from ultrasph.harmonics import zonal_piece_bytes
+from ultrasph.matgroup import SubgroupSpec, subgroup_generators
 from ultrasph.ring import characters, make_ring_level
+from ultrasph.sphere import BASIS_BYTES_MAX
 from ultrasph.verify import CheckRecord
+
+
+
+def run_under_memory_limit(tmp_path, command, p, n, level, limit=2 << 30):
+    """Run one padic command in a child with ``limit`` bytes of address space;
+    return the finished process and its records."""
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"[ring]\nbranch = padic\np = {p}\n\n[run]\nn = {n}\nlevel = {level}\n")
+    out = tmp_path / "d.jsonl"
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(ultrasph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultrasph.cli", command, "--config", str(cfg),
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_address_space,
+    )
+    records = [json.loads(line) for line in out.read_text().splitlines()] if out.exists() else []
+    return proc, records
 
 
 class TestConfigParsing:
@@ -259,26 +285,26 @@ class TestMain:
     def test_decompose_q5_n2_m3_fails_closed_under_a_memory_limit(self, tmp_path):
         # |S| = 15,000: the dense piece bases would need 3.6 GB.  The suite
         # must refuse before allocating, in a child with 2 GiB of address space.
-        cfg = tmp_path / "c.txt"
-        cfg.write_text("[ring]\nbranch = padic\np = 5\n\n[run]\nn = 2\nlevel = 3\n")
-        out = tmp_path / "d.jsonl"
-        limit = 2 << 30
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        src = str(Path(ultrasph.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "ultrasph.cli", "decompose", "--config", str(cfg),
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=cap_address_space,
-        )
+        proc, records = run_under_memory_limit(tmp_path, "decompose", p=5, n=2, level=3)
         assert "Traceback" not in proc.stderr
         assert proc.returncode == EXIT_SKIP
-        records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(r["check_id"], r["status"]) for r in records] == [("decompose/budget", "SKIP")]
+
+    def test_zonal_q7_n3_m2_fails_closed_under_a_memory_limit(self, tmp_path):
+        # |S| = 117,306: the largest piece alone has 2,793 dense rows, 5.2 GB.
+        proc, records = run_under_memory_limit(tmp_path, "zonal", p=7, n=3, level=2)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_SKIP
+        assert [(r["check_id"], r["status"]) for r in records] == [("zonal/budget", "SKIP")]
+        assert "over the cap" in records[0]["observed"]
+
+    def test_zonal_budget_admits_the_q5_n2_m3_sphere(self):
+        # |S| = 15,000 with 150-row pieces: the zonal suite runs there
+        def predicted(p, n, m):
+            gens = subgroup_generators(SubgroupSpec("Kmirab"), make_ring_level("padic", p, 1, m), n)
+            return zonal_piece_bytes(p, n, m, len(gens))
+
+        assert predicted(5, 2, 3) < BASIS_BYTES_MAX < predicted(7, 3, 2)
 
     def test_rank_certificate_error_is_fail(self, tmp_path, monkeypatch, capsys):
         import ultrasph.numerics

@@ -1,11 +1,13 @@
 from fractions import Fraction
 from functools import lru_cache
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultrasph import harmonics, verify
 from ultrasph.harmonics import (
     SphereSpace,
     chi_level_subspace,
@@ -25,7 +27,10 @@ from ultrasph.harmonics import (
 from ultrasph.matgroup import (
     SubgroupSpec,
     enumerate_group,
+    group_stack,
+    mat_inv,
     random_in_K,
+    random_stack,
     subgroup_generators,
 )
 from ultrasph.numerics import kernel_basis
@@ -341,7 +346,7 @@ class TestIdentities:
             for m in range(chi.c, 3):
                 H = harmonic_subspace(sp222, chi, m)
                 z = zonal_fn(sp222, chi, m)
-                assert verify_addition_theorem(H, z, ks) < 1e-9
+                assert verify_addition_theorem(H, z, ks)[0] < 1e-9
 
     def test_addition_theorem_basis_free(self, sp222, chars222):
         # two different orthonormal bases give the same kernel
@@ -361,8 +366,8 @@ class TestIdentities:
             for m in range(chi.c, 3):
                 H = harmonic_subspace(sp222, chi, m)
                 z = zonal_fn(sp222, chi, m)
-                assert verify_reproducing_kernel(H, z, ks) < 1e-9
-                assert verify_zonal_symmetry(sp222, z, ks) < 1e-9
+                assert verify_reproducing_kernel(H, z, ks)[0] < 1e-9
+                assert verify_zonal_symmetry(sp222, z, ks)[0] < 1e-9
 
     def test_reproducing_under_stabiliser(self, sp222, chars222):
         # k in the stabiliser: both sides equal P(e_n)
@@ -382,11 +387,299 @@ class TestIdentities:
     def test_idempotent_sums_exhaustive(self, sp222, chars222):
         ks = list(enumerate_group(sp222.ring, 2))
         for m in range(3):
-            assert idempotent_sum_residual(sp222, chars222, m, ks) < 1e-9
+            assert idempotent_sum_residual(sp222, chars222, m, ks)[0] < 1e-9
 
     def test_idempotent_sums_sampled_q3(self):
         sp = SphereSpace(make_ring_level("padic", 3, 1, 2), 2)
         rng = np.random.default_rng(4)
         ks = [random_in_K(sp.ring, 2, rng) for _ in range(300)]
         for m in range(3):
-            assert idempotent_sum_residual(sp, characters(sp.ring), m, ks) < 1e-9
+            assert idempotent_sum_residual(sp, characters(sp.ring), m, ks)[0] < 1e-9
+
+
+# -- the per-k identity loops the stacked checks replaced, kept as references --
+
+
+def _ref_stack(ks, n):
+    return np.array([getattr(k, "a", k) for k in ks], dtype=np.int64).reshape(-1, n, n)
+
+
+def reference_addition_theorem(sub, zonal, ks):
+    """Reference: two cached permutations and one gemv per k."""
+    space = sub.space
+    d = sub.dim
+    worst = 0.0
+    en = space.index.e_n
+    mats = _ref_stack(ks, space.n)
+    for a, ainv in zip(mats, mat_inv(space.ring, mats)):
+        perm = space.index.perm_of_matrix(a)
+        qk = sub.basis[:, perm[en]]  # Q_j(e_n k)
+        perm_inv = space.index.perm_of_matrix(ainv)
+        lhs = qk.conj() @ sub.basis
+        rhs = d * zonal[perm_inv]
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def reference_reproducing_kernel(sub, zonal, ks):
+    """Reference: R(k) applied to the basis through the cached permutation."""
+    space = sub.space
+    d = sub.dim
+    worst = 0.0
+    en = space.index.e_n
+    for k in ks:
+        a = getattr(k, "a", k)
+        perm = space.index.perm_of_matrix(a)
+        lhs = sub.basis[:, perm[en]]
+        rhs = d * (sub.basis[:, perm] @ zonal.conj()) * space.weight
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def reference_zonal_symmetry(space, zonal, ks):
+    """Reference: the e_n slot of two cached permutations per k."""
+    worst = 0.0
+    en = space.index.e_n
+    mats = _ref_stack(ks, space.n)
+    for a, ainv in zip(mats, mat_inv(space.ring, mats)):
+        perm = space.index.perm_of_matrix(a)
+        perm_inv = space.index.perm_of_matrix(ainv)
+        worst = max(worst, abs(zonal[perm[en]] - np.conj(zonal[perm_inv[en]])))
+    return float(worst)
+
+
+def reference_idempotent_sum_residual(space, chis, m, ks):
+    """Reference: Python loops over k, character and level."""
+    ring, n, q = space.ring, space.n, space.ring.q
+    chis = [ch for ch in chis if ch.c <= m]
+    zd = {
+        (ch.exps, ell): (zonal_fn(space, ch, ell), dim_harmonic(q, n, ell, ch.c))
+        for ch in chis
+        for ell in range(ch.c, m + 1)
+    }
+    vol_k1_inv = 1 if m == 0 else q ** ((m - 1) * n) * (q**n - 1)
+    vol_k0_inv = 1 if m == 0 else q ** ((m - 1) * (n - 1)) * (q**n - 1) // (q - 1)
+    worst = 0.0
+    mats = _ref_stack(ks, n)
+    x_slots = space.index.idx(mat_inv(ring, mats)[:, n - 1])  # e_n k^{-1}
+    for a, x_idx in zip(mats, x_slots):
+        vals_bottom = ring.val_arr(a[n - 1, : n - 1])
+        in_k0 = bool((vals_bottom >= min(m, ring.m)).all())
+        d_entry = int(a[n - 1, n - 1])
+        total_k1 = 0.0 + 0.0j
+        for ch in chis:
+            lhs = 0.0 + 0.0j
+            for ell in range(ch.c, m + 1):
+                z, dh = zd[ch.exps, ell]
+                lhs += dh * z[x_idx]
+            total_k1 += lhs
+            if m == 0:
+                rhs = 1.0 + 0.0j
+            elif in_k0:
+                rhs = np.conj(ch(d_entry)) * vol_k0_inv
+            else:
+                rhs = 0.0 + 0.0j
+            worst = max(worst, abs(lhs - rhs))
+        d1 = ring.sub(d_entry, 1)
+        in_k1 = in_k0 and ring.val(d1) >= min(m, ring.m)
+        rhs_k1 = vol_k1_inv if (in_k1 or m == 0) else 0.0
+        worst = max(worst, abs(total_k1 - rhs_k1))
+    return worst
+
+
+@lru_cache(maxsize=None)
+def zonal_pieces(point):
+    """(chi, m, H, zonal) for every piece of a small sphere."""
+    space = small_space(point)
+    return tuple(
+        (chi, m, harmonic_subspace(space, chi, m), zonal_fn(space, chi, m))
+        for chi in characters(space.ring)
+        for m in range(chi.c, space.ring.m + 1)
+    )
+
+
+def _congruence_hits(space, K, m):
+    """How many ks lie in K_0(p^m) and in K_1(p^m)."""
+    ring, n = space.ring, space.n
+    depth = min(m, ring.m)
+    in_k0 = (ring.val_arr(K[:, n - 1, : n - 1]) >= depth).all(axis=1)
+    in_k1 = in_k0 & (ring.val_arr(ring.sub_arr(K[:, n - 1, n - 1], 1)) >= depth)
+    return int(in_k0.sum()), int(in_k1.sum())
+
+
+def assert_matches_references(space, K, pieces):
+    """The stacked checks against the per-k references: bitwise for the
+    projector sums and zonal symmetry, 1e-12 for the two products; and each
+    witness is a k at which the reference alone reaches the worst value."""
+    for chi, m, H, z in pieces:
+        worst, at = verify_zonal_symmetry(space, z, K)
+        assert worst == reference_zonal_symmetry(space, z, K)
+        assert reference_zonal_symmetry(space, z, K[at : at + 1]) == worst
+        worst, at = verify_addition_theorem(H, z, K)
+        assert abs(worst - reference_addition_theorem(H, z, K)) < 1e-12
+        assert abs(reference_addition_theorem(H, z, K[at : at + 1]) - worst) < 1e-12
+        worst, at = verify_reproducing_kernel(H, z, K)
+        assert abs(worst - reference_reproducing_kernel(H, z, K)) < 1e-12
+        assert abs(reference_reproducing_kernel(H, z, K[at : at + 1]) - worst) < 1e-12
+    chs = characters(space.ring)
+    for m in range(space.ring.m + 1):
+        worst, at = idempotent_sum_residual(space, chs, m, K)
+        assert worst == reference_idempotent_sum_residual(space, chs, m, K)
+        assert reference_idempotent_sum_residual(space, chs, m, K[at : at + 1]) == worst
+
+
+class TestStackedIdentities:
+    """The stacked identity checks against the per-k loops they replaced."""
+
+    def test_exhaustive_q2_n2_m2(self):
+        point = ("padic", 2, 1, 2, 2)
+        space = small_space(point)
+        K = group_stack(space.ring, 2)
+        k0, k1 = _congruence_hits(space, K, 2)
+        assert 0 < k1 < k0 < len(K)
+        assert_matches_references(space, K, zonal_pieces(point))
+
+    @pytest.mark.parametrize("point", [
+        ("padic", 3, 1, 2, 2), ("padic", 2, 1, 2, 3), ("laurent", 2, 2, 2, 2),
+        ("padic", 2, 1, 3, 2),
+    ])
+    def test_congruence_draws(self, point):
+        # K_0(p^m) draws reach both indicator branches, uniform draws the rest
+        space = small_space(point)
+        rng = np.random.default_rng(11)
+        m = space.ring.m
+        K = np.concatenate([
+            random_stack(space.ring, space.n, 40, rng, ell=m),
+            random_stack(space.ring, space.n, 40, rng),
+        ])
+        k0, k1 = _congruence_hits(space, K, m)
+        assert 0 < k1 < k0 < len(K)
+        assert_matches_references(space, K, zonal_pieces(point))
+
+    @given(point=st.sampled_from(SMALL_SPHERES), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_chunk_boundaries(self, point, data):
+        # any chunk length, one k included, gives the reference residuals
+        space = small_space(point)
+        m = space.ring.m
+        count = data.draw(st.integers(1, 9), label="N")
+        ell = data.draw(st.sampled_from([None, *range(m + 1)]), label="ell")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        step = data.draw(st.integers(1, count + 1), label="chunk")
+        K = random_stack(space.ring, space.n, count, np.random.default_rng(seed), ell=ell)
+        chunk_bytes = step * 8 * space.n * space.size
+        with patch.object(harmonics, "IDENTITY_CHUNK_BYTES", chunk_bytes):
+            assert_matches_references(space, K, zonal_pieces(point))
+
+    def test_residuals_use_scalar_abs(self):
+        # numpy's vectorised complex abs is one ulp off scalar abs here
+        point = ("padic", 7, 1, 1, 2)
+        space = small_space(point)
+        K = random_stack(space.ring, 2, 5, np.random.default_rng(8941), ell=0)
+        assert_matches_references(space, K, zonal_pieces(point))
+
+    def test_chunks_stay_under_the_byte_constant(self, monkeypatch):
+        point = ("padic", 2, 1, 3, 2)
+        space = small_space(point)
+        K = random_stack(space.ring, 2, 10, np.random.default_rng(0))
+        monkeypatch.setattr(harmonics, "IDENTITY_CHUNK_BYTES", 3 * 8 * 2 * space.size)
+        shapes = [p.shape for _, p in harmonics._inverse_perms(space, K)]
+        assert shapes == [(3, space.size)] * 3 + [(1, space.size)]
+        for lo, p in harmonics._inverse_perms(space, K):
+            want = [space.index.perm_of_matrix(a) for a in mat_inv(space.ring, K[lo : lo + 3])]
+            assert np.array_equal(p, np.array(want))
+
+    def test_empty_stack_has_no_witness(self):
+        point = ("padic", 2, 1, 2, 2)
+        space = small_space(point)
+        chi, _, H, z = zonal_pieces(point)[-1]
+        K = np.zeros((0, 2, 2), dtype=np.int64)
+        assert verify_addition_theorem(H, z, K) == (0.0, None)
+        assert verify_reproducing_kernel(H, z, K) == (0.0, None)
+        assert verify_zonal_symmetry(space, z, K) == (0.0, None)
+        assert idempotent_sum_residual(space, characters(space.ring), 2, K) == (0.0, None)
+
+    def test_no_permutation_cached_per_sample(self):
+        point = ("padic", 3, 1, 2, 2)
+        space = SphereSpace(make_ring_level(*point[:4]), 2)
+        chi = trivial_of(characters(space.ring))
+        H = harmonic_subspace(space, chi, 2)
+        z = zonal_fn(space, chi, 2)
+        K = random_stack(space.ring, 2, 50, np.random.default_rng(3))
+        verify_addition_theorem(H, z, K)
+        verify_reproducing_kernel(H, z, K)
+        verify_zonal_symmetry(space, z, K)
+        idempotent_sum_residual(space, characters(space.ring), 2, K)
+        assert space.index._matrix_perms == {}
+
+
+class TestIdentityWitness:
+    """A FAIL record of the zonal suite names the k where the identity breaks."""
+
+    def _run(self, monkeypatch, point, name, corrupt):
+        real = getattr(verify, name)
+        seen = []
+
+        def corrupted(*args, **kwargs):
+            seen.append(args)
+            return real(*corrupt(*args, **kwargs), **kwargs)
+
+        monkeypatch.setattr(verify, name, corrupted)
+        rec = verify.Recorder()
+        branch, p, f, m, n = point
+        verify.zonal_suite(make_ring_level(branch, p, f, m), n, rec=rec, samples=200, seed=0)
+        assert not any(" at " in r.observed for r in rec.records if r.status == "PASS")
+        return [r for r in rec.records if r.status != "PASS"], seen
+
+    def test_zonal_symmetry_names_the_corrupted_k(self, monkeypatch):
+        picked = {}
+
+        def corrupt(space, z, ks):
+            if picked:
+                return space, z, ks
+            # a slot that exactly one k reaches, as e_n k or as e_n k^{-1}
+            n = space.n
+            slots = np.stack([
+                space.index.idx(ks[:, n - 1]),
+                space.index.idx(mat_inv(space.ring, ks)[:, n - 1]),
+            ])
+            hits = np.bincount(slots.ravel(), minlength=space.size)
+            unique = np.flatnonzero(hits[slots[0]] == 1)
+            if not len(unique):
+                return space, z, ks
+            j = int(unique[0])
+            picked["k"] = ks[j].tolist()
+            z = z.copy()
+            z[slots[0, j]] += 0.5
+            return space, z, ks
+
+        failed, _ = self._run(
+            monkeypatch, ("padic", 2, 1, 2, 3), "verify_zonal_symmetry", corrupt
+        )
+        assert picked
+        assert [r.check_id.split("/")[1] for r in failed] == ["zonal-symmetry"]
+        assert failed[0].observed == f"5.000e-01 at k={picked['k']}"
+
+    def test_projector_sums_name_the_first_k_at_the_corrupted_point(self, monkeypatch):
+        picked = {}
+
+        def corrupt(space, chs, m, ks, zonal_cache):
+            if not picked:
+                # the level-0 zonal is 1 everywhere; raise it at the point
+                # e_n k^{-1} of the middle k, for every level that adds it in
+                n = space.n
+                x_slots = space.index.idx(mat_inv(space.ring, ks)[:, n - 1])
+                j = len(ks) // 2
+                triv = trivial_of(chs)
+                z = zonal_fn(space, triv, 0)
+                z[x_slots[j]] += 0.5
+                zonal_cache[triv.exps, 0] = (z, 1)
+                picked["k"] = ks[int(np.argmax(x_slots == x_slots[j]))].tolist()
+            return space, chs, m, ks
+
+        point = ("padic", 2, 1, 2, 2)
+        failed, seen = self._run(monkeypatch, point, "idempotent_sum_residual", corrupt)
+        assert np.array_equal(seen[0][3], group_stack(seen[0][0].ring, 2))  # exhaustive
+        assert [r.check_id.split("/")[1] for r in failed] == ["projector-sums"] * 3
+        for r in failed:
+            assert r.observed == f"5.000e-01 at k={picked['k']}"
