@@ -229,7 +229,7 @@ def cmd_decompose(cfg, rec):
 def cmd_zonal(cfg, rec):
     ring = cfg.ring()
     try:
-        zonal_suite(ring, cfg.n, rec=rec, samples=cfg.samples, seed=cfg.seed, budget=cfg.budget)
+        zonal_suite(ring, cfg.n, rec=rec, samples=cfg.samples, seed=cfg.seed)
     except BudgetExceededError as e:
         rec.skip("zonal/budget", "suite within its budgets", {}, str(e))
 
@@ -260,7 +260,7 @@ def cmd_principal_series(cfg, rec):
         sum_max = cfg.sum_max if cfg.sum_max is not None else 3
         pseries_suite(
             cfg.branch, cfg.p, cfg.f, cfg.n, sum_max, rec=rec,
-            samples=cfg.samples, seed=cfg.seed, budget=cfg.budget, poly=cfg.poly,
+            samples=cfg.samples, seed=cfg.seed, poly=cfg.poly,
             level_override=cfg.pseries_level,
         )
 

@@ -201,24 +201,30 @@ class PSeriesModel:
 
     # -- action ---------------------------------------------------------
 
-    def _monomials(self, K):
-        """(perm, rot) of shape (C, dim) for a (C, n, n) stack K:
-        (pi(K[c])f)[i] = w^rot[c, i] f[perm[c, i]], w = e^{2 pi i/L}, where rot
-        sums the characters' rotation indices at the pivots of reps[i] K[c]."""
+    def _monomials(self, K, rows=None):
+        """(perm, rot) of shape (C, R) for a (C, n, n) stack K and R coset
+        rows (every row by default): (pi(K[c])f)[rows[r]] = w^rot[c, r]
+        f[perm[c, r]], w = e^{2 pi i/L}, where rot sums the characters'
+        rotation indices at the pivots of reps[rows[r]] K[c]."""
         K = np.asarray(K, dtype=np.int64)
-        prods = self.ring.matmul(self.cosets.reps, K[:, None]).reshape(-1, self.n, self.n)
+        reps = self.cosets.reps if rows is None else self.cosets.reps[rows]
+        prods = self.ring.matmul(reps, K[:, None]).reshape(-1, self.n, self.n)
         canon, pivots = flag_canon(self.ring, prods)
         rot = sum(ch._nums[pivots[:, j]] for j, ch in enumerate(self.chars)) % self.L
-        shape = (len(K), self.dim)
+        shape = (len(K), len(reps))
         return self.cosets.slot_of(canon).reshape(shape), rot.reshape(shape)
 
-    def _actions(self, K):
+    def _actions(self, K, rows=None):
         """(lo, perm, rot) for consecutive chunks K[lo:lo + len(perm)] of a
-        (C, n, n) stack; a chunk's products reps k take at most
-        ACTION_CHUNK_BYTES, and a chunk holds at least one k.  Nothing is cached."""
-        step = max(1, ACTION_CHUNK_BYTES // (8 * self.n * self.n * self.dim))
+        (C, n, n) stack, on the coset ``rows`` (every row by default); a
+        chunk's products reps k take at most ACTION_CHUNK_BYTES, and a chunk
+        holds at least one k.  Nothing is cached."""
+        width = self.dim if rows is None else len(rows)
+        # the subset goes by keyword and only when given: _monomials(K) alone stays whole
+        subset = {} if rows is None else {"rows": rows}
+        step = max(1, ACTION_CHUNK_BYTES // (8 * self.n * self.n * width))
         for lo in range(0, len(K), step):
-            yield (lo, *self._monomials(K[lo : lo + step]))
+            yield (lo, *self._monomials(K[lo : lo + step], **subset))
 
     def _monomial(self, k):
         """Cached (perm, rot) of one k: the generator tables."""
@@ -327,16 +333,18 @@ class PSeriesModel:
         )
 
     def equivariance_residual(self, v):
-        """Max residual of K_0(p^c)-equivariance against the model character."""
+        """Max residual of K_0(p^c)-equivariance against the model character,
+        and the index of the depth-c generator where it occurs."""
         c = self.c_declared
         gens = _verified_subgroup_gens(self.ring, self.n, SubgroupSpec("K0", c))
-        worst = 0.0
+        errs = []
         for g in gens:
             d = int(g.a[self.n - 1, self.n - 1])
             want = self.chi_pi(d) if self.ring.is_unit(d) else 1.0
             got = self.apply(self.action_of(g), v)
-            worst = max(worst, float(np.abs(got - want * v).max()))
-        return worst
+            errs.append(float(np.abs(got - want * v).max()))
+        at = int(np.argmax(errs))
+        return errs[at], at
 
     def expected_coefficients(self, K):
         """Three-case closed form for the newform matrix coefficient at each k
@@ -356,12 +364,16 @@ class PSeriesModel:
 
     def coefficient_residual(self, v0, ks):
         """Worst |<pi(k) v0, v0>/<v0, v0> - expected_coefficients| over ks,
-        and the index in ks where it occurs (None when ks is empty)."""
+        and the index in ks where it occurs (None when ks is empty).  Only the
+        coset rows where v0 is non-zero are acted on: the others add exact
+        zeros to the inner product."""
         K = np.array([getattr(k, "a", k) for k in ks], dtype=np.int64).reshape(-1, self.n, self.n)
         norm = self.ip(v0, v0)
+        supp = np.flatnonzero(v0)
+        right = v0[supp].conj()
         got = np.empty(len(K), dtype=np.complex128)
-        for lo, perm, rot in self._actions(K):
-            got[lo : lo + len(perm)] = (self._roots[rot] * v0[perm]) @ v0.conj() / self.dim / norm
+        for lo, perm, rot in self._actions(K, rows=supp):
+            got[lo : lo + len(perm)] = (self._roots[rot] * v0[perm]) @ right / self.dim / norm
         err = np.abs(got - self.expected_coefficients(K))
         if not len(err):
             return 0.0, None

@@ -288,7 +288,7 @@ def irreducibility_suite(ring, n, rec=None, space=None, pieces=None):
 # -- zonal suite ---------------------------------------------------------------
 
 
-def zonal_suite(ring, n, rec=None, samples=200, seed=0, budget=200000):
+def zonal_suite(ring, n, rec=None, samples=200, seed=0):
     """Zonal closed form, norms, symmetry, addition and reproducing identities,
     the invariant-pairing Gram matrix, and the projector-sum identities.
     Raises BudgetExceededError, before building anything, when the largest
@@ -563,7 +563,6 @@ def pseries_suite(
     rec=None,
     samples=500,
     seed=0,
-    budget=200000,
     poly=None,
     level_override=None,
 ):
@@ -636,12 +635,15 @@ def pseries_model_checks(model, rec, samples=500, rng=None, label=None):
         c_pi,
         c_emp,
     )
+    worst, at = model.equivariance_residual(v0)
+    gens = subgroup_generators(SubgroupSpec("K0", c_pi), ring, n)
     rec.residual(
         label + "/equivariance",
         "pi(k0) v = chi(d) v on depth-c generators",
         {"q": q, "n": n, "c": c_pi},
-        model.equivariance_residual(v0),
+        worst,
         TOL_TIGHT,
+        witness=_k_witness(np.array([g.a for g in gens]), at),
     )
     uniform = random_stack(ring, n, samples - samples // 2, rng)
     # per shell l, pairs (a, b) from K_0(p^c) in draw order, and k = a u_l b
@@ -796,16 +798,13 @@ def verify_all(samples=500, seed=0, budget=200000, rec=None):
     for branch, p, f, m, n in DIMENSION_GRID:
         ring = make_ring_level(branch, p, f, m)
         decompose_suite(ring, n, rec=rec, budget=budget, rng=np.random.default_rng(seed))
-        zonal_suite(ring, n, rec=rec, samples=max(200, samples // 2), seed=seed, budget=budget)
+        zonal_suite(ring, n, rec=rec, samples=max(200, samples // 2), seed=seed)
     for branch, p, f, m, n in DOUBLE_COSET_POINTS:
         ring = make_ring_level(branch, p, f, m)
         double_coset_suite(ring, n, rec=rec, budget=budget)
-    pseries_suite("padic", 2, 1, 2, 3, rec=rec, samples=samples, seed=seed, budget=budget)
-    pseries_suite("padic", 3, 1, 2, 3, rec=rec, samples=samples, seed=seed, budget=budget)
-    pseries_suite(
-        "padic", 2, 1, 3, 1, rec=rec, samples=samples, seed=seed, budget=budget,
-        level_override=2,
-    )
+    pseries_suite("padic", 2, 1, 2, 3, rec=rec, samples=samples, seed=seed)
+    pseries_suite("padic", 3, 1, 2, 3, rec=rec, samples=samples, seed=seed)
+    pseries_suite("padic", 2, 1, 3, 1, rec=rec, samples=samples, seed=seed, level_override=2)
     roundtrip_suite(rec=rec, seed=seed)
     arch_suite(rec=rec)
     return rec

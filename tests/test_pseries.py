@@ -245,7 +245,7 @@ class TestNewform:
         model = build_model([ram, trivial_of(chars4)])
         v0, c = model.newform()
         assert c == 2
-        assert model.equivariance_residual(v0) < 1e-9
+        assert model.equivariance_residual(v0)[0] < 1e-9
 
 
 def reference_matrix_coefficient(model, k, v0):
@@ -277,6 +277,21 @@ def reference_coefficient_residual(model, v0, ks):
         for k in ks
     ]
     return max(map(abs, res), default=0.0)
+
+
+def reference_full_coefficient_residual(model, v0, ks):
+    """The chunked path over every coset row, zeros of v0 included: what the
+    support-restricted coefficient_residual replaces."""
+    K = np.array([getattr(k, "a", k) for k in ks], dtype=np.int64).reshape(-1, model.n, model.n)
+    norm = model.ip(v0, v0)
+    got = np.empty(len(K), dtype=np.complex128)
+    for lo, perm, rot in model._actions(K):
+        got[lo : lo + len(perm)] = (model._roots[rot] * v0[perm]) @ v0.conj() / model.dim / norm
+    err = np.abs(got - model.expected_coefficients(K))
+    if not len(err):
+        return 0.0, None
+    worst = int(err.argmax())
+    return float(err[worst]), worst
 
 
 class TestMatrixCoefficient:
@@ -622,7 +637,7 @@ class TestLaurentBranch:
         rng = np.random.default_rng(1)
         ks = [random_in_K(R, 2, rng) for _ in range(100)]
         assert model.coefficient_residual(v0, ks)[0] < 1e-9
-        assert model.equivariance_residual(v0) < 1e-9
+        assert model.equivariance_residual(v0)[0] < 1e-9
 
 
 class TestCharacterTuples:
@@ -755,3 +770,95 @@ class TestExactInvariants:
                 assert np.allclose(np.abs(on), 1 / np.sqrt(len(on)), atol=0, rtol=1e-15)
                 turns = np.angle(on) * model.L / (2 * np.pi)
                 assert np.abs(turns - np.round(turns)).max() < 1e-9
+
+
+# -- the coefficient law on the support of v0 against the full-row path --------
+
+
+def newform_ks(model, seed, count=12, per=4):
+    return np.array([k.a for k in sample_ks(model, np.random.default_rng(seed), count, per)])
+
+
+class TestSupportRows:
+    @given(point=st.sampled_from(MODEL_POINTS), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_support_rows_equal_full_rows(self, point, data):
+        branch, p, f, M, n = point
+        ring = make_ring_level(branch, p, f, M)
+        tuples = [t for total in range(M + 1) for t in character_tuples(ring, n, total)]
+        chars = data.draw(st.sampled_from(tuples))
+        chunk = data.draw(st.sampled_from([1, 1 << 40]))
+        model = build_model(chars, rng=np.random.default_rng(0))
+        v0, _ = model.newform()
+        ks = newform_ks(model, data.draw(st.integers(0, 99)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pseries, "ACTION_CHUNK_BYTES", chunk)
+            worst, at = model.coefficient_residual(v0, ks)
+            ref, _ = reference_full_coefficient_residual(model, v0, ks)
+        assert abs(worst - ref) < 1e-15 and 0 <= at < len(ks)
+        # both PASS: the law holds on every newform
+        assert max(worst, ref) < verify.TOL_RESIDUAL
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 40])
+    def test_any_row_subset(self, chunk, monkeypatch):
+        # a dense vector with zeros at random rows: the subset is general, not the newform's
+        monkeypatch.setattr(pseries, "ACTION_CHUNK_BYTES", chunk)
+        ring = make_ring_level("padic", 3, 1, 2)
+        chs = characters(ring)
+        model = build_model([next(c for c in chs if c.c == 1), trivial_of(chs)])
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
+        v[rng.random(model.dim) < 0.4] = 0
+        rows = np.flatnonzero(v)
+        assert 0 < len(rows) < model.dim
+        ks = newform_ks(model, 4)
+        full = [np.concatenate(t) for t in zip(*((p, r) for _, p, r in model._actions(ks)))]
+        sub = [np.concatenate(t) for t in zip(*((p, r) for _, p, r in model._actions(ks, rows=rows)))]
+        assert all(np.array_equal(s, f[:, rows]) for s, f in zip(sub, full))
+        worst, at = model.coefficient_residual(v, ks)
+        ref, ref_at = reference_full_coefficient_residual(model, v, ks)
+        assert worst > 0.1 and abs(worst - ref) < 1e-14 and at == ref_at
+        per_k = reference_matrix_coefficient(model, ks[at], v)
+        assert abs(abs(per_k - model.expected_coefficients(ks[at])[0]) - worst) < 1e-14
+
+    def test_forms_the_support_rows_only(self, monkeypatch):
+        ring = make_ring_level("padic", 3, 1, 3)
+        chs = characters(ring)
+        model = build_model([next(c for c in chs if c.c == 2), trivial_of(chs)])
+        v0, _ = model.newform()
+        ks = newform_ks(model, 5)
+        counted, canon = [], pseries.flag_canon
+
+        def counting(ring, a):
+            counted.append(np.asarray(a).reshape(-1, model.n, model.n).shape[0])
+            return canon(ring, a)
+
+        monkeypatch.setattr(pseries, "flag_canon", counting)
+        assert model.coefficient_residual(v0, ks)[0] < verify.TOL_RESIDUAL
+        support = np.count_nonzero(v0)
+        assert (support, model.dim) == (27, 36)
+        assert sum(counted) == support * len(ks)
+
+
+class TestEquivarianceWitness:
+    def test_failure_names_the_worst_generator(self, monkeypatch):
+        R9 = make_ring_level("padic", 3, 1, 2)
+        chs = characters(R9)
+        model = build_model([next(c for c in chs if c.c == 1), trivial_of(chs)])
+        gens = _verified_subgroup_gens(R9, 2, SubgroupSpec("K0", 1))
+        assert len(gens) > 1
+        apply, calls = PSeriesModel.apply, []
+
+        def wrong_second(self, action, v):
+            calls.append(1)
+            return apply(self, action, v) + (0.5 if len(calls) == 2 else 0.0)
+
+        monkeypatch.setattr(PSeriesModel, "apply", wrong_second)
+        v0, _ = model.newform()
+        assert model.equivariance_residual(v0)[1] == 1
+        calls.clear()
+        rec = Recorder()
+        pseries_model_checks(model, rec, samples=20, rng=np.random.default_rng(1))
+        failed = [r for r in rec.records if r.status != "PASS"]
+        assert [r.check_id.split("/")[-1] for r in failed] == ["equivariance"]
+        assert failed[0].observed == f"5.000e-01 at k={gens[1].a.tolist()}"
