@@ -47,6 +47,7 @@ from .harmonics import (
     harmonic_subspace,
     idempotent_sum_residual,
     invariant_vectors,
+    mirabolic_orbit_count,
     phi_fn,
     verify_addition_theorem,
     verify_reproducing_kernel,

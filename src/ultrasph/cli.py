@@ -219,8 +219,8 @@ def cmd_decompose(cfg, rec):
     ring = cfg.ring()
     try:
         decompose_suite(
-            ring, cfg.n, rec=rec, budget=cfg.budget,
-            rng=np.random.default_rng(cfg.seed), include_commutants=True,
+            ring, cfg.n, rec=rec, rng=np.random.default_rng(cfg.seed),
+            include_commutants=True,
         )
     except BudgetExceededError as e:
         rec.skip("decompose/budget", "suite within its budgets", {}, str(e))

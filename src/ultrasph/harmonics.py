@@ -5,8 +5,9 @@ Functions are complex vectors indexed by a SphereIndex at a fixed working
 level M.  The inner product is the uniform probability measure on sphere
 points; the group acts by right translation, (R(k)f)(x) = f(xk).  The
 pushforward of the Haar measure under k -> e_n k is uniform because the
-level-M action is transitive with constant stabiliser size; that fact is
-a tested property in the sphere test suite, not an assumption.
+level-M action is transitive, so every stabiliser has size |K|/|S|; the
+decompose suite certifies that from K's stabiliser chain, whose top orbit
+is the orbit of e_n.
 
 Subspaces of the filtration are built exactly: a level-l function with
 scalar equivariance under a character is supported on scalar orbits of
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matgroup import mat_inv
+from .matgroup import SubgroupSpec, mat_inv, subgroup_membership
 from .numerics import kernel_basis, kernel_dimension, orthonormalize_rows
 from .sphere import SphereIndex, sphere_size
 
@@ -121,6 +122,15 @@ class Subspace:
         perm = self.space.index.perm_of_matrix(a)
         moved = self.basis[:, perm]
         return (self.basis.conj() @ moved.T * self.space.weight).T
+
+    def invariant_under(self, gens):
+        """Whether R(g) maps the space into itself for every g in ``gens``:
+        R(g) is unitary, so its compression to the space is unitary exactly
+        when it does."""
+        eye = np.eye(self.dim)
+        return not self.dim or all(
+            np.abs(r @ r.conj().T - eye).max() <= 1e-6 for r in map(self.rho, gens)
+        )
 
     def __repr__(self):
         return f"Subspace(kind={self.kind}, chi_c={getattr(self.chi, 'c', None)}, level={self.level}, dim={self.dim})"
@@ -238,7 +248,8 @@ def harmonic_subspace(space, chi, m):
 def commutant_dimension(sub, gens):
     """dim of the algebra commuting with the action on ``sub``; 1 is irreducible.
 
-    ``gens`` must be verified generators of the full group at working level.
+    ``gens`` must be verified generators of the full group at working level,
+    and ``sub`` must be invariant under them (``Subspace.invariant_under``).
     The commutant of a permutation representation is spanned by its orbital
     operators, the indicators A_j of the group's orbits on S x S, and an
     invariant subspace with projector P has commutant P span{A_j} P
@@ -247,16 +258,13 @@ def commutant_dimension(sub, gens):
     orthogonal projection on their span, so the stacked compressions have
     singular values 0 or 1 and their rank is the commutant dimension.
     Generators that generate too little give finer orbitals and a larger
-    dimension, so the certificate fails closed.
+    dimension, so the certificate fails closed.  The suites count
+    irreducibles with ``mirabolic_orbit_count``; this rank is the tests'
+    independent oracle for that count.
     """
     d = sub.dim
     if d == 0:
         return 0
-    eye = np.eye(d)
-    for g in gens:
-        r = sub.rho(g)
-        if np.abs(r @ r.conj().T - eye).max() > 1e-6:
-            raise RuntimeError("subspace is not invariant under a generator")
     labels, count = sub.space.index.orbital_labels(gens)
     b = sub.basis * np.sqrt(sub.space.weight)  # orthonormal rows
     bt, bc = b.T, b.conj()
@@ -265,6 +273,25 @@ def commutant_dimension(sub, gens):
         a = labels == j
         rows[j] = ((bc @ a) @ bt).ravel() / np.sqrt(np.count_nonzero(a))
     return d * d - kernel_dimension(rows)
+
+
+def mirabolic_orbit_count(space, gens):
+    """Number of orbits on S of the group that ``gens`` generate, each of
+    which must lie in the mirabolic P, the stabiliser of e_n; a RuntimeError
+    refuses one that does not.
+
+    When K is transitive on S, L^2(S) = Ind_P^K 1, so dim End_K L^2(S), the
+    sum of the squared multiplicities of its irreducible constituents, is
+    the number of P-orbits on S (Serre, 7.3; Ceccherini-Silberstein,
+    Scarabotti and Tolli, Harmonic Analysis on Finite Groups, 2008, ch. 4).
+    A subgroup of P has orbits that refine P's, so the count bounds that
+    dimension from above however few generators are given.
+    """
+    spec = SubgroupSpec("Kmirab")
+    for g in gens:
+        if not subgroup_membership(g, spec):
+            raise RuntimeError(f"proposed generator outside {spec}")
+    return space.index.orbit_count(gens)
 
 
 def invariant_vectors(sub, gens):

@@ -540,7 +540,9 @@ def verify_generators(spec, ring, n):
     a private generator with a fixed seed, so the result is deterministic and
     no caller's generator is drawn from.  When CHAIN_QUIET_PASSES passes add
     nothing, every Schreier generator is sifted: the chain is then complete
-    and a RuntimeError names the exact order next to the formula.
+    and a RuntimeError names the exact order next to the formula.  The
+    result's ``orbit`` is the size of the chain's top orbit, the orbit of
+    e_n under the subgroup.
     """
     gens = subgroup_generators(spec, ring, n)
     expected = subgroup_order(spec, ring, n)
@@ -567,7 +569,7 @@ def verify_generators(spec, ring, n):
         raise RuntimeError(f"stabiliser chain of {spec} generators reaches order {size}, above {expected}")
     if size < expected:
         raise RuntimeError(f"{spec} generators generate a group of order {size}, expected {expected}")
-    return {"method": "chain", "size": size, "ok": True}
+    return {"method": "chain", "size": size, "ok": True, "orbit": len(chain.levels[0].u)}
 
 
 # -- random sampling ---------------------------------------------------------

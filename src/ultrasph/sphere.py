@@ -25,6 +25,27 @@ def sphere_size(q, n, m):
     return q ** ((m - 1) * n) * (q**n - 1)
 
 
+def orbit_labels(perms, shape):
+    """Least flat index of each cell's orbit, as an array of ``shape``.
+
+    The permutations ``perms`` of range(N) act on every axis of ``shape``
+    (each of length N) at once: on slots for a 1-D shape, on pairs
+    (x, y) -> (s[x], s[y]) for a 2-D one.  Each cell starts at its own flat
+    index; min-label propagation along every permutation, with pointer
+    jumping, runs to a fixed point, where each label is the least index of
+    its cell's orbit.  The orbits' roots are the cells labelled with their
+    own index.
+    """
+    lab = np.arange(np.prod(shape), dtype=np.int64).reshape(shape)
+    while True:
+        prev = lab
+        for s in perms:
+            lab = np.minimum(lab, lab[np.ix_(*[s] * len(shape))])
+        lab = lab.ravel()[lab]
+        if np.array_equal(lab, prev):
+            return lab
+
+
 class SpherePoint:
     __slots__ = ("ring", "coords")
 
@@ -100,16 +121,20 @@ class SphereIndex:
             self._matrix_perms[key] = self.idx(self.ring.matmul(self.points, k))
         return self._matrix_perms[key]
 
+    def orbit_count(self, mats):
+        """Number of orbits on the sphere of the group generated by ``mats``:
+        the roots of ``orbit_labels`` over the |S| slots."""
+        lab = orbit_labels(self._perms(mats), (self.size,))
+        return int(np.count_nonzero(lab == np.arange(self.size)))
+
     def orbital_labels(self, mats):
         """Orbits of the group generated by ``mats`` on pairs of points.
 
         Returns (labels, r): labels[x, y] in 0..r-1 names the orbit of
         (x, y) under (x, y) -> (x k, y k), numbered by first pair in
-        row-major order.  Labels come from min-label propagation along the
-        generator permutations and their inverses, with pointer jumping;
-        the fixed point is the least pair index of each orbit.  Cached per
-        generator list; raises BudgetExceededError before allocating when
-        the label array would exceed ORBITAL_BYTES_MAX.
+        row-major order, from ``orbit_labels`` on the (|S|, |S|) grid.
+        Cached per generator list; raises BudgetExceededError before
+        allocating when the label array would exceed ORBITAL_BYTES_MAX.
         """
         mats = [np.asarray(getattr(k, "a", k), dtype=np.int64) for k in mats]
         key = tuple(k.tobytes() for k in mats)
@@ -119,19 +144,15 @@ class SphereIndex:
                 raise BudgetExceededError(
                     f"orbital labels need {nbytes} bytes, over the cap {ORBITAL_BYTES_MAX}"
                 )
-            perms = [self.perm_of_matrix(k) for k in mats]
-            perms += [np.argsort(s) for s in perms]
-            lab = np.arange(self.size**2, dtype=np.int64).reshape(self.size, self.size)
-            while True:
-                prev = lab
-                for s in perms:
-                    lab = np.minimum(lab, lab[np.ix_(s, s)])
-                lab = lab.ravel()[lab]
-                if np.array_equal(lab, prev):
-                    break
+            lab = orbit_labels(self._perms(mats), (self.size, self.size))
             firsts, labels = np.unique(lab, return_inverse=True)
             self._orbitals[key] = (labels.reshape(lab.shape), len(firsts))
         return self._orbitals[key]
+
+    def _perms(self, mats):
+        """The slot permutations of ``mats`` and their inverses."""
+        perms = [self.perm_of_matrix(getattr(k, "a", k)) for k in mats]
+        return perms + [np.argsort(s) for s in perms]
 
     def scalar_perm(self, a):
         """Permutation i -> index of a * points[i] for a unit code a."""

@@ -20,12 +20,12 @@ from . import arch
 from .harmonics import (
     SphereSpace,
     chi_level_subspace,
-    commutant_dimension,
     dim_chi_level,
     dim_harmonic,
     harmonic_subspace,
     idempotent_sum_residual,
     invariant_vectors,
+    mirabolic_orbit_count,
     phi_fn,
     verify_addition_theorem,
     verify_reproducing_kernel,
@@ -145,16 +145,19 @@ def _chi_label(chi):
     return f"c{chi.c}e" + "".join(str(e) for e in chi.exps)
 
 
+def _piece_name(H):
+    return f"({_chi_label(H.chi)}, m{H.level})"
+
+
 # -- harmonic decomposition suite --------------------------------------------
 
 
-def decompose_suite(ring, n, rec=None, budget=200000, rng=None, include_commutants=True):
-    """Dimension grid, completeness, orthogonality, and (optionally)
-    the commutant certificates of irreducibility.  Raises
+def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
+    """Dimension grid, completeness, orthogonality, the measure lemma and
+    (optionally) the irreducibility certificates.  Raises
     BudgetExceededError, before building anything, when the dense piece
-    bases would exceed BASIS_BYTES_MAX.  ``budget`` caps the |K| enumerated
-    for the uniform-stabiliser check; ``rng`` is accepted for callers that
-    pass one, and nothing draws from it."""
+    bases would exceed BASIS_BYTES_MAX.  ``rng`` is accepted for callers
+    that pass one, and nothing draws from it."""
     rec = rec if rec is not None else Recorder()
     q, M = ring.q, ring.m
     nbytes = 16 * sphere_size(q, n, M) ** 2
@@ -214,42 +217,59 @@ def decompose_suite(ring, n, rec=None, budget=200000, rng=None, include_commutan
         space.size,
         total,
     )
-    stack = np.concatenate([H.basis for H in pieces.values() if H.dim], axis=0)
-    gram = stack @ stack.conj().T * space.weight
+    held = [H for H in pieces.values() if H.dim]
+    stack = np.concatenate([H.basis for H in held], axis=0)
+    err = np.abs(stack @ stack.conj().T * space.weight - np.eye(stack.shape[0]))
+    i, j = np.unravel_index(err.argmax(), err.shape)
     rec.residual(
         f"{lab}/orthogonality",
         "pairwise orthonormality of all irreducible pieces",
         {"q": q, "n": n, "M": M},
-        float(np.abs(gram - np.eye(stack.shape[0])).max()),
+        float(err[i, j]),
         TOL_TIGHT,
+        witness=_gram_witness(held, i, j),
     )
-    # measure lemma: transitivity and constant stabiliser size at level M
-    korder = group_order(ring, n)
-    if korder <= budget:
-        bottom = group_stack(ring, n)[:, n - 1]
-        counts = np.bincount(space.index.idx(bottom), minlength=space.size)
-        ok = counts.min() == counts.max() == korder // space.size
-        rec.exact(
-            f"{lab}/uniform-stabilisers",
-            "orbit map k -> e_n k hits every point |K|/|S| times",
-            {"q": q, "n": n, "M": M, "|K|": korder},
-            True,
-            bool(ok),
-        )
-    else:
-        rec.skip(
-            f"{lab}/uniform-stabilisers",
-            "orbit map k -> e_n k hits every point |K|/|S| times",
-            {"q": q, "n": n, "M": M, "|K|": korder},
-            f"|K| = {korder} beyond budget {budget}",
-        )
+    # measure lemma: K's chain starts at e_n, so its top orbit is e_n K, and
+    # an orbit of |S| points is hit |K|/|S| times by k -> e_n k
+    cert = verify_generators(SubgroupSpec("K"), ring, n)
+    rec.exact(
+        f"{lab}/uniform-stabilisers",
+        "orbit map k -> e_n k hits every point |K|/|S| times",
+        {"q": q, "n": n, "M": M, "|K|": group_order(ring, n)},
+        True,
+        cert["orbit"] == space.size,
+    )
     if include_commutants:
-        irreducibility_suite(ring, n, rec=rec, space=space, pieces=pieces)
+        irreducibility_suite(ring, n, rec=rec, space=space, pieces=pieces, cert=cert)
     return rec
 
 
-def irreducibility_suite(ring, n, rec=None, space=None, pieces=None):
-    """Commutant dimension certificates against verified group generators.
+def _gram_witness(held, i, j):
+    """The pieces of ``held`` that hold rows i and j of their stacked bases,
+    as "pieces (chi label, m), (chi label, m)"."""
+    ends = np.cumsum([H.dim for H in held])
+    at = np.searchsorted(ends, [i, j], side="right")
+    return "pieces " + ", ".join(_piece_name(held[a]) for a in at)
+
+
+def irreducibility_suite(ring, n, rec=None, space=None, pieces=None, cert=None):
+    """Irreducibility and multiplicity one of every piece from one orbit count.
+
+    Let c be the number of orbits on S of the group that the ``Kmirab``
+    generators generate.  The suite checks four facts itself: K's
+    generators are certified (``cert``, from ``verify_generators``, is
+    certified here when not given), and their orbit of e_n is all of S;
+    every non-empty piece is invariant under each K generator; the pieces'
+    dimensions sum to |S|; every ``Kmirab`` generator fixes e_n
+    (``mirabolic_orbit_count``).  The pieces are orthogonal by construction,
+    which ``decompose_suite``'s ``/orthogonality`` record checks, so they
+    split L^2(S) = Ind_P^K 1, and c >= #P-orbits = sum m_rho^2 >= sum m_rho
+    >= #pieces.  So c = #pieces makes every piece irreducible and no two
+    isomorphic: each ``/commutant/`` record observes dim End = 1, and each
+    ``/commutant-filtration/`` record the number of pieces inside the
+    depth-M space of its character.  When a fact fails, or c differs from
+    #pieces, every record FAILs and names why, for example
+    "13 orbits, 12 pieces".
 
     ``pieces`` maps (chi.exps, m) to harmonic pieces already built on
     ``space``; missing ones are built here.
@@ -260,28 +280,45 @@ def irreducibility_suite(ring, n, rec=None, space=None, pieces=None):
     space = space if space is not None else SphereSpace(ring, n)
     pieces = pieces if pieces is not None else {}
     chs = characters(ring)
-    verify_generators(SubgroupSpec("K"), ring, n)
-    gens = subgroup_generators(SubgroupSpec("K"), ring, n)
+    cert = cert if cert is not None else verify_generators(SubgroupSpec("K"), ring, n)
+    pieces = {
+        (chi.exps, m): pieces.get((chi.exps, m)) or harmonic_subspace(space, chi, m)
+        for chi in chs
+        for m in range(chi.c, M + 1)
+    }
+    held = [H for H in pieces.values() if H.dim]
+    total = sum(H.dim for H in held)
+    kgens = subgroup_generators(SubgroupSpec("K"), ring, n)
+    orbits = mirabolic_orbit_count(space, subgroup_generators(SubgroupSpec("Kmirab"), ring, n))
+    moved = next((H for H in held if not H.invariant_under(kgens)), None)
+    if cert["orbit"] != space.size:
+        reason = f"K-orbit of e_n has {cert['orbit']} of {space.size} points"
+    elif total != space.size:
+        reason = f"pieces span {total} of {space.size} dimensions"
+    elif moved is not None:
+        reason = f"piece {_piece_name(moved)} is not K-invariant"
+    elif orbits != len(held):
+        reason = f"{orbits} orbits, {len(held)} pieces"
+    else:
+        reason = None
     for chi in chs:
         cl = _chi_label(chi)
         for m in range(chi.c, M + 1):
-            H = pieces.get((chi.exps, m)) or harmonic_subspace(space, chi, m)
             rec.exact(
                 f"{lab}/commutant/{cl}/m{m}",
                 "dim End = 1 certifies irreducibility",
                 {"q": q, "n": n, "m": m, "c": chi.c},
                 1,
-                commutant_dimension(H, gens),
+                reason or 1,
             )
-        if M >= chi.c:
-            C = chi_level_subspace(space, chi, M)
-            rec.exact(
-                f"{lab}/commutant-filtration/{cl}/m{M}",
-                "dim End of the depth-m filtration space = m - c + 1",
-                {"q": q, "n": n, "m": M, "c": chi.c},
-                M - chi.c + 1,
-                commutant_dimension(C, gens),
-            )
+        inside = sum(1 for m in range(chi.c, M + 1) if pieces[chi.exps, m].dim)
+        rec.exact(
+            f"{lab}/commutant-filtration/{cl}/m{M}",
+            "dim End of the depth-m filtration space = m - c + 1",
+            {"q": q, "n": n, "m": M, "c": chi.c},
+            M - chi.c + 1,
+            reason or inside,
+        )
     return rec
 
 
@@ -797,7 +834,7 @@ def verify_all(samples=500, seed=0, budget=200000, rec=None):
     rec = rec if rec is not None else Recorder()
     for branch, p, f, m, n in DIMENSION_GRID:
         ring = make_ring_level(branch, p, f, m)
-        decompose_suite(ring, n, rec=rec, budget=budget, rng=np.random.default_rng(seed))
+        decompose_suite(ring, n, rec=rec, rng=np.random.default_rng(seed))
         zonal_suite(ring, n, rec=rec, samples=max(200, samples // 2), seed=seed)
     for branch, p, f, m, n in DOUBLE_COSET_POINTS:
         ring = make_ring_level(branch, p, f, m)

@@ -22,7 +22,7 @@ from ultrasph.cli import (
     select_characters,
 )
 from ultrasph.harmonics import zonal_piece_bytes
-from ultrasph.matgroup import SubgroupSpec, subgroup_generators
+from ultrasph.matgroup import BudgetExceededError, SubgroupSpec, subgroup_generators
 from ultrasph.ring import characters, make_ring_level
 from ultrasph.sphere import BASIS_BYTES_MAX
 from ultrasph.verify import CheckRecord
@@ -257,30 +257,52 @@ class TestMain:
         assert len(records) == 7 and all(r["status"] == "PASS" for r in records)
 
     def test_decompose_q2_n4_m2_certifies_irreducibility(self, tmp_path):
-        # a 240-point sphere; the commutant certificates fit in memory and
-        # only the exhaustive |K| enumeration is over budget
+        # a 240-point sphere; |K| = 2^16 * 20160 is far past any enumeration
+        # budget, and K's stabiliser chain certifies the measure lemma instead
         cfg = tmp_path / "c.txt"
         cfg.write_text("[ring]\nbranch = padic\np = 2\n\n[run]\nn = 4\nlevel = 2\n")
         out = tmp_path / "d.jsonl"
-        assert main(["decompose", "--config", str(cfg), "--out", str(out)]) == EXIT_SKIP
+        assert main(["decompose", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
         records = [json.loads(line) for line in out.read_text().splitlines()]
         skipped = [r["check_id"] for r in records if r["status"] != "PASS"]
-        assert skipped == ["padic-q2-n4-m2/uniform-stabilisers"]
+        assert skipped == []
         commutants = [r for r in records if "/commutant/" in r["check_id"]]
         assert len(commutants) == 4 and all(r["observed"] == "1" for r in commutants)
 
-    def test_decompose_orbital_budget_overrun_is_skip(self, tmp_path, monkeypatch):
+    def test_decompose_under_a_tiny_orbital_cap_certifies_irreducibility(
+        self, tmp_path, monkeypatch
+    ):
         import ultrasph.sphere
+        from ultrasph.harmonics import SphereSpace
 
-        # the 12-point sphere's label array needs 12 * 12 * 8 = 1152 bytes
+        # the 12-point sphere's label array needs 12 * 12 * 8 = 1152 bytes:
+        # over the cap the labels are refused, and the irreducibility count,
+        # which never builds them, still certifies every piece
         monkeypatch.setattr(ultrasph.sphere, "ORBITAL_BYTES_MAX", 1000)
+        ring = make_ring_level("padic", 2, 1, 2)
+        with pytest.raises(BudgetExceededError, match="over the cap 1000"):
+            SphereSpace(ring, 2).index.orbital_labels(
+                subgroup_generators(SubgroupSpec("K"), ring, 2)
+            )
         out = tmp_path / "d.jsonl"
-        assert main(["decompose", "--out", str(out)]) == EXIT_SKIP
+        assert main(["decompose", "--out", str(out)]) == EXIT_PASS
         records = [json.loads(line) for line in out.read_text().splitlines()]
-        skipped = [r for r in records if r["status"] != "PASS"]
-        assert [r["check_id"] for r in skipped] == ["decompose/budget"]
-        assert "over the cap 1000" in skipped[0]["observed"]
-        assert not any("/commutant" in r["check_id"] for r in records)
+        assert all(r["status"] == "PASS" for r in records)
+        assert not any(r["check_id"] == "decompose/budget" for r in records)
+        commutants = [r for r in records if "/commutant/" in r["check_id"]]
+        assert len(commutants) == 4 and all(r["observed"] == "1" for r in commutants)
+
+    def test_decompose_q7_n2_m2_certifies_irreducibility_under_a_memory_limit(self, tmp_path):
+        # |S| = 2,352: the orbital label array (44 MB) is over its cap, and
+        # the mirabolic orbit count needs one |S|-vector per generator
+        proc, records = run_under_memory_limit(
+            tmp_path, "decompose", p=7, n=2, level=2, limit=3_000_000_000
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_PASS
+        commutants = [r for r in records if "/commutant" in r["check_id"]]
+        assert len(commutants) == 91
+        assert all(r["status"] == "PASS" for r in commutants)
 
     def test_decompose_q5_n2_m3_fails_closed_under_a_memory_limit(self, tmp_path):
         # |S| = 15,000: the dense piece bases would need 3.6 GB.  The suite

@@ -17,6 +17,7 @@ from ultrasph.harmonics import (
     harmonic_subspace,
     idempotent_sum_residual,
     invariant_vectors,
+    mirabolic_orbit_count,
     phi_fn,
     verify_addition_theorem,
     verify_reproducing_kernel,
@@ -25,13 +26,16 @@ from ultrasph.harmonics import (
     zonal_shell_coefficient,
 )
 from ultrasph.matgroup import (
+    MatK,
     SubgroupSpec,
     enumerate_group,
+    group_order,
     group_stack,
     mat_inv,
     random_in_K,
     random_stack,
     subgroup_generators,
+    verify_generators,
 )
 from ultrasph.numerics import kernel_basis
 from ultrasph.ring import characters, make_ring_level
@@ -328,6 +332,151 @@ class TestCommutantAgainstKron:
             got = commutant_dimension(sub, gens)
             assert got == kron_commutant_dimension(sub, gens)
             assert got > 1 or sub.dim == 1
+
+
+def pieces_of(space):
+    """Every harmonic piece at the working level, keyed (chi.exps, m)."""
+    return {
+        (chi.exps, m): harmonic_subspace(space, chi, m)
+        for chi in characters(space.ring)
+        for m in range(chi.c, space.ring.m + 1)
+    }
+
+
+def commutant_records(records):
+    return [r for r in records if "/commutant" in r.check_id]
+
+
+def first_mirabolic_only(spec, *args):
+    """``subgroup_generators`` with the mirabolic's list cut to its first entry."""
+    gens = subgroup_generators(spec, *args)
+    return gens[:1] if spec.kind == "Kmirab" else gens
+
+
+def reference_uniform_stabilisers(ring, n, space):
+    """The measure lemma by enumeration: the bottom row of every k in K,
+    counted per sphere slot, hits each point |K|/|S| times."""
+    counts = np.bincount(space.index.idx(group_stack(ring, n)[:, n - 1]), minlength=space.size)
+    return bool(counts.min() == counts.max() == group_order(ring, n) // space.size)
+
+
+class TestIrreducibilityCount:
+    """One mirabolic orbit count against the per-piece commutant oracle."""
+
+    @given(point=st.sampled_from(SMALL_SPHERES))
+    @settings(max_examples=12, deadline=None)
+    def test_orbit_count_is_piece_count(self, point):
+        space = small_space(point)
+        ring, n = space.ring, space.n
+        held = [H for H in pieces_of(space).values() if H.dim]
+        mirab = subgroup_generators(SubgroupSpec("Kmirab"), ring, n)
+        assert mirabolic_orbit_count(space, mirab) == len(held)
+        gens = subgroup_generators(SubgroupSpec("K"), ring, n)
+        for H in held:
+            assert H.invariant_under(gens)
+            assert commutant_dimension(H, gens) == 1
+        records = verify.irreducibility_suite(ring, n, space=space).records
+        assert records and all(r.status == "PASS" for r in records)
+
+    @given(point=st.sampled_from(SMALL_SPHERES))
+    @settings(max_examples=12, deadline=None)
+    def test_short_mirabolic_list_fails_closed(self, point):
+        # a subgroup of P has orbits that refine P's: the count can only grow
+        space = small_space(point)
+        ring, n = space.ring, space.n
+        held = sum(1 for H in pieces_of(space).values() if H.dim)
+        mirab = subgroup_generators(SubgroupSpec("Kmirab"), ring, n)[:1]
+        cut = mirabolic_orbit_count(space, mirab)
+        assert cut >= held
+
+        with patch.object(verify, "subgroup_generators", first_mirabolic_only):
+            records = verify.irreducibility_suite(ring, n, space=space).records
+        records = commutant_records(records)
+        assert records
+        if cut == held:  # the count still proves irreducibility
+            assert all(r.status == "PASS" for r in records)
+        else:
+            assert all(r.status == "FAIL" for r in records)
+            assert {r.observed for r in records} == {f"{cut} orbits, {held} pieces"}
+
+    def test_short_mirabolic_list_fails_on_the_grid(self, monkeypatch):
+        # padic q2 n2 m3: four characters, with 4 + 2 + 1 + 1 pieces
+        ring = make_ring_level("padic", 2, 1, 3)
+        mirab = subgroup_generators(SubgroupSpec("Kmirab"), ring, 2)
+        space = SphereSpace(ring, 2)
+        cut = mirabolic_orbit_count(space, mirab[:1])
+        assert cut > 8 == mirabolic_orbit_count(space, mirab)
+        monkeypatch.setattr(verify, "subgroup_generators", first_mirabolic_only)
+        records = commutant_records(verify.irreducibility_suite(ring, 2, space=space).records)
+        assert len(records) == 8 + 4 and all(r.status == "FAIL" for r in records)
+        assert {r.observed for r in records} == {f"{cut} orbits, 8 pieces"}
+        assert {r.expected for r in records} == {"1", "4", "2"}
+
+    def test_generator_that_moves_e_n_is_refused(self, sp222, monkeypatch):
+        ring = sp222.ring
+        mirab = subgroup_generators(SubgroupSpec("Kmirab"), ring, 2)
+        # e_n (1 0; 1 1) = (1, 1): a group that moves e_n can have fewer
+        # orbits than P, so its count would no longer bound dim End from above
+        moving = MatK(ring, [[1, 0], [1, 1]])
+        with pytest.raises(RuntimeError, match="outside Kmirab"):
+            mirabolic_orbit_count(sp222, mirab + [moving])
+        monkeypatch.setattr(
+            verify,
+            "subgroup_generators",
+            lambda spec, *args: subgroup_generators(spec, *args)
+            + ([moving] if spec.kind == "Kmirab" else []),
+        )
+        with pytest.raises(RuntimeError, match="outside Kmirab"):
+            verify.irreducibility_suite(ring, 2, space=sp222)
+
+    def test_non_invariant_piece_fails_every_record(self, sp222, chars222):
+        # a piece's basis mixed with a row from another piece is not K-invariant
+        pieces = pieces_of(sp222)
+        key = (trivial_of(chars222).exps, 2)
+        other = pieces[trivial_of(chars222).exps, 0].basis
+        H = pieces[key]
+        pieces[key] = harmonics.Subspace(
+            sp222, np.concatenate([H.basis[:-1], other]), H.chi, H.level, H.kind
+        )
+        records = commutant_records(
+            verify.irreducibility_suite(sp222.ring, 2, space=sp222, pieces=pieces).records
+        )
+        assert records and all(r.status == "FAIL" for r in records)
+        assert {r.observed for r in records} == {"piece (c0e0, m2) is not K-invariant"}
+
+    @pytest.mark.parametrize("point", verify.DIMENSION_GRID, ids=lambda pt: "-".join(map(str, pt)))
+    def test_uniform_stabilisers_from_the_chain(self, point):
+        branch, p, f, m, n = point
+        ring = make_ring_level(branch, p, f, m)
+        space = SphereSpace(ring, n)
+        chain = verify_generators(SubgroupSpec("K"), ring, n)["orbit"] == space.size
+        assert chain is reference_uniform_stabilisers(ring, n, space) is True
+        rec = verify.decompose_suite(ring, n, include_commutants=False)
+        (record,) = [r for r in rec.records if r.check_id.endswith("/uniform-stabilisers")]
+        assert (record.status, record.observed) == ("PASS", "True")
+        assert record.params["|K|"] == group_order(ring, n)
+
+
+class TestOrthogonalityWitness:
+    def test_rows_map_to_their_pieces(self, sp222):
+        held = [H for H in pieces_of(sp222).values() if H.dim]
+        names = [f"({verify._chi_label(H.chi)}, m{H.level})" for H in held]
+        rows = [name for H, name in zip(held, names) for _ in range(H.dim)]
+        for i in (0, 1, len(rows) - 1):
+            for j in range(len(rows)):
+                assert verify._gram_witness(held, i, j) == f"pieces {rows[i]}, {rows[j]}"
+
+    def test_failing_record_names_the_worst_pair(self, sp222, monkeypatch):
+        held = [H for H in pieces_of(sp222).values() if H.dim]
+        stack = np.concatenate([H.basis for H in held])
+        err = np.abs(stack @ stack.conj().T * sp222.weight - np.eye(len(stack)))
+        i, j = np.unravel_index(err.argmax(), err.shape)
+        # no float residual is below -1: the record fails and names its pair
+        monkeypatch.setattr(verify, "TOL_TIGHT", -1.0)
+        rec = verify.decompose_suite(sp222.ring, 2, include_commutants=False)
+        (record,) = [r for r in rec.records if r.check_id.endswith("/orthogonality")]
+        assert record.status == "FAIL"
+        assert record.observed == f"{err[i, j]:.3e} at {verify._gram_witness(held, i, j)}"
 
 
 class TestIdentities:

@@ -36,6 +36,7 @@ from ultrasph.matgroup import (
     verify_generators,
 )
 from ultrasph.ring import make_ring_level, unit_group_basis, unit_subgroup_basis
+from ultrasph.sphere import sphere_size
 
 
 def reference_closure(gens):
@@ -418,7 +419,10 @@ class TestGenerators:
     def test_verified_generators_large_group(self):
         R = make_ring_level("padic", 3, 1, 3)
         rep = verify_generators(SubgroupSpec("K"), R, 2)
-        assert rep == {"method": "chain", "size": subgroup_order(SubgroupSpec("K"), R, 2), "ok": True}
+        assert rep == {
+            "method": "chain", "size": subgroup_order(SubgroupSpec("K"), R, 2), "ok": True,
+            "orbit": sphere_size(3, 2, 3),
+        }
 
     def test_factorisation_remultiplies(self):
         rng = np.random.default_rng(5)
@@ -530,14 +534,19 @@ class TestStabiliserChain:
             st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)).filter(any)
         )
         subset = [g for g, keep in zip(gens, mask) if keep]
-        size = len(closure(subset))
+        elems = closure(subset)
+        size = len(elems)
+        # the chain's top orbit is the orbit of e_n: the closure's bottom rows
+        orbit = len(np.unique(row_keys(R, elems[:, n - 1])))
         # with no random passes, the exhaustive sweep alone must complete the chain
         quiet = data.draw(st.sampled_from([matgroup.CHAIN_QUIET_PASSES, 0]))
         with mock.patch.multiple(
             matgroup, subgroup_generators=lambda *args: subset, CHAIN_QUIET_PASSES=quiet
         ):
             if size == subgroup_order(spec, R, n):
-                assert verify_generators(spec, R, n) == {"method": "chain", "size": size, "ok": True}
+                assert verify_generators(spec, R, n) == {
+                    "method": "chain", "size": size, "ok": True, "orbit": orbit,
+                }
             else:
                 with pytest.raises(RuntimeError, match=rf"of order {size}, expected"):
                     verify_generators(spec, R, n)
@@ -565,7 +574,10 @@ class TestStabiliserChain:
         branch, p, f, m, n = point
         R = ring_of(branch, p, f, m)
         rep = verify_generators(SubgroupSpec("K"), R, n)
-        assert rep == {"method": "chain", "size": group_order(R, n), "ok": True}
+        assert rep == {
+            "method": "chain", "size": group_order(R, n), "ok": True,
+            "orbit": sphere_size(R.q, n, m),
+        }
 
     def test_order_above_the_formula_raises(self):
         R = ring_of("padic", 3, 1, 2)
