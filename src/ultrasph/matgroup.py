@@ -185,6 +185,17 @@ class SubgroupSpec:
         return hash((self.kind, self.level))
 
 
+def canonical_spec(spec, ring):
+    """The spec that names the same subgroup at the working level: a depth
+    above m is m, as in ``subgroup_membership``, and K(p^0), K_1(p^0) and
+    K_0(p^0) are K.  Specs with equal canonical forms get equal generators."""
+    if spec.level is None:
+        return spec
+    if spec.level == 0:
+        return SubgroupSpec("K")
+    return SubgroupSpec(spec.kind, min(spec.level, ring.m))
+
+
 def subgroup_membership(k, spec):
     ring, n, a = k.ring, k.n, k.a
     vals = ring.val_arr(a)
@@ -260,8 +271,9 @@ def subgroup_generators(spec, ring, n):
     The identity is returned for subgroups that collapse to the trivial
     group at the working level, so closures always start somewhere.
     """
+    spec = canonical_spec(spec, ring)
     ell = spec.level
-    if spec.kind == "K" or (spec.kind in ("Kprin", "K1", "K0") and ell == 0):
+    if spec.kind == "K":
         return _gl_generators(ring, n)
     if spec.kind == "Kprin":
         gens = []
@@ -313,9 +325,9 @@ def group_order(ring, n):
 
 def subgroup_order(spec, ring, n):
     q, m = ring.q, ring.m
-    # a depth beyond the working level is the depth-m subgroup, as in subgroup_membership
-    ell = None if spec.level is None else min(spec.level, m)
-    if spec.kind == "K" or (ell == 0 and spec.kind in ("Kprin", "K1", "K0")):
+    spec = canonical_spec(spec, ring)
+    ell = spec.level
+    if spec.kind == "K":
         return group_order(ring, n)
     if spec.kind == "Kprin":
         return q ** ((m - ell) * n * n)
@@ -426,7 +438,7 @@ class _Level:
         apply = np.arange(len(G) - len(new), len(G))
         while len(us[-1]) and len(apply):
             front, front_inv = us[-1], uinvs[-1]
-            cand = np.concatenate([ring.matmul(front[:, self.row], G[g]) for g in apply])
+            cand = ring.matmul(front[:, self.row], G[apply]).reshape(-1, front.shape[-1])
             ckeys = row_keys(ring, cand)
             keys, first = np.unique(ckeys, return_index=True)
             slot = np.searchsorted(self.keys, keys)

@@ -28,6 +28,7 @@ from .matgroup import (
     BudgetExceededError,
     SubgroupSpec,
     _complete_to_invertible,
+    canonical_spec,
     find_keys,
     group_order,
     group_stack,
@@ -38,6 +39,7 @@ from .matgroup import (
     subgroup_generators,
     verify_generators,
 )
+from .sphere import orbit_labels
 
 COSET_BUDGET = 300000  # flag cosets a model may hold
 ACTION_CHUNK_BYTES = 1 << 21  # products reps k formed at once for a stack of ks
@@ -91,17 +93,19 @@ def flag_canon(ring, a):
 
 
 class FlagCosets:
-    """Canonical representatives of B\\G, found by closure from the identity.
+    """Canonical representatives of B\\G, found by closure from the identity,
+    and the character-free structure that every model at (ring, n) shares.
 
     Reaching the full count certifies transitivity of the generated group
     on the flag space.  ``keys`` holds the reps' keys sorted and ``slots``
-    the rep slot of each sorted key.
+    the rep slot of each sorted key.  ``table`` caches one generator's slot
+    permutation and pivots, ``orbit_tree`` one subgroup's orbits and
+    breadth-first forest.  Build it through ``flag_cosets``, which checks
+    COSET_BUDGET first.
     """
 
     def __init__(self, ring, n, gens):
         expected = flag_count(ring, n)
-        if expected > COSET_BUDGET:
-            raise BudgetExceededError(f"{expected} cosets exceed budget {COSET_BUDGET}")
         self.ring = ring
         self.n = n
         start, _ = flag_canon(ring, np.eye(n, dtype=np.int64))
@@ -113,53 +117,126 @@ class FlagCosets:
         self.slots = np.argsort(keys)
         self.keys = keys[self.slots]
         self.size = expected
+        self._tables = {}
+        self._trees = {}
 
     def slot_of(self, canon):
         """Rep slot of each canonical representative in an (N, n, n) stack."""
         return self.slots[find_keys(self.keys, row_keys(self.ring, canon))]
 
+    def act(self, K, rows=None):
+        """(slots, pivots) of shapes (C, R) and (C, R, n) for a (C, n, n)
+        stack K and R coset rows (every row by default): reps[rows[r]] K[c]
+        lies in the coset of slot slots[c, r], and pivots[c, r] is the
+        diagonal of its B-factor."""
+        K = np.asarray(K, dtype=np.int64)
+        reps = self.reps if rows is None else self.reps[rows]
+        prods = self.ring.matmul(reps, K[:, None]).reshape(-1, self.n, self.n)
+        canon, pivots = flag_canon(self.ring, prods)
+        shape = (len(K), len(reps))
+        return self.slot_of(canon).reshape(shape), pivots.reshape(*shape, self.n)
 
-def monomial_orbits(perms, rots, twists, L):
-    """Exact invariants of a monomial action: orbits and closing cocycles.
+    def table(self, a):
+        """Cached (perm, pivots) of one (n, n) matrix on every coset row,
+        shared by every model at (ring, n): the generator tables.  Pivots are
+        unit codes, kept in the smallest unsigned type that holds a code."""
+        a = np.asarray(a, dtype=np.int64)
+        key = a.tobytes()
+        if key not in self._tables:
+            slots, pivots = self.act(a[None])
+            self._tables[key] = (slots[0], pivots[0].astype(np.min_scalar_type(self.ring.size - 1)))
+        return self._tables[key]
 
-    Generator g acts by (g f)[i] = w^rots[g][i] f[perms[g][i]], w = e^{2 pi i/L}.
-    A vector with g f = w^twists[g] f for every g is c_O w^phase on each orbit
-    O, with phase[perm[i]] = phase[i] + twist - rot[i] (mod L) on every edge
-    when O closes.  Returns per-slot arrays (root, phase, closed): the least
-    slot of the orbit (phase 0 there), the phase, and whether O closes.
+    def orbit_tree(self, spec):
+        """Cached OrbitTree of the verified generators of ``spec``, keyed on
+        the canonical spec."""
+        spec = canonical_spec(spec, self.ring)
+        if spec not in self._trees:
+            gens = _verified_subgroup_gens(self.ring, self.n, spec)
+            self._trees[spec] = OrbitTree([self.table(g.a)[0] for g in gens])
+        return self._trees[spec]
+
+
+_COSETS = {}
+
+
+def flag_cosets(ring, n):
+    """The FlagCosets of (ring, n), built once and shared by every model there.
+
+    COSET_BUDGET is checked on every call, before the cache is read, so a
+    lowered budget refuses a warm (ring, n) as it refuses a cold one.
     """
-    dim = len(perms[0])
-    # min-label propagation along the generators and their inverses, with pointer jumping
-    steps = perms + [np.argsort(s) for s in perms]
-    root = np.arange(dim)
-    while True:
-        prev = root
-        for s in steps:
-            root = np.minimum(root, root[s])
-        root = root[root]
-        if np.array_equal(root, prev):
-            break
-    # phases: one breadth-first pass from every root at once
-    phase = np.full(dim, -1, dtype=np.int64)
-    front = np.flatnonzero(root == np.arange(dim))
-    phase[front] = 0
-    while front.size:
-        tgt = np.concatenate([s[front] for s in perms])
-        ph = np.concatenate([(phase[front] + t - r[front]) % L for r, t in zip(rots, twists)])
-        tgt, first = np.unique(tgt, return_index=True)
-        new = phase[tgt] < 0
-        front = tgt[new]
-        phase[front] = ph[first[new]]
-    broken = np.zeros(dim, dtype=bool)
-    for s, r, t in zip(perms, rots, twists):
-        broken[root[(phase[s] - phase + r - t) % L != 0]] = True
-    return root, phase, ~broken[root]
+    expected = flag_count(ring, n)
+    if expected > COSET_BUDGET:
+        raise BudgetExceededError(f"{expected} cosets exceed budget {COSET_BUDGET}")
+    key = (ring, n)
+    if key not in _COSETS:
+        _COSETS[key] = FlagCosets(ring, n, subgroup_generators(SubgroupSpec("K"), ring, n))
+    return _COSETS[key]
+
+
+class OrbitTree:
+    """Orbits of slot permutations and a breadth-first spanning forest of them.
+
+    ``root`` is the least slot of each slot's orbit.  The forest grows from
+    every root at once, one layer per step: a slot joins at the first layer
+    that reaches it, from the first (generator, parent) pair in
+    generator-major order.  ``layers`` holds each layer's (slots, parents)
+    and ``edges`` the flat index generator * dim + parent of each slot's
+    forest edge, in layer order.  Nothing here depends on a character.
+    """
+
+    def __init__(self, perms):
+        self.perms = perms
+        dim = len(perms[0])
+        self.root = orbit_labels(perms, (dim,))
+        front = np.flatnonzero(self.root == np.arange(dim))
+        seen = np.zeros(dim, dtype=bool)
+        seen[front] = True
+        self.layers, edges = [], [np.zeros(0, dtype=np.int64)]
+        while True:
+            tgt, first = np.unique(np.concatenate([s[front] for s in perms]), return_index=True)
+            new = ~seen[tgt]
+            if not new.any():
+                break
+            gen, at = np.divmod(first[new], len(front))
+            parent, front = front[at], tgt[new]
+            seen[front] = True
+            self.layers.append((front, parent))
+            edges.append(gen * dim + parent)
+        self.edges = np.concatenate(edges)
+
+    def phases(self, rots, twists, L):
+        """(phase, closed) per slot for the monomial action
+        (g f)[i] = w^rots[g][i] f[perms[g][i]], w = e^{2 pi i/L}.
+
+        A vector with g f = w^twists[g] f for every g is c_O w^phase on each
+        orbit O when O closes: phase 0 at the root and
+        phase[perm[i]] = phase[i] + twist - rot[i] (mod L) on every edge.
+        ``closed`` says whether the slot's orbit closes.
+        """
+        dim = len(self.root)
+        twists = np.asarray(twists, dtype=np.int64)
+        step = twists[self.edges // dim] - np.stack(rots).ravel()[self.edges]
+        phase = np.zeros(dim, dtype=np.int64)
+        lo = 0
+        for slots, parent in self.layers:
+            phase[slots] = (phase[parent] + step[lo : lo + len(slots)]) % L
+            lo += len(slots)
+        broken = np.zeros(dim, dtype=bool)
+        for s, r, t in zip(self.perms, rots, twists):
+            broken[self.root[(phase[s] - phase + r - t) % L != 0]] = True
+        return phase, ~broken[self.root]
 
 
 _VERIFIED_GENS = {}
 
 
 def _verified_subgroup_gens(ring, n, spec):
+    """Certified generators of ``spec``, one certificate per subgroup: the key
+    is the canonical spec, so K_1(0) and K_0(0) share K's certificate and a
+    depth above the working level shares depth m's."""
+    spec = canonical_spec(spec, ring)
     key = (ring, n, spec)
     if key not in _VERIFIED_GENS:
         verify_generators(spec, ring, n)
@@ -191,8 +268,8 @@ class PSeriesModel:
         self.L = self.chi_pi.order
         self._roots = np.exp(2j * np.pi * np.arange(self.L) / self.L)
         rng = rng if rng is not None else np.random.default_rng(0)
-        # FlagCosets checks its budget before the certificate allocates anything
-        self.cosets = FlagCosets(ring, n, subgroup_generators(SubgroupSpec("K"), ring, n))
+        # flag_cosets checks its budget before the certificate allocates anything
+        self.cosets = flag_cosets(ring, n)
         _verified_subgroup_gens(ring, n, SubgroupSpec("K"))
         self.dim = self.cosets.size
         self._invariants = {}
@@ -206,13 +283,13 @@ class PSeriesModel:
         rows (every row by default): (pi(K[c])f)[rows[r]] = w^rot[c, r]
         f[perm[c, r]], w = e^{2 pi i/L}, where rot sums the characters'
         rotation indices at the pivots of reps[rows[r]] K[c]."""
-        K = np.asarray(K, dtype=np.int64)
-        reps = self.cosets.reps if rows is None else self.cosets.reps[rows]
-        prods = self.ring.matmul(reps, K[:, None]).reshape(-1, self.n, self.n)
-        canon, pivots = flag_canon(self.ring, prods)
-        rot = sum(ch._nums[pivots[:, j]] for j, ch in enumerate(self.chars)) % self.L
-        shape = (len(K), len(reps))
-        return self.cosets.slot_of(canon).reshape(shape), rot.reshape(shape)
+        perm, pivots = self.cosets.act(K, rows)
+        return perm, self._rotations(pivots)
+
+    def _rotations(self, pivots):
+        """Rotation index of the inducing character at each pivot row of a
+        (..., n) array: the characters' indices summed mod L."""
+        return sum(ch._nums[pivots[..., j]] for j, ch in enumerate(self.chars)) % self.L
 
     def _actions(self, K, rows=None):
         """(lo, perm, rot) for consecutive chunks K[lo:lo + len(perm)] of a
@@ -227,12 +304,13 @@ class PSeriesModel:
             yield (lo, *self._monomials(K[lo : lo + step], **subset))
 
     def _monomial(self, k):
-        """Cached (perm, rot) of one k: the generator tables."""
-        a = np.asarray(getattr(k, "a", k))
+        """Cached (perm, rot) of one k: the shared generator table's
+        permutation, and the rotation indices at its pivots."""
+        a = np.asarray(getattr(k, "a", k), dtype=np.int64)
         key = a.tobytes()
         if key not in self._action_cache:
-            perm, rot = self._monomials(a[None])
-            self._action_cache[key] = (perm[0], rot[0])
+            perm, pivots = self.cosets.table(a)
+            self._action_cache[key] = (perm, self._rotations(pivots))
         return self._action_cache[key]
 
     def action_of(self, k):
@@ -277,11 +355,15 @@ class PSeriesModel:
 
     # -- invariants and the newform ---------------------------------------
 
-    def orbit_lines(self, gens, twists):
-        """Orthonormal rows w^phase / sqrt|O|, one per orbit O of ``gens`` on
-        which the cocycle twisted by the rotation indices ``twists`` closes."""
-        perms, rots = zip(*(self._monomial(g) for g in gens))
-        root, phase, closed = monomial_orbits(list(perms), rots, twists, self.L)
+    def orbit_lines(self, spec, twists=None):
+        """Orthonormal rows w^phase / sqrt|O|, one per orbit O of the verified
+        generators of ``spec`` on which the cocycle twisted by the rotation
+        indices ``twists`` (all 0 by default) closes."""
+        gens = _verified_subgroup_gens(self.ring, self.n, spec)
+        tree = self.cosets.orbit_tree(spec)
+        rots = [self._monomial(g)[1] for g in gens]
+        phase, closed = tree.phases(rots, [0] * len(gens) if twists is None else twists, self.L)
+        root = tree.root
         on = np.flatnonzero(closed)
         heads, row = np.unique(root[on], return_inverse=True)
         basis = np.zeros((len(heads), self.dim), dtype=np.complex128)
@@ -301,7 +383,7 @@ class PSeriesModel:
         gens = _verified_subgroup_gens(self.ring, self.n, spec)
         n = self.n
         twists = [0 if kind == "K1" else self.chi_pi._nums[g.a[n - 1, n - 1]] for g in gens]
-        self._invariants[key] = self.orbit_lines(gens, twists)
+        self._invariants[key] = self.orbit_lines(spec, twists)
         return self._invariants[key]
 
     def invariant_dims(self, ell, kind="K1"):
@@ -392,8 +474,7 @@ def mirab_average(model, v):
     coset-uniform inner product; orbit by orbit it is the sum over closing
     orbits O of u_O <v, u_O> / |O|, with u_O = e^{2 pi i phase/L} on O.
     """
-    gens = _verified_subgroup_gens(model.ring, model.n, SubgroupSpec("Kmirab"))
-    basis = model.orbit_lines(gens, [0] * len(gens))
+    basis = model.orbit_lines(SubgroupSpec("Kmirab"))
     return basis.T @ (basis.conj() @ v)
 
 

@@ -330,7 +330,8 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
     the invariant-pairing Gram matrix, and the projector-sum identities.
     Raises BudgetExceededError, before building anything, when the largest
     dense piece and its invariant line would exceed BASIS_BYTES_MAX.  A
-    failed identity record names its worst k."""
+    failed identity record names its worst k, a failed ``phi-gram`` its
+    worst (l1, l2) and a failed ``zonal-oracle`` its worst sphere point."""
     rec = rec if rec is not None else Recorder()
     rng = np.random.default_rng(seed)
     q, M = ring.q, ring.m
@@ -359,12 +360,15 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
             ]
         )
         gram_obs = np.array([[space.ip(f1, f2) for f2 in phis] for f1 in phis])
+        gram_err = np.abs(gram_obs - gram_exp)
+        i, j = np.unravel_index(gram_err.argmax(), gram_err.shape)
         rec.residual(
             f"{lab}/phi-gram/{cl}",
             "<phi_l1, phi_l2> = (q-1)/(q^((max-1)(n-1)) (q^n-1)), 1 at 0",
             {"q": q, "n": n, "c": chi.c},
-            float(np.abs(gram_obs - gram_exp).max()),
+            float(gram_err[i, j]),
             TOL_TIGHT,
+            witness=f"(l1, l2) = ({chi.c + i}, {chi.c + j})",
         )
         for m in range(chi.c, M + 1):
             H = harmonic_subspace(space, chi, m)
@@ -385,12 +389,15 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
             if fixed_dim == 1:
                 cand = fixed[0]
                 cand = cand / cand[space.index.e_n]
+                err = np.abs(cand - z)
+                at = int(err.argmax())
                 rec.residual(
                     f"{lab}/zonal-oracle/{cl}/m{m}",
                     "closed-form zonal equals the normalised invariant line",
                     {"q": q, "n": n, "m": m, "c": chi.c},
-                    float(np.abs(cand - z).max()),
+                    float(err[at]),
                     TOL_TIGHT,
+                    witness=f"x={space.points[at].tolist()}",
                 )
             # exact shell pattern; the shell value is recorded as an exact fraction
             shell_res = _zonal_shell_residual(space, chi, m, z, minv)

@@ -832,3 +832,45 @@ class TestIdentityWitness:
         assert [r.check_id.split("/")[1] for r in failed] == ["projector-sums"] * 3
         for r in failed:
             assert r.observed == f"5.000e-01 at k={picked['k']}"
+
+
+class TestPointWitness:
+    """A failing Gram or point-wise zonal record names its worst pair or point."""
+
+    def _run(self, point):
+        rec = verify.Recorder()
+        branch, p, f, m, n = point
+        verify.zonal_suite(make_ring_level(branch, p, f, m), n, rec=rec, samples=20, seed=0)
+        assert not any(" at " in r.observed for r in rec.records if r.status == "PASS")
+        return rec.records
+
+    def test_phi_gram_names_the_worst_pair(self, monkeypatch):
+        right = verify._phi_ip_expected
+
+        def wrong_at_1_2(q, n, l1, l2):
+            return right(q, n, l1, l2) + (Fraction(1, 2) if (l1, l2) == (1, 2) else 0)
+
+        monkeypatch.setattr(verify, "_phi_ip_expected", wrong_at_1_2)
+        records = self._run(("padic", 3, 1, 2, 2))
+        failed = [r for r in records if r.status != "PASS"]
+        # every character of conductor at most 1 pairs depths 1 and 2
+        assert failed and {r.check_id.split("/")[1] for r in failed} == {"phi-gram"}
+        assert all(r.observed == "5.000e-01 at (l1, l2) = (1, 2)" for r in failed)
+
+    def test_zonal_oracle_names_the_worst_point(self, monkeypatch):
+        right, picked = verify.zonal_fn, {}
+
+        def wrong_once(space, chi, m):
+            z = right(space, chi, m)
+            if chi.is_trivial and m == 1:
+                j = (space.index.e_n + 5) % space.size
+                picked["x"] = space.points[j].tolist()
+                z = z.copy()
+                z[j] += 0.5
+            return z
+
+        monkeypatch.setattr(verify, "zonal_fn", wrong_once)
+        records = self._run(("padic", 2, 1, 2, 2))
+        oracle = [r for r in records if "/zonal-oracle/" in r.check_id and r.status != "PASS"]
+        assert len(oracle) == 1 and oracle[0].check_id.endswith("/c0e0/m1")
+        assert oracle[0].observed == f"5.000e-01 at x={picked['x']}"

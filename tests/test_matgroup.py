@@ -16,6 +16,7 @@ from ultrasph.matgroup import (
     _diag,
     _elem,
     _scalar,
+    canonical_spec,
     chang_beta,
     closure,
     det,
@@ -410,6 +411,29 @@ class TestGenerators:
         spec = SubgroupSpec(kind, level)
         got = len(closure(subgroup_generators(spec, R4, 2)))
         assert got == subgroup_order(spec, R4, 2)
+
+    @pytest.mark.parametrize(
+        "point", [("padic", 2, 1, 2, 2), ("laurent", 2, 2, 1, 2), ("padic", 2, 1, 1, 3)],
+        ids=lambda pt: "-".join(map(str, pt)),
+    )
+    def test_canonical_spec_names_the_same_subgroup(self, point):
+        # certificates are cached per canonical spec: its generators must
+        # generate the subgroup the original spec's membership predicate cuts out
+        branch, p, f, m, n = point
+        R = ring_of(branch, p, f, m)
+        elems = list(enumerate_group(R, n))
+        for kind in SubgroupSpec.KINDS:
+            for level in range(m + 3) if kind in ("Kprin", "K1", "K0") else [None]:
+                spec = SubgroupSpec(kind, level)
+                canon = canonical_spec(spec, R)
+                assert canonical_spec(canon, R) == canon
+                gens = subgroup_generators(canon, R, n)
+                assert all(subgroup_membership(g, spec) for g in gens)
+                members = sum(subgroup_membership(k, spec) for k in elems)
+                assert len(closure(gens)) == members == subgroup_order(spec, R, n)
+        assert canonical_spec(SubgroupSpec("K1", 0), R) == SubgroupSpec("K")
+        assert canonical_spec(SubgroupSpec("K0", m + 1), R) == SubgroupSpec("K0", m)
+        assert canonical_spec(SubgroupSpec("Kmirab"), R) == SubgroupSpec("Kmirab")
 
     def test_generators_satisfy_membership(self, R4):
         for spec in [SubgroupSpec("K1", 2), SubgroupSpec("K0", 1), SubgroupSpec("Kprin", 2)]:

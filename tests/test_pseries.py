@@ -180,6 +180,14 @@ class TestModel:
         with pytest.raises(BudgetExceededError, match="6 cosets exceed budget 5"):
             build_model([trivial_of(chars4), trivial_of(chars4)])
 
+    def test_coset_budget_is_checked_before_the_cache(self, chars4, monkeypatch):
+        # the shared cosets of (ring, n) are warm: a lowered budget still refuses
+        build_model([trivial_of(chars4), trivial_of(chars4)])
+        assert (chars4[0].ring, 2) in pseries._COSETS
+        monkeypatch.setattr(pseries, "COSET_BUDGET", 5)
+        with pytest.raises(BudgetExceededError, match="6 cosets exceed budget 5"):
+            build_model([trivial_of(chars4), next(c for c in chars4 if c.c == 2)])
+
     def test_character_level_mismatch_rejected(self, chars4):
         R9 = make_ring_level("padic", 3, 1, 2)
         with pytest.raises(ValueError):
@@ -505,8 +513,10 @@ class TestSuiteDraws:
 
     @pytest.mark.parametrize("cache", ["cleared", "warm"])
     def test_draws_do_not_depend_on_earlier_models(self, cache, monkeypatch):
-        # the first run starts with the verified-generator cache as given; the second finds it warm
+        # the first run starts with the verified-generator and coset caches as
+        # given; the second finds them warm
         monkeypatch.setattr(pseries, "_VERIFIED_GENS", {})
+        monkeypatch.setattr(pseries, "_COSETS", {})
         (branch, p, f, M, n), selectors = SUITE_DRAW_POINTS[0]
         chs = characters(make_ring_level(branch, p, f, M))
         chars = [[ch for ch in chs if ch.c == c][i] for c, i in selectors]
@@ -520,7 +530,7 @@ class TestSuiteDraws:
 
         if cache == "warm":
             run()
-        assert bool(pseries._VERIFIED_GENS) == (cache == "warm")
+        assert bool(pseries._VERIFIED_GENS) == bool(pseries._COSETS) == (cache == "warm")
         first, second = run(), run()
         assert first == second
         assert all(status == "PASS" for _, status, _, _ in first[0])
@@ -862,3 +872,155 @@ class TestEquivarianceWitness:
         failed = [r for r in rec.records if r.status != "PASS"]
         assert [r.check_id.split("/")[-1] for r in failed] == ["equivariance"]
         assert failed[0].observed == f"5.000e-01 at k={gens[1].a.tolist()}"
+
+
+# -- shared character-free structure against the one-k, one-shot references ------
+
+
+def reference_monomial(model, k):
+    """The one-k table: (perm, rot) of k from its own products reps k, with
+    nothing shared between models."""
+    perm, rot = model._monomials(np.asarray(getattr(k, "a", k), dtype=np.int64)[None])
+    return perm[0], rot[0]
+
+
+def reference_monomial_orbits(perms, rots, twists, L):
+    """The one-shot orbit pass that OrbitTree and its phases replace.
+
+    Generator g acts by (g f)[i] = w^rots[g][i] f[perms[g][i]], w = e^{2 pi i/L}.
+    Returns per-slot arrays (root, phase, closed): the least slot of the
+    orbit (phase 0 there), the phase, and whether the orbit's cocycle closes.
+    """
+    dim = len(perms[0])
+    # min-label propagation along the generators and their inverses, with pointer jumping
+    steps = perms + [np.argsort(s) for s in perms]
+    root = np.arange(dim)
+    while True:
+        prev = root
+        for s in steps:
+            root = np.minimum(root, root[s])
+        root = root[root]
+        if np.array_equal(root, prev):
+            break
+    # phases: one breadth-first pass from every root at once
+    phase = np.full(dim, -1, dtype=np.int64)
+    front = np.flatnonzero(root == np.arange(dim))
+    phase[front] = 0
+    while front.size:
+        tgt = np.concatenate([s[front] for s in perms])
+        ph = np.concatenate([(phase[front] + t - r[front]) % L for r, t in zip(rots, twists)])
+        tgt, first = np.unique(tgt, return_index=True)
+        new = phase[tgt] < 0
+        front = tgt[new]
+        phase[front] = ph[first[new]]
+    broken = np.zeros(dim, dtype=bool)
+    for s, r, t in zip(perms, rots, twists):
+        broken[root[(phase[s] - phase + r - t) % L != 0]] = True
+    return root, phase, ~broken[root]
+
+
+def reference_orbit_lines(model, gens, twists):
+    """orbit_lines from the one-k tables and the one-shot orbit pass."""
+    perms, rots = zip(*(reference_monomial(model, g) for g in gens))
+    root, phase, closed = reference_monomial_orbits(list(perms), rots, twists, model.L)
+    on = np.flatnonzero(closed)
+    heads, row = np.unique(root[on], return_inverse=True)
+    basis = np.zeros((len(heads), model.dim), dtype=np.complex128)
+    basis[row, on] = model._roots[phase[on]] / np.sqrt(np.bincount(root)[root[on]])
+    return basis
+
+
+def check_shared_structure(model):
+    """Every verified generator's table and every orbit line equal the references."""
+    ring, n, M = model.ring, model.n, model.ring.m
+    specs = [SubgroupSpec("Kmirab")] + [
+        SubgroupSpec(kind, ell) for kind in ("K1", "K0") for ell in range(M + 2)
+    ]
+    for spec in specs:
+        gens = _verified_subgroup_gens(ring, n, spec)
+        for g in gens:
+            perm, scale = model.action_of(g)
+            ref_perm, ref_rot = reference_monomial(model, g)
+            assert np.array_equal(perm, ref_perm)
+            assert scale.tobytes() == model._roots[ref_rot].tobytes()
+        if spec.kind == "Kmirab":
+            twists = [0] * len(gens)
+            got = model.orbit_lines(spec)
+        else:
+            kind = "K1" if spec.kind == "K1" else "K0chi"
+            twists = [0 if kind == "K1" else model.chi_pi._nums[g.a[n - 1, n - 1]] for g in gens]
+            got = model.invariant_space(spec.level, kind)
+        want = reference_orbit_lines(model, gens, twists)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestSharedStructure:
+    @given(point=st.sampled_from(MODEL_POINTS), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_shared_tables_and_trees_equal_the_references(self, point, data):
+        branch, p, f, M, n = point
+        chs = characters(make_ring_level(branch, p, f, M))
+        tuples = [[data.draw(st.sampled_from(chs)) for _ in range(n)] for _ in range(2)]
+        with pytest.MonkeyPatch.context() as mp:
+            if data.draw(st.booleans()):
+                # cold: the first model builds the shared structure, the second reuses it
+                mp.setattr(pseries, "_COSETS", {})
+            models = [build_model(chars, rng=np.random.default_rng(0)) for chars in tuples]
+            assert models[0].cosets is models[1].cosets
+            for model in models[:: data.draw(st.sampled_from([1, -1]))]:
+                check_shared_structure(model)
+
+    @pytest.mark.parametrize(
+        "point,exps",
+        [
+            (("padic", 5, 1, 2), [(1, 0), (3, 0)]),
+            (("laurent", 2, 2, 2), [(0, 0, 1), (0, 0, 2)]),
+        ],
+    )
+    def test_order_four_phases_after_other_characters(self, point, exps):
+        # the characters of test_phase_sign_matters, whose closing orbits see
+        # the sign of the cocycle, built after a trivial model at the same ring
+        chs = characters(make_ring_level(*point))
+        build_model([trivial_of(chs)] * 2)
+        check_shared_structure(build_model([next(c for c in chs if c.exps == e) for e in exps]))
+
+    def test_models_share_tables_not_phases(self):
+        ring = make_ring_level("padic", 3, 1, 2)
+        chs = characters(ring)
+        quad = next(c for c in chs if c.c == 1)
+        a, b = build_model([quad, trivial_of(chs)]), build_model([trivial_of(chs), trivial_of(chs)])
+        gens = _verified_subgroup_gens(ring, 2, SubgroupSpec("K"))
+        tables = [(a._monomial(g), b._monomial(g)) for g in gens]
+        assert all(pa is pb for (pa, _), (pb, _) in tables)
+        assert any(not np.array_equal(ra, rb) for (_, ra), (_, rb) in tables)
+        perm, pivots = a.cosets.table(gens[0].a)
+        assert pivots.shape == (a.dim, 2) and pivots.dtype == np.uint8
+        assert a.cosets.orbit_tree(SubgroupSpec("K1", 0)) is a.cosets.orbit_tree(SubgroupSpec("K"))
+
+
+class TestCertificateKeys:
+    def test_one_chain_per_subgroup(self, monkeypatch):
+        # K, K_1(0) and K_0(0) are one group, and K_1(m + 1) is K_1(m)
+        monkeypatch.setattr(pseries, "_VERIFIED_GENS", {})
+        monkeypatch.setattr(pseries, "_COSETS", {})
+        certified, verify_generators = [], pseries.verify_generators
+
+        def counting(spec, ring, n):
+            certified.append(spec)
+            return verify_generators(spec, ring, n)
+
+        monkeypatch.setattr(pseries, "verify_generators", counting)
+        ring = make_ring_level("padic", 3, 1, 2)
+        triv = trivial_of(characters(ring))
+        model = build_model([triv, triv], rng=np.random.default_rng(0))
+        rec = Recorder()
+        pseries_model_checks(model, rec, samples=20, rng=np.random.default_rng(1))
+        assert all(r.status == "PASS" for r in rec.records)
+        assert certified == [
+            SubgroupSpec("K"),
+            SubgroupSpec("K1", 1), SubgroupSpec("K1", 2),
+            SubgroupSpec("K0", 1), SubgroupSpec("K0", 2),
+        ]
+        for deep, spec in [(SubgroupSpec("K1", 3), SubgroupSpec("K1", 2)), (SubgroupSpec("K0", 0), SubgroupSpec("K"))]:
+            assert _verified_subgroup_gens(ring, 2, deep) is _verified_subgroup_gens(ring, 2, spec)
+        assert len(certified) == 5
