@@ -4,9 +4,8 @@ Config files are flat key = value text grouped in [sections]; unknown
 sections or keys are hard errors, because a silently ignored typo in a
 mathematical parameter is the worst failure mode available here.
 
-Exit codes: 0 all pass; 2 any FAIL (an ambiguous rank decision is one);
-3 any SKIP without FAIL (a budget overrun is a SKIP); 4 config error (an
-oversized ring is one).
+Exit codes: 0 all pass; 2 any FAIL; 3 any SKIP without FAIL (a budget
+overrun is a SKIP); 4 config error (an oversized ring is one).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matgroup import BudgetExceededError
-from .numerics import RankCertificateError
 from .ring import characters, make_ring_level
 from .verify import (
     Recorder,
@@ -318,13 +316,6 @@ def main(argv=None):
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except RankCertificateError as e:
-        # the records made so far are kept, and this one names the failure
-        print(f"rank certificate failed: {e}", file=sys.stderr)
-        rec.fail(
-            f"{args.command}/rank-certificate",
-            "every rank decision has a certified pivot gap", {}, str(e),
-        )
     return emit_report(rec.sorted_records(), out_path=cfg.out, seed=cfg.seed)
 
 

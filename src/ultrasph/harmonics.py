@@ -12,8 +12,8 @@ is the orbit of e_n.
 Subspaces of the filtration are built exactly: a level-l function with
 scalar equivariance under a character is supported on scalar orbits of
 the level-l sphere, one basis vector per orbit, so the Gram matrix is
-the identity by construction.  Orthogonal complements (the irreducible
-pieces) are the only place Gram-Schmidt appears.
+the identity by construction.  So are the irreducible pieces, fibre by
+fibre: the non-trivial DFT rows over each depth-(m-1) orbit's children.
 
 The four zonal identity checks (addition theorem, reproducing kernel,
 zonal symmetry, projector sums) act on the whole (N, n, n) stack of
@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .matgroup import SubgroupSpec, mat_inv, subgroup_membership
-from .numerics import kernel_basis, kernel_dimension, orthonormalize_rows
+from .numerics import kernel_basis, kernel_dimension
 from .sphere import SphereIndex, sphere_size
 
 # Bytes of the (chunk, |S|, n) point products behind one chunk of the
@@ -119,9 +119,9 @@ class Subspace:
     def rho(self, k):
         """Matrix of R(k) on this basis; unitary when the space is invariant."""
         a = getattr(k, "a", k)
-        perm = self.space.index.perm_of_matrix(a)
-        moved = self.basis[:, perm]
-        return (self.basis.conj() @ moved.T * self.space.weight).T
+        moved = self.basis[:, self.space.index.perm_of_matrix(a)]
+        np.conjugate(moved, out=moved)  # conj(basis @ conj(moved)^T) = conj(basis) @ moved^T
+        return (np.conjugate(self.basis @ moved.T) * self.space.weight).T
 
     def invariant_under(self, gens):
         """Whether R(g) maps the space into itself for every g in ``gens``:
@@ -191,58 +191,63 @@ def zonal_fn(space, chi, m):
     return out
 
 
+def _orbit_rows(space, chi, ell):
+    """(row, phase, count): x reduces at level l to u r, for r the least point
+    of scalar orbit row[x] of count, and phase[x] = chi(u); depth 0 is one row."""
+    if ell == 0:
+        return np.zeros(space.size, dtype=np.int64), np.ones(space.size, dtype=np.complex128), 1
+    sub, proj = space.index.child(ell)
+    orbit, unit, count = sub.scalar_orbits()
+    return orbit[proj], chi.eval_arr(unit[proj]), count
+
+
 def chi_level_subspace(space, chi, ell):
     """Exact orthonormal basis of the depth-l, chi-equivariant subspace.
 
-    Basis vectors are supported on single scalar orbits of the level-l
-    sphere, pulled back through the fibers, so they are orthonormal by
-    construction and the dimension is forced combinatorially.
+    One row per scalar orbit of the level-l sphere, the phases of
+    ``_orbit_rows`` pulled back through the fibres: disjoint supports of one
+    size and unit-modulus values, so the rows are orthonormal by
+    construction.  Their number, the orbit count, is what the
+    ``/chi-level-dim`` records compare with ``dim_chi_level``.
     """
     if ell > space.ring.m:
         raise ValueError(f"depth {ell} above working level {space.ring.m}")
-    expected = dim_chi_level(space.ring.q, space.n, ell, chi.c)
     if ell < chi.c:
         return Subspace(space, np.zeros((0, space.size)), chi, ell, "chi_level")
-    if ell == 0:
-        basis = np.ones((1, space.size), dtype=np.complex128)
-        return Subspace(space, basis, chi, ell, "chi_level")
-    sub, proj = space.index.child(ell)
-    low = sub.ring
-    units_low = [int(u) for u in low.units()]
-    seen = np.zeros(sub.size, dtype=bool)
-    rows = []
-    child_fiber = space.size // sub.size
-    for y0 in range(sub.size):
-        if seen[y0]:
-            continue
-        vals_child = np.zeros(sub.size, dtype=np.complex128)
-        for a in units_low:
-            ya = int(sub.scalar_perm(a)[y0])  # slot of a * y0; stabiliser is trivial
-            seen[ya] = True
-            vals_child[ya] = chi.eval_arr(np.array([a]))[0]
-        rows.append(vals_child[proj])
-    basis = np.array(rows, dtype=np.complex128)
-    norms = np.sqrt((np.abs(basis) ** 2).sum(axis=1) * space.weight)
-    basis = basis / norms[:, None]
-    if basis.shape[0] != expected:
-        raise RuntimeError(
-            f"chi-level dimension {basis.shape[0]} != formula value {expected}"
-        )
+    row, phase, count = _orbit_rows(space, chi, ell)
+    basis = np.zeros((count, space.size), dtype=np.complex128)
+    basis[row, np.arange(space.size)] = phase * np.sqrt(count)
     return Subspace(space, basis, chi, ell, "chi_level")
 
 
 def harmonic_subspace(space, chi, m):
-    """The orthogonal complement of depth m-1 inside depth m (chi part)."""
+    """The orthogonal complement of depth m-1 inside depth m (chi part).
+
+    At m = c it is the depth-m space.  Above c, each depth-m orbit O reduces
+    into one depth-(m-1) orbit, its fibre, of k children each, and the
+    fibre's depth-(m-1) row is sum_O chi(a_O) Q_O / sqrt(k), with a_O read
+    off the reduction: on O, that row's own phase.  So the k - 1 DFT rows
+    w^(j i) times that phase, on the child in position i, w = exp(2 pi i / k)
+    and j = 1..k-1, are an orthonormal basis of the complement in the
+    fibre's span, each supported on its fibre.
+    """
     if m < chi.c:
         raise ValueError(f"level {m} below conductor {chi.c}")
-    top = chi_level_subspace(space, chi, m)
     if m == chi.c:
-        return Subspace(space, top.basis, chi, m, "harmonic")
-    lower = chi_level_subspace(space, chi, m - 1)
-    resid = top.basis - (top.basis @ lower.basis.conj().T * space.weight) @ lower.basis
-    expected = dim_harmonic(space.ring.q, space.n, m, chi.c)
-    basis = orthonormalize_rows(resid, weight=space.weight, expected_rank=expected)
-    return Subspace(space, basis, chi, m, "harmonic")
+        return Subspace(space, chi_level_subspace(space, chi, m).basis, chi, m, "harmonic")
+    child, _, count = _orbit_rows(space, chi, m)
+    fibre, phase, fibres = _orbit_rows(space, chi, m - 1)
+    k = count // fibres
+    # the (fibre, child) pairs, fibre-major: child i of fibre F has rank F k + i
+    pairs, rank = np.unique(fibre * count + child, return_inverse=True)
+    if not np.array_equal(pairs // count, np.arange(count) // k):
+        raise RuntimeError(f"depth-{m} orbits are not split evenly over the depth-{m - 1} fibres")
+    at, points = rank - fibre * k, np.arange(space.size)
+    dft = np.exp(2j * np.pi * np.arange(k) / k) * np.sqrt(fibres)
+    basis = np.zeros((fibres, k - 1, space.size), dtype=np.complex128)
+    for j in range(1, k):
+        basis[fibre, j - 1, points] = dft[j * at % k] * phase
+    return Subspace(space, basis.reshape(-1, space.size), chi, m, "harmonic")
 
 
 def commutant_dimension(sub, gens):
@@ -297,8 +302,8 @@ def mirabolic_orbit_count(space, gens):
 def invariant_vectors(sub, gens):
     """Kernel rows of the stacked fixed-vector system on ``sub``.
 
-    Row count is the dimension of the fixed subspace; the fixed functions
-    themselves are recovered as row.conj() @ sub.basis.
+    Row count is the dimension of the fixed subspace, the fixed functions
+    are row.conj() @ sub.basis; the tests' oracle for ``zonal_suite``'s line.
     """
     d = sub.dim
     if d == 0:
@@ -308,20 +313,11 @@ def invariant_vectors(sub, gens):
     return basis
 
 
-def zonal_piece_bytes(q, n, m, gens):
-    """Predicted peak bytes of building one level-m piece and its invariant
-    line, before anything is allocated.
-
-    The largest piece has d = dim_chi_level(q, n, m, 0) dense complex rows
-    over |S|.  ``harmonic_subspace`` holds up to six such (d, |S|) arrays at
-    once: the depth-m rows, their stacked and normalised copies, the
-    residual, the Gram-Schmidt input and its kept rows, with the depth-(m-1)
-    rows on top.  ``invariant_vectors`` then holds the basis, the stacked
-    (gens d, d) fixed-vector system and its SVD factors, about four systems.
-    """
-    size = sphere_size(q, n, m)
-    d = dim_chi_level(q, n, m, 0)
-    return 16 * d * max(6 * size, size + 4 * gens * d)
+def zonal_piece_bytes(q, n, m):
+    """Predicted peak bytes of one level-m piece and its checks, before any
+    allocation: the largest piece, d = dim_chi_level(q, n, m, 0) dense rows
+    over |S|, and the copy ``Subspace.rho`` gathers per generator."""
+    return 2 * 16 * dim_chi_level(q, n, m, 0) * sphere_size(q, n, m)
 
 
 def _stack(ks, n):

@@ -96,7 +96,7 @@ class SphereIndex:
         self.size = expected
         self.e_n = self.idx(np.eye(n, dtype=np.int64)[n - 1])
         self.coord_vals = ring.val_arr(self.points)
-        self._scalar_perms = {}
+        self._scalar_orbits = None
         self._matrix_perms = {}
         self._orbitals = {}
         self._children = {}
@@ -156,12 +156,21 @@ class SphereIndex:
 
     def scalar_perm(self, a):
         """Permutation i -> index of a * points[i] for a unit code a."""
-        a = int(a)
-        if a not in self._scalar_perms:
-            if not self.ring.is_unit(a):
-                raise ValueError("scalar action requires a unit")
-            self._scalar_perms[a] = self.idx(self.ring.mul_arr(self.points, np.int64(a)))
-        return self._scalar_perms[a]
+        if not self.ring.is_unit(int(a)):
+            raise ValueError("scalar action requires a unit")
+        return self.idx(self.ring.mul_arr(self.points, np.int64(a)))
+
+    def scalar_orbits(self):
+        """(orbit, unit, count), cached: points[i] = unit[i] * r for the least
+        point r of its orbit under the units, and the only unit to fix a sphere
+        point is 1; orbit[i] numbers the orbit by r's slot, of count orbits."""
+        if self._scalar_orbits is None:
+            units = self.ring.units()
+            perms = np.array([self.scalar_perm(a) for a in units])  # slots of a * points
+            at = perms.argmin(axis=0)
+            roots, orbit = np.unique(perms[at, np.arange(self.size)], return_inverse=True)
+            self._scalar_orbits = (orbit, self.ring.inv_arr(units)[at], len(roots))
+        return self._scalar_orbits
 
     def child(self, ell, cap=10**6):
         """SphereIndex at level ell <= m plus the fiber projection map.

@@ -19,12 +19,12 @@ import numpy as np
 from . import arch
 from .harmonics import (
     SphereSpace,
+    _worst,
     chi_level_subspace,
     dim_chi_level,
     dim_harmonic,
     harmonic_subspace,
     idempotent_sum_residual,
-    invariant_vectors,
     mirabolic_orbit_count,
     phi_fn,
     verify_addition_theorem,
@@ -125,11 +125,6 @@ class Recorder:
     def skip(self, check_id, formula, params, reason):
         self.records.append(
             CheckRecord(check_id, formula, params, "-", reason, None, "SKIP", self._elapsed())
-        )
-
-    def fail(self, check_id, formula, params, reason):
-        self.records.append(
-            CheckRecord(check_id, formula, params, "-", reason, None, "FAIL", self._elapsed())
         )
 
     def sorted_records(self):
@@ -252,24 +247,29 @@ def _gram_witness(held, i, j):
     return "pieces " + ", ".join(_piece_name(held[a]) for a in at)
 
 
+def _count_reason(size, dims, fault, orbits):
+    """Why the facts behind an orbit count fail, or None: ``dims`` sum to |S|,
+    no piece has a ``fault``, and the number of non-empty pieces is
+    ``orbits``, which for orthogonal P'-invariant pieces is sum dim H^P'."""
+    held = sum(1 for d in dims if d)
+    if sum(dims) != size:
+        return f"pieces span {sum(dims)} of {size} dimensions"
+    return fault or (f"{orbits} orbits, {held} pieces" if orbits != held else None)
+
+
 def irreducibility_suite(ring, n, rec=None, space=None, pieces=None, cert=None):
     """Irreducibility and multiplicity one of every piece from one orbit count.
 
-    Let c be the number of orbits on S of the group that the ``Kmirab``
-    generators generate.  The suite checks four facts itself: K's
-    generators are certified (``cert``, from ``verify_generators``, is
-    certified here when not given), and their orbit of e_n is all of S;
-    every non-empty piece is invariant under each K generator; the pieces'
-    dimensions sum to |S|; every ``Kmirab`` generator fixes e_n
-    (``mirabolic_orbit_count``).  The pieces are orthogonal by construction,
-    which ``decompose_suite``'s ``/orthogonality`` record checks, so they
-    split L^2(S) = Ind_P^K 1, and c >= #P-orbits = sum m_rho^2 >= sum m_rho
-    >= #pieces.  So c = #pieces makes every piece irreducible and no two
-    isomorphic: each ``/commutant/`` record observes dim End = 1, and each
-    ``/commutant-filtration/`` record the number of pieces inside the
-    depth-M space of its character.  When a fact fails, or c differs from
-    #pieces, every record FAILs and names why, for example
-    "13 orbits, 12 pieces".
+    K's certificate ``cert`` (``verify_generators``, run here when not
+    given) must have e_n's orbit all of S, and ``_count_reason`` must hold
+    with every piece K-invariant.  The pieces are orthogonal
+    (``/orthogonality``), so they split L^2(S) = Ind_P^K 1, P the stabiliser
+    of e_n.  ``mirabolic_orbit_count`` refuses a generator outside P, so the
+    count is at least #P-orbits = sum m_rho^2 >= sum m_rho >= #pieces, and
+    equality makes each piece irreducible and no two isomorphic: each
+    ``/commutant/`` record observes dim End = 1, and each
+    ``/commutant-filtration/`` record the number of pieces in the depth-M
+    space of its character.  Otherwise every record FAILs and names why.
 
     ``pieces`` maps (chi.exps, m) to harmonic pieces already built on
     ``space``; missing ones are built here.
@@ -286,21 +286,14 @@ def irreducibility_suite(ring, n, rec=None, space=None, pieces=None, cert=None):
         for chi in chs
         for m in range(chi.c, M + 1)
     }
-    held = [H for H in pieces.values() if H.dim]
-    total = sum(H.dim for H in held)
     kgens = subgroup_generators(SubgroupSpec("K"), ring, n)
     orbits = mirabolic_orbit_count(space, subgroup_generators(SubgroupSpec("Kmirab"), ring, n))
-    moved = next((H for H in held if not H.invariant_under(kgens)), None)
+    moved = next((H for H in pieces.values() if H.dim and not H.invariant_under(kgens)), None)
+    fault = None if moved is None else f"piece {_piece_name(moved)} is not K-invariant"
     if cert["orbit"] != space.size:
         reason = f"K-orbit of e_n has {cert['orbit']} of {space.size} points"
-    elif total != space.size:
-        reason = f"pieces span {total} of {space.size} dimensions"
-    elif moved is not None:
-        reason = f"piece {_piece_name(moved)} is not K-invariant"
-    elif orbits != len(held):
-        reason = f"{orbits} orbits, {len(held)} pieces"
     else:
-        reason = None
+        reason = _count_reason(space.size, [H.dim for H in pieces.values()], fault, orbits)
     for chi in chs:
         cl = _chi_label(chi)
         for m in range(chi.c, M + 1):
@@ -327,25 +320,31 @@ def irreducibility_suite(ring, n, rec=None, space=None, pieces=None, cert=None):
 
 def zonal_suite(ring, n, rec=None, samples=200, seed=0):
     """Zonal closed form, norms, symmetry, addition and reproducing identities,
-    the invariant-pairing Gram matrix, and the projector-sum identities.
-    Raises BudgetExceededError, before building anything, when the largest
-    dense piece and its invariant line would exceed BASIS_BYTES_MAX.  A
-    failed identity record names its worst k, a failed ``phi-gram`` its
-    worst (l1, l2) and a failed ``zonal-oracle`` its worst sphere point."""
+    multiplicity one, the invariant-pairing Gram matrix and the projector-sum
+    identities, one piece held at a time; BudgetExceededError, before
+    anything is built, when the largest piece and its checks would exceed
+    BASIS_BYTES_MAX.  A piece H's invariant line is proj_H delta_{e_n}, a
+    multiple of conj(basis[:, e_n]) @ basis, which the group P' of the
+    ``Kmirab`` generators fixes when it fixes H and e_n; so a non-zero line
+    in every piece and ``_count_reason`` force dim H^P' = 1.  A failed
+    identity record names its worst k, a failed ``phi-gram`` its worst
+    (l1, l2), and a failed ``zonal-oracle`` or ``zonal-shells`` its worst
+    sphere point."""
     rec = rec if rec is not None else Recorder()
     rng = np.random.default_rng(seed)
     q, M = ring.q, ring.m
-    mirab_gens = subgroup_generators(SubgroupSpec("Kmirab"), ring, n)
-    nbytes = zonal_piece_bytes(q, n, M, len(mirab_gens))
+    nbytes = zonal_piece_bytes(q, n, M)
     if nbytes > BASIS_BYTES_MAX:
         raise BudgetExceededError(
-            f"a dense piece and its invariant line need {nbytes} bytes, "
-            f"over the cap {BASIS_BYTES_MAX}"
+            f"a dense piece and its checks need {nbytes} bytes, over the cap {BASIS_BYTES_MAX}"
         )
     lab = _ring_label(ring, n)
     space = SphereSpace(ring, n)
     chs = characters(ring)
     minv = space.min_val_head()
+    mirab_gens = subgroup_generators(SubgroupSpec("Kmirab"), ring, n)
+    orbits = mirabolic_orbit_count(space, mirab_gens)
+    dims, fault = [], None
     for chi in chs:
         cl = _chi_label(chi)
         # invariant-pairing Gram of the depth functions
@@ -373,23 +372,15 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
         for m in range(chi.c, M + 1):
             H = harmonic_subspace(space, chi, m)
             z = zonal_fn(space, chi, m)
-            # multiplicity one: the invariant line inside H
-            inv = invariant_vectors(H, mirab_gens)
-            fixed_dim = 0
-            if inv.shape[0]:
-                fixed = inv.conj() @ H.basis
-                fixed_dim = fixed.shape[0]
-            rec.exact(
-                f"{lab}/multiplicity-one/{cl}/m{m}",
-                "dim of stabiliser-invariant vectors in each irreducible = 1",
-                {"q": q, "n": n, "m": m, "c": chi.c},
-                1,
-                fixed_dim,
-            )
-            if fixed_dim == 1:
-                cand = fixed[0]
-                cand = cand / cand[space.index.e_n]
-                err = np.abs(cand - z)
+            at_en = H.basis[:, space.index.e_n].conj()
+            dims.append(H.dim)
+            if fault is None and not H.invariant_under(mirab_gens):
+                fault = f"piece {_piece_name(H)} is not Kmirab-invariant"
+            if fault is None and not at_en.any():
+                fault = f"piece {_piece_name(H)} vanishes at e_n"
+            if at_en.any():
+                line = at_en @ H.basis
+                err = np.abs(line / line[space.index.e_n] - z)
                 at = int(err.argmax())
                 rec.residual(
                     f"{lab}/zonal-oracle/{cl}/m{m}",
@@ -400,7 +391,7 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
                     witness=f"x={space.points[at].tolist()}",
                 )
             # exact shell pattern; the shell value is recorded as an exact fraction
-            shell_res = _zonal_shell_residual(space, chi, m, z, minv)
+            shell_res, at = _zonal_shell_residual(space, chi, m, z, minv)
             alpha = str(zonal_shell_coefficient(q, n, m)) if m > chi.c else None
             rec.residual(
                 f"{lab}/zonal-shells/{cl}/m{m}",
@@ -408,6 +399,7 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
                 {"q": q, "n": n, "m": m, "c": chi.c, "alpha": alpha},
                 shell_res,
                 1e-12,
+                witness=f"x={space.points[at].tolist()}",
             )
             rec.residual(
                 f"{lab}/zonal-norm/{cl}/m{m}",
@@ -447,6 +439,17 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
                 TOL_TIGHT,
                 witness=_k_witness(ks, at),
             )
+            del H  # one piece at a time: the next is built without this one
+    reason = _count_reason(space.size, dims, fault, orbits)
+    for chi in chs:
+        for m in range(chi.c, M + 1):
+            rec.exact(
+                f"{lab}/multiplicity-one/{_chi_label(chi)}/m{m}",
+                "dim of stabiliser-invariant vectors in each irreducible = 1",
+                {"q": q, "n": n, "m": m, "c": chi.c},
+                1,
+                reason or 1,
+            )
     # projector-sum identities
     korder = group_order(ring, n)
     exhaustive_cap = 5000
@@ -483,7 +486,8 @@ def _phi_ip_expected(q, n, l1, l2):
 
 
 def _zonal_shell_residual(space, chi, m, z, minv):
-    """Exact comparison of the zonal vector against its case definition."""
+    """Exact comparison of the zonal vector against its case definition: the
+    worst residual and the slot where it occurs."""
     q, n = space.ring.q, space.n
     xn = space.points[:, n - 1]
     if chi.is_trivial:
@@ -500,7 +504,7 @@ def _zonal_shell_residual(space, chi, m, z, minv):
         if m > chi.c:
             alpha = complex(zonal_shell_coefficient(q, n, m))
             expected[minv == m - 1] = alpha * vals[minv == m - 1]
-    return float(np.abs(z - expected).max())
+    return _worst(np.abs(z - expected))
 
 
 # -- double coset suite ---------------------------------------------------------

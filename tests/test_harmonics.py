@@ -37,7 +37,7 @@ from ultrasph.matgroup import (
     subgroup_generators,
     verify_generators,
 )
-from ultrasph.numerics import kernel_basis
+from ultrasph.numerics import kernel_basis, orthonormalize_rows
 from ultrasph.ring import characters, make_ring_level
 from ultrasph.sphere import sphere_size
 
@@ -457,6 +457,138 @@ class TestIrreducibilityCount:
         assert record.params["|K|"] == group_order(ring, n)
 
 
+# -- the float piece constructions the exact ones replaced, kept as references --
+
+
+def reference_chi_level_subspace(space, chi, ell):
+    """Reference: the depth-l chi rows by a Python walk over every point of
+    the level-l sphere, one permutation lookup per (point, unit), each row
+    normalised by its float norm."""
+    if ell < chi.c:
+        return np.zeros((0, space.size), dtype=np.complex128)
+    if ell == 0:
+        return np.ones((1, space.size), dtype=np.complex128)
+    sub, proj = space.index.child(ell)
+    perms = {int(a): sub.scalar_perm(a) for a in sub.ring.units()}
+    seen = np.zeros(sub.size, dtype=bool)
+    rows = []
+    for y0 in range(sub.size):
+        if seen[y0]:
+            continue
+        vals = np.zeros(sub.size, dtype=np.complex128)
+        for a, perm in perms.items():
+            ya = int(perm[y0])
+            seen[ya] = True
+            vals[ya] = chi.eval_arr(np.array([a]))[0]
+        rows.append(vals[proj])
+    basis = np.array(rows)
+    return basis / np.sqrt((np.abs(basis) ** 2).sum(axis=1) * space.weight)[:, None]
+
+
+def reference_harmonic_subspace(space, chi, m):
+    """Reference: the depth-m rows minus their projection on depth m-1,
+    orthonormalised by Gram-Schmidt with a pivot-gap certificate."""
+    top = reference_chi_level_subspace(space, chi, m)
+    if m == chi.c:
+        return top
+    lower = reference_chi_level_subspace(space, chi, m - 1)
+    resid = top - (top @ lower.conj().T * space.weight) @ lower
+    expected = dim_harmonic(space.ring.q, space.n, m, chi.c)
+    return orthonormalize_rows(resid, weight=space.weight, expected_rank=expected)
+
+
+def fibre_labels(space, ell):
+    """Each point's depth-l fibre, read off the supports of the reference
+    depth-l rows of the trivial character: one label per scalar orbit of the
+    level-l sphere, and one label for all points at depth 0."""
+    rows = reference_chi_level_subspace(space, trivial_of(characters(space.ring)), ell)
+    assert (np.count_nonzero(rows, axis=0) == 1).all()
+    return np.abs(rows).argmax(axis=0)
+
+
+class TestExactPieces:
+    """The exact pieces against the Gram-Schmidt and SVD constructions they
+    replaced."""
+
+    @given(point=st.sampled_from(SMALL_SPHERES))
+    @settings(max_examples=20, deadline=None)
+    def test_pieces_match_the_gram_schmidt_reference(self, point):
+        space = small_space(point)
+        for chi in characters(space.ring):
+            for ell in range(chi.c, space.ring.m + 1):
+                C = chi_level_subspace(space, chi, ell).basis
+                assert np.abs(C - reference_chi_level_subspace(space, chi, ell)).max() < 1e-12
+                B = harmonic_subspace(space, chi, ell).basis
+                R = reference_harmonic_subspace(space, chi, ell)
+                assert B.shape == R.shape
+                gram = B @ B.conj().T * space.weight
+                assert np.abs(gram - np.eye(len(B))).max() < 1e-12
+                proj = B.conj().T @ B - R.conj().T @ R
+                assert np.abs(proj).max() * space.weight < 1e-12
+
+    @given(point=st.sampled_from(SMALL_SPHERES))
+    @settings(max_examples=20, deadline=None)
+    def test_each_row_lies_in_one_fibre(self, point):
+        space = small_space(point)
+        for chi in characters(space.ring):
+            for m in range(max(chi.c, 1), space.ring.m + 1):
+                fibre = fibre_labels(space, m - 1)
+                for row in harmonic_subspace(space, chi, m).basis:
+                    assert len(np.unique(fibre[row != 0])) == 1
+
+    @given(point=st.sampled_from(SMALL_SPHERES))
+    @settings(max_examples=20, deadline=None)
+    def test_projected_line_is_the_invariant_line(self, point):
+        space = small_space(point)
+        e = space.index.e_n
+        mirab = subgroup_generators(SubgroupSpec("Kmirab"), space.ring, space.n)
+        for chi in characters(space.ring):
+            for m in range(chi.c, space.ring.m + 1):
+                H = harmonic_subspace(space, chi, m)
+                line = H.basis[:, e].conj() @ H.basis
+                inv = invariant_vectors(H, mirab)
+                assert inv.shape[0] == 1
+                fixed = inv[0].conj() @ H.basis
+                assert np.abs(line / line[e] - fixed / fixed[e]).max() < 1e-10
+
+
+def multiplicity_records(records):
+    return [r for r in records if "/multiplicity-one/" in r.check_id]
+
+
+class TestMultiplicityOneCount:
+    """``/multiplicity-one`` from the orbit count fails closed."""
+
+    def test_short_mirabolic_list_fails_every_record(self, monkeypatch):
+        # padic q2 n2 m3: the first Kmirab generator alone leaves 28 orbits
+        ring = make_ring_level("padic", 2, 1, 3)
+        monkeypatch.setattr(verify, "subgroup_generators", first_mirabolic_only)
+        records = verify.zonal_suite(ring, 2, samples=20).records
+        mult = multiplicity_records(records)
+        assert len(mult) == 8 and all(r.status == "FAIL" for r in mult)
+        assert {r.observed for r in mult} == {"28 orbits, 8 pieces"}
+        assert all(r.status == "PASS" for r in records if r not in mult)
+
+    def test_piece_that_is_not_mirabolic_invariant_fails_every_record(self, monkeypatch):
+        # the last row of the trivial level-2 piece, swapped for the constant:
+        # the piece keeps its dimension, and the mirabolic moves the fibre of
+        # (1, 0) onto that of (1, 1), which no row covers any more
+        ring = make_ring_level("padic", 2, 1, 2)
+        exact = verify.harmonic_subspace
+
+        def swapped(space, chi, m):
+            H = exact(space, chi, m)
+            if chi.is_trivial and m == 2:
+                basis = np.concatenate([H.basis[:-1], np.ones((1, space.size))])
+                H = harmonics.Subspace(space, basis, chi, m, H.kind)
+            return H
+
+        monkeypatch.setattr(verify, "harmonic_subspace", swapped)
+        mult = multiplicity_records(verify.zonal_suite(ring, 2, samples=20).records)
+        assert len(mult) == 4 and all(r.status == "FAIL" for r in mult)
+        assert {r.observed for r in mult} == {"piece (c0e0, m2) is not Kmirab-invariant"}
+
+
 class TestOrthogonalityWitness:
     def test_rows_map_to_their_pieces(self, sp222):
         held = [H for H in pieces_of(sp222).values() if H.dim]
@@ -856,6 +988,23 @@ class TestPointWitness:
         # every character of conductor at most 1 pairs depths 1 and 2
         assert failed and {r.check_id.split("/")[1] for r in failed} == {"phi-gram"}
         assert all(r.observed == "5.000e-01 at (l1, l2) = (1, 2)" for r in failed)
+
+    def test_zonal_shells_names_the_worst_point(self, monkeypatch):
+        right, picked = verify._zonal_shell_residual, {}
+
+        def wrong_once(space, chi, m, z, minv):
+            if chi.is_trivial and m == 2:
+                j = (space.index.e_n + 3) % space.size
+                picked["x"] = space.points[j].tolist()
+                z = z.copy()
+                z[j] += 0.5
+            return right(space, chi, m, z, minv)
+
+        monkeypatch.setattr(verify, "_zonal_shell_residual", wrong_once)
+        records = self._run(("padic", 2, 1, 2, 2))
+        failed = [r for r in records if r.status != "PASS"]
+        assert [r.check_id.split("/")[1:] for r in failed] == [["zonal-shells", "c0e0", "m2"]]
+        assert failed[0].observed == f"5.000e-01 at x={picked['x']}"
 
     def test_zonal_oracle_names_the_worst_point(self, monkeypatch):
         right, picked = verify.zonal_fn, {}
