@@ -85,14 +85,6 @@ class SphereSpace:
     def ip(self, f, g):
         return (f @ g.conj()) * self.weight
 
-    def norm(self, f):
-        return float(np.sqrt(self.ip(f, f).real))
-
-    def act(self, f, k):
-        """R(k)f with (R(k)f)(x) = f(xk)."""
-        a = getattr(k, "a", k)
-        return f[self.index.perm_of_matrix(a)]
-
     def min_val_head(self):
         """min coordinate valuation over the first n-1 slots, per point."""
         return self.index.coord_vals[:, : self.n - 1].min(axis=1)

@@ -12,6 +12,13 @@ one random draw and one stacked determinant per batch.  Each batch rewinds
 the generator to just past the last candidate it keeps, so a stack consumes
 exactly the stream of the one-at-a-time loop it replaces: a seed gives the
 same samples, and the same later draws, whatever the batch size.
+
+Double cosets K = union over l of K_0(p^m) u_l K_0(p^m) work on whole
+(N, n, n) stacks: ``double_coset_index`` reads l off the bottom-left block,
+and ``double_coset_witness`` gives every l < m one formula, with the
+``chang_beta`` residue search run only where l = 0.  ``orbit_stack`` closes
+under left and right products, so each double coset is also the orbit of
+u_l under the K_0(p^m) generators.
 """
 
 from __future__ import annotations
@@ -367,23 +374,26 @@ def find_keys(sorted_keys, keys):
     return pos
 
 
-def orbit_stack(ring, start, gens, canon=None, budget=None):
+def orbit_stack(ring, start, gens, canon=None, budget=None, left=()):
     """Breadth-first orbit of the (n, n) matrix ``start`` under right
-    multiplication by the (n, n) arrays ``gens``, as an (N, n, n) stack.
+    multiplication by the (n, n) arrays ``gens`` and left multiplication by
+    those of ``left``, as an (N, n, n) stack.
 
     ``canon`` maps a product stack to the representatives it stands for
     (cosets); without it the products themselves are the elements.  Each
-    layer multiplies the frontier by every generator, generator-major, and
-    keeps the first occurrence of each key not seen before, in stack order,
-    so the order is that of a one-at-a-time BFS.  Raises
-    BudgetExceededError when the orbit outgrows ``budget``.
+    layer multiplies the frontier by every generator, generator-major, right
+    products first, and keeps the first occurrence of each key not seen
+    before, in stack order, so the order is that of a one-at-a-time BFS.
+    Raises BudgetExceededError when the orbit outgrows ``budget``.
     """
     frontier = np.asarray(start, dtype=np.int64)[None]
     layers = [frontier]
     seen = row_keys(ring, frontier)
     total = 1
     while len(frontier):
-        cand = np.concatenate([ring.matmul(frontier, g) for g in gens])
+        cand = np.concatenate(
+            [ring.matmul(frontier, g) for g in gens] + [ring.matmul(g, frontier) for g in left]
+        )
         if canon is not None:
             cand = canon(cand)
         keys, first = np.unique(row_keys(ring, cand), return_index=True)
@@ -644,86 +654,81 @@ def u_ell(ring, n, ell):
     return MatK(ring, a, check=False)
 
 
-def double_coset_index(k, m):
-    """min(m, min valuation of the bottom-left block)."""
-    ring, n = k.ring, k.n
-    vals = ring.val_arr(k.a[n - 1, : n - 1])
-    return int(min(m, vals.min()))
+def double_coset_index(ring, K):
+    """min(m, min valuation of the bottom-left block) for each matrix of the
+    (N, n, n) stack K: the l with k in K_0(p^m) u_l K_0(p^m)."""
+    n = K.shape[-1]
+    return np.minimum(ring.m, ring.val_arr(K[:, n - 1, : n - 1]).min(axis=1))
 
 
 def chang_beta(ring, a, c):
-    """Column beta with det(a - beta*c) a unit; c must have a unit entry.
+    """Columns beta with det(a - beta*c) a unit, as an (N, n-1, 1) stack, for
+    an (N, n-1, n-1) stack a and an (N, n-1) stack c of rows on the sphere.
 
-    The search runs over residue-field representatives only, since the
-    determinant condition is decided mod p.
+    The determinant condition is decided mod p, so the search runs over
+    residue-field representatives in lexicographic order, one stacked
+    determinant per candidate on the matrices still without a beta, and
+    each matrix takes the first candidate that works.
     """
-    nm1 = a.shape[0]
-    c = c.reshape(1, nm1)
-    if not (ring.val_arr(c) == 0).any():
+    nm1 = c.shape[-1]
+    if not (ring.val_arr(c) == 0).any(axis=1).all():
         raise ValueError("c must lie on the sphere")
-    reps = [lift for lift in range(ring.q)]
-    for cand in product(reps, repeat=nm1):
-        beta = np.array(cand, dtype=np.int64).reshape(nm1, 1)
-        test = ring.sub_arr(a, ring.matmul(beta, c))
-        if ring.is_unit(det(ring, test)):
-            return beta
-    raise RuntimeError("no beta found; this contradicts the double coset lemma")
+    beta = np.zeros((len(c), nm1, 1), dtype=np.int64)
+    todo = np.arange(len(c))
+    for cand in product(range(ring.q), repeat=nm1):
+        if not len(todo):
+            break
+        col = np.array(cand, dtype=np.int64).reshape(nm1, 1)
+        test = ring.sub_arr(a[todo], ring.matmul(col, c[todo, None]))
+        ok = ring.val_arr(det(ring, test)) == 0
+        beta[todo[ok]] = col
+        todo = todo[~ok]
+    if len(todo):
+        raise RuntimeError("no beta found; this contradicts the double coset lemma")
+    return beta
 
 
 def _complete_to_invertible(ring, s):
-    """An invertible matrix whose bottom row is s (s has a unit entry)."""
-    nm1 = s.shape[0]
-    piv = int(np.nonzero(ring.val_arr(s) == 0)[0][0])
-    rows = [np.eye(nm1, dtype=np.int64)[t] for t in range(nm1) if t != piv]
-    rows.append(s)
-    return np.array(rows, dtype=np.int64)
+    """Invertible (k, k) matrices whose bottom rows are the rows of the
+    (N, k) stack s, each with a unit entry: the identity rows other than
+    that of the first unit entry, then s."""
+    nm1 = s.shape[-1]
+    piv = (ring.val_arr(s) == 0).argmax(axis=1)
+    r = np.arange(nm1 - 1)
+    rows = np.eye(nm1, dtype=np.int64)[r + (r >= piv[:, None])]
+    return np.concatenate([rows, s[:, None]], axis=1)
 
 
-def double_coset_witness(k, m):
-    """(k0, ell, k0p) with k = k0 . u_ell . k0p and k0, k0p in K_0(p^m)."""
-    ring, n = k.ring, k.n
-    ell = double_coset_index(k, m)
-    if ell == m:
-        k0 = k @ u_ell(ring, n, m).inverse()
-        return k0, m, MatK.identity(ring, n)
-    a = k.a[: n - 1, : n - 1]
-    b = k.a[: n - 1, n - 1 :]
-    c = k.a[n - 1 : n, : n - 1]
-    d = int(k.a[n - 1, n - 1])
-    if ell >= 1:
-        ainv = mat_inv(ring, a)
-        ca = ring.matmul(c, ainv)
-        s = ring.shift_down(ca, ell).reshape(-1)
-        alpha_inv = _complete_to_invertible(ring, s)
-        alpha = mat_inv(ring, alpha_inv)
-        k0 = np.eye(n, dtype=np.int64)
-        k0[: n - 1, : n - 1] = alpha
-        aa = ring.matmul(alpha_inv, a)
-        bb = ring.matmul(alpha_inv, b)
-        dd = ring.sub(d, int(ring.matmul(ca, b)[0, 0]))
-        k0p = np.eye(n, dtype=np.int64)
-        k0p[: n - 1, : n - 1] = aa
-        k0p[: n - 1, n - 1 :] = bb
-        k0p[n - 1, n - 1] = dd
-        return MatK(ring, k0, check=False), ell, MatK(ring, k0p, check=False)
-    beta = chang_beta(ring, a, k.a[n - 1, : n - 1])
-    abc = ring.sub_arr(a, ring.matmul(beta, c))
-    abc_inv = mat_inv(ring, abc)
-    s = ring.matmul(c, abc_inv).reshape(-1)
-    alpha_inv = _complete_to_invertible(ring, s)
-    alpha = mat_inv(ring, alpha_inv)
-    k0 = np.eye(n, dtype=np.int64)
-    k0[: n - 1, : n - 1] = alpha
-    k0[: n - 1, n - 1 :] = beta
-    bbd = ring.sub_arr(b, ring.mul_arr(beta, np.int64(d)))
-    aa = ring.matmul(alpha_inv, abc)
-    bb = ring.matmul(alpha_inv, bbd)
-    dd = ring.sub(d, int(ring.matmul(ring.matmul(c, abc_inv), bbd)[0, 0]))
-    k0p = np.eye(n, dtype=np.int64)
-    k0p[: n - 1, : n - 1] = aa
-    k0p[: n - 1, n - 1 :] = bb
-    k0p[n - 1, n - 1] = dd
-    return MatK(ring, k0, check=False), 0, MatK(ring, k0p, check=False)
+def double_coset_witness(ring, K):
+    """Stacks (k0, ell, k0p) with k = k0 . u_ell . k0p and k0, k0p in K_0(p^m)
+    for each matrix k of the (N, n, n) stack K, m the working level.
+
+    Where ell = m, u_m = 1 and (k0, k0p) = (k, 1).  Elsewhere, with blocks
+    k = [[a, b], [c, d]]: beta = 0 where ell >= 1 and ``chang_beta`` where
+    ell = 0; A = a - beta c; alpha^-1 completes s = w^-ell c A^-1 to an
+    invertible matrix; then k0 = [[alpha, beta], [0, 1]] and
+    k0p = [[alpha^-1 A, alpha^-1 (b - beta d)], [0, d - c A^-1 (b - beta d)]].
+    """
+    n = K.shape[-1]
+    ell = double_coset_index(ring, K)
+    k0 = K.copy()
+    k0p = np.broadcast_to(np.eye(n, dtype=np.int64), K.shape).copy()
+    low = np.flatnonzero(ell < ring.m)
+    X, depth = K[low], ell[low]
+    a, b, c, d = X[:, :-1, :-1], X[:, :-1, -1:], X[:, -1:, :-1], X[:, -1:, -1:]
+    beta = np.zeros((len(low), n - 1, 1), dtype=np.int64)
+    beta[depth == 0] = chang_beta(ring, a[depth == 0], c[depth == 0, 0])
+    A = ring.sub_arr(a, ring.matmul(beta, c))
+    cA = ring.matmul(c, mat_inv(ring, A))
+    alpha_inv = _complete_to_invertible(ring, ring.shift_down(cA[:, 0], depth[:, None]))
+    bd = ring.sub_arr(b, ring.matmul(beta, d))
+    k0[low] = np.eye(n, dtype=np.int64)
+    k0[low, :-1, :-1] = mat_inv(ring, alpha_inv)
+    k0[low, :-1, -1:] = beta
+    k0p[low, :-1, :-1] = ring.matmul(alpha_inv, A)
+    k0p[low, :-1, -1:] = ring.matmul(alpha_inv, bd)
+    k0p[low, -1:, -1:] = ring.sub_arr(d, ring.matmul(cA, bd))
+    return k0, ell, k0p
 
 
 # -- exhaustive enumeration ---------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harmonics import dim_harmonic, zonal_shell_coefficient
+from .harmonics import _worst, dim_harmonic, zonal_shell_coefficient
 from .matgroup import (
     BudgetExceededError,
     SubgroupSpec,
@@ -425,8 +425,7 @@ class PSeriesModel:
             want = self.chi_pi(d) if self.ring.is_unit(d) else 1.0
             got = self.apply(self.action_of(g), v)
             errs.append(float(np.abs(got - want * v).max()))
-        at = int(np.argmax(errs))
-        return errs[at], at
+        return _worst(np.array(errs))
 
     def expected_coefficients(self, K):
         """Three-case closed form for the newform matrix coefficient at each k
@@ -456,11 +455,7 @@ class PSeriesModel:
         got = np.empty(len(K), dtype=np.complex128)
         for lo, perm, rot in self._actions(K, rows=supp):
             got[lo : lo + len(perm)] = (self._roots[rot] * v0[perm]) @ right / self.dim / norm
-        err = np.abs(got - self.expected_coefficients(K))
-        if not len(err):
-            return 0.0, None
-        worst = int(err.argmax())
-        return float(err[worst]), worst
+        return _worst(np.abs(got - self.expected_coefficients(K)))
 
 
 def build_model(chars, n=None, rng=None):
@@ -501,7 +496,6 @@ def vector_from_harmonic(model, space, P, v0, method, budget=120000):
     if method == "coset":
         w = mirab_average(model, v0)
         on = np.flatnonzero(P)
-        hx = [_complete_to_invertible(ring, space.points[xi]) for xi in on]
-        hinv = mat_inv(ring, np.array(hx, dtype=np.int64).reshape(-1, n, n))
+        hinv = mat_inv(ring, _complete_to_invertible(ring, space.points[on]))
         return dim_tau * model.translate_sum(P[on], hinv, w) / space.size
     raise ValueError(f"unknown method {method!r}")

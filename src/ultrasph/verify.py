@@ -39,12 +39,12 @@ from .matgroup import (
     SubgroupSpec,
     double_coset_index,
     double_coset_witness,
-    enumerate_group,
     group_order,
     group_stack,
+    orbit_stack,
     random_stack,
+    row_keys,
     subgroup_generators,
-    subgroup_membership,
     u_ell,
     verify_generators,
 )
@@ -511,7 +511,14 @@ def _zonal_shell_residual(space, chi, m, z, minv):
 
 
 def double_coset_suite(ring, n, rec=None, budget=200000):
-    """Exhaustive witness verification and the brute-force partition oracle."""
+    """Witnesses for all of K at once, checked by remultiplication, and the
+    orbit-closure partition oracle.
+
+    K_0 u_l K_0 is the orbit of u_l under x -> g x and x -> x g for the
+    certified K_0(p^m) generators g, so each orbit must equal its index
+    fibre, and the orbit sizes must sum to |K|; the oracle costs
+    O(|K| #gens) and never reads the index formula.
+    """
     rec = rec if rec is not None else Recorder()
     q, m = ring.q, ring.m
     lab = _ring_label(ring, n)
@@ -524,46 +531,40 @@ def double_coset_suite(ring, n, rec=None, budget=200000):
             f"|K| = {korder} beyond budget {budget}",
         )
         return rec
-    elems = list(enumerate_group(ring, n))
-    spec0 = SubgroupSpec("K0", m)
-    k0_elems = [k for k in elems if subgroup_membership(k, spec0)]
-    witness_fail = 0
-    classes = {}
-    for k in elems:
-        k0, ell, k0p = double_coset_witness(k, m)
-        if (
-            k0 @ u_ell(ring, n, ell) @ k0p != k
-            or not subgroup_membership(k0, spec0)
-            or not subgroup_membership(k0p, spec0)
-            or ell != double_coset_index(k, m)
-        ):
-            witness_fail += 1
-        classes.setdefault(ell, set()).add(k.key())
+    K = group_stack(ring, n)
+    us = np.array([u_ell(ring, n, ell).a for ell in range(m + 1)])
+    k0, ell, k0p = double_coset_witness(ring, K)
+    back = ring.matmul(ring.matmul(k0, us[ell]), k0p)
+    witness_fail = (
+        (back != K).any(axis=(1, 2))
+        | (double_coset_index(ring, k0) < m)
+        | (double_coset_index(ring, k0p) < m)
+        | (ell != double_coset_index(ring, K))
+    )
     rec.exact(
         f"{lab}/witness-remultiplication",
         "k = k0 u_l k0' exactly, with both factors in K_0(p^m)",
-        {"q": q, "n": n, "m": m, "elements": len(elems)},
+        {"q": q, "n": n, "m": m, "elements": len(K)},
         0,
-        witness_fail,
+        int(witness_fail.sum()),
     )
     rec.exact(
         f"{lab}/class-count",
         "the index function partitions K into m + 1 classes",
         {"q": q, "n": n, "m": m},
         m + 1,
-        len(classes),
+        len(np.unique(ell)),
     )
-    # brute-force double cosets of the representatives
-    brute_fail = 0
-    for ell in range(m + 1):
-        u = u_ell(ring, n, ell)
-        coset = set()
-        for a in k0_elems:
-            au = a @ u
-            for b in k0_elems:
-                coset.add((au @ b).key())
-        if coset != classes.get(ell, set()):
-            brute_fail += 1
+    spec0 = SubgroupSpec("K0", m)
+    verify_generators(spec0, ring, n)
+    gens = [g.a for g in subgroup_generators(spec0, ring, n)]
+    orbits = [orbit_stack(ring, u, gens, left=gens) for u in us]
+    keys = row_keys(ring, K)
+    brute_fail = sum(
+        not np.array_equal(np.sort(row_keys(ring, orb)), np.sort(keys[ell == level]))
+        for level, orb in enumerate(orbits)
+    )
+    brute_fail += sum(map(len, orbits)) != len(K)
     rec.exact(
         f"{lab}/brute-force-partition",
         "each index fiber equals the brute-force double coset of u_l",

@@ -320,6 +320,17 @@ class TestMain:
         assert [(r["check_id"], r["status"]) for r in records] == [("zonal/budget", "SKIP")]
         assert "over the cap" in records[0]["observed"]
 
+    def test_double_cosets_q2_n3_m2_returns_under_a_memory_limit(self, tmp_path):
+        # |K| = 86,016 is inside the default budget: the witnesses and the
+        # orbit-closure oracle must finish well inside the child's timeout
+        proc, records = run_under_memory_limit(tmp_path, "double-cosets", 2, 3, 2)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_PASS
+        assert [r["status"] for r in records] == ["PASS"] * 3
+        assert {r["check_id"].split("/")[-1] for r in records} == {
+            "witness-remultiplication", "class-count", "brute-force-partition",
+        }
+
     def test_zonal_budget_admits_the_q5_n2_m3_sphere(self):
         # |S| = 15,000 with 150-row pieces: the zonal suite runs there
         assert zonal_piece_bytes(5, 2, 3) < BASIS_BYTES_MAX < zonal_piece_bytes(7, 3, 2)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultrasph import matgroup
+from ultrasph import matgroup, verify
 from ultrasph.matgroup import (
     BudgetExceededError,
     MatK,
@@ -26,6 +26,7 @@ from ultrasph.matgroup import (
     group_order,
     group_stack,
     mat_inv,
+    orbit_stack,
     random_in_K,
     random_in_K0,
     random_stack,
@@ -290,6 +291,113 @@ def reference_factorisation(k, spec):
             rest, SubgroupSpec("K1", ell)
         )
     raise AssertionError
+
+
+def reference_chang_beta(ring, a, c):
+    """Column beta with det(a - beta*c) a unit, for one (a, c) block: the
+    first residue-field candidate in lexicographic order."""
+    nm1 = a.shape[0]
+    c = c.reshape(1, nm1)
+    if not (ring.val_arr(c) == 0).any():
+        raise ValueError("c must lie on the sphere")
+    for cand in product(range(ring.q), repeat=nm1):
+        beta = np.array(cand, dtype=np.int64).reshape(nm1, 1)
+        test = ring.sub_arr(a, ring.matmul(beta, c))
+        if ring.is_unit(det(ring, test)):
+            return beta
+    raise RuntimeError("no beta found; this contradicts the double coset lemma")
+
+
+def reference_complete_to_invertible(ring, s):
+    """An invertible matrix whose bottom row is s (s has a unit entry)."""
+    nm1 = s.shape[0]
+    piv = int(np.nonzero(ring.val_arr(s) == 0)[0][0])
+    rows = [np.eye(nm1, dtype=np.int64)[t] for t in range(nm1) if t != piv]
+    rows.append(s)
+    return np.array(rows, dtype=np.int64)
+
+
+def reference_double_coset_witness(k, m):
+    """(k0, ell, k0p) with k = k0 . u_ell . k0p and k0, k0p in K_0(p^m), one
+    MatK at a time, with separate branches for ell >= 1 and ell = 0: the
+    witness the stacked double_coset_witness replaces."""
+    ring, n = k.ring, k.n
+    ell = int(min(m, ring.val_arr(k.a[n - 1, : n - 1]).min()))
+    if ell == m:
+        k0 = k @ u_ell(ring, n, m).inverse()
+        return k0, m, MatK.identity(ring, n)
+    a = k.a[: n - 1, : n - 1]
+    b = k.a[: n - 1, n - 1 :]
+    c = k.a[n - 1 : n, : n - 1]
+    d = int(k.a[n - 1, n - 1])
+    if ell >= 1:
+        ainv = mat_inv(ring, a)
+        ca = ring.matmul(c, ainv)
+        s = ring.shift_down(ca, ell).reshape(-1)
+        alpha_inv = reference_complete_to_invertible(ring, s)
+        alpha = mat_inv(ring, alpha_inv)
+        k0 = np.eye(n, dtype=np.int64)
+        k0[: n - 1, : n - 1] = alpha
+        aa = ring.matmul(alpha_inv, a)
+        bb = ring.matmul(alpha_inv, b)
+        dd = ring.sub(d, int(ring.matmul(ca, b)[0, 0]))
+        k0p = np.eye(n, dtype=np.int64)
+        k0p[: n - 1, : n - 1] = aa
+        k0p[: n - 1, n - 1 :] = bb
+        k0p[n - 1, n - 1] = dd
+        return MatK(ring, k0, check=False), ell, MatK(ring, k0p, check=False)
+    beta = reference_chang_beta(ring, a, k.a[n - 1, : n - 1])
+    abc = ring.sub_arr(a, ring.matmul(beta, c))
+    abc_inv = mat_inv(ring, abc)
+    s = ring.matmul(c, abc_inv).reshape(-1)
+    alpha_inv = reference_complete_to_invertible(ring, s)
+    alpha = mat_inv(ring, alpha_inv)
+    k0 = np.eye(n, dtype=np.int64)
+    k0[: n - 1, : n - 1] = alpha
+    k0[: n - 1, n - 1 :] = beta
+    bbd = ring.sub_arr(b, ring.mul_arr(beta, np.int64(d)))
+    aa = ring.matmul(alpha_inv, abc)
+    bb = ring.matmul(alpha_inv, bbd)
+    dd = ring.sub(d, int(ring.matmul(ring.matmul(c, abc_inv), bbd)[0, 0]))
+    k0p = np.eye(n, dtype=np.int64)
+    k0p[: n - 1, : n - 1] = aa
+    k0p[: n - 1, n - 1 :] = bb
+    k0p[n - 1, n - 1] = dd
+    return MatK(ring, k0, check=False), 0, MatK(ring, k0p, check=False)
+
+
+def reference_double_cosets(ring, n):
+    """The double cosets K_0(p^m) u_l K_0(p^m), l = 0..m, as sets of byte
+    keys, from every pair (a, b) of K_0(p^m) elements: the pairwise brute
+    force the orbit-closure oracle replaces."""
+    m = ring.m
+    K = group_stack(ring, n)
+    k0 = K[(ring.val_arr(K[:, n - 1, : n - 1]) >= m).all(axis=1)]
+    out = []
+    for ell in range(m + 1):
+        coset = set()
+        for a in k0:
+            au = ring.matmul(a, u_ell(ring, n, ell).a)
+            coset.update(x.tobytes() for x in ring.matmul(au, k0))
+        out.append(coset)
+    return out
+
+
+def assert_witnesses(ring, K):
+    """The stacked witness of K remultiplies to K with both factors in
+    K_0(p^m), and equals the reference witness element by element."""
+    n, m = K.shape[-1], ring.m
+    k0, ell, k0p = double_coset_witness(ring, K)
+    us = np.array([u_ell(ring, n, t).a for t in range(m + 1)])
+    assert np.array_equal(ring.matmul(ring.matmul(k0, us[ell]), k0p), K)
+    assert np.array_equal(ell, double_coset_index(ring, K))
+    spec = SubgroupSpec("K0", m)
+    for i, k in enumerate(K):
+        r0, rl, r0p = reference_double_coset_witness(MatK(ring, k, check=False), m)
+        assert rl == ell[i]
+        assert np.array_equal(r0.a, k0[i]) and np.array_equal(r0p.a, k0p[i])
+        assert subgroup_membership(r0, spec) and subgroup_membership(r0p, spec)
+    return ell
 
 
 # small (branch, p, f, m, n) with |GL_n| <= 5000, so the references stay quick
@@ -661,45 +769,28 @@ class TestRandomStack:
 
 class TestDoubleCosets:
     def test_index_examples(self, R4):
-        assert double_coset_index(MatK.identity(R4, 2), 2) == 2
-        anti = MatK(R4, np.array([[0, 1], [1, 0]]))
-        assert double_coset_index(anti, 2) == 0
-        assert double_coset_index(u_ell(R4, 2, 1), 2) == 1
+        anti = np.array([[0, 1], [1, 0]])
+        K = np.array([np.eye(2, dtype=np.int64), anti, u_ell(R4, 2, 1).a])
+        assert double_coset_index(R4, K).tolist() == [2, 0, 1]
 
     def test_witness_in_k0(self, R4):
-        k = MatK(R4, np.array([[1, 2], [0, 3]]))
-        k0, ell, k0p = double_coset_witness(k, 2)
-        assert ell == 2 and k0p == MatK.identity(R4, 2)
-        assert k0 @ u_ell(R4, 2, 2) @ k0p == k
+        K = np.array([[[1, 2], [0, 3]]])
+        k0, ell, k0p = double_coset_witness(R4, K)
+        assert ell.tolist() == [2] and np.array_equal(k0p[0], np.eye(2))
+        assert np.array_equal(R4.matmul(R4.matmul(k0, u_ell(R4, 2, 2).a), k0p), K)
 
     def test_witness_u_ell_itself(self, R4):
-        for ell in (0, 1, 2):
-            k = u_ell(R4, 2, ell)
-            k0, got, k0p = double_coset_witness(k, 2)
-            assert got == ell
-            assert k0 @ u_ell(R4, 2, ell) @ k0p == k
+        K = np.array([u_ell(R4, 2, ell).a for ell in (0, 1, 2)])
+        assert assert_witnesses(R4, K).tolist() == [0, 1, 2]
 
-    def test_exhaustive_witnesses_gl2_z4(self, R4, gl2_z4):
-        spec = SubgroupSpec("K0", 2)
-        counts = Counter()
-        for k in gl2_z4:
-            k0, ell, k0p = double_coset_witness(k, 2)
-            assert k0 @ u_ell(R4, 2, ell) @ k0p == k
-            assert subgroup_membership(k0, spec) and subgroup_membership(k0p, spec)
-            assert ell == double_coset_index(k, 2)
-            counts[ell] += 1
-        assert len(counts) == 3  # m + 1 nonempty classes
+    def test_exhaustive_witnesses_gl2_z4(self, R4):
+        ell = assert_witnesses(R4, group_stack(R4, 2))
+        assert len(set(ell.tolist())) == 3  # m + 1 nonempty classes
 
     def test_exhaustive_witnesses_gl3_f2(self):
         R = make_ring_level("padic", 2, 1, 1)
-        spec = SubgroupSpec("K0", 1)
-        counts = Counter()
-        for k in enumerate_group(R, 3):
-            k0, ell, k0p = double_coset_witness(k, 1)
-            assert k0 @ u_ell(R, 3, ell) @ k0p == k
-            assert subgroup_membership(k0, spec) and subgroup_membership(k0p, spec)
-            counts[ell] += 1
-        assert len(counts) == 2
+        ell = assert_witnesses(R, group_stack(R, 3))
+        assert len(set(ell.tolist())) == 2
 
     def test_sampled_witnesses_other_rings(self):
         rng = np.random.default_rng(7)
@@ -708,45 +799,83 @@ class TestDoubleCosets:
             (make_ring_level("laurent", 2, 2, 2), 2),
             (make_ring_level("padic", 2, 1, 3), 2),
         ]:
-            spec = SubgroupSpec("K0", ring.m)
-            for _ in range(60):
-                k = random_in_K(ring, n, rng)
-                k0, ell, k0p = double_coset_witness(k, ring.m)
-                assert k0 @ u_ell(ring, n, ell) @ k0p == k
-                assert subgroup_membership(k0, spec) and subgroup_membership(k0p, spec)
-                assert ell == double_coset_index(k, ring.m)
+            assert_witnesses(ring, random_stack(ring, n, 60, rng))
+
+    @given(point=st.sampled_from(SAMPLER_RINGS), n=st.integers(2, 4), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_witness_matches_reference(self, point, n, data):
+        R = ring_of(*point)
+        count = data.draw(st.integers(0, 40))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        assert_witnesses(R, random_stack(R, n, count, np.random.default_rng(seed)))
 
     def test_partition_matches_brute_force(self, R4, gl2_z4):
         spec = SubgroupSpec("K0", 2)
         k0_elems = [k for k in gl2_z4 if subgroup_membership(k, spec)]
-        fibers = {}
-        for k in gl2_z4:
-            fibers.setdefault(double_coset_index(k, 2), set()).add(k.key())
+        K = group_stack(R4, 2)
+        index = double_coset_index(R4, K)
         for ell in range(3):
             u = u_ell(R4, 2, ell)
             brute = {(a @ u @ b).key() for a in k0_elems for b in k0_elems}
-            assert brute == fibers[ell]
+            assert brute == {k.tobytes() for k in K[index == ell]}
+
+    @given(point=st.sampled_from([pt for pt in GROUP_POINTS if pt[4] >= 2]))
+    @settings(max_examples=20, deadline=None)
+    def test_orbit_partition_matches_brute_force(self, point):
+        branch, p, f, m, n = point
+        R = ring_of(branch, p, f, m)
+        gens = [g.a for g in subgroup_generators(SubgroupSpec("K0", m), R, n)]
+        orbits = [
+            {x.tobytes() for x in orbit_stack(R, u_ell(R, n, ell).a, gens, left=gens)}
+            for ell in range(m + 1)
+        ]
+        assert orbits == reference_double_cosets(R, n)
+        assert sum(map(len, orbits)) == group_order(R, n)
+
+    def test_suite_fails_closed_without_a_k0_generator(self, R4, monkeypatch):
+        gens = subgroup_generators
+        monkeypatch.setattr(verify, "subgroup_generators", lambda *a: gens(*a)[1:])
+        rec = verify.double_coset_suite(R4, 2)
+        got = {r.check_id.split("/")[-1]: r for r in rec.records}
+        assert got["brute-force-partition"].status == "FAIL"
+        assert int(got["brute-force-partition"].observed) > 0
+        assert got["witness-remultiplication"].status == "PASS"
+
+    def test_suite_fails_closed_on_a_corrupt_witness(self, R4, monkeypatch):
+        def corrupt(ring, K):
+            k0, ell, k0p = double_coset_witness(ring, K)
+            k0p[5, 0, 1] = ring.add(int(k0p[5, 0, 1]), 1)
+            return k0, ell, k0p
+
+        monkeypatch.setattr(verify, "double_coset_witness", corrupt)
+        rec = verify.double_coset_suite(R4, 2)
+        got = {r.check_id.split("/")[-1]: r for r in rec.records}
+        assert got["witness-remultiplication"].status == "FAIL"
+        assert got["witness-remultiplication"].observed == "1"
+        assert got["brute-force-partition"].status == "PASS"
 
 
 class TestChangBeta:
     def test_unit_a_gives_zero(self):
         R = make_ring_level("padic", 2, 1, 2)
-        a = np.array([[1]], dtype=np.int64)
-        c = np.array([1], dtype=np.int64)
+        a = np.array([[[1]]], dtype=np.int64)
+        c = np.array([[1]], dtype=np.int64)
         beta = chang_beta(R, a, c)
-        assert beta.shape == (1, 1) and beta[0, 0] == 0
+        assert beta.shape == (1, 1, 1) and beta[0, 0, 0] == 0
 
     def test_n2_zero_a(self):
         R = make_ring_level("padic", 2, 1, 2)
-        beta = chang_beta(R, np.array([[0]], dtype=np.int64), np.array([1], dtype=np.int64))
-        test = R.sub_arr(np.array([[0]], dtype=np.int64), R.matmul(beta, np.array([[1]], dtype=np.int64)))
-        assert R.is_unit(det(R, test))
+        a, c = np.zeros((1, 1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64)
+        beta = chang_beta(R, a, c)
+        test = R.sub_arr(a, R.matmul(beta, c[:, None]))
+        assert R.is_unit(det(R, test[0]))
 
     def test_exhaustive_extendable_blocks_n3_q2(self):
         # every (a, c) block of an invertible matrix admits a beta; the
         # extendability condition is that the stacked columns are
         # independent over the residue field
         R = make_ring_level("padic", 2, 1, 1)
+        blocks = []
         for aa in product(range(2), repeat=4):
             a = np.array(aa, dtype=np.int64).reshape(2, 2)
             for cc in product(range(2), repeat=2):
@@ -756,14 +885,19 @@ class TestChangBeta:
                 stacked = np.vstack([a, c.reshape(1, 2)]) % 2
                 if np.linalg.matrix_rank(stacked.astype(float)) < 2:
                     continue
-                beta = chang_beta(R, a, c)
-                test = R.sub_arr(a, R.matmul(beta, c.reshape(1, 2)))
-                assert R.is_unit(det(R, test))
+                blocks.append((a, c))
+        a = np.array([a for a, _ in blocks])
+        c = np.array([c for _, c in blocks])
+        beta = chang_beta(R, a, c)
+        test = R.sub_arr(a, R.matmul(beta, c[:, None]))
+        assert (R.val_arr(det(R, test)) == 0).all()
+        for (ai, ci), b in zip(blocks, beta):
+            assert np.array_equal(b, reference_chang_beta(R, ai, ci))
 
     def test_rejects_non_sphere_c(self):
         R = make_ring_level("padic", 2, 1, 2)
         with pytest.raises(ValueError):
-            chang_beta(R, np.eye(1, dtype=np.int64), np.array([2], dtype=np.int64))
+            chang_beta(R, np.eye(1, dtype=np.int64)[None], np.array([[2]], dtype=np.int64))
 
 
 class TestEnumeration:
