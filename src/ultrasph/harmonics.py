@@ -285,9 +285,8 @@ def mirabolic_orbit_count(space, gens):
     dimension from above however few generators are given.
     """
     spec = SubgroupSpec("Kmirab")
-    for g in gens:
-        if not subgroup_membership(g, spec):
-            raise RuntimeError(f"proposed generator outside {spec}")
+    if not subgroup_membership(spec, space.ring, _stack(gens, space.n)).all():
+        raise RuntimeError(f"proposed generator outside {spec}")
     return space.index.orbit_count(gens)
 
 

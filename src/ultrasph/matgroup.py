@@ -35,7 +35,7 @@ from .ring import unit_group_basis, unit_subgroup_basis
 SAMPLE_BATCH_BYTES = 1 << 21  # Leibniz terms of one batch of sampler candidates
 CHAIN_BATCH = 64  # Schreier generators sifted at once
 CHAIN_QUIET_PASSES = 4  # random passes that add nothing before every Schreier generator is sifted
-CHAIN_BYTES_MAX = 1 << 27  # cap on the bound of a stabiliser chain's transversals
+CHAIN_BYTES_MAX = 1 << 27  # cap on the bound of a stabiliser chain's transversals and tables
 
 
 class BudgetExceededError(RuntimeError):
@@ -203,25 +203,25 @@ def canonical_spec(spec, ring):
     return SubgroupSpec(spec.kind, min(spec.level, ring.m))
 
 
-def subgroup_membership(k, spec):
-    ring, n, a = k.ring, k.n, k.a
-    vals = ring.val_arr(a)
-    ell = spec.level
+def subgroup_membership(spec, ring, K):
+    """Mask of the matrices of the (N, n, n) code stack K that lie in the
+    subgroup ``spec`` cuts out at the working level: a depth above m is m.
+    K admits every matrix; it does not test the determinant."""
+    K = np.asarray(K, dtype=np.int64)
+    n = K.shape[-1]
+    ell = None if spec.level is None else min(spec.level, ring.m)
+    bottom = K[:, n - 1, : n - 1]
     if spec.kind == "K":
-        return True
+        return np.ones(len(K), dtype=bool)
     if spec.kind == "Kprin":
-        diff = ring.sub_arr(a, np.eye(n, dtype=np.int64))
-        return bool((ring.val_arr(diff) >= min(ell, ring.m)).all())
-    if spec.kind == "K1":
-        d1 = ring.sub(int(a[n - 1, n - 1]), 1)
-        return bool((vals[n - 1, : n - 1] >= min(ell, ring.m)).all()) and ring.val(
-            d1
-        ) >= min(ell, ring.m)
-    if spec.kind == "K0":
-        return bool((vals[n - 1, : n - 1] >= min(ell, ring.m)).all())
+        return (ring.val_arr(ring.sub_arr(K, np.eye(n, dtype=np.int64))) >= ell).all(axis=(1, 2))
     if spec.kind == "Kmirab":
-        bottom = a[n - 1]
-        return bool((bottom[: n - 1] == 0).all()) and int(bottom[n - 1]) == 1
+        return (bottom == 0).all(axis=1) & (K[:, n - 1, n - 1] == 1)
+    low = (ring.val_arr(bottom) >= ell).all(axis=1)
+    if spec.kind == "K0":
+        return low
+    if spec.kind == "K1":
+        return low & (ring.val_arr(ring.sub_arr(K[:, n - 1, n - 1], 1)) >= ell)
     raise AssertionError
 
 
@@ -421,56 +421,87 @@ def closure(gens, budget=200000):
 
 class _Level:
     """One level of a stabiliser chain: the orbit of the base row e_row under
-    right multiplication by ``gens``, with a transversal ``u`` (row ``row`` of
-    u[i] is point i) and its inverses ``uinv``.  ``keys`` holds the points'
-    keys sorted, ``slots`` the transversal index of each sorted key."""
+    right multiplication by ``gens``, kept as a Schreier vector.  Point i is
+    ``pts[i]``, the image of point ``parent[i]`` under generator ``via[i]``,
+    and ``bounds`` delimit the breadth-first layers.  ``table``, one int32
+    slot per row key (ring.size ** n of them), holds each point's index, or
+    -1.  The transversal ``u`` (row ``row`` of u[i] is point i) and its
+    inverses ``uinv`` are built from the Schreier vector when first read, so
+    a chain that never sifts never forms them."""
 
     def __init__(self, ring, n, row, gens):
         self.ring, self.row, self.gens = ring, row, []
-        self.u = self.uinv = np.eye(n, dtype=np.int64)[None]
-        self.keys = row_keys(ring, self.u[:, row])
-        self.slots = np.zeros(1, dtype=np.int64)
+        self.pts = np.eye(n, dtype=np.int64)[row][None]
+        self.parent = self.via = np.zeros(1, dtype=np.int64)
+        self.bounds = [0, 1]
+        self.table = np.full(ring.size**n, -1, dtype=np.int32)
+        self.table[row_keys(ring, self.pts)] = 0
+        self._u = self._uinv = np.eye(n, dtype=np.int64)[None]
+        self._ginv = np.zeros((0, n, n), dtype=np.int64)
         self.extend(gens)
 
     def extend(self, new):
         """Add the generators ``new`` and close the orbit: images of every
-        point under them, then breadth-first under all generators.  A new
-        point's transversal element is its parent's times the generator, and
-        the inverse is the generator's inverse times the parent's."""
+        point under them, then breadth-first under all generators.  Each
+        layer keeps the first occurrence of each unseen point, in stack
+        order, with the point and generator it came from."""
         if not len(new):
             return
         ring = self.ring
         self.gens = self.gens + list(new)
         G = np.stack(self.gens)
-        Ginv = mat_inv(ring, G)
-        us, uinvs = [self.u], [self.uinv]
-        size = len(self.u)
+        pts, parent, via = [self.pts], [self.parent], [self.via]
+        front, lo, size = self.pts, 0, len(self.pts)
         apply = np.arange(len(G) - len(new), len(G))
-        while len(us[-1]) and len(apply):
-            front, front_inv = us[-1], uinvs[-1]
-            cand = ring.matmul(front[:, self.row], G[apply]).reshape(-1, front.shape[-1])
+        while len(front):
+            cand = ring.matmul(front, G[apply]).reshape(-1, front.shape[-1])
             ckeys = row_keys(ring, cand)
-            keys, first = np.unique(ckeys, return_index=True)
-            slot = np.searchsorted(self.keys, keys)
-            fresh = np.sort(first[self.keys[np.minimum(slot, len(self.keys) - 1)] != keys])
-            parent, g = fresh % len(front), apply[fresh // len(front)]
-            us.append(ring.matmul(front[parent], G[g]))
-            uinvs.append(ring.matmul(Ginv[g], front_inv[parent]))
-            fkeys = ckeys[fresh]
-            order = np.argsort(fkeys)
-            at = np.searchsorted(self.keys, fkeys[order])
-            self.keys = np.insert(self.keys, at, fkeys[order])  # a sorted merge
-            self.slots = np.insert(self.slots, at, size + order)
-            size += len(fresh)
+            unseen = np.flatnonzero(self.table[ckeys] < 0)
+            fresh = np.sort(unseen[np.unique(ckeys[unseen], return_index=True)[1]])
+            self.table[ckeys[fresh]] = np.arange(size, size + len(fresh))
+            parent.append(lo + fresh % len(front))
+            via.append(apply[fresh // len(front)])
+            front, lo, size = cand[fresh], size, size + len(fresh)
+            pts.append(front)
+            self.bounds.append(size)
             apply = np.arange(len(G))
-        self.u, self.uinv = np.concatenate(us), np.concatenate(uinvs)
+        self.pts, self.parent, self.via = map(np.concatenate, (pts, parent, via))
+
+    @property
+    def u(self):
+        self._transversal()
+        return self._u
+
+    @property
+    def uinv(self):
+        self._transversal()
+        return self._uinv
+
+    def _transversal(self):
+        """Fill u and uinv for the points added since they were last read,
+        layer by layer: u[i] = u[parent] G[via], uinv[i] = G[via]^-1 uinv[parent]."""
+        done, total = len(self._u), len(self.pts)
+        if done == total:
+            return
+        ring = self.ring
+        G = np.stack(self.gens)
+        if len(self._ginv) < len(G):
+            self._ginv = np.concatenate([self._ginv, mat_inv(ring, G[len(self._ginv) :])])
+        u = np.empty((total,) + G.shape[1:], dtype=np.int64)
+        uinv = np.empty_like(u)
+        u[:done], uinv[:done] = self._u, self._uinv
+        for lo, hi in zip(self.bounds, self.bounds[1:]):
+            if hi > max(lo, done):
+                p, g = self.parent[lo:hi], self.via[lo:hi]
+                u[lo:hi] = ring.matmul(u[p], G[g])
+                uinv[lo:hi] = ring.matmul(self._ginv[g], uinv[p])
+        self._u, self._uinv = u, uinv
 
     def locate(self, x):
         """Transversal index of the point of each element of the stack x, and
-        whether that point lies in the orbit at all."""
-        keys = row_keys(self.ring, x[:, self.row])
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return self.slots[pos], self.keys[pos] == keys
+        whether that point lies in the orbit at all (index -1 when not)."""
+        slot = self.table[row_keys(self.ring, x[:, self.row])]
+        return slot, slot >= 0
 
     def schreier(self, p, s):
         """Schreier generators u_p g_s u_{p g_s}^{-1} for index arrays p, s."""
@@ -500,7 +531,7 @@ class StabiliserChain:
             self.levels.append(_Level(ring, n, n - 1 - t, fixed))
 
     def order(self):
-        return math.prod(len(lev.u) for lev in self.levels)
+        return math.prod(len(lev.pts) for lev in self.levels)
 
     def sift(self, x, t):
         """Sift the stack x, which fixes the base rows of levels < t, through
@@ -527,7 +558,7 @@ class StabiliserChain:
         grew = False
         for t, lev in enumerate(self.levels[:-1]):
             if lev.gens:
-                p = rng.integers(0, len(lev.u), CHAIN_BATCH)
+                p = rng.integers(0, len(lev.pts), CHAIN_BATCH)
                 s = rng.integers(0, len(lev.gens), CHAIN_BATCH)
                 hit = self.sift(lev.schreier(p, s), t + 1)
                 if hit is not None:
@@ -542,7 +573,7 @@ class StabiliserChain:
         lemma) and ``order`` is the order of the group."""
         for t in range(self.n - 2, -1, -1):
             lev = self.levels[t]
-            total = len(lev.u) * len(lev.gens)
+            total = len(lev.pts) * len(lev.gens)
             for lo in range(0, total, CHAIN_BATCH):
                 i = np.arange(lo, min(lo + CHAIN_BATCH, total))
                 hit = self.sift(lev.schreier(i // len(lev.gens), i % len(lev.gens)), t + 1)
@@ -568,18 +599,19 @@ def verify_generators(spec, ring, n):
     """
     gens = subgroup_generators(spec, ring, n)
     expected = subgroup_order(spec, ring, n)
-    for g in gens:
-        if not subgroup_membership(g, spec):
-            raise RuntimeError(f"proposed generator outside {spec}")
+    G = np.array([g.a for g in gens], dtype=np.int64).reshape(-1, n, n)
+    if not subgroup_membership(spec, ring, G).all():
+        raise RuntimeError(f"proposed generator outside {spec}")
     # each of the n orbits is a set of unimodular rows, no more of them than
-    # group elements; a point's transversal element and inverse take 16 n^2 bytes
+    # group elements; a point's transversal element and inverse take 16 n^2
+    # bytes, and each level's direct-address table 4 ring.size^n bytes
     rows = ring.q ** ((ring.m - 1) * n) * (ring.q**n - 1)
-    nbytes = 16 * n**3 * min(rows, expected)
+    nbytes = 16 * n**3 * min(rows, expected) + 4 * n * ring.size**n
     if nbytes > CHAIN_BYTES_MAX:
         raise BudgetExceededError(
             f"stabiliser chain of {spec} needs up to {nbytes} bytes, over the cap {CHAIN_BYTES_MAX}"
         )
-    chain = StabiliserChain(ring, n, [g.a for g in gens])
+    chain = StabiliserChain(ring, n, G)
     rng = np.random.default_rng(0)
     quiet = 0
     while chain.order() < expected and quiet < CHAIN_QUIET_PASSES:
@@ -591,7 +623,7 @@ def verify_generators(spec, ring, n):
         raise RuntimeError(f"stabiliser chain of {spec} generators reaches order {size}, above {expected}")
     if size < expected:
         raise RuntimeError(f"{spec} generators generate a group of order {size}, expected {expected}")
-    return {"method": "chain", "size": size, "ok": True, "orbit": len(chain.levels[0].u)}
+    return {"method": "chain", "size": size, "ok": True, "orbit": len(chain.levels[0].pts)}
 
 
 # -- random sampling ---------------------------------------------------------

@@ -91,6 +91,75 @@ def reference_random_in_K0(ring, n, ell, rng):
             return MatK(ring, a, check=False)
 
 
+def reference_membership(k, spec):
+    """The one-MatK membership predicate the stacked mask replaced."""
+    ring, n, a = k.ring, k.n, k.a
+    vals = ring.val_arr(a)
+    ell = spec.level
+    if spec.kind == "K":
+        return True
+    if spec.kind == "Kprin":
+        diff = ring.sub_arr(a, np.eye(n, dtype=np.int64))
+        return bool((ring.val_arr(diff) >= min(ell, ring.m)).all())
+    if spec.kind == "K1":
+        d1 = ring.sub(int(a[n - 1, n - 1]), 1)
+        return bool((vals[n - 1, : n - 1] >= min(ell, ring.m)).all()) and ring.val(
+            d1
+        ) >= min(ell, ring.m)
+    if spec.kind == "K0":
+        return bool((vals[n - 1, : n - 1] >= min(ell, ring.m)).all())
+    if spec.kind == "Kmirab":
+        bottom = a[n - 1]
+        return bool((bottom[: n - 1] == 0).all()) and int(bottom[n - 1]) == 1
+    raise AssertionError
+
+
+class reference_level:
+    """The eager stabiliser-chain level the Schreier vector replaced: sorted
+    point keys, and the transversal and its inverses formed on every layer."""
+
+    def __init__(self, ring, n, row, gens):
+        self.ring, self.row, self.gens = ring, row, []
+        self.u = self.uinv = np.eye(n, dtype=np.int64)[None]
+        self.keys = row_keys(ring, self.u[:, row])
+        self.slots = np.zeros(1, dtype=np.int64)
+        self.extend(gens)
+
+    def extend(self, new):
+        if not len(new):
+            return
+        ring = self.ring
+        self.gens = self.gens + list(new)
+        G = np.stack(self.gens)
+        Ginv = mat_inv(ring, G)
+        us, uinvs = [self.u], [self.uinv]
+        size = len(self.u)
+        apply = np.arange(len(G) - len(new), len(G))
+        while len(us[-1]) and len(apply):
+            front, front_inv = us[-1], uinvs[-1]
+            cand = ring.matmul(front[:, self.row], G[apply]).reshape(-1, front.shape[-1])
+            ckeys = row_keys(ring, cand)
+            keys, first = np.unique(ckeys, return_index=True)
+            slot = np.searchsorted(self.keys, keys)
+            fresh = np.sort(first[self.keys[np.minimum(slot, len(self.keys) - 1)] != keys])
+            parent, g = fresh % len(front), apply[fresh // len(front)]
+            us.append(ring.matmul(front[parent], G[g]))
+            uinvs.append(ring.matmul(Ginv[g], front_inv[parent]))
+            fkeys = ckeys[fresh]
+            order = np.argsort(fkeys)
+            at = np.searchsorted(self.keys, fkeys[order])
+            self.keys = np.insert(self.keys, at, fkeys[order])
+            self.slots = np.insert(self.slots, at, size + order)
+            size += len(fresh)
+            apply = np.arange(len(G))
+        self.u, self.uinv = np.concatenate(us), np.concatenate(uinvs)
+
+    def locate(self, x):
+        keys = row_keys(self.ring, x[:, self.row])
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return self.slots[pos], self.keys[pos] == keys
+
+
 def reference_subgroup_element(spec, ring, n, rng):
     """A random element of the subgroup, by rejection: the samples the
     factorisation certificate used to check."""
@@ -243,7 +312,7 @@ def reference_factorisation(k, spec):
     back to k exactly: the sampled membership certificate that the exact
     stabiliser chain replaced.
     """
-    if not subgroup_membership(k, spec):
+    if not subgroup_membership(spec, k.ring, k.a[None])[0]:
         raise ValueError(f"matrix is not in {spec}")
     ring, n = k.ring, k.n
     ell = spec.level
@@ -396,7 +465,7 @@ def assert_witnesses(ring, K):
         r0, rl, r0p = reference_double_coset_witness(MatK(ring, k, check=False), m)
         assert rl == ell[i]
         assert np.array_equal(r0.a, k0[i]) and np.array_equal(r0p.a, k0p[i])
-        assert subgroup_membership(r0, spec) and subgroup_membership(r0p, spec)
+        assert subgroup_membership(spec, ring, np.stack([r0.a, r0p.a])).all()
     return ell
 
 
@@ -465,24 +534,41 @@ class TestMembership:
             SubgroupSpec("K0", 1),
             SubgroupSpec("Kmirab"),
         ]:
-            assert subgroup_membership(one, spec)
+            assert subgroup_membership(spec, R4, one.a[None])[0]
 
     def test_diag_unit_in_k0_not_k1(self):
         # take q = 3 so that a unit not congruent to 1 mod p exists
         R9 = make_ring_level("padic", 3, 1, 2)
         k = MatK(R9, np.array([[1, 0], [0, 2]]))
-        assert subgroup_membership(k, SubgroupSpec("K0", 1))
-        assert not subgroup_membership(k, SubgroupSpec("K1", 1))
+        assert subgroup_membership(SubgroupSpec("K0", 1), R9, k.a[None])[0]
+        assert not subgroup_membership(SubgroupSpec("K1", 1), R9, k.a[None])[0]
+
+    @given(point=st.sampled_from(GROUP_POINTS), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_mask_matches_the_one_matrix_predicate(self, point, seed):
+        branch, p, f, m, n = point
+        R = ring_of(branch, p, f, m)
+        rng = np.random.default_rng(seed)
+        specs = [SubgroupSpec("K"), SubgroupSpec("Kmirab")] + [
+            SubgroupSpec(kind, depth) for kind in ("Kprin", "K1", "K0") for depth in range(m + 2)
+        ]
+        # members of every subgroup, random group elements and random matrices, singular ones included
+        gens = [g.a for spec in specs for g in subgroup_generators(spec, R, n)]
+        K = np.concatenate(
+            [np.array(gens), random_stack(R, n, 20, rng), rng.integers(0, R.size, (20, n, n))]
+        )
+        for spec in specs:
+            want = [reference_membership(MatK(R, k, check=False), spec) for k in K]
+            assert subgroup_membership(spec, R, K).tolist() == want
 
     def test_inclusion_chain(self, R4):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            k = random_in_K(R4, 2, rng)
-            for ell in (1, 2):
-                if subgroup_membership(k, SubgroupSpec("Kprin", ell)):
-                    assert subgroup_membership(k, SubgroupSpec("K1", ell))
-                if subgroup_membership(k, SubgroupSpec("K1", ell)):
-                    assert subgroup_membership(k, SubgroupSpec("K0", ell))
+        K = random_stack(R4, 2, 1000, np.random.default_rng(3))
+        for ell in (1, 2):
+            prin, k1, k0 = (
+                subgroup_membership(SubgroupSpec(kind, ell), R4, K) for kind in ("Kprin", "K1", "K0")
+            )
+            assert k1[prin].all()
+            assert k0[k1].all()
 
 
 class TestGenerators:
@@ -529,15 +615,15 @@ class TestGenerators:
         # generate the subgroup the original spec's membership predicate cuts out
         branch, p, f, m, n = point
         R = ring_of(branch, p, f, m)
-        elems = list(enumerate_group(R, n))
+        elems = group_stack(R, n)
         for kind in SubgroupSpec.KINDS:
             for level in range(m + 3) if kind in ("Kprin", "K1", "K0") else [None]:
                 spec = SubgroupSpec(kind, level)
                 canon = canonical_spec(spec, R)
                 assert canonical_spec(canon, R) == canon
                 gens = subgroup_generators(canon, R, n)
-                assert all(subgroup_membership(g, spec) for g in gens)
-                members = sum(subgroup_membership(k, spec) for k in elems)
+                assert subgroup_membership(spec, R, np.stack([g.a for g in gens])).all()
+                members = subgroup_membership(spec, R, elems).sum()
                 assert len(closure(gens)) == members == subgroup_order(spec, R, n)
         assert canonical_spec(SubgroupSpec("K1", 0), R) == SubgroupSpec("K")
         assert canonical_spec(SubgroupSpec("K0", m + 1), R) == SubgroupSpec("K0", m)
@@ -545,8 +631,8 @@ class TestGenerators:
 
     def test_generators_satisfy_membership(self, R4):
         for spec in [SubgroupSpec("K1", 2), SubgroupSpec("K0", 1), SubgroupSpec("Kprin", 2)]:
-            for g in subgroup_generators(spec, R4, 2):
-                assert subgroup_membership(g, spec)
+            gens = np.stack([g.a for g in subgroup_generators(spec, R4, 2)])
+            assert subgroup_membership(spec, R4, gens).all()
 
     def test_verified_generators_large_group(self):
         R = make_ring_level("padic", 3, 1, 3)
@@ -623,13 +709,10 @@ class TestGenerators:
         mirab = set(
             k.tobytes() for k in closure(subgroup_generators(SubgroupSpec("Kmirab"), R4, 2))
         )
+        K = group_stack(R4, 2)
         for ell in (1, 2):
             prin = closure(subgroup_generators(SubgroupSpec("Kprin", ell), R4, 2))
-            k1 = {
-                k.key()
-                for k in gl2_z4
-                if subgroup_membership(k, SubgroupSpec("K1", ell))
-            }
+            k1 = {k.tobytes() for k in K[subgroup_membership(SubgroupSpec("K1", ell), R4, K)]}
             prod = set()
             mirab_mats = [
                 k for k in gl2_z4 if k.key() in mirab
@@ -638,11 +721,7 @@ class TestGenerators:
                 for b in prin:
                     prod.add(R4.matmul(a.a, b).tobytes())
             assert prod == k1
-            k0 = {
-                k.key()
-                for k in gl2_z4
-                if subgroup_membership(k, SubgroupSpec("K0", ell))
-            }
+            k0 = {k.tobytes() for k in K[subgroup_membership(SubgroupSpec("K0", ell), R4, K)]}
             zk1 = set()
             for u in R4.units():
                 z = MatK(R4, np.diag([int(u), int(u)]).astype(np.int64))
@@ -711,6 +790,33 @@ class TestStabiliserChain:
             "orbit": sphere_size(R.q, n, m),
         }
 
+    def test_certificates_that_never_sift_invert_nothing(self, monkeypatch):
+        # transversals are built only when a sift reads them
+        R = ring_of("padic", 3, 1, 2)
+        calls = []
+        inverse = matgroup.mat_inv
+        monkeypatch.setattr(
+            matgroup, "mat_inv", lambda ring, a: calls.append(len(a)) or inverse(ring, a)
+        )
+        for kind, depth in [("K1", 1), ("K1", 2), ("K0", 1), ("K0", 2)]:
+            assert verify_generators(SubgroupSpec(kind, depth), R, 2)["ok"]
+        assert calls == []
+        rep = verify_generators(SubgroupSpec("K"), R, 2)
+        assert rep["ok"] and rep["orbit"] == sphere_size(3, 2, 2)
+        assert calls  # K does sift
+
+    def test_byte_cap_counts_the_tables(self, monkeypatch):
+        R, n = ring_of("padic", 3, 1, 2), 2
+        spec = SubgroupSpec("K")
+        rows = R.q ** ((R.m - 1) * n) * (R.q**n - 1)
+        bound = 16 * n**3 * min(rows, group_order(R, n)) + 4 * n * R.size**n
+        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", bound - 1)
+        with mock.patch.object(matgroup, "_Level", side_effect=AssertionError("allocated")):
+            with pytest.raises(BudgetExceededError, match=f"needs up to {bound} bytes"):
+                verify_generators(spec, R, n)
+        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", bound)
+        assert verify_generators(spec, R, n)["ok"]
+
     def test_order_above_the_formula_raises(self):
         R = ring_of("padic", 3, 1, 2)
         with mock.patch.object(matgroup, "subgroup_order", lambda *args: 24):
@@ -723,6 +829,36 @@ class TestStabiliserChain:
         with mock.patch.object(matgroup, "subgroup_generators", lambda *args: gens):
             with pytest.raises(RuntimeError, match="outside K1"):
                 verify_generators(SubgroupSpec("K1", 1), R, 2)
+
+
+class TestLevel:
+    @given(point=st.sampled_from(GROUP_POINTS), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_schreier_vector_matches_the_eager_level(self, point, data):
+        branch, p, f, m, n = point
+        R = ring_of(branch, p, f, m)
+        kind = data.draw(st.sampled_from(SubgroupSpec.KINDS))
+        depth = data.draw(st.integers(0, m + 1)) if kind in ("Kprin", "K1", "K0") else None
+        gens = [g.a for g in subgroup_generators(SubgroupSpec(kind, depth), R, n)]
+        subset = data.draw(st.lists(st.sampled_from(gens), max_size=len(gens) + 2)) if gens else []
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(subset)), min_size=1, max_size=3)))
+        chunks = [subset[a:b] for a, b in zip([0, *cuts], [*cuts, len(subset)])]
+        row = data.draw(st.integers(0, n - 1))
+        ref = reference_level(R, n, row, chunks[0])
+        lev = matgroup._Level(R, n, row, chunks[0])
+        for chunk in chunks[1:]:
+            if data.draw(st.booleans()):
+                assert np.array_equal(lev.u, ref.u)  # a read between extends
+            ref.extend(chunk)
+            lev.extend(chunk)
+        assert np.array_equal(lev.pts, ref.u[:, row])
+        assert np.array_equal(lev.u, ref.u) and np.array_equal(lev.uinv, ref.uinv)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = np.concatenate([random_stack(R, n, 20, rng), ref.u[rng.permutation(len(ref.u))]])
+        slot, hit = lev.locate(x)
+        want_slot, want_hit = ref.locate(x)
+        assert np.array_equal(hit, want_hit)
+        assert np.array_equal(slot[hit], want_slot[hit]) and (slot[~hit] == -1).all()
 
 
 SAMPLER_RINGS = [
@@ -811,8 +947,8 @@ class TestDoubleCosets:
 
     def test_partition_matches_brute_force(self, R4, gl2_z4):
         spec = SubgroupSpec("K0", 2)
-        k0_elems = [k for k in gl2_z4 if subgroup_membership(k, spec)]
         K = group_stack(R4, 2)
+        k0_elems = [k for k, keep in zip(gl2_z4, subgroup_membership(spec, R4, K)) if keep]
         index = double_coset_index(R4, K)
         for ell in range(3):
             u = u_ell(R4, 2, ell)
