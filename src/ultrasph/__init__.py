@@ -22,7 +22,6 @@ from .ring import (
 from .sphere import SphereIndex, SpherePoint, act_point, enumerate_sphere, reduce_point, sphere_size
 from .matgroup import (
     BudgetExceededError,
-    MatK,
     SubgroupSpec,
     chang_beta,
     closure,

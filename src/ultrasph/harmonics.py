@@ -110,8 +110,7 @@ class Subspace:
 
     def rho(self, k):
         """Matrix of R(k) on this basis; unitary when the space is invariant."""
-        a = getattr(k, "a", k)
-        moved = self.basis[:, self.space.index.perm_of_matrix(a)]
+        moved = self.basis[:, self.space.index.perm_of_matrix(k)]
         np.conjugate(moved, out=moved)  # conj(basis @ conj(moved)^T) = conj(basis) @ moved^T
         return (np.conjugate(self.basis @ moved.T) * self.space.weight).T
 
@@ -312,10 +311,8 @@ def zonal_piece_bytes(q, n, m):
 
 
 def _stack(ks, n):
-    """Group elements (MatK, code arrays or one stack) as one (N, n, n) code stack."""
-    if isinstance(ks, np.ndarray):
-        return ks.astype(np.int64, copy=False).reshape(-1, n, n)
-    return np.array([getattr(k, "a", k) for k in ks], dtype=np.int64).reshape(-1, n, n)
+    """Group elements (code arrays or one stack) as one (N, n, n) code stack."""
+    return np.asarray(ks, dtype=np.int64).reshape(-1, n, n)
 
 
 def _worst(err):
@@ -430,10 +427,9 @@ def idempotent_sum_residual(space, chis, m, ks, zonal_cache=None):
 
     K = _stack(ks, n)
     x_slots = space.index.idx(mat_inv(ring, K)[:, n - 1])  # e_n k^{-1}
-    depth = min(m, ring.m)
     d = K[:, n - 1, n - 1]
-    in_k0 = (ring.val_arr(K[:, n - 1, : n - 1]) >= depth).all(axis=1)
-    in_k1 = in_k0 & (ring.val_arr(ring.sub_arr(d, 1)) >= depth)
+    in_k0 = subgroup_membership(SubgroupSpec("K0", m), ring, K)
+    in_k1 = subgroup_membership(SubgroupSpec("K1", m), ring, K)
     err = np.zeros(len(K))
     total_k1 = np.zeros(len(K), dtype=np.complex128)
     for ch in chis:

@@ -1,11 +1,13 @@
 """GL_n(O/p^M), its congruence subgroups, and double coset witnesses.
 
-All matrices live at a fixed working level M; subgroup specifications
-with depth l <= M are membership predicates on level-M matrices.
-Generating sets are proposed from elementary matrices and diagonal
-units, then certified exactly: every generator satisfies the membership
-predicate, and a stabiliser chain of the group they generate reaches the
-order formula (Sims 1970; Seress, Permutation Group Algorithms, 2003, ch. 4).
+All matrices live at a fixed working level M and are int64 code arrays:
+an (n, n) array is one group element, an (N, n, n) stack is N of them,
+and nothing wraps either.  Subgroup specifications with depth l <= M are
+membership masks on level-M stacks.  Generating sets are proposed as one
+(G, n, n) stack of elementary matrices and diagonal units, then certified
+exactly: every generator satisfies the membership mask, and a stabiliser
+chain of the group they generate reaches the order formula (Sims 1970;
+Seress, Permutation Group Algorithms, 2003, ch. 4).
 
 Uniform samples of K and K_0(p^l) are drawn as whole stacks by rejection,
 one random draw and one stacked determinant per batch.  Each batch rewinds
@@ -40,73 +42,6 @@ CHAIN_BYTES_MAX = 1 << 27  # cap on the bound of a stabiliser chain's transversa
 
 class BudgetExceededError(RuntimeError):
     pass
-
-
-class MatK:
-    """An invertible n x n matrix over a RingLevel (unit determinant)."""
-
-    __slots__ = ("ring", "n", "a")
-
-    def __init__(self, ring, a, check=True):
-        a = np.asarray(a, dtype=np.int64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("square matrix required")
-        self.ring = ring
-        self.n = a.shape[0]
-        self.a = a
-        if check and not ring.is_unit(det(ring, a)):
-            raise ValueError("determinant is not a unit")
-
-    @classmethod
-    def identity(cls, ring, n):
-        return cls(ring, np.eye(n, dtype=np.int64), check=False)
-
-    def __matmul__(self, other):
-        if other.ring != self.ring:
-            raise ValueError("ring mismatch")
-        return MatK(self.ring, self.ring.matmul(self.a, other.a), check=False)
-
-    def inverse(self):
-        return MatK(self.ring, mat_inv(self.ring, self.a), check=False)
-
-    def det(self):
-        return det(self.ring, self.a)
-
-    def reduce_to(self, ell):
-        low = self.ring.at_level(ell)
-        return MatK(low, self.ring.reduce_arr(self.a, ell), check=False)
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = MatK.identity(self.ring, self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out @ base
-            base = base @ base
-            e >>= 1
-        return out
-
-    def key(self):
-        return self.a.tobytes()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatK)
-            and self.ring == other.ring
-            and np.array_equal(self.a, other.a)
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.key()))
-
-    def __repr__(self):
-        rows = [
-            "[" + " ".join(self.ring.element_str(c) for c in row) + "]"
-            for row in self.a.tolist()
-        ]
-        return "MatK(" + "; ".join(rows) + ")"
 
 
 def det(ring, a):
@@ -241,23 +176,20 @@ def additive_generators(ring, depth=0):
     return out
 
 
-def _elem(ring, n, i, j, x):
+def _elem(n, i, j, x):
     a = np.eye(n, dtype=np.int64)
     a[i, j] = x
-    return MatK(ring, a, check=False)
+    return a
 
 
-def _diag(ring, n, pos, u):
+def _diag(n, pos, u):
     a = np.eye(n, dtype=np.int64)
     a[pos, pos] = u
-    return MatK(ring, a, check=False)
+    return a
 
 
-def _scalar(ring, n, u):
-    a = np.eye(n, dtype=np.int64) * np.int64(0)
-    for i in range(n):
-        a[i, i] = u
-    return MatK(ring, a, check=False)
+def _scalar(n, u):
+    return np.eye(n, dtype=np.int64) * np.int64(u)
 
 
 def _gl_generators(ring, n):
@@ -266,14 +198,15 @@ def _gl_generators(ring, n):
         for j in range(n):
             if i != j:
                 for b in additive_generators(ring, 0):
-                    gens.append(_elem(ring, n, i, j, b))
+                    gens.append(_elem(n, i, j, b))
     for g in unit_group_basis(ring).gens:
-        gens.append(_diag(ring, n, n - 1, g))
+        gens.append(_diag(n, n - 1, g))
     return gens
 
 
 def subgroup_generators(spec, ring, n):
-    """Proposed generators; see ``verify_generators`` for the certificate.
+    """Proposed generators as one (G, n, n) code stack; see
+    ``verify_generators`` for the certificate.
 
     The identity is returned for subgroups that collapse to the trivial
     group at the working level, so closures always start somewhere.
@@ -281,44 +214,45 @@ def subgroup_generators(spec, ring, n):
     spec = canonical_spec(spec, ring)
     ell = spec.level
     if spec.kind == "K":
-        return _gl_generators(ring, n)
-    if spec.kind == "Kprin":
+        gens = _gl_generators(ring, n)
+    elif spec.kind == "Kprin":
         gens = []
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
                 for b in additive_generators(ring, ell):
-                    gens.append(_elem(ring, n, i, j, b))
+                    gens.append(_elem(n, i, j, b))
         for i in range(n):
             for v in unit_subgroup_basis(ring, ell).gens:
-                gens.append(_diag(ring, n, i, v))
-        return gens or [MatK.identity(ring, n)]
-    if spec.kind == "Kmirab":
+                gens.append(_diag(n, i, v))
+        gens = gens or [np.eye(n, dtype=np.int64)]
+    elif spec.kind == "Kmirab":
         gens = []
         if n > 2:
             for g in _gl_generators(ring, n - 1):
                 a = np.eye(n, dtype=np.int64)
-                a[: n - 1, : n - 1] = g.a
-                gens.append(MatK(ring, a, check=False))
+                a[: n - 1, : n - 1] = g
+                gens.append(a)
         else:
             for u in unit_group_basis(ring).gens:
-                gens.append(_diag(ring, n, 0, u))
+                gens.append(_diag(n, 0, u))
         for i in range(n - 1):
             for b in additive_generators(ring, 0):
-                gens.append(_elem(ring, n, i, n - 1, b))
-        return gens
-    if spec.kind == "K1":
+                gens.append(_elem(n, i, n - 1, b))
+    elif spec.kind == "K1":
         # K_{n-1,1} * K(p^l) = K_1(p^l)
-        return subgroup_generators(SubgroupSpec("Kmirab"), ring, n) + subgroup_generators(
-            SubgroupSpec("Kprin", ell), ring, n
-        )
-    if spec.kind == "K0":
-        # Z(O) * K_1(p^l) = K_0(p^l)
-        return subgroup_generators(SubgroupSpec("K1", ell), ring, n) + [
-            _scalar(ring, n, u) for u in unit_group_basis(ring).gens
+        gens = [
+            *subgroup_generators(SubgroupSpec("Kmirab"), ring, n),
+            *subgroup_generators(SubgroupSpec("Kprin", ell), ring, n),
         ]
-    raise AssertionError
+    elif spec.kind == "K0":
+        # Z(O) * K_1(p^l) = K_0(p^l)
+        gens = [*subgroup_generators(SubgroupSpec("K1", ell), ring, n)]
+        gens += [_scalar(n, u) for u in unit_group_basis(ring).gens]
+    else:
+        raise AssertionError
+    return np.array(gens, dtype=np.int64).reshape(-1, n, n)
 
 
 def group_order(ring, n):
@@ -408,15 +342,12 @@ def orbit_stack(ring, start, gens, canon=None, budget=None, left=()):
     return np.concatenate(layers)
 
 
-def closure(gens, budget=200000):
-    """Breadth-first closure of a generating set of MatK, as an (N, n, n)
-    stack with the identity first; raises past the budget."""
-    if not gens:
-        return []
-    ring, n = gens[0].ring, gens[0].n
-    return orbit_stack(
-        ring, np.eye(n, dtype=np.int64), [g.a for g in gens], budget=budget
-    )
+def closure(ring, gens, budget=200000):
+    """Breadth-first closure of the (G, n, n) generator stack ``gens``, as an
+    (N, n, n) stack with the identity first; raises past the budget.  Kept
+    only because ``bench/layers.py`` wraps it by name; ``orbit_stack`` is
+    the closure."""
+    return orbit_stack(ring, np.eye(gens.shape[-1], dtype=np.int64), gens, budget=budget)
 
 
 class _Level:
@@ -597,9 +528,8 @@ def verify_generators(spec, ring, n):
     result's ``orbit`` is the size of the chain's top orbit, the orbit of
     e_n under the subgroup.
     """
-    gens = subgroup_generators(spec, ring, n)
+    G = subgroup_generators(spec, ring, n)
     expected = subgroup_order(spec, ring, n)
-    G = np.array([g.a for g in gens], dtype=np.int64).reshape(-1, n, n)
     if not subgroup_membership(spec, ring, G).all():
         raise RuntimeError(f"proposed generator outside {spec}")
     # each of the n orbits is a set of unimodular rows, no more of them than
@@ -668,22 +598,27 @@ def random_stack(ring, n, count, rng, ell=None):
 
 
 def random_in_K(ring, n, rng):
-    return MatK(ring, random_stack(ring, n, 1, rng)[0], check=False)
+    """One (n, n) code array uniform on K.  Kept only because
+    ``bench/layers.py`` wraps it by name; ``random_stack`` draws stacks."""
+    return random_stack(ring, n, 1, rng)[0]
 
 
 def random_in_K0(ring, n, ell, rng):
-    """Uniform on K_0(p^ell): bottom-left entries drawn from p^ell."""
-    return MatK(ring, random_stack(ring, n, 1, rng, ell=ell)[0], check=False)
+    """One (n, n) code array uniform on K_0(p^ell).  Kept only because
+    ``bench/layers.py`` wraps it by name; ``random_stack`` draws stacks."""
+    return random_stack(ring, n, 1, rng, ell=ell)[0]
 
 
 # -- double cosets -----------------------------------------------------------
 
 
-def u_ell(ring, n, ell):
-    """The matrix with bottom row (0, ..., 0, w^ell, 1) and 1s on the diagonal."""
-    a = np.eye(n, dtype=np.int64)
-    a[n - 1, n - 2] = ring.uniformizer_pow(ell)
-    return MatK(ring, a, check=False)
+def u_ell(ring, n, ells):
+    """(len(ells), n, n) stack: for each ell, the matrix with bottom row
+    (0, ..., 0, w^ell, 1) and 1s on the diagonal."""
+    w = np.array([ring.uniformizer_pow(ell) for ell in ells], dtype=np.int64)
+    us = np.tile(np.eye(n, dtype=np.int64), (len(w), 1, 1))
+    us[:, n - 1, n - 2] = w
+    return us
 
 
 def double_coset_index(ring, K):
@@ -788,6 +723,7 @@ def _all_matrices(base, n):
 
 
 def enumerate_group(ring, n):
-    """Stream all of GL_n(O/p^m) as MatK, in ``group_stack`` order."""
-    for a in group_stack(ring, n):
-        yield MatK(ring, a, check=False)
+    """Stream all of GL_n(O/p^m) as (n, n) code arrays, in ``group_stack``
+    order.  Kept only because ``bench/layers.py`` wraps it by name;
+    ``group_stack`` is the whole group at once."""
+    yield from group_stack(ring, n)

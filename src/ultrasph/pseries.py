@@ -29,6 +29,7 @@ from .matgroup import (
     SubgroupSpec,
     _complete_to_invertible,
     canonical_spec,
+    double_coset_index,
     find_keys,
     group_order,
     group_stack,
@@ -109,7 +110,7 @@ class FlagCosets:
         self.ring = ring
         self.n = n
         start, _ = flag_canon(ring, np.eye(n, dtype=np.int64))
-        reps = orbit_stack(ring, start, [g.a for g in gens], canon=lambda s: flag_canon(ring, s)[0])
+        reps = orbit_stack(ring, start, gens, canon=lambda s: flag_canon(ring, s)[0])
         if len(reps) != expected:
             raise RuntimeError(f"flag closure found {len(reps)} cosets, expected {expected}")
         self.reps = reps
@@ -153,7 +154,7 @@ class FlagCosets:
         spec = canonical_spec(spec, self.ring)
         if spec not in self._trees:
             gens = _verified_subgroup_gens(self.ring, self.n, spec)
-            self._trees[spec] = OrbitTree([self.table(g.a)[0] for g in gens])
+            self._trees[spec] = OrbitTree([self.table(g)[0] for g in gens])
         return self._trees[spec]
 
 
@@ -306,7 +307,7 @@ class PSeriesModel:
     def _monomial(self, k):
         """Cached (perm, rot) of one k: the shared generator table's
         permutation, and the rotation indices at its pivots."""
-        a = np.asarray(getattr(k, "a", k), dtype=np.int64)
+        a = np.asarray(k, dtype=np.int64)
         key = a.tobytes()
         if key not in self._action_cache:
             perm, pivots = self.cosets.table(a)
@@ -381,8 +382,7 @@ class PSeriesModel:
             return self._invariants[key]
         spec = SubgroupSpec("K1" if kind == "K1" else "K0", ell)
         gens = _verified_subgroup_gens(self.ring, self.n, spec)
-        n = self.n
-        twists = [0 if kind == "K1" else self.chi_pi._nums[g.a[n - 1, n - 1]] for g in gens]
+        twists = None if kind == "K1" else self.chi_pi._nums[gens[:, self.n - 1, self.n - 1]]
         self._invariants[key] = self.orbit_lines(spec, twists)
         return self._invariants[key]
 
@@ -421,7 +421,7 @@ class PSeriesModel:
         gens = _verified_subgroup_gens(self.ring, self.n, SubgroupSpec("K0", c))
         errs = []
         for g in gens:
-            d = int(g.a[self.n - 1, self.n - 1])
+            d = int(g[self.n - 1, self.n - 1])
             want = self.chi_pi(d) if self.ring.is_unit(d) else 1.0
             got = self.apply(self.action_of(g), v)
             errs.append(float(np.abs(got - want * v).max()))
@@ -433,7 +433,7 @@ class PSeriesModel:
         the character at its bottom-right entry."""
         ring, n, c = self.ring, self.n, self.c_declared
         K = np.asarray(K, dtype=np.int64).reshape(-1, n, n)
-        depth = np.minimum(ring.m, ring.val_arr(K[:, n - 1, : n - 1]).min(axis=1))
+        depth = double_coset_index(ring, K)
         d = K[:, n - 1, n - 1]
         chi_d = np.where(ring.val_arr(d) == 0, self.chi_pi.eval_arr(d), 1.0)
         inner = depth >= min(c, ring.m)
@@ -448,7 +448,7 @@ class PSeriesModel:
         and the index in ks where it occurs (None when ks is empty).  Only the
         coset rows where v0 is non-zero are acted on: the others add exact
         zeros to the inner product."""
-        K = np.array([getattr(k, "a", k) for k in ks], dtype=np.int64).reshape(-1, self.n, self.n)
+        K = np.asarray(ks, dtype=np.int64).reshape(-1, self.n, self.n)
         norm = self.ip(v0, v0)
         supp = np.flatnonzero(v0)
         right = v0[supp].conj()

@@ -136,7 +136,7 @@ class SphereIndex:
         Cached per generator list; raises BudgetExceededError before
         allocating when the label array would exceed ORBITAL_BYTES_MAX.
         """
-        mats = [np.asarray(getattr(k, "a", k), dtype=np.int64) for k in mats]
+        mats = np.asarray(mats, dtype=np.int64)
         key = tuple(k.tobytes() for k in mats)
         if key not in self._orbitals:
             nbytes = self.size**2 * 8
@@ -151,7 +151,7 @@ class SphereIndex:
 
     def _perms(self, mats):
         """The slot permutations of ``mats`` and their inverses."""
-        perms = [self.perm_of_matrix(getattr(k, "a", k)) for k in mats]
+        perms = [self.perm_of_matrix(k) for k in mats]
         return perms + [np.argsort(s) for s in perms]
 
     def scalar_perm(self, a):
@@ -200,12 +200,11 @@ def reduce_point(pt, ell):
 
 
 def act_point(pt, k):
-    """Right action x . k (row vector times matrix) over the ring."""
+    """Right action x . k (row vector times the (n, n) code array k) over the
+    ring; ValueError on a wrong shape or entries outside range(ring.size)."""
     ring = pt.ring
-    a = getattr(k, "a", k)
-    a = np.asarray(a, dtype=np.int64)
-    kring = getattr(k, "ring", ring)
-    if kring != ring or a.shape != (len(pt.coords), len(pt.coords)):
-        raise ValueError("dimension or level mismatch")
+    a = np.asarray(k, dtype=np.int64)
+    if a.shape != (len(pt.coords), len(pt.coords)) or a.min() < 0 or a.max() >= ring.size:
+        raise ValueError("dimension mismatch or entries outside the ring")
     moved = ring.matmul(np.array(pt.coords, dtype=np.int64), a)
     return SpherePoint(ring, tuple(int(c) for c in moved))

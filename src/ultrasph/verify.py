@@ -533,7 +533,7 @@ def double_coset_suite(ring, n, rec=None, budget=200000):
         )
         return rec
     K = group_stack(ring, n)
-    us = np.array([u_ell(ring, n, ell).a for ell in range(m + 1)])
+    us = u_ell(ring, n, range(m + 1))
     k0, ell, k0p = double_coset_witness(ring, K)
     back = ring.matmul(ring.matmul(k0, us[ell]), k0p)
     spec0 = SubgroupSpec("K0", m)
@@ -558,7 +558,7 @@ def double_coset_suite(ring, n, rec=None, budget=200000):
         len(np.unique(ell)),
     )
     verify_generators(spec0, ring, n)
-    gens = [g.a for g in subgroup_generators(spec0, ring, n)]
+    gens = subgroup_generators(spec0, ring, n)
     orbits = [orbit_stack(ring, u, gens, left=gens) for u in us]
     keys = row_keys(ring, K)
     brute_fail = sum(
@@ -693,14 +693,14 @@ def pseries_model_checks(model, rec, samples=500, rng=None, label=None):
         {"q": q, "n": n, "c": c_pi},
         worst,
         TOL_TIGHT,
-        witness=_k_witness(np.array([g.a for g in gens]), at),
+        witness=_k_witness(gens, at),
     )
     uniform = random_stack(ring, n, samples - samples // 2, rng)
     # per shell l, pairs (a, b) from K_0(p^c) in draw order, and k = a u_l b
     shells = min(c_pi, M) + 1
     per = -(-samples // (2 * shells))
     pairs = random_stack(ring, n, 2 * shells * per, rng, ell=c_pi).reshape(shells, per, 2, n, n)
-    us = np.array([u_ell(ring, n, ell).a for ell in range(shells)])[:, None]
+    us = u_ell(ring, n, range(shells))[:, None]
     shelled = ring.matmul(ring.matmul(pairs[:, :, 0], us), pairs[:, :, 1])
     ks = np.concatenate([uniform, shelled.reshape(-1, n, n)])
     worst, at = model.coefficient_residual(v0, ks)

@@ -46,3 +46,20 @@ def test_traced_laurent_newform_child_runs_against_src(tmp_path):
     assert out["counters"]["pseries.cosets.total"] > 0
     # the hits are read off the length of model._action_cache
     assert out["counters"]["pseries.action_of.hits"] > 0
+
+
+def test_traced_zonal_child_runs_against_src(tmp_path):
+    # layers.py reads the ks argument of each identity check by position
+    out, spans = traced_child("grid-zonal", tmp_path / "spans.jsonl")
+    assert len(out["records"]) == 503
+    assert {"verify.zonal", "verify.double_coset", "verify.arch"} <= spans
+    assert {"harmonics.identities.idempotent_sum_residual", "matgroup.verify_generators"} <= spans
+    assert out["counters"]["harmonics.identities.k_samples"] > 0
+
+
+def test_traced_newform_child_runs_against_src(tmp_path):
+    out, spans = traced_child("grid-newform", tmp_path / "spans.jsonl")
+    assert len(out["records"]) == 202
+    assert {"verify.pseries", "verify.roundtrip", "pseries.flag_canon"} <= spans
+    assert {"pseries.invariant_space", "matgroup.verify_generators"} <= spans
+    assert out["counters"]["pseries.action_of.hits"] > 0

@@ -9,7 +9,6 @@ from ultrasph import pseries, verify
 from ultrasph.harmonics import SphereSpace, harmonic_subspace, zonal_fn, zonal_shell_coefficient
 from ultrasph.matgroup import (
     BudgetExceededError,
-    MatK,
     SubgroupSpec,
     enumerate_group,
     mat_inv,
@@ -63,10 +62,10 @@ class TestFlagCosets:
     def test_counts_by_brute_force(self):
         # orbit of canonical forms over the full group equals |G|/|B|
         ring = make_ring_level("padic", 2, 1, 2)
-        reps = {flag_canon(ring, k.a)[0].tobytes() for k in enumerate_group(ring, 2)}
+        reps = {flag_canon(ring, k)[0].tobytes() for k in enumerate_group(ring, 2)}
         assert len(reps) == 6
         ring3 = make_ring_level("padic", 2, 1, 1)
-        reps3 = {flag_canon(ring3, k.a)[0].tobytes() for k in enumerate_group(ring3, 3)}
+        reps3 = {flag_canon(ring3, k)[0].tobytes() for k in enumerate_group(ring3, 3)}
         assert len(reps3) == 21
 
     def test_canon_is_coset_invariant(self):
@@ -80,8 +79,8 @@ class TestFlagCosets:
                  [0, int(ring.units()[rng.integers(len(ring.units()))])]],
                 dtype=np.int64,
             )
-            bk = ring.matmul(b, k.a)
-            assert np.array_equal(flag_canon(ring, k.a)[0], flag_canon(ring, bk)[0])
+            bk = ring.matmul(b, k)
+            assert np.array_equal(flag_canon(ring, k)[0], flag_canon(ring, bk)[0])
 
     def test_canon_pivots_give_b_factor(self):
         # a = b * canon(a) with b upper triangular whose diagonal is the pivots
@@ -89,8 +88,8 @@ class TestFlagCosets:
         rng = np.random.default_rng(1)
         for _ in range(25):
             k = random_in_K(ring, 2, rng)
-            rep, piv = flag_canon(ring, k.a)
-            b = ring.matmul(k.a, mat_inv(ring, rep))
+            rep, piv = flag_canon(ring, k)
+            b = ring.matmul(k, mat_inv(ring, rep))
             assert b[1, 0] == 0
             assert [int(b[0, 0]), int(b[1, 1])] == piv
 
@@ -99,8 +98,8 @@ class TestFlagCosets:
         rng = np.random.default_rng(2)
         for _ in range(30):
             k = random_in_K(ring, 3, rng)
-            rep, piv = flag_canon(ring, k.a)
-            b = ring.matmul(k.a, mat_inv(ring, rep))
+            rep, piv = flag_canon(ring, k)
+            b = ring.matmul(k, mat_inv(ring, rep))
             assert b[1, 0] == b[2, 0] == b[2, 1] == 0
             assert all(ring.is_unit(int(b[i, i])) for i in range(3))
 
@@ -123,7 +122,7 @@ class TestModel:
         ram = next(c for c in chars4 if c.c == 2)
         model = build_model([ram, triv])
         for a in model.ring.units():
-            za = MatK(model.ring, np.diag([int(a)] * 2).astype(np.int64))
+            za = np.diag([int(a)] * 2).astype(np.int64)
             perm, scale = model.action_of(za)
             assert np.array_equal(perm, np.arange(model.dim))
             assert np.abs(scale - model.chi_pi(int(a))).max() < 1e-12
@@ -136,7 +135,7 @@ class TestModel:
             g2 = random_in_K(model.ring, 2, rng)
             p1, s1 = model.action_of(g1)
             p2, s2 = model.action_of(g2)
-            p12, s12 = model.action_of(g1 @ g2)
+            p12, s12 = model.action_of(model.ring.matmul(g1, g2))
             assert np.array_equal(p12, p2[p1])
             assert np.abs(s12 - s1 * s2[p1]).max() < 1e-12
 
@@ -265,10 +264,10 @@ def reference_expected_coefficient(model, k):
     """The three-case closed form at one k: the oracle for expected_coefficients."""
     ring, n, q = model.ring, model.n, model.ring.q
     c = model.c_declared
-    a = getattr(k, "a", k)
-    vals = ring.val_arr(np.asarray(a)[n - 1, : n - 1])
+    a = np.asarray(k)
+    vals = ring.val_arr(a[n - 1, : n - 1])
     depth = int(min(ring.m, vals.min()))
-    d = int(np.asarray(a)[n - 1, n - 1])
+    d = int(a[n - 1, n - 1])
     chi_d = model.chi_pi(d) if ring.is_unit(d) else (1.0 if model.chi_pi.is_trivial else None)
     if depth >= min(c, ring.m):
         return chi_d if chi_d is not None else 1.0
@@ -290,7 +289,7 @@ def reference_coefficient_residual(model, v0, ks):
 def reference_full_coefficient_residual(model, v0, ks):
     """The chunked path over every coset row, zeros of v0 included: what the
     support-restricted coefficient_residual replaces."""
-    K = np.array([getattr(k, "a", k) for k in ks], dtype=np.int64).reshape(-1, model.n, model.n)
+    K = np.asarray(ks, dtype=np.int64).reshape(-1, model.n, model.n)
     norm = model.ip(v0, v0)
     got = np.empty(len(K), dtype=np.complex128)
     for lo, perm, rot in model._actions(K):
@@ -306,7 +305,7 @@ class TestMatrixCoefficient:
     def test_identity_element(self, chars4):
         model = build_model([trivial_of(chars4), trivial_of(chars4)])
         v0, _ = model.newform()
-        one = MatK.identity(model.ring, 2)
+        one = np.eye(2, dtype=np.int64)
         assert abs(reference_matrix_coefficient(model, one, v0) - 1) < 1e-12
 
     def test_spherical_constant_one(self, chars4):
@@ -324,7 +323,7 @@ class TestMatrixCoefficient:
         v0, c = model.newform()
         assert c == 2 and model.chi_pi.c == 0
         alpha = -1.0 / (3 - 1)  # -1/(q^{n-1}-1) for m = 2
-        k = u_ell(model.ring, 2, 1)
+        k = u_ell(model.ring, 2, [1])[0]
         assert abs(reference_matrix_coefficient(model, k, v0) - alpha) < 1e-9
 
     def test_three_case_form_exhaustive(self, chars4):
@@ -340,7 +339,7 @@ class TestMatrixCoefficient:
         quad = next(c for c in chs if c.c == 1)
         model = build_model([quad, quad])
         v0, c = model.newform()
-        k = u_ell(model.ring, 2, 0)  # outside K0(p^{c-1})
+        k = u_ell(model.ring, 2, [0])[0]  # outside K0(p^{c-1})
         assert abs(reference_matrix_coefficient(model, k, v0)) < 1e-9
 
 
@@ -374,7 +373,7 @@ class TestVectorFromHarmonic:
         dim_tau = H.dim
         for _ in range(25):
             k = random_in_K(model.ring, 2, rng)
-            x = mat_inv(model.ring, k.a)[1]
+            x = mat_inv(model.ring, k)[1]
             lhs = PP * model.ip(model.apply(model.action_of(k), v0), v)
             rhs = vv * np.conj(P[space.index.idx(x)]) / dim_tau
             assert abs(lhs - rhs) < 1e-9
@@ -448,14 +447,14 @@ BATCH_POINTS = [
 
 def sample_ks(model, rng, count=40, per=None):
     """``count`` uniform ks plus ``per`` ks from each double coset K_0 u_ell K_0,
-    one MatK at a time, in the order the suite draws them."""
+    one k at a time, in the order the suite draws them."""
     ring, n, c = model.ring, model.n, model.c_declared
     per = count // 4 if per is None else per
     ks = [random_in_K(ring, n, rng) for _ in range(count)]
-    for ell in range(min(c, ring.m) + 1):
+    for u in u_ell(ring, n, range(min(c, ring.m) + 1)):
         for _ in range(per):
             a, b = random_in_K0(ring, n, c, rng), random_in_K0(ring, n, c, rng)
-            ks.append(a @ u_ell(ring, n, ell) @ b)
+            ks.append(ring.matmul(ring.matmul(a, u), b))
     return ks
 
 
@@ -508,7 +507,7 @@ class TestSuiteDraws:
         ref.bit_generator.state = seen["state"]
         shells = min(model.c_declared, M) + 1
         want = sample_ks(model, ref, samples - samples // 2, -(-samples // (2 * shells)))
-        assert np.array_equal(seen["ks"], np.array([k.a for k in want]))
+        assert np.array_equal(seen["ks"], np.array(want))
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("cache", ["cleared", "warm"])
@@ -541,7 +540,7 @@ class TestBatchedActions:
     def test_tables_equal_per_k_tables(self, batch_case, per_chunk, monkeypatch):
         model, _, ks = batch_case
         monkeypatch.setattr(pseries, "ACTION_CHUNK_BYTES", 1 if per_chunk == "one" else 1 << 40)
-        K = np.array([k.a for k in ks])
+        K = np.array(ks)
         chunks = list(model._actions(K))
         assert len(chunks) == (len(ks) if per_chunk == "one" else 1)
         assert [lo for lo, _, _ in chunks] == list(range(0, len(ks), len(ks) // len(chunks)))
@@ -561,7 +560,7 @@ class TestBatchedActions:
         assert ref < 1e-9 and abs(worst - ref) < 1e-15 and 0 <= at < len(ks)
         assert model.coefficient_residual(v0, []) == (0.0, None)
         # with the per-k coefficients as the expected values, the residual is their difference
-        want = {k.a.tobytes(): reference_matrix_coefficient(model, k, v0) for k in ks}
+        want = {k.tobytes(): reference_matrix_coefficient(model, k, v0) for k in ks}
         monkeypatch.setattr(
             PSeriesModel,
             "expected_coefficients",
@@ -572,7 +571,7 @@ class TestBatchedActions:
     def test_closed_form_equals_per_k_oracle_bitwise(self, batch_case):
         model, _, ks = batch_case
         want = np.array([reference_expected_coefficient(model, k) for k in ks], dtype=np.complex128)
-        got = model.expected_coefficients(np.array([k.a for k in ks]))
+        got = model.expected_coefficients(np.array(ks))
         assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
 
 
@@ -690,7 +689,7 @@ def reference_invariant_space(model, ell, kind):
     if kind == "K1":
         twists = [1.0] * len(gens)
     else:
-        twists = [model.chi_pi(int(g.a[model.n - 1, model.n - 1])) for g in gens]
+        twists = [model.chi_pi(int(g[model.n - 1, model.n - 1])) for g in gens]
     return reference_kernel(model, gens, twists)
 
 
@@ -786,7 +785,7 @@ class TestExactInvariants:
 
 
 def newform_ks(model, seed, count=12, per=4):
-    return np.array([k.a for k in sample_ks(model, np.random.default_rng(seed), count, per)])
+    return np.array(sample_ks(model, np.random.default_rng(seed), count, per))
 
 
 class TestSupportRows:
@@ -871,7 +870,7 @@ class TestEquivarianceWitness:
         pseries_model_checks(model, rec, samples=20, rng=np.random.default_rng(1))
         failed = [r for r in rec.records if r.status != "PASS"]
         assert [r.check_id.split("/")[-1] for r in failed] == ["equivariance"]
-        assert failed[0].observed == f"5.000e-01 at k={gens[1].a.tolist()}"
+        assert failed[0].observed == f"5.000e-01 at k={gens[1].tolist()}"
 
 
 # -- shared character-free structure against the one-k, one-shot references ------
@@ -880,7 +879,7 @@ class TestEquivarianceWitness:
 def reference_monomial(model, k):
     """The one-k table: (perm, rot) of k from its own products reps k, with
     nothing shared between models."""
-    perm, rot = model._monomials(np.asarray(getattr(k, "a", k), dtype=np.int64)[None])
+    perm, rot = model._monomials(np.asarray(k, dtype=np.int64)[None])
     return perm[0], rot[0]
 
 
@@ -948,7 +947,7 @@ def check_shared_structure(model):
             got = model.orbit_lines(spec)
         else:
             kind = "K1" if spec.kind == "K1" else "K0chi"
-            twists = [0 if kind == "K1" else model.chi_pi._nums[g.a[n - 1, n - 1]] for g in gens]
+            twists = [0 if kind == "K1" else model.chi_pi._nums[g[n - 1, n - 1]] for g in gens]
             got = model.invariant_space(spec.level, kind)
         want = reference_orbit_lines(model, gens, twists)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -993,7 +992,7 @@ class TestSharedStructure:
         tables = [(a._monomial(g), b._monomial(g)) for g in gens]
         assert all(pa is pb for (pa, _), (pb, _) in tables)
         assert any(not np.array_equal(ra, rb) for (_, ra), (_, rb) in tables)
-        perm, pivots = a.cosets.table(gens[0].a)
+        perm, pivots = a.cosets.table(gens[0])
         assert pivots.shape == (a.dim, 2) and pivots.dtype == np.uint8
         assert a.cosets.orbit_tree(SubgroupSpec("K1", 0)) is a.cosets.orbit_tree(SubgroupSpec("K"))
 

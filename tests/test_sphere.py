@@ -124,7 +124,7 @@ class TestAction:
     def test_mirab_stabilises_en(self):
         R = make_ring_level("padic", 2, 1, 2)
         en = SpherePoint(R, (0, 1))
-        for g in closure(subgroup_generators(SubgroupSpec("Kmirab"), R, 2)):
+        for g in closure(R, subgroup_generators(SubgroupSpec("Kmirab"), R, 2)):
             assert act_point(en, g).coords == (0, 1)
 
     def test_orbit_of_en_is_whole_sphere_gl2_f2(self):
@@ -143,8 +143,8 @@ class TestAction:
         for _ in range(25):
             k1 = random_in_K(R, 2, rng)
             k2 = random_in_K(R, 2, rng)
-            p1 = S.perm_of_matrix((k1 @ k2).a)
-            p2 = S.perm_of_matrix(k2.a)[S.perm_of_matrix(k1.a)]
+            p1 = S.perm_of_matrix(R.matmul(k1, k2))
+            p2 = S.perm_of_matrix(k2)[S.perm_of_matrix(k1)]
             assert np.array_equal(p1, p2)
 
     def test_reduce_commutes_with_act(self):
@@ -156,21 +156,29 @@ class TestAction:
             k = random_in_K(R, 2, rng)
             pt = SpherePoint(R, (2, 1))
             lhs = reduce_point(act_point(pt, k), 1)
-            rhs = act_point(reduce_point(pt, 1), k.reduce_to(1))
+            rhs = act_point(reduce_point(pt, 1), R.reduce_arr(k, 1))
             assert lhs.coords == rhs.coords
 
     def test_laurent_row_action(self):
         # a 1-D row times a matrix stays 1-D on the laurent branch too
-        from ultrasph.matgroup import MatK
-
         R = make_ring_level("laurent", 2, 2, 2)
-        moved = act_point(SpherePoint(R, (1, 0)), MatK(R, [[1, 5], [0, 1]]))
+        moved = act_point(SpherePoint(R, (1, 0)), np.array([[1, 5], [0, 1]]))
         assert moved == SpherePoint(R, (1, 5))
 
     def test_dimension_mismatch(self):
         R = make_ring_level("padic", 2, 1, 2)
         with pytest.raises(ValueError):
             act_point(SpherePoint(R, (0, 1)), np.eye(3, dtype=np.int64))
+
+    @pytest.mark.parametrize("branch,p,f", [("padic", 2, 1), ("laurent", 2, 2)])
+    def test_codes_outside_the_ring_rejected(self, branch, p, f):
+        # codes outside range(ring.size), a finer level's among them, are refused
+        # before the table gather, which would raise IndexError or wrap a negative code
+        R = make_ring_level(branch, p, f, 2)
+        fine = make_ring_level(branch, p, f, 3)
+        for bad in ([[1, R.size], [0, 1]], [[1, -1], [0, 1]], [[1, 0], [fine.size - 1, 1]]):
+            with pytest.raises(ValueError, match="outside the ring"):
+                act_point(SpherePoint(R, (0, 1)), np.array(bad))
 
     def test_transitivity_and_uniform_stabilisers(self):
         # justifies the uniform-measure identification downstream
@@ -185,7 +193,7 @@ class TestAction:
             counts = np.zeros(S.size, dtype=int)
             total = 0
             for k in enumerate_group(R, n):
-                counts[S.idx(k.a[n - 1])] += 1
+                counts[S.idx(k[n - 1])] += 1
                 total += 1
             assert counts.min() > 0  # transitive
             assert counts.min() == counts.max() == total // S.size
@@ -218,7 +226,7 @@ class TestOrbitals:
         gens = subgroup_generators(SubgroupSpec(kind), R, n)
         N = S.size
         least = np.full((N, N), N * N)
-        for k in closure(gens):
+        for k in closure(R, gens):
             perm = S.perm_of_matrix(k)
             least = np.minimum(least, perm[:, None] * N + perm[None, :])
         firsts, want = np.unique(least, return_inverse=True)
