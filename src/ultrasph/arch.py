@@ -4,7 +4,8 @@ Polynomials carry exact rational coefficients throughout; the gamma
 ratios in the real zonal formula telescope over even summation indices,
 so no floating gamma evaluation ever happens.  Dimension formulas are
 cross-checked against the rank-nullity oracle: the exact kernel of the
-Laplacian from homogeneous (bi)degree monomials to lower degree.
+Laplacian from homogeneous (bi)degree monomials to lower degree, its rank
+summed over the connected components of the matrix's non-zero pattern.
 """
 
 from __future__ import annotations
@@ -211,73 +212,59 @@ def _monomials(total, nvars):
 
 
 def _rank_exact(rows):
-    """Row rank over Q by fraction-free-ish Gaussian elimination."""
-    rows = [list(r) for r in rows if any(r)]
+    """Row rank over Q by Gaussian elimination in Fraction arithmetic: each
+    pivot row is scaled by its pivot's inverse and cleared from the rest."""
+    rows = [list(r) for r in rows]
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < ncols:
-        piv = next((i for i, r in enumerate(rows) if r[col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[0], rows[piv] = rows[piv], rows[0]
-        lead = rows[0]
-        inv = Fraction(1) / lead[col]
-        lead = [c * inv for c in lead]
-        new_rows = []
-        for r in rows[1:]:
-            if r[col]:
-                r = [a - r[col] * b for a, b in zip(r, lead)]
-            if any(r):
-                new_rows.append(r)
-        rows = new_rows
-        rank += 1
-        col += 1
+    while rows:
+        lead = rows.pop()
+        col = next((j for j, c in enumerate(lead) if c), None)
+        if col is not None:
+            inv = Fraction(1) / lead[col]
+            lead = [c * inv for c in lead]
+            rows = [[a - r[col] * b for a, b in zip(r, lead)] if r[col] else r for r in rows]
+            rank += 1
     return rank
+
+
+def _kernel_dim(monos, nvars, laplacian):
+    """Exact kernel dimension of ``laplacian`` on the span of ``monos``: the
+    matrix is block-diagonal over the connected components of its non-zero
+    pattern (monomials joined when their images share a monomial), so its
+    rank is the sum of the blocks' exact ranks.  The split reads the pattern
+    only and assumes nothing about which monomials the operator couples."""
+    images = [laplacian(ExactPoly(nvars, {e: 1})).coeffs for e in monos]
+    root = list(range(len(monos)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    first = {}
+    for i, image in enumerate(images):
+        for e in image:
+            root[find(i)] = find(first.setdefault(e, i))
+    blocks = {}
+    for i in range(len(monos)):
+        blocks.setdefault(find(i), []).append(images[i])
+    rank = 0
+    for block in blocks.values():
+        targets = list(dict.fromkeys(e for image in block for e in image))
+        rank += _rank_exact([[image.get(e, 0) for e in targets] for image in block])
+    return len(monos) - rank
 
 
 def kernel_dim_real(m, n):
     """Exact kernel dimension of the Laplacian on degree-m monomials."""
-    monos = list(_monomials(m, n))
-    if m < 2:
-        return len(monos)
-    targets = {e: i for i, e in enumerate(_monomials(m - 2, n))}
-    rows = []
-    for e in monos:
-        row = [Fraction(0)] * len(targets)
-        p = ExactPoly(n, {e: 1})
-        lp = laplacian_real(p, n)
-        for e2, c in lp.coeffs.items():
-            row[targets[e2]] = c
-        rows.append(row)
-    rank = _rank_exact([list(col) for col in zip(*rows)]) if rows else 0
-    return len(monos) - rank
+    return _kernel_dim(list(_monomials(m, n)), n, lambda p: laplacian_real(p, n))
 
 
 def kernel_dim_complex(m1, m2, n):
     """Exact kernel dimension of the complex Laplacian on bidegree monomials."""
-    z_monos = list(_monomials(m1, n))
-    zb_monos = list(_monomials(m2, n))
-    monos = [ez + ezb for ez in z_monos for ezb in zb_monos]
-    if m1 == 0 or m2 == 0:
-        return len(monos)
-    targets = {
-        ez + ezb: i
-        for i, (ez, ezb) in enumerate(
-            (a, b) for a in _monomials(m1 - 1, n) for b in _monomials(m2 - 1, n)
-        )
-    }
-    rows = []
-    for e in monos:
-        row = [Fraction(0)] * len(targets)
-        p = ExactPoly(2 * n, {e: 1})
-        lp = laplacian_complex(p, n)
-        for e2, c in lp.coeffs.items():
-            row[targets[e2]] = c
-        rows.append(row)
-    rank = _rank_exact([list(col) for col in zip(*rows)]) if rows else 0
-    return len(monos) - rank
+    monos = [a + b for a in _monomials(m1, n) for b in _monomials(m2, n)]
+    return _kernel_dim(monos, 2 * n, lambda p: laplacian_complex(p, n))
 
 
 def e_n_point_real(n):

@@ -139,10 +139,10 @@ def canonical_spec(spec, ring):
 
 
 def subgroup_membership(spec, ring, K):
-    """Mask of the matrices of the (N, n, n) code stack K that lie in the
-    subgroup ``spec`` cuts out at the working level: a depth above m is m.
-    K admits every matrix; it does not test the determinant."""
-    K = np.asarray(K, dtype=np.int64)
+    """Mask of the matrices of the (N, n, n) code stack K in the subgroup
+    ``spec`` cuts out at the working level, where a depth above m is m and K
+    admits every matrix, whatever its determinant; ValueError on codes outside the ring."""
+    K = ring.as_codes(K)
     n = K.shape[-1]
     ell = None if spec.level is None else min(spec.level, ring.m)
     bottom = K[:, n - 1, : n - 1]

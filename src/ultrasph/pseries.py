@@ -129,8 +129,8 @@ class FlagCosets:
         """(slots, pivots) of shapes (C, R) and (C, R, n) for a (C, n, n)
         stack K and R coset rows (every row by default): reps[rows[r]] K[c]
         lies in the coset of slot slots[c, r], and pivots[c, r] is the
-        diagonal of its B-factor."""
-        K = np.asarray(K, dtype=np.int64)
+        diagonal of its B-factor.  ValueError on codes of K outside the ring."""
+        K = self.ring.as_codes(K)
         reps = self.reps if rows is None else self.reps[rows]
         prods = self.ring.matmul(reps, K[:, None]).reshape(-1, self.n, self.n)
         canon, pivots = flag_canon(self.ring, prods)

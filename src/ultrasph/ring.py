@@ -251,6 +251,13 @@ class RingLevel:
     def is_unit(self, a):
         return self._val[a] == 0
 
+    def as_codes(self, A):
+        """A as an int64 code array; ValueError on entries outside range(size)."""
+        A = np.asarray(A, dtype=np.int64)
+        if A.size and (A.min() < 0 or A.max() >= self.size):
+            raise ValueError("entries outside the ring")
+        return A
+
     # -- vectorised arithmetic on code arrays ------------------------------
 
     def add_arr(self, A, B):

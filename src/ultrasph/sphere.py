@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matgroup import BudgetExceededError, find_keys, row_keys
+from .matgroup import BudgetExceededError, row_keys
 
 # Cap on the bytes of the (N, N) int64 orbital label array (N <= 2048);
 # labelling needs a few arrays of that size at once.
@@ -74,9 +74,10 @@ class SphereIndex:
     """Dense index of all sphere points at one level, plus action helpers.
 
     Immutable after construction.  ``points`` is an (N, n) array of codes
-    in enumeration order and ``codes`` their int64 mixed-radix keys, which
-    that order sorts (under the point cap, size**n fits an int64); ``idx``
-    maps points back to slots by binary search.
+    in enumeration order.  ``slots`` maps the mixed-radix key of each of the
+    size**n tuples to its point's slot, or to -1 off the sphere, so ``idx``
+    is one gather; the sphere holds at least 3/4 of the tuples, so this int32
+    table needs no cap: under 16/3 bytes a point, less than the enumeration.
     """
 
     def __init__(self, ring, n, cap=10**6):
@@ -88,11 +89,12 @@ class SphereIndex:
         self.ring = ring
         self.n = n
         tuples = np.indices((ring.size,) * n, dtype=np.int64).reshape(n, -1).T
-        pts = tuples[(ring.val_arr(tuples) == 0).any(axis=1)]
-        if len(pts) != expected:
+        on = (ring.val_arr(tuples) == 0).any(axis=1)
+        self.points = tuples[on]
+        if len(self.points) != expected:
             raise RuntimeError("sphere enumeration does not match the size formula")
-        self.points = pts
-        self.codes = row_keys(ring, pts)
+        # the tuples run in key order, so a point's slot counts the points before it
+        self.slots = np.where(on, np.cumsum(on) - 1, -1).astype(np.int32)
         self.size = expected
         self.e_n = self.idx(np.eye(n, dtype=np.int64)[n - 1])
         self.coord_vals = ring.val_arr(self.points)
@@ -103,19 +105,21 @@ class SphereIndex:
 
     def idx(self, coords):
         """Slot of one point (an int), or of each row of an (N, n) stack (an
-        int64 array); KeyError on a row that is not a sphere point."""
+        int32 array); KeyError on a row that is not a sphere point."""
         rows = np.asarray(coords, dtype=np.int64)
         stack = rows.reshape(-1, rows.shape[-1])
         if stack.shape[1] != self.n or (
             stack.size and (stack.min() < 0 or stack.max() >= self.ring.size)
         ):
             raise KeyError("not a sphere point: wrong length or entries outside the ring")
-        slots = find_keys(self.codes, row_keys(self.ring, stack))
+        slots = self.slots[row_keys(self.ring, stack)]
+        if (slots < 0).any():
+            raise KeyError("not a sphere point: no unit coordinate")
         return int(slots[0]) if rows.ndim == 1 else slots
 
     def perm_of_matrix(self, k):
-        """Permutation sigma with sigma[i] = index of points[i] . k."""
-        k = np.asarray(k, dtype=np.int64)
+        """sigma with sigma[i] = index of points[i] . k; ValueError on codes outside the ring."""
+        k = self.ring.as_codes(k)
         key = k.tobytes()
         if key not in self._matrix_perms:
             self._matrix_perms[key] = self.idx(self.ring.matmul(self.points, k))
@@ -203,8 +207,8 @@ def act_point(pt, k):
     """Right action x . k (row vector times the (n, n) code array k) over the
     ring; ValueError on a wrong shape or entries outside range(ring.size)."""
     ring = pt.ring
-    a = np.asarray(k, dtype=np.int64)
-    if a.shape != (len(pt.coords), len(pt.coords)) or a.min() < 0 or a.max() >= ring.size:
-        raise ValueError("dimension mismatch or entries outside the ring")
+    a = ring.as_codes(k)
+    if a.shape != (len(pt.coords), len(pt.coords)):
+        raise ValueError("dimension mismatch")
     moved = ring.matmul(np.array(pt.coords, dtype=np.int64), a)
     return SpherePoint(ring, tuple(int(c) for c in moved))

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultrasph.arch import (
     ExactPoly,
+    _kernel_dim,
+    _monomials,
     complex_zonal_poly,
     e_n_point_complex,
     e_n_point_real,
@@ -16,6 +20,76 @@ from ultrasph.arch import (
     real_zonal_poly,
     rotation_invariance_residual,
 )
+
+
+def reference_rank_exact(rows):
+    """Row rank over Q by Gaussian elimination over the whole dense matrix."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    col = 0
+    while rows and col < ncols:
+        piv = next((i for i, r in enumerate(rows) if r[col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[0], rows[piv] = rows[piv], rows[0]
+        lead = rows[0]
+        inv = Fraction(1) / lead[col]
+        lead = [c * inv for c in lead]
+        new_rows = []
+        for r in rows[1:]:
+            if r[col]:
+                r = [a - r[col] * b for a, b in zip(r, lead)]
+            if any(r):
+                new_rows.append(r)
+        rows = new_rows
+        rank += 1
+        col += 1
+    return rank
+
+
+def reference_kernel_dim_real(m, n, laplacian=laplacian_real):
+    """Dense kernel dimension of ``laplacian`` from degree-m monomials to degree m - 2."""
+    monos = list(_monomials(m, n))
+    if m < 2:
+        return len(monos)
+    targets = {e: i for i, e in enumerate(_monomials(m - 2, n))}
+    rows = []
+    for e in monos:
+        row = [Fraction(0)] * len(targets)
+        p = ExactPoly(n, {e: 1})
+        lp = laplacian(p, n)
+        for e2, c in lp.coeffs.items():
+            row[targets[e2]] = c
+        rows.append(row)
+    rank = reference_rank_exact([list(col) for col in zip(*rows)]) if rows else 0
+    return len(monos) - rank
+
+
+def reference_kernel_dim_complex(m1, m2, n):
+    """Dense kernel dimension of the complex Laplacian on bidegree monomials."""
+    z_monos = list(_monomials(m1, n))
+    zb_monos = list(_monomials(m2, n))
+    monos = [ez + ezb for ez in z_monos for ezb in zb_monos]
+    if m1 == 0 or m2 == 0:
+        return len(monos)
+    targets = {
+        ez + ezb: i
+        for i, (ez, ezb) in enumerate(
+            (a, b) for a in _monomials(m1 - 1, n) for b in _monomials(m2 - 1, n)
+        )
+    }
+    rows = []
+    for e in monos:
+        row = [Fraction(0)] * len(targets)
+        p = ExactPoly(2 * n, {e: 1})
+        lp = laplacian_complex(p, n)
+        for e2, c in lp.coeffs.items():
+            row[targets[e2]] = c
+        rows.append(row)
+    rank = reference_rank_exact([list(col) for col in zip(*rows)]) if rows else 0
+    return len(monos) - rank
 
 
 class TestExactPoly:
@@ -112,17 +186,54 @@ class TestDimensions:
         assert harmonic_dim_real(0, 4) == 1
 
     def test_real_against_kernel_oracle(self):
-        for n in range(2, 5):
-            for m in range(7):
+        for n in range(2, 6):
+            for m in range(9):
                 assert harmonic_dim_real(m, n) == kernel_dim_real(m, n)
 
     def test_complex_against_kernel_oracle(self):
-        for n in range(2, 4):
-            for m1 in range(6):
-                for m2 in range(6 - m1):
+        for n in range(2, 5):
+            for m1 in range(7):
+                for m2 in range(7 - m1):
                     assert harmonic_dim_complex(m1, m2, n) == kernel_dim_complex(m1, m2, n)
 
     def test_circle_dims(self):
         assert harmonic_dim_real(0, 2) == 1
         for m in range(1, 7):
             assert harmonic_dim_real(m, 2) == 2
+
+
+class TestKernelBlocks:
+    @given(m=st.integers(0, 7), n=st.integers(2, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_real_blocks_match_the_dense_reference(self, m, n):
+        monos = list(_monomials(m, n))
+        want = reference_kernel_dim_real(m, n)
+        assert _kernel_dim(monos, n, lambda p: laplacian_real(p, n)) == want
+        assert kernel_dim_real(m, n) == want
+
+    @given(data=st.data(), n=st.integers(2, 4))
+    @settings(max_examples=20, deadline=None)
+    def test_complex_blocks_match_the_dense_reference(self, data, n):
+        m1 = data.draw(st.integers(0, 5))
+        m2 = data.draw(st.integers(0, 5 - m1))
+        monos = [a + b for a in _monomials(m1, n) for b in _monomials(m2, n)]
+        want = reference_kernel_dim_complex(m1, m2, n)
+        assert _kernel_dim(monos, 2 * n, lambda p: laplacian_complex(p, n)) == want
+        assert kernel_dim_complex(m1, m2, n) == want
+
+    @pytest.mark.parametrize("m,n", [(4, 2), (4, 3), (5, 3), (6, 4)])
+    def test_split_reads_the_pattern_not_the_parity_classes(self, m, n):
+        # d^2/dx_0 dx_1 moves a monomial to another exponent parity class than
+        # the Laplacian does, so the sum joins blocks that a split by parity
+        # class would keep apart
+        def coupled(p, n):
+            return laplacian_real(p, n) + p.diff(0).diff(1)
+
+        monos = list(_monomials(m, n))
+        parities = {
+            frozenset(tuple(x % 2 for x in e2) for e2 in coupled(ExactPoly(n, {e: 1}), n).coeffs)
+            for e in monos
+        }
+        assert max(len(p) for p in parities) == 2
+        want = reference_kernel_dim_real(m, n, laplacian=coupled)
+        assert _kernel_dim(monos, n, lambda p: coupled(p, n)) == want

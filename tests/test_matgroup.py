@@ -635,6 +635,15 @@ class TestMembership:
             want = [reference_membership(MatK(R, k, check=False), spec) for k in K]
             assert subgroup_membership(spec, R, K).tolist() == want
 
+    @pytest.mark.parametrize("kind", ["K", "Kmirab", "Kprin", "K1", "K0"])
+    @pytest.mark.parametrize("bad", [[[1, 0], [-2, 1]], [[1, 0], [6, 1]], [[-1, 0], [0, 1]]])
+    def test_codes_outside_the_ring_rejected(self, R4, kind, bad):
+        # -2 would wrap to 2 in the valuation gather and put [[1, 0], [-2, 1]]
+        # in K_0(p); a code of 6 would raise IndexError there
+        spec = SubgroupSpec(kind) if kind in ("K", "Kmirab") else SubgroupSpec(kind, 1)
+        with pytest.raises(ValueError, match="outside the ring"):
+            subgroup_membership(spec, R4, np.array([np.eye(2, dtype=np.int64), bad]))
+
     def test_inclusion_chain(self, R4):
         K = random_stack(R4, 2, 1000, np.random.default_rng(3))
         for ell in (1, 2):

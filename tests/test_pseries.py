@@ -103,6 +103,16 @@ class TestFlagCosets:
             assert b[1, 0] == b[2, 0] == b[2, 1] == 0
             assert all(ring.is_unit(int(b[i, i])) for i in range(3))
 
+    @pytest.mark.parametrize("bad", [[[1, -1], [0, 1]], [[1, 0], [4, 1]], [[1, 0], [-2, 1]]])
+    def test_codes_outside_the_ring_rejected(self, chars4, bad):
+        # a negative code would wrap in the product's table gather, and a code
+        # of 4 would raise IndexError there; action_of reaches act through table
+        model = build_model([trivial_of(chars4)] * 2)
+        with pytest.raises(ValueError, match="outside the ring"):
+            model.cosets.act(np.array([np.eye(2, dtype=np.int64), bad]))
+        with pytest.raises(ValueError, match="outside the ring"):
+            model.action_of(np.array(bad))
+
 
 class TestModel:
     def test_model_dim_spherical(self, chars4):

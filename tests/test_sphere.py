@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ultrasph.sphere
 from ultrasph.matgroup import (
@@ -7,6 +9,8 @@ from ultrasph.matgroup import (
     SubgroupSpec,
     closure,
     enumerate_group,
+    find_keys,
+    row_keys,
     subgroup_generators,
 )
 from ultrasph.ring import characters, make_ring_level
@@ -17,6 +21,30 @@ from ultrasph.sphere import (
     reduce_point,
     sphere_size,
 )
+
+
+# small rings of both branches, (branch, p, f, m)
+SMALL_RINGS = [
+    ("padic", 2, 1, 1),
+    ("padic", 2, 1, 3),
+    ("padic", 3, 1, 2),
+    ("padic", 5, 1, 1),
+    ("laurent", 2, 2, 1),
+    ("laurent", 2, 2, 2),
+    ("laurent", 3, 1, 2),
+]
+
+
+def reference_idx(S, coords):
+    """The slot lookup by binary search in the sorted keys of the points."""
+    rows = np.asarray(coords, dtype=np.int64)
+    stack = rows.reshape(-1, rows.shape[-1])
+    if stack.shape[1] != S.n or (
+        stack.size and (stack.min() < 0 or stack.max() >= S.ring.size)
+    ):
+        raise KeyError("not a sphere point: wrong length or entries outside the ring")
+    slots = find_keys(row_keys(S.ring, S.points), row_keys(S.ring, stack))
+    return int(slots[0]) if rows.ndim == 1 else slots
 
 
 class TestEnumeration:
@@ -93,6 +121,32 @@ class TestLookup:
                 S.idx(bad)
         with pytest.raises(KeyError):
             S.idx(np.array([[1, 0], [2, 2]]))
+
+    @given(
+        ring=st.sampled_from(SMALL_RINGS),
+        n=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_direct_address_matches_binary_search(self, ring, n, seed, count):
+        S = enumerate_sphere(make_ring_level(*ring), n)
+        rng = np.random.default_rng(seed)
+        # rows of points, of non-units only, and of codes just outside the ring
+        rows = [
+            S.points[rng.integers(S.size)],
+            S.ring.uniformizer_pow(1) * rng.integers(0, S.ring.size, n) % S.ring.size,
+            rng.integers(-1, S.ring.size + 1, n),
+        ]
+        stack = np.array([rows[i] for i in rng.integers(0, 3, count)])
+        for coords in [*stack, stack]:
+            try:
+                want = reference_idx(S, coords)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    S.idx(coords)
+            else:
+                assert np.array_equal(S.idx(coords), want)
 
 
 class TestReduce:
@@ -179,6 +233,15 @@ class TestAction:
         for bad in ([[1, R.size], [0, 1]], [[1, -1], [0, 1]], [[1, 0], [fine.size - 1, 1]]):
             with pytest.raises(ValueError, match="outside the ring"):
                 act_point(SpherePoint(R, (0, 1)), np.array(bad))
+
+    @pytest.mark.parametrize("bad", [[[1, -1], [0, 1]], [[1, 4], [0, 1]], [[1, 0], [-3, 1]]])
+    def test_perm_of_matrix_rejects_codes_outside_the_ring(self, bad):
+        # [[1, -1], [0, 1]] would wrap to the permutation of [[1, 3], [0, 1]] in
+        # the table gather, and a code of 4 would raise IndexError there
+        S = enumerate_sphere(make_ring_level("padic", 2, 1, 2), 2)
+        with pytest.raises(ValueError, match="outside the ring"):
+            S.perm_of_matrix(np.array(bad))
+        assert S._matrix_perms == {}
 
     def test_transitivity_and_uniform_stabilisers(self):
         # justifies the uniform-measure identification downstream
