@@ -1,138 +1,71 @@
 """Exact verification of the real and complex zonal harmonic formulas.
 
-Polynomials carry exact rational coefficients throughout; the gamma
-ratios in the real zonal formula telescope over even summation indices,
-so no floating gamma evaluation ever happens.  Dimension formulas are
+A polynomial is a dict from exponent tuples to exact coefficients, with no
+zero coefficient stored, so equality is dict equality.  The zonal
+polynomials are written out by the multinomial theorem, and the gamma
+ratios in the real zonal formula telescope over even summation indices, so
+no floating gamma evaluation ever happens.  One operator, ``laplacian``,
+sums second derivatives over a list of index pairs; the real and complex
+Laplacians differ only in their pairs.  Dimension formulas are
 cross-checked against the rank-nullity oracle: the exact kernel of the
 Laplacian from homogeneous (bi)degree monomials to lower degree, its rank
-summed over the connected components of the matrix's non-zero pattern.
+taken by fraction-free integer elimination on each connected component of
+the matrix's non-zero pattern.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import numpy as np
 
 
-class ExactPoly:
-    """Multivariate polynomial with Fraction coefficients.
-
-    Monomials are exponent tuples of fixed length; zero coefficients are
-    never stored, so equality is structural.
-    """
-
-    __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars, coeffs=None):
-        self.nvars = nvars
-        self.coeffs = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[tuple(e)] = c
-
-    @classmethod
-    def variable(cls, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
-
-    @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return ExactPoly(self.nvars, out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return ExactPoly(self.nvars, out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ExactPoly(
-                self.nvars, {e: c * Fraction(other) for e, c in self.coeffs.items()}
-            )
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return ExactPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = ExactPoly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def diff(self, i):
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = c * e[i]
-        return ExactPoly(self.nvars, out)
-
-    def evaluate(self, point):
-        total = Fraction(0) if all(isinstance(p, (int, Fraction)) for p in point) else 0.0
-        for e, c in self.coeffs.items():
-            term = c if isinstance(total, Fraction) else float(c)
-            for x, k in zip(point, e):
-                term = term * x**k
-            total = total + term
-        return total
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_homogeneous(self, degree):
-        return all(sum(e) == degree for e in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, ExactPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in sorted(self.coeffs.items()):
-            mono = "*".join(
-                f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k
-            )
-            parts.append(f"{c}" + ("*" + mono if mono else ""))
-        return " + ".join(parts)
+def real_pairs(n):
+    """Index pairs of the real Laplacian sum_j d^2/dx_j^2."""
+    return [(j, j) for j in range(n)]
 
 
-def laplacian_real(p, n):
-    out = ExactPoly(p.nvars, {})
-    for j in range(n):
-        out = out + p.diff(j).diff(j)
+def complex_pairs(n):
+    """Index pairs of sum_j d^2/dz_j dzbar_j on variables z_0..z_{n-1},
+    zb_0..zb_{n-1}; the complex Laplacian is 4 times this operator, and the
+    factor changes neither its kernel nor its rank."""
+    return [(j, n + j) for j in range(n)]
+
+
+def laplacian(poly, pairs):
+    """sum of d^2/dx_i dx_k over ``pairs``: x^e goes to
+    e_i (e_k - [i = k]) x^(e - delta_i - delta_k)."""
+    out = {}
+    for e, c in poly.items():
+        for i, k in pairs:
+            a = e[i] * (e[k] - (i == k))
+            if a:
+                d = list(e)
+                d[i] -= 1
+                d[k] -= 1
+                d = tuple(d)
+                out[d] = out.get(d, 0) + a * c
+    return {d: c for d, c in out.items() if c}
+
+
+def evaluate(poly, point):
+    """Exact at a point of ints and Fractions, floating otherwise."""
+    exact = all(isinstance(x, (int, Fraction)) for x in point)
+    total = Fraction(0) if exact else 0.0
+    for e, c in poly.items():
+        term = c if exact else float(c)
+        for x, k in zip(point, e):
+            term = term * x**k
+        total = total + term
+    return total
+
+
+def _multinomial(k, e):
+    out = factorial(k)
+    for j in e:
+        out //= factorial(j)
     return out
-
-
-def laplacian_complex(p, n):
-    """4 * sum_j d^2/dz_j dzbar_j; variables are z_0..z_{n-1}, zb_0..zb_{n-1}."""
-    out = ExactPoly(p.nvars, {})
-    for j in range(n):
-        out = out + p.diff(j).diff(n + j)
-    return 4 * out
 
 
 def real_zonal_poly(m, n):
@@ -140,16 +73,12 @@ def real_zonal_poly(m, n):
 
     Sum over even nu of
       (-1)^(nu/2) m! / (2^nu (nu/2)! (m-nu)! prod_{t<nu/2} ((n-1)/2 + t))
-      * (x_1^2+...+x_{n-1}^2)^(nu/2) * x_n^(m-nu).
+      * (x_1^2+...+x_{n-1}^2)^(nu/2) * x_n^(m-nu),
+    with the power of the sum of squares expanded by the multinomial theorem.
     """
     if n < 2 or m < 0:
         raise ValueError("n >= 2 and m >= 0 required")
-    r2 = ExactPoly(n, {})
-    for j in range(n - 1):
-        xj = ExactPoly.variable(n, j)
-        r2 = r2 + xj * xj
-    xn = ExactPoly.variable(n, n - 1)
-    out = ExactPoly(n, {})
+    out = {}
     for nu in range(0, m + 1, 2):
         h = nu // 2
         gamma_ratio = Fraction(1)
@@ -157,7 +86,8 @@ def real_zonal_poly(m, n):
             gamma_ratio *= Fraction(n - 1, 2) + t
         coef = Fraction((-1) ** h * factorial(m), 2**nu * factorial(h) * factorial(m - nu))
         coef /= gamma_ratio
-        out = out + coef * (r2**h) * (xn ** (m - nu))
+        for e in _monomials(h, n - 1):
+            out[tuple(2 * j for j in e) + (m - nu,)] = coef * _multinomial(h, e)
     return out
 
 
@@ -165,20 +95,16 @@ def complex_zonal_poly(m1, m2, n):
     """Invariant harmonic of bidegree (m1, m2), value 1 at e_n.
 
     Sum over nu of (-1)^nu C(m1,nu) C(m2,nu) / C(nu+n-2, n-2)
-      * (|z_1|^2+...+|z_{n-1}|^2)^nu * z_n^(m1-nu) * zbar_n^(m2-nu).
+      * (|z_1|^2+...+|z_{n-1}|^2)^nu * z_n^(m1-nu) * zbar_n^(m2-nu),
+    with the power of the sum expanded by the multinomial theorem.
     """
     if n < 2 or m1 < 0 or m2 < 0:
         raise ValueError("n >= 2 and m1, m2 >= 0 required")
-    nv = 2 * n
-    r2 = ExactPoly(nv, {})
-    for j in range(n - 1):
-        r2 = r2 + ExactPoly.variable(nv, j) * ExactPoly.variable(nv, n + j)
-    zn = ExactPoly.variable(nv, n - 1)
-    zbn = ExactPoly.variable(nv, 2 * n - 1)
-    out = ExactPoly(nv, {})
+    out = {}
     for nu in range(0, min(m1, m2) + 1):
         coef = Fraction((-1) ** nu * comb(m1, nu) * comb(m2, nu), comb(nu + n - 2, n - 2))
-        out = out + coef * (r2**nu) * (zn ** (m1 - nu)) * (zbn ** (m2 - nu))
+        for e in _monomials(nu, n - 1):
+            out[e + (m1 - nu,) + e + (m2 - nu,)] = coef * _multinomial(nu, e)
     return out
 
 
@@ -212,28 +138,36 @@ def _monomials(total, nvars):
 
 
 def _rank_exact(rows):
-    """Row rank over Q by Gaussian elimination in Fraction arithmetic: each
-    pivot row is scaled by its pivot's inverse and cleared from the rest."""
+    """Row rank over Q of an integer matrix by fraction-free elimination:
+    each pivot row clears its column from the rest by
+    r <- lead[col] * r - r[col] * lead, and each updated row is divided by
+    the gcd of its entries, so every entry stays an integer (Bareiss 1968)."""
     rows = [list(r) for r in rows]
     rank = 0
     while rows:
         lead = rows.pop()
         col = next((j for j, c in enumerate(lead) if c), None)
         if col is not None:
-            inv = Fraction(1) / lead[col]
-            lead = [c * inv for c in lead]
-            rows = [[a - r[col] * b for a, b in zip(r, lead)] if r[col] else r for r in rows]
+            p = lead[col]
+            rows = [_primitive([p * a - r[col] * b for a, b in zip(r, lead)]) if r[col] else r
+                    for r in rows]
             rank += 1
     return rank
 
 
-def _kernel_dim(monos, nvars, laplacian):
-    """Exact kernel dimension of ``laplacian`` on the span of ``monos``: the
-    matrix is block-diagonal over the connected components of its non-zero
-    pattern (monomials joined when their images share a monomial), so its
-    rank is the sum of the blocks' exact ranks.  The split reads the pattern
-    only and assumes nothing about which monomials the operator couples."""
-    images = [laplacian(ExactPoly(nvars, {e: 1})).coeffs for e in monos]
+def _primitive(row):
+    g = gcd(*row)
+    return [c // g for c in row] if g > 1 else row
+
+
+def _kernel_dim(monos, pairs):
+    """Exact kernel dimension of ``laplacian(., pairs)`` on the span of
+    ``monos``: the matrix is block-diagonal over the connected components of
+    its non-zero pattern (monomials joined when their images share a
+    monomial), so its rank is the sum of the blocks' exact ranks.  The split
+    reads the pattern only and assumes nothing about which monomials the
+    operator couples."""
+    images = [laplacian({e: 1}, pairs) for e in monos]
     root = list(range(len(monos)))
 
     def find(i):
@@ -258,13 +192,13 @@ def _kernel_dim(monos, nvars, laplacian):
 
 def kernel_dim_real(m, n):
     """Exact kernel dimension of the Laplacian on degree-m monomials."""
-    return _kernel_dim(list(_monomials(m, n)), n, lambda p: laplacian_real(p, n))
+    return _kernel_dim(list(_monomials(m, n)), real_pairs(n))
 
 
 def kernel_dim_complex(m1, m2, n):
     """Exact kernel dimension of the complex Laplacian on bidegree monomials."""
     monos = [a + b for a in _monomials(m1, n) for b in _monomials(m2, n)]
-    return _kernel_dim(monos, 2 * n, lambda p: laplacian_complex(p, n))
+    return _kernel_dim(monos, complex_pairs(n))
 
 
 def e_n_point_real(n):
@@ -289,5 +223,5 @@ def rotation_invariance_residual(poly, n, samples=20, seed=0):
             y[j] = np.sin(theta) * x[i] + np.cos(theta) * x[j]
         else:
             y[0] = -x[0]
-        worst = max(worst, abs(poly.evaluate(tuple(x)) - poly.evaluate(tuple(y))))
+        worst = max(worst, abs(evaluate(poly, tuple(x)) - evaluate(poly, tuple(y))))
     return worst

@@ -87,6 +87,10 @@ class RunConfig:
             raise ConfigError("samples and budget must be positive")
         if self.level < 1:
             raise ConfigError("level must be >= 1")
+        if min(self.real_degree, self.complex_degree) < 0:
+            raise ConfigError("arch degrees must be >= 0")
+        if min(self.real_nmax, self.complex_nmax) < 2:
+            raise ConfigError("arch nmax must be >= 2")
 
 
 def parse_config_text(text):

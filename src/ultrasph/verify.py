@@ -775,9 +775,9 @@ def arch_suite(rec=None, real_bounds=(6, 4), complex_bounds=(5, 3)):
         for m in range(m_max + 1):
             poly = arch.real_zonal_poly(m, n)
             ok = (
-                arch.laplacian_real(poly, n).is_zero
-                and poly.evaluate(arch.e_n_point_real(n)) == 1
-                and poly.is_homogeneous(m)
+                not arch.laplacian(poly, arch.real_pairs(n))
+                and arch.evaluate(poly, arch.e_n_point_real(n)) == 1
+                and all(sum(e) == m for e in poly)
             )
             rec.exact(
                 f"arch-real/m{m}-n{n}/zonal",
@@ -799,8 +799,9 @@ def arch_suite(rec=None, real_bounds=(6, 4), complex_bounds=(5, 3)):
             for m2 in range(s_max + 1 - m1):
                 poly = arch.complex_zonal_poly(m1, m2, n)
                 ok = (
-                    arch.laplacian_complex(poly, n).is_zero
-                    and poly.evaluate(arch.e_n_point_complex(n)) == 1
+                    not arch.laplacian(poly, arch.complex_pairs(n))
+                    and arch.evaluate(poly, arch.e_n_point_complex(n)) == 1
+                    and all(sum(e[:n]) == m1 and sum(e[n:]) == m2 for e in poly)
                 )
                 rec.exact(
                     f"arch-complex/m{m1}_{m2}-n{n}/zonal",

@@ -4,19 +4,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultrasph.arch import (
+from exactpoly import (
     ExactPoly,
+    reference_complex_zonal_poly,
+    reference_laplacian_complex,
+    reference_laplacian_real,
+    reference_rank_fractions,
+    reference_real_zonal_poly,
+)
+from ultrasph import arch, verify
+from ultrasph.arch import (
     _kernel_dim,
     _monomials,
+    _rank_exact,
+    complex_pairs,
     complex_zonal_poly,
     e_n_point_complex,
     e_n_point_real,
+    evaluate,
     harmonic_dim_complex,
     harmonic_dim_real,
     kernel_dim_complex,
     kernel_dim_real,
-    laplacian_complex,
-    laplacian_real,
+    laplacian,
+    real_pairs,
     real_zonal_poly,
     rotation_invariance_residual,
 )
@@ -49,7 +60,7 @@ def reference_rank_exact(rows):
     return rank
 
 
-def reference_kernel_dim_real(m, n, laplacian=laplacian_real):
+def reference_kernel_dim_real(m, n, laplacian=reference_laplacian_real):
     """Dense kernel dimension of ``laplacian`` from degree-m monomials to degree m - 2."""
     monos = list(_monomials(m, n))
     if m < 2:
@@ -84,7 +95,7 @@ def reference_kernel_dim_complex(m1, m2, n):
     for e in monos:
         row = [Fraction(0)] * len(targets)
         p = ExactPoly(2 * n, {e: 1})
-        lp = laplacian_complex(p, n)
+        lp = reference_laplacian_complex(p, n)
         for e2, c in lp.coeffs.items():
             row[targets[e2]] = c
         rows.append(row)
@@ -119,10 +130,10 @@ class TestExactPoly:
 
 class TestRealZonal:
     def test_m0_constant(self):
-        assert real_zonal_poly(0, 3) == ExactPoly.constant(3, 1)
+        assert real_zonal_poly(0, 3) == ExactPoly.constant(3, 1).coeffs
 
     def test_m1_is_xn(self):
-        assert real_zonal_poly(1, 4) == ExactPoly.variable(4, 3)
+        assert real_zonal_poly(1, 4) == ExactPoly.variable(4, 3).coeffs
 
     def test_m2_n3_legendre_kernel(self):
         # oracle: Gram-Schmidt of {1, t, t^2} under the flat weight on [-1, 1]
@@ -141,15 +152,15 @@ class TestRealZonal:
         oracle = scale * (x3 * x3) - ExactPoly.constant(3, scale * c) * ExactPoly.constant(3, 1)
         # replace the constant by its sphere form: c = c (x1^2 + x2^2 + x3^2)
         oracle = scale * (x3 * x3) - (scale * c) * (x1 * x1 + x2 * x2 + x3 * x3)
-        assert p == oracle
+        assert p == oracle.coeffs
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("m", list(range(7)))
     def test_harmonic_homogeneous_normalised(self, m, n):
         p = real_zonal_poly(m, n)
-        assert laplacian_real(p, n).is_zero
-        assert p.is_homogeneous(m)
-        assert p.evaluate(e_n_point_real(n)) == 1
+        assert laplacian(p, real_pairs(n)) == {}
+        assert all(sum(e) == m for e in p)
+        assert evaluate(p, e_n_point_real(n)) == 1
 
     def test_rotation_invariance(self):
         for m, n in [(3, 3), (4, 4), (2, 2)]:
@@ -159,24 +170,24 @@ class TestRealZonal:
 class TestComplexZonal:
     def test_10_is_zn(self):
         p = complex_zonal_poly(1, 0, 3)
-        assert p == ExactPoly.variable(6, 2)
+        assert p == ExactPoly.variable(6, 2).coeffs
 
     def test_11_n2(self):
         p = complex_zonal_poly(1, 1, 2)
         z1, z2, zb1, zb2 = (ExactPoly.variable(4, i) for i in range(4))
-        assert p == z2 * zb2 - z1 * zb1
+        assert p == (z2 * zb2 - z1 * zb1).coeffs
 
     def test_21_n2_annihilated(self):
-        assert laplacian_complex(complex_zonal_poly(2, 1, 2), 2).is_zero
+        assert laplacian(complex_zonal_poly(2, 1, 2), complex_pairs(2)) == {}
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_sweep(self, n):
         for m1 in range(6):
             for m2 in range(6 - m1):
                 p = complex_zonal_poly(m1, m2, n)
-                assert laplacian_complex(p, n).is_zero
-                assert p.evaluate(e_n_point_complex(n)) == 1
-                assert p.is_homogeneous(m1 + m2)
+                assert laplacian(p, complex_pairs(n)) == {}
+                assert evaluate(p, e_n_point_complex(n)) == 1
+                assert all(sum(e[:n]) == m1 and sum(e[n:]) == m2 for e in p)
 
 
 class TestDimensions:
@@ -208,7 +219,7 @@ class TestKernelBlocks:
     def test_real_blocks_match_the_dense_reference(self, m, n):
         monos = list(_monomials(m, n))
         want = reference_kernel_dim_real(m, n)
-        assert _kernel_dim(monos, n, lambda p: laplacian_real(p, n)) == want
+        assert _kernel_dim(monos, real_pairs(n)) == want
         assert kernel_dim_real(m, n) == want
 
     @given(data=st.data(), n=st.integers(2, 4))
@@ -218,7 +229,7 @@ class TestKernelBlocks:
         m2 = data.draw(st.integers(0, 5 - m1))
         monos = [a + b for a in _monomials(m1, n) for b in _monomials(m2, n)]
         want = reference_kernel_dim_complex(m1, m2, n)
-        assert _kernel_dim(monos, 2 * n, lambda p: laplacian_complex(p, n)) == want
+        assert _kernel_dim(monos, complex_pairs(n)) == want
         assert kernel_dim_complex(m1, m2, n) == want
 
     @pytest.mark.parametrize("m,n", [(4, 2), (4, 3), (5, 3), (6, 4)])
@@ -226,14 +237,84 @@ class TestKernelBlocks:
         # d^2/dx_0 dx_1 moves a monomial to another exponent parity class than
         # the Laplacian does, so the sum joins blocks that a split by parity
         # class would keep apart
+        pairs = real_pairs(n) + [(0, 1)]
+
         def coupled(p, n):
-            return laplacian_real(p, n) + p.diff(0).diff(1)
+            return reference_laplacian_real(p, n) + p.diff(0).diff(1)
 
         monos = list(_monomials(m, n))
         parities = {
-            frozenset(tuple(x % 2 for x in e2) for e2 in coupled(ExactPoly(n, {e: 1}), n).coeffs)
+            frozenset(tuple(x % 2 for x in e2) for e2 in laplacian({e: 1}, pairs))
             for e in monos
         }
         assert max(len(p) for p in parities) == 2
         want = reference_kernel_dim_real(m, n, laplacian=coupled)
-        assert _kernel_dim(monos, n, lambda p: coupled(p, n)) == want
+        assert _kernel_dim(monos, pairs) == want
+
+
+def _random_poly(data, nvars):
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return data.draw(st.dictionaries(exps, coeffs, max_size=8))
+
+
+class TestAgainstExactPoly:
+    @given(m=st.integers(0, 10), n=st.integers(2, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_real_zonal_equals_the_product_expansion(self, m, n):
+        assert real_zonal_poly(m, n) == reference_real_zonal_poly(m, n).coeffs
+
+    @given(data=st.data(), n=st.integers(2, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_complex_zonal_equals_the_product_expansion(self, data, n):
+        m1 = data.draw(st.integers(0, 6))
+        m2 = data.draw(st.integers(0, 6 - m1))
+        assert complex_zonal_poly(m1, m2, n) == reference_complex_zonal_poly(m1, m2, n).coeffs
+
+    @given(data=st.data(), n=st.integers(1, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_real_pairs_give_the_real_laplacian(self, data, n):
+        p = ExactPoly(n, _random_poly(data, n))
+        assert laplacian(p.coeffs, real_pairs(n)) == reference_laplacian_real(p, n).coeffs
+
+    @given(data=st.data(), n=st.integers(1, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_complex_pairs_give_a_quarter_of_the_complex_laplacian(self, data, n):
+        p = ExactPoly(2 * n, _random_poly(data, 2 * n))
+        want = Fraction(1, 4) * reference_laplacian_complex(p, n)
+        assert laplacian(p.coeffs, complex_pairs(n)) == want.coeffs
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_fraction_free_rank_equals_the_fraction_rank(self, data):
+        ncols = data.draw(st.integers(1, 6))
+        row = st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols)
+        rows = data.draw(st.lists(row, max_size=6))
+        # zero rows, duplicates and negated or scaled copies of drawn rows
+        for _ in range(data.draw(st.integers(0, 4))):
+            kind = data.draw(st.sampled_from(["zero", "copy", "negate", "scale"]))
+            if kind == "zero" or not rows:
+                rows.append([0] * ncols)
+                continue
+            r = data.draw(st.sampled_from(rows))
+            k = {"copy": 1, "negate": -1, "scale": data.draw(st.integers(-6, 6))}[kind]
+            rows.insert(data.draw(st.integers(0, len(rows))), [k * c for c in r])
+        want = reference_rank_exact(rows)
+        assert _rank_exact(rows) == want
+        assert reference_rank_fractions(rows) == want
+
+
+class TestArchSuiteBidegree:
+    def test_swapped_bidegree_fails_the_zonal_record(self, monkeypatch):
+        # the swapped polynomial is harmonic with value 1 at e_n, so only the
+        # bidegree check can tell it apart when m1 != m2
+        zonal = arch.complex_zonal_poly
+        monkeypatch.setattr(arch, "complex_zonal_poly", lambda m1, m2, n: zonal(m2, m1, n))
+        rec = verify.arch_suite(real_bounds=(2, 2), complex_bounds=(3, 3))
+        records = [r for r in rec.records if r.check_id.startswith("arch-complex/")]
+        zonal_records = [r for r in records if r.check_id.endswith("/zonal")]
+        assert len(zonal_records) == 20
+        for r in zonal_records:
+            swapped = r.params["m1"] != r.params["m2"]
+            assert r.status == ("FAIL" if swapped else "PASS"), r.check_id
+        assert all(r.status == "PASS" for r in records if r.check_id.endswith("/dim"))

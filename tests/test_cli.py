@@ -96,6 +96,15 @@ class TestConfigParsing:
         cfg_file.write_text("[run]\nlevel = 0\n")
         assert main(["decompose", "--config", str(cfg_file)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "line", ["real_nmax = 1", "complex_nmax = 1", "real_degree = -1", "complex_degree = -1"]
+    )
+    def test_arch_bounds_that_check_nothing_are_config_errors(self, tmp_path, line, capsys):
+        cfg_file = tmp_path / "c.txt"
+        cfg_file.write_text(f"[arch]\n{line}\n")
+        assert main(["arch-verify", "--config", str(cfg_file)]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
     def test_overrides(self, tmp_path):
         cfg_file = tmp_path / "c.txt"
         cfg_file.write_text("[run]\nseed = 1\n")
@@ -147,6 +156,29 @@ class TestMain:
         out = tmp_path / "arch.jsonl"
         code = main(["arch-verify", "--out", str(out)])
         assert code == EXIT_PASS
+
+    def test_arch_verify_m10_n6_returns_inside_its_deadline(self, tmp_path):
+        # real m <= 10, n <= 6 / complex m1 + m2 <= 8, n <= 4: the exact
+        # kernel dimensions of the largest blocks, through the CLI in a child
+        cfg = tmp_path / "a.txt"
+        cfg.write_text(
+            "[arch]\nreal_degree = 10\nreal_nmax = 6\ncomplex_degree = 8\ncomplex_nmax = 4\n"
+        )
+        out = tmp_path / "a.jsonl"
+        src = str(Path(ultrasph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ultrasph.cli", "arch-verify", "--config", str(cfg),
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("arch-verify at real m <= 10, n <= 6 took over 30 s")
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_PASS
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["status"] for r in records] == ["PASS"] * 381
 
     def test_double_cosets(self, tmp_path):
         out = tmp_path / "dc.jsonl"
