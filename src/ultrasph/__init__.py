@@ -49,6 +49,7 @@ from .harmonics import (
     mirabolic_orbit_count,
     phi_fn,
     verify_addition_theorem,
+    verify_piece_identities,
     verify_reproducing_kernel,
     verify_zonal_symmetry,
     zonal_fn,

@@ -251,11 +251,15 @@ def cmd_principal_series(cfg, rec):
 
         try:
             model = PSeriesModel(chars, n=cfg.n, rng=np.random.default_rng(cfg.seed))
+        except BudgetExceededError as e:
+            rec.skip("pseries/model", "model build", {}, str(e))
+            return
+        try:
             pseries_model_checks(
                 model, rec, samples=cfg.samples, rng=np.random.default_rng(cfg.seed)
             )
         except BudgetExceededError as e:
-            rec.skip("pseries/model", "model build", {}, str(e))
+            rec.skip("pseries/budget", "sampled stacks within their budget", {}, str(e))
         except ConductorNotVisible as e:
             rec.skip("pseries/newform", "minimal invariant line", {}, str(e))
     else:

@@ -18,10 +18,12 @@ fibre: the non-trivial DFT rows over each depth-(m-1) orbit's children.
 The four zonal identity checks (addition theorem, reproducing kernel,
 zonal symmetry, projector sums) act on the whole (N, n, n) stack of
 sampled ks at once.  The point e_n k is the bottom row of k, so the
-values at e_n k and e_n k^{-1} are one slot lookup per stack.  Where a
-check needs R(k^{-1}) on all of S, it builds the (chunk, |S|) permutation
-stack in chunks, and caches nothing per sample.  Each check returns its
-worst residual and the index of the k where it occurs.
+values at e_n k are one slot lookup per stack.  A piece's first three
+checks are one pass: the stack is inverted once, and R(k^{-1}) on all of
+S is built once per chunk, as a (chunk, |S|) permutation stack that
+serves all three and is dropped before the next; nothing is cached per
+sample.  The projector sums of every level share one inverse too.  Each
+check returns its worst residual and the index of the k where it occurs.
 """
 
 from __future__ import annotations
@@ -330,56 +332,68 @@ def _abs(x):
     return np.hypot(x.real, x.imag)
 
 
-def _inverse_perms(space, K):
-    """Yield (lo, P) per chunk of the stack K, with P[i, x] the slot of
-    points[x] k^{-1} for k = K[lo + i]: R(k^{-1}) as one uncached (chunk, |S|)
+def _inverse_perms(space, kinv):
+    """Yield (lo, P) per chunk of the inverse stack ``kinv``, with P[i, x] the
+    slot of points[x] kinv[lo + i]: R(k^{-1}) as one uncached (chunk, |S|)
     permutation stack, with the (chunk, |S|, n) point products kept under
     IDENTITY_CHUNK_BYTES."""
     ring, n, size = space.ring, space.n, space.size
     step = max(1, IDENTITY_CHUNK_BYTES // (8 * n * size))
-    for lo in range(0, len(K), step):
-        kinv = mat_inv(ring, K[lo : lo + step])
-        moved = ring.matmul(space.points, kinv)  # (chunk, |S|, n)
-        yield lo, space.index.idx(moved.reshape(-1, n)).reshape(len(kinv), size)
+    for lo in range(0, len(kinv), step):
+        moved = ring.matmul(space.points, kinv[lo : lo + step])  # (chunk, |S|, n)
+        yield lo, space.index.idx(moved.reshape(-1, n)).reshape(len(moved), size)
+
+
+def _symmetry_err(zonal, at_k, at_kinv):
+    """|zonal(e_n k) - conj(zonal(e_n k^{-1}))| per k, from the two slots."""
+    return _abs(zonal[at_k] - np.conj(zonal[at_kinv]))
+
+
+def verify_piece_identities(sub, zonal, ks):
+    """Worst residuals of the addition theorem, the reproducing kernel and
+    zonal symmetry of one piece over the sampled ks, each as (worst, index
+    in ks where it occurs), with index None when ks is empty.
+
+    The stack is inverted once, Q_j(e_n k) is gathered once, and each
+    chunk's R(k^{-1}) serves all three checks.  The addition theorem's
+    sum_j Q_j(x) conj(Q_j(e_n k)) is row k of qk^* @ basis, and its right
+    side dim * P(x k^{-1}) gathers the zonal through R(k^{-1}).  The
+    reproducing kernel's <R(k) Q_j, zonal> sums Q_j(x k) conj(zonal(x))
+    over x, which is Q_j(y) conj(zonal(y k^{-1})) summed over y = x k: one
+    product of the basis with the gathered conj(zonal) rows.  Zonal
+    symmetry compares e_n k, the bottom row of k, with e_n k^{-1}, column
+    e_n of R(k^{-1}).
+    """
+    space, n = sub.space, sub.space.n
+    K = _stack(ks, n)
+    at_k = space.index.idx(K[:, n - 1])
+    qk = sub.basis[:, at_k]  # Q_j(e_n k), (d, N)
+    zc = zonal.conj()
+    add, rep = np.zeros(len(K)), np.zeros(len(K))
+    at_kinv = np.zeros(len(K), dtype=np.int64)
+    for lo, perm_inv in _inverse_perms(space, mat_inv(space.ring, K)):
+        hi = lo + len(perm_inv)
+        lhs = qk[:, lo:hi].conj().T @ sub.basis
+        add[lo:hi] = np.abs(lhs - sub.dim * zonal[perm_inv]).max(axis=1)
+        rhs = sub.dim * (sub.basis @ zc[perm_inv].T) * space.weight
+        rep[lo:hi] = np.abs(qk[:, lo:hi] - rhs).max(axis=0)
+        at_kinv[lo:hi] = perm_inv[:, space.index.e_n]
+    return _worst(add), _worst(rep), _worst(_symmetry_err(zonal, at_k, at_kinv))
+
+
+# The three per-identity checks below are kept for bench/layers.py, which
+# wraps them by name, until the library's own spans replace its wrappers
+# (ROADMAP item 3).  The suites run ``verify_piece_identities``.
 
 
 def verify_addition_theorem(sub, zonal, ks):
-    """Worst addition-identity residual over the sampled ks (and all x), and
-    the index in ks where it occurs (None when ks is empty).
-
-    sum_j Q_j(x) conj(Q_j(e_n k)) is row k of qk^* @ basis, and the right side
-    dim * P(x k^{-1}) gathers the zonal through R(k^{-1}).
-    """
-    space = sub.space
-    K = _stack(ks, space.n)
-    qk = sub.basis[:, space.index.idx(K[:, space.n - 1])]  # Q_j(e_n k), (d, N)
-    err = np.zeros(len(K))
-    for lo, perm_inv in _inverse_perms(space, K):
-        hi = lo + len(perm_inv)
-        lhs = qk[:, lo:hi].conj().T @ sub.basis
-        rhs = sub.dim * zonal[perm_inv]
-        err[lo:hi] = np.abs(lhs - rhs).max(axis=1)
-    return _worst(err)
+    """The addition-theorem part of ``verify_piece_identities``."""
+    return verify_piece_identities(sub, zonal, ks)[0]
 
 
 def verify_reproducing_kernel(sub, zonal, ks):
-    """Worst residual of P(e_n k) = dim * <R(k) P, zonal> over the basis and
-    the sampled ks, and the index in ks where it occurs.
-
-    <R(k) Q_j, zonal> sums Q_j(x k) conj(zonal(x)) over x, which is
-    Q_j(y) conj(zonal(y k^{-1})) summed over y = x k: one product of the
-    basis with the gathered conj(zonal) rows per chunk.
-    """
-    space = sub.space
-    K = _stack(ks, space.n)
-    lhs = sub.basis[:, space.index.idx(K[:, space.n - 1])]  # (d, N)
-    zc = zonal.conj()
-    err = np.zeros(len(K))
-    for lo, perm_inv in _inverse_perms(space, K):
-        hi = lo + len(perm_inv)
-        rhs = sub.dim * (sub.basis @ zc[perm_inv].T) * space.weight
-        err[lo:hi] = np.abs(lhs[:, lo:hi] - rhs).max(axis=0)
-    return _worst(err)
+    """The reproducing-kernel part of ``verify_piece_identities``."""
+    return verify_piece_identities(sub, zonal, ks)[1]
 
 
 def verify_zonal_symmetry(space, zonal, ks):
@@ -387,63 +401,48 @@ def verify_zonal_symmetry(space, zonal, ks):
     index: e_n k and e_n k^{-1} are the bottom rows of k and k^{-1}."""
     n = space.n
     K = _stack(ks, n)
-    at_k = space.index.idx(K[:, n - 1])
     at_kinv = space.index.idx(mat_inv(space.ring, K)[:, n - 1])
-    return _worst(_abs(zonal[at_k] - np.conj(zonal[at_kinv])))
+    return _worst(_symmetry_err(zonal, space.index.idx(K[:, n - 1]), at_kinv))
 
 
-def idempotent_sum_residual(space, chis, m, ks, zonal_cache=None):
-    """Pointwise residuals of the two projector-sum identities.
+def idempotent_sum_residual(space, chis, m, ks):
+    """Pointwise residuals of the two projector-sum identities at each level
+    0..m: a list of (max residual, index in ks where it occurs), one per
+    level, with index None when ks is empty.
 
-    For each character the weighted zonal sum over levels c..m must match
-    the bottom-right-character form supported on the depth-m congruence
-    subgroup; summing over characters gives the unramified-subgroup form.
-    Returns the max residual over the supplied group elements and the index
-    in ks where it occurs.  Every k is evaluated at once: the slot of
+    At level l, for each character of conductor c <= l, the weighted zonal
+    sum over levels c..l must match the bottom-right-character form
+    supported on the depth-l congruence subgroup; summing over characters
+    gives the unramified-subgroup form.  The level-l sum is the level-(l-1)
+    sum plus one term, so each character's sum runs once up the levels.
+    Every k is evaluated at once, on one inverse of the stack: the slot of
     e_n k^{-1}, the K_0 and K_1 membership masks and the bottom-right entry
-    are arrays over the stack.
+    are arrays over it.
     """
     ring, n, q = space.ring, space.n, space.ring.q
-    chis = [ch for ch in chis if ch.c <= m]
-    cache = zonal_cache if zonal_cache is not None else {}
-
-    def zd(ch, ell):
-        key = (ch.exps, ell)
-        if key not in cache:
-            cache[key] = (
-                zonal_fn(space, ch, ell),
-                dim_harmonic(q, n, ell, ch.c),
-            )
-        return cache[key]
-
-    if m == 0:
-        vol_k1_inv = 1
-    else:
-        vol_k1_inv = q ** ((m - 1) * n) * (q**n - 1)
-    if m == 0:
-        vol_k0_inv = 1
-    else:
-        vol_k0_inv = q ** ((m - 1) * (n - 1)) * (q**n - 1) // (q - 1)
-
     K = _stack(ks, n)
     x_slots = space.index.idx(mat_inv(ring, K)[:, n - 1])  # e_n k^{-1}
     d = K[:, n - 1, n - 1]
-    in_k0 = subgroup_membership(SubgroupSpec("K0", m), ring, K)
-    in_k1 = subgroup_membership(SubgroupSpec("K1", m), ring, K)
-    err = np.zeros(len(K))
-    total_k1 = np.zeros(len(K), dtype=np.complex128)
+    in_k0 = {ell: subgroup_membership(SubgroupSpec("K0", ell), ring, K) for ell in range(1, m + 1)}
+    in_k1 = {ell: subgroup_membership(SubgroupSpec("K1", ell), ring, K) for ell in range(1, m + 1)}
+    err = np.zeros((m + 1, len(K)))
+    total_k1 = np.zeros((m + 1, len(K)), dtype=np.complex128)
     for ch in chis:
         lhs = np.zeros(len(K), dtype=np.complex128)
         for ell in range(ch.c, m + 1):
-            z, dh = zd(ch, ell)
-            lhs = lhs + dh * z[x_slots]
-        total_k1 = total_k1 + lhs
-        if m == 0:
-            rhs = 1.0 + 0.0j
+            lhs = lhs + dim_harmonic(q, n, ell, ch.c) * zonal_fn(space, ch, ell)[x_slots]
+            total_k1[ell] += lhs
+            if ell == 0:
+                rhs = 1.0 + 0.0j
+            else:
+                # off K_0 the entry d may be a non-unit; the mask drops its value
+                vol_k0_inv = q ** ((ell - 1) * (n - 1)) * (q**n - 1) // (q - 1)
+                rhs = np.where(in_k0[ell], np.conj(ch._vals[d]) * vol_k0_inv, 0.0 + 0.0j)
+            err[ell] = np.maximum(err[ell], _abs(lhs - rhs))
+    for ell in range(m + 1):
+        if ell == 0:
+            rhs_k1 = np.ones(len(K))
         else:
-            # off K_0 the entry d may be a non-unit; the mask drops its value
-            rhs = np.where(in_k0, np.conj(ch._vals[d]) * vol_k0_inv, 0.0 + 0.0j)
-        err = np.maximum(err, _abs(lhs - rhs))
-    rhs_k1 = np.where(in_k1 | (m == 0), vol_k1_inv, 0.0)
-    err = np.maximum(err, _abs(total_k1 - rhs_k1))
-    return _worst(err)
+            rhs_k1 = np.where(in_k1[ell], q ** ((ell - 1) * n) * (q**n - 1), 0.0)
+        err[ell] = np.maximum(err[ell], _abs(total_k1[ell] - rhs_k1))
+    return [_worst(e) for e in err]

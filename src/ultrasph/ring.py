@@ -17,8 +17,10 @@ uniformiser power is ``code // q**l`` on both branches.
 Each ring builds q^m x q^m addition and multiplication tables once, at
 construction: modular arithmetic for padic, digitwise F_q addition and
 digit convolution for laurent.  Negation and unit inverses are read off
-the tables.  From then on every scalar op, array op and matrix product is
-a table lookup, the same code on both branches.  The tables take
+the tables.  From then on every scalar op and array op is a table lookup,
+the same code on both branches.  A matrix product is one int64 ``@`` and
+one reduction mod q^m on the padic branch, and sums its table products
+through the add table on the laurent branch.  The tables take
 16 q^(2m) bytes, so rings with more than MAX_RING_SIZE = 4096 elements are
 rejected before anything is allocated (256 MiB at the bound; a sphere
 under the 10^6-point cap lives on at most about 1,155 elements).
@@ -284,11 +286,18 @@ class RingLevel:
         """Ring matrix product, broadcast as numpy's ``@``: A is (..., r, s)
         or a row (s,), B is (..., s, t), and the leading axes broadcast.  So
         (N, r, s) x (N, s, t) is the pairwise product, and (dim, r, s) x
-        (C, 1, s, t) gives (C, dim, r, t)."""
+        (C, 1, s, t) gives (C, dim, r, t).
+
+        A padic product is the integer product reduced once mod q^m: codes
+        are below MAX_RING_SIZE, so a sum of s products fits in int64.  A
+        laurent product sums its terms through the add table."""
         A = np.asarray(A)
         B = np.asarray(B)
         if A.ndim == 1:
             return self.matmul(A[None], B)[..., 0, :]
+        if self.branch == "padic":
+            A, B = A.astype(np.int64, copy=False), B.astype(np.int64, copy=False)
+            return np.matmul(A, B) % self.size
         out = self._mul[A[..., :, 0, None], B[..., 0, None, :]]
         for j in range(1, A.shape[-1]):
             out = self._add[out, self._mul[A[..., :, j, None], B[..., j, None, :]]]

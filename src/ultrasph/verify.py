@@ -27,9 +27,7 @@ from .harmonics import (
     idempotent_sum_residual,
     mirabolic_orbit_count,
     phi_fn,
-    verify_addition_theorem,
-    verify_reproducing_kernel,
-    verify_zonal_symmetry,
+    verify_piece_identities,
     zonal_fn,
     zonal_piece_bytes,
     zonal_shell_coefficient,
@@ -248,6 +246,21 @@ def _gram_witness(held, i, j):
     return "pieces " + ", ".join(_piece_name(held[a]) for a in at)
 
 
+def _check_sample_bytes(n, count):
+    """Raise BudgetExceededError, before anything is drawn, when a stack of
+    ``count`` sampled (n, n) elements and the checks on it would exceed
+    BASIS_BYTES_MAX.  The prediction is 16 times the stack's 8 n^2 count
+    bytes.  Measured with tracemalloc, the sampler's kept batches, the
+    mat_inv working copies and the per-k residuals peak at 10-12 times the
+    stack in the zonal suite, and at 4.5-8 times it in the model checks."""
+    nbytes = 16 * 8 * n * n * count
+    if nbytes > BASIS_BYTES_MAX:
+        raise BudgetExceededError(
+            f"{count} sampled elements and their checks need {nbytes} bytes, "
+            f"over the cap {BASIS_BYTES_MAX}"
+        )
+
+
 def _count_reason(size, dims, fault, orbits):
     """Why the facts behind an orbit count fail, or None: ``dims`` sum to |S|,
     no piece has a ``fault``, and the number of non-empty pieces is
@@ -323,14 +336,15 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
     """Zonal closed form, norms, symmetry, addition and reproducing identities,
     multiplicity one, the invariant-pairing Gram matrix and the projector-sum
     identities, one piece held at a time; BudgetExceededError, before
-    anything is built, when the largest piece and its checks would exceed
-    BASIS_BYTES_MAX.  A piece H's invariant line is proj_H delta_{e_n}, a
-    multiple of conj(basis[:, e_n]) @ basis, which the group P' of the
-    ``Kmirab`` generators fixes when it fixes H and e_n; so a non-zero line
-    in every piece and ``_count_reason`` force dim H^P' = 1.  A failed
-    identity record names its worst k, a failed ``phi-gram`` its worst
-    (l1, l2), and a failed ``zonal-oracle`` or ``zonal-shells`` its worst
-    sphere point."""
+    anything is built, when the largest piece and its checks, or the
+    sampled stack of a piece (at most max(samples, 8) elements), would
+    exceed BASIS_BYTES_MAX.  A piece H's invariant line is proj_H
+    delta_{e_n}, a multiple of conj(basis[:, e_n]) @ basis, which the group
+    P' of the ``Kmirab`` generators fixes when it fixes H and e_n; so a
+    non-zero line in every piece and ``_count_reason`` force dim H^P' = 1.
+    A failed identity record names its worst k, a failed ``phi-gram`` its
+    worst (l1, l2), and a failed ``zonal-oracle`` or ``zonal-shells`` its
+    worst sphere point."""
     rec = rec if rec is not None else Recorder()
     rng = np.random.default_rng(seed)
     q, M = ring.q, ring.m
@@ -339,6 +353,7 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
         raise BudgetExceededError(
             f"a dense piece and its checks need {nbytes} bytes, over the cap {BASIS_BYTES_MAX}"
         )
+    _check_sample_bytes(n, max(samples, 8))
     lab = _ring_label(ring, n)
     space = SphereSpace(ring, n)
     chs = characters(ring)
@@ -413,32 +428,30 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
                 -(-samples // space.size), -(-samples // max(H.dim, 1)), 8
             )
             ks = random_stack(ring, n, nk, rng)
-            worst, at = verify_addition_theorem(H, z, ks)
+            add, rep, sym = verify_piece_identities(H, z, ks)
             rec.residual(
                 f"{lab}/addition-theorem/{cl}/m{m}",
                 "sum_j Q_j(x) conj(Q_j(e_n k)) = dim * P(x k^{-1})",
                 {"q": q, "n": n, "m": m, "c": chi.c, "pairs": len(ks) * space.size},
-                worst,
+                add[0],
                 TOL_RESIDUAL,
-                witness=_k_witness(ks, at),
+                witness=_k_witness(ks, add[1]),
             )
-            worst, at = verify_reproducing_kernel(H, z, ks)
             rec.residual(
                 f"{lab}/reproducing-kernel/{cl}/m{m}",
                 "P(e_n k) = dim * <R(k) P, zonal>",
                 {"q": q, "n": n, "m": m, "c": chi.c, "pairs": len(ks) * H.dim},
-                worst,
+                rep[0],
                 TOL_RESIDUAL,
-                witness=_k_witness(ks, at),
+                witness=_k_witness(ks, rep[1]),
             )
-            worst, at = verify_zonal_symmetry(space, z, ks)
             rec.residual(
                 f"{lab}/zonal-symmetry/{cl}/m{m}",
                 "zonal(e_n k) = conj(zonal(e_n k^{-1}))",
                 {"q": q, "n": n, "m": m, "c": chi.c, "samples": len(ks)},
-                worst,
+                sym[0],
                 TOL_TIGHT,
-                witness=_k_witness(ks, at),
+                witness=_k_witness(ks, sym[1]),
             )
             del H  # one piece at a time: the next is built without this one
     reason = _count_reason(space.size, dims, fault, orbits)
@@ -460,9 +473,7 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
     else:
         ks = random_stack(ring, n, 1000, rng)
         mode = "sampled-1000"
-    cache = {}
-    for m in range(M + 1):
-        worst, at = idempotent_sum_residual(space, chs, m, ks, zonal_cache=cache)
+    for m, (worst, at) in enumerate(idempotent_sum_residual(space, chs, M, ks)):
         rec.residual(
             f"{lab}/projector-sums/m{m}",
             "level sums of dim * zonal match the congruence-subgroup indicators",
@@ -555,7 +566,7 @@ def double_coset_suite(ring, n, rec=None, budget=200000):
         "the index function partitions K into m + 1 classes",
         {"q": q, "n": n, "m": m},
         m + 1,
-        len(np.unique(ell)),
+        np.count_nonzero(np.bincount(ell, minlength=m + 1)),
     )
     verify_generators(spec0, ring, n)
     gens = subgroup_generators(spec0, ring, n)
@@ -617,7 +628,9 @@ def pseries_suite(
     level_override=None,
 ):
     """Newform, oldform growth, K-type multiplicities, coefficient law,
-    and the twist-minimality criterion over all character tuples."""
+    and the twist-minimality criterion over all character tuples; a model
+    over its coset budget, or whose sampled stacks would be over theirs,
+    gives one SKIP record."""
     rec = rec if rec is not None else Recorder()
     rng = np.random.default_rng(seed)
     for total in range(sum_max + 1):
@@ -631,14 +644,20 @@ def pseries_suite(
             except BudgetExceededError as e:
                 rec.skip(label + "/model", "model build", {}, str(e))
                 continue
-            pseries_model_checks(model, rec, samples=samples, rng=rng, label=label)
+            try:
+                pseries_model_checks(model, rec, samples=samples, rng=rng, label=label)
+            except BudgetExceededError as e:
+                rec.skip(label + "/budget", "sampled stacks within their budget", {}, str(e))
     return rec
 
 
 def pseries_model_checks(model, rec, samples=500, rng=None, label=None):
-    """All per-model checks: dims, newform, coefficient law, twist minimality."""
+    """All per-model checks: dims, newform, coefficient law, twist minimality.
+    BudgetExceededError, before any record, when the sampled stacks would
+    exceed BASIS_BYTES_MAX."""
     rng = rng if rng is not None else np.random.default_rng(0)
     ring, n, M = model.ring, model.n, model.ring.m
+    _check_sample_bytes(n, samples)
     q = ring.q
     if label is None:
         label = f"pseries-q{q}-n{n}-M{M}/" + "-".join(_chi_label(c) for c in model.chars)
@@ -849,7 +868,10 @@ def verify_all(samples=500, seed=0, budget=200000, rec=None):
     for branch, p, f, m, n in DIMENSION_GRID:
         ring = make_ring_level(branch, p, f, m)
         decompose_suite(ring, n, rec=rec, rng=np.random.default_rng(seed))
-        zonal_suite(ring, n, rec=rec, samples=max(200, samples // 2), seed=seed)
+        try:
+            zonal_suite(ring, n, rec=rec, samples=max(200, samples // 2), seed=seed)
+        except BudgetExceededError as e:
+            rec.skip(f"{_ring_label(ring, n)}/zonal-budget", "suite within its budgets", {}, str(e))
     for branch, p, f, m, n in DOUBLE_COSET_POINTS:
         ring = make_ring_level(branch, p, f, m)
         double_coset_suite(ring, n, rec=rec, budget=budget)

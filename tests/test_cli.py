@@ -29,11 +29,15 @@ from ultrasph.verify import CheckRecord
 
 
 
-def run_under_memory_limit(tmp_path, command, p, n, level, limit=2 << 30):
-    """Run one padic command in a child with ``limit`` bytes of address space;
-    return the finished process and its records."""
+def run_under_memory_limit(tmp_path, command, p, n, level, limit=2 << 30, extra=(), chars=None):
+    """Run one padic command in a child with ``limit`` bytes of address space,
+    ``extra`` appended to its arguments and an optional ``[pseries] chars``
+    selector; return the finished process and its records."""
     cfg = tmp_path / "c.txt"
-    cfg.write_text(f"[ring]\nbranch = padic\np = {p}\n\n[run]\nn = {n}\nlevel = {level}\n")
+    text = f"[ring]\nbranch = padic\np = {p}\n\n[run]\nn = {n}\nlevel = {level}\n"
+    if chars is not None:
+        text += f"\n[pseries]\nchars = {chars}\n"
+    cfg.write_text(text)
     out = tmp_path / "d.jsonl"
 
     def cap_address_space():
@@ -43,7 +47,7 @@ def run_under_memory_limit(tmp_path, command, p, n, level, limit=2 << 30):
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "ultrasph.cli", command, "--config", str(cfg),
-         "--out", str(out)],
+         "--out", str(out), *extra],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=cap_address_space,
     )
@@ -362,6 +366,46 @@ class TestMain:
         assert {r["check_id"].split("/")[-1] for r in records} == {
             "witness-remultiplication", "class-count", "brute-force-partition",
         }
+
+    @pytest.mark.parametrize("command, chars, skip_id", [
+        ("zonal", None, "zonal/budget"),
+        ("principal-series", None, "/budget"),
+        ("principal-series", "1:0,0:0", "pseries/budget"),
+        ("verify-all", None, "/zonal-budget"),
+    ])
+    def test_huge_samples_fail_closed_under_a_memory_limit(self, tmp_path, command, chars, skip_id):
+        # 10^8 sampled (2, 2) stacks are 3.2 GB on their own: each command
+        # must refuse before drawing, in a child with 3,000,000 KiB of
+        # address space, where the draw used to end in a MemoryError
+        proc, records = run_under_memory_limit(
+            tmp_path, command, p=3, n=2, level=2, limit=3_000_000 * 1024,
+            extra=("--samples", "100000000"), chars=chars,
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_SKIP
+        skips = [r for r in records if r["status"] == "SKIP"]
+        assert any(r["check_id"].endswith(skip_id) for r in skips)
+        assert all(r["check_id"].endswith("budget") for r in skips)
+        assert all("over the cap" in r["observed"] for r in skips)
+        assert not any(r["status"] == "FAIL" for r in records)
+
+    def test_suites_leave_numpy_ma_unimported(self):
+        # numpy.ma costs 11-19 ms to import; a plain np.unique pulls it in
+        code = (
+            "import sys\n"
+            "from ultrasph import verify\n"
+            "from ultrasph.ring import make_ring_level\n"
+            "ring = make_ring_level('padic', 2, 1, 2)\n"
+            "verify.double_coset_suite(ring, 2)\n"
+            "verify.zonal_suite(ring, 2)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        src = str(Path(ultrasph.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_zonal_budget_admits_the_q5_n2_m3_sphere(self):
         # |S| = 15,000 with 150-row pieces: the zonal suite runs there

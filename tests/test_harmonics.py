@@ -20,6 +20,7 @@ from ultrasph.harmonics import (
     mirabolic_orbit_count,
     phi_fn,
     verify_addition_theorem,
+    verify_piece_identities,
     verify_reproducing_kernel,
     verify_zonal_symmetry,
     zonal_fn,
@@ -668,14 +669,14 @@ class TestIdentities:
     def test_idempotent_sums_exhaustive(self, sp222, chars222):
         ks = list(enumerate_group(sp222.ring, 2))
         for m in range(3):
-            assert idempotent_sum_residual(sp222, chars222, m, ks)[0] < 1e-9
+            assert idempotent_sum_residual(sp222, chars222, m, ks)[m][0] < 1e-9
 
     def test_idempotent_sums_sampled_q3(self):
         sp = SphereSpace(make_ring_level("padic", 3, 1, 2), 2)
         rng = np.random.default_rng(4)
         ks = [random_in_K(sp.ring, 2, rng) for _ in range(300)]
         for m in range(3):
-            assert idempotent_sum_residual(sp, characters(sp.ring), m, ks)[0] < 1e-9
+            assert idempotent_sum_residual(sp, characters(sp.ring), m, ks)[m][0] < 1e-9
 
 
 # -- the per-k identity loops the stacked checks replaced, kept as references --
@@ -788,22 +789,30 @@ def _congruence_hits(space, K, m):
 
 
 def assert_matches_references(space, K, pieces):
-    """The stacked checks against the per-k references: bitwise for the
-    projector sums and zonal symmetry, 1e-12 for the two products; and each
-    witness is a k at which the reference alone reaches the worst value."""
+    """The fused and stacked checks against the per-k references: bitwise
+    for the projector sums and zonal symmetry, 1e-12 for the two products;
+    and each witness is a k at which the reference alone reaches the worst
+    value.  The standalone symmetry check and the per-identity views give
+    the fused pass's results."""
     for chi, m, H, z in pieces:
-        worst, at = verify_zonal_symmetry(space, z, K)
+        fused = verify_piece_identities(H, z, K)
+        assert verify_addition_theorem(H, z, K) == fused[0]
+        assert verify_reproducing_kernel(H, z, K) == fused[1]
+        assert verify_zonal_symmetry(space, z, K) == fused[2]
+        worst, at = fused[2]
         assert worst == reference_zonal_symmetry(space, z, K)
         assert reference_zonal_symmetry(space, z, K[at : at + 1]) == worst
-        worst, at = verify_addition_theorem(H, z, K)
+        worst, at = fused[0]
         assert abs(worst - reference_addition_theorem(H, z, K)) < 1e-12
         assert abs(reference_addition_theorem(H, z, K[at : at + 1]) - worst) < 1e-12
-        worst, at = verify_reproducing_kernel(H, z, K)
+        worst, at = fused[1]
         assert abs(worst - reference_reproducing_kernel(H, z, K)) < 1e-12
         assert abs(reference_reproducing_kernel(H, z, K[at : at + 1]) - worst) < 1e-12
     chs = characters(space.ring)
-    for m in range(space.ring.m + 1):
-        worst, at = idempotent_sum_residual(space, chs, m, K)
+    sums = idempotent_sum_residual(space, chs, space.ring.m, K)
+    assert len(sums) == space.ring.m + 1
+    for m, (worst, at) in enumerate(sums):
+        assert idempotent_sum_residual(space, chs, m, K) == sums[: m + 1]
         assert worst == reference_idempotent_sum_residual(space, chs, m, K)
         assert reference_idempotent_sum_residual(space, chs, m, K[at : at + 1]) == worst
 
@@ -863,21 +872,41 @@ class TestStackedIdentities:
         space = small_space(point)
         K = random_stack(space.ring, 2, 10, np.random.default_rng(0))
         monkeypatch.setattr(harmonics, "IDENTITY_CHUNK_BYTES", 3 * 8 * 2 * space.size)
-        shapes = [p.shape for _, p in harmonics._inverse_perms(space, K)]
+        kinv = mat_inv(space.ring, K)
+        shapes = [p.shape for _, p in harmonics._inverse_perms(space, kinv)]
         assert shapes == [(3, space.size)] * 3 + [(1, space.size)]
-        for lo, p in harmonics._inverse_perms(space, K):
+        for lo, p in harmonics._inverse_perms(space, kinv):
             want = [space.index.perm_of_matrix(a) for a in mat_inv(space.ring, K[lo : lo + 3])]
             assert np.array_equal(p, np.array(want))
+
+    def test_one_inverse_per_piece_and_one_for_the_projector_sums(self, monkeypatch):
+        # however many chunks R(k^{-1}) takes, a piece's three identities
+        # share one inverse, and every level's projector sum shares another
+        ring = make_ring_level("padic", 2, 1, 2)
+        size = sphere_size(2, 2, 2)
+        monkeypatch.setattr(harmonics, "IDENTITY_CHUNK_BYTES", 3 * 8 * 2 * size)
+        calls = []
+        inverse = harmonics.mat_inv
+        monkeypatch.setattr(
+            harmonics, "mat_inv", lambda ring, a: calls.append(len(a)) or inverse(ring, a)
+        )
+        rec = verify.zonal_suite(ring, 2, samples=200, seed=0)
+        assert all(r.status == "PASS" for r in rec.records)
+        pieces = sum(ring.m - ch.c + 1 for ch in characters(ring) if ch.c <= ring.m)
+        assert len(calls) == pieces + 1
+        assert min(calls[:-1]) > 3  # each piece's stack spans several chunks
+        assert calls[-1] == group_order(ring, 2)  # the exhaustive projector-sum stack
 
     def test_empty_stack_has_no_witness(self):
         point = ("padic", 2, 1, 2, 2)
         space = small_space(point)
         chi, _, H, z = zonal_pieces(point)[-1]
         K = np.zeros((0, 2, 2), dtype=np.int64)
+        assert verify_piece_identities(H, z, K) == ((0.0, None),) * 3
         assert verify_addition_theorem(H, z, K) == (0.0, None)
         assert verify_reproducing_kernel(H, z, K) == (0.0, None)
         assert verify_zonal_symmetry(space, z, K) == (0.0, None)
-        assert idempotent_sum_residual(space, characters(space.ring), 2, K) == (0.0, None)
+        assert idempotent_sum_residual(space, characters(space.ring), 2, K) == [(0.0, None)] * 3
 
     def test_no_permutation_cached_per_sample(self):
         point = ("padic", 3, 1, 2, 2)
@@ -886,6 +915,7 @@ class TestStackedIdentities:
         H = harmonic_subspace(space, chi, 2)
         z = zonal_fn(space, chi, 2)
         K = random_stack(space.ring, 2, 50, np.random.default_rng(3))
+        verify_piece_identities(H, z, K)
         verify_addition_theorem(H, z, K)
         verify_reproducing_kernel(H, z, K)
         verify_zonal_symmetry(space, z, K)
@@ -896,15 +926,16 @@ class TestStackedIdentities:
 class TestIdentityWitness:
     """A FAIL record of the zonal suite names the k where the identity breaks."""
 
-    def _run(self, monkeypatch, point, name, corrupt):
+    def _run(self, monkeypatch, point, name, wrap):
+        """Run zonal_suite with verify.<name> replaced by wrap(real, *args)."""
         real = getattr(verify, name)
         seen = []
 
-        def corrupted(*args, **kwargs):
+        def replaced(*args):
             seen.append(args)
-            return real(*corrupt(*args, **kwargs), **kwargs)
+            return wrap(real, *args)
 
-        monkeypatch.setattr(verify, name, corrupted)
+        monkeypatch.setattr(verify, name, replaced)
         rec = verify.Recorder()
         branch, p, f, m, n = point
         verify.zonal_suite(make_ring_level(branch, p, f, m), n, rec=rec, samples=200, seed=0)
@@ -914,11 +945,13 @@ class TestIdentityWitness:
     def test_zonal_symmetry_names_the_corrupted_k(self, monkeypatch):
         picked = {}
 
-        def corrupt(space, z, ks):
+        def corrupt(real, H, z, ks):
+            results = real(H, z, ks)
             if picked:
-                return space, z, ks
-            # a slot that exactly one k reaches, as e_n k or as e_n k^{-1}
-            n = space.n
+                return results
+            # a slot that exactly one k reaches, as e_n k or as e_n k^{-1};
+            # only the symmetry result is taken from the corrupted zonal
+            space, n = H.space, H.space.n
             slots = np.stack([
                 space.index.idx(ks[:, n - 1]),
                 space.index.idx(mat_inv(space.ring, ks)[:, n - 1]),
@@ -926,15 +959,15 @@ class TestIdentityWitness:
             hits = np.bincount(slots.ravel(), minlength=space.size)
             unique = np.flatnonzero(hits[slots[0]] == 1)
             if not len(unique):
-                return space, z, ks
+                return results
             j = int(unique[0])
             picked["k"] = ks[j].tolist()
             z = z.copy()
             z[slots[0, j]] += 0.5
-            return space, z, ks
+            return results[0], results[1], real(H, z, ks)[2]
 
         failed, _ = self._run(
-            monkeypatch, ("padic", 2, 1, 2, 3), "verify_zonal_symmetry", corrupt
+            monkeypatch, ("padic", 2, 1, 2, 3), "verify_piece_identities", corrupt
         )
         assert picked
         assert [r.check_id.split("/")[1] for r in failed] == ["zonal-symmetry"]
@@ -943,22 +976,29 @@ class TestIdentityWitness:
     def test_projector_sums_name_the_first_k_at_the_corrupted_point(self, monkeypatch):
         picked = {}
 
-        def corrupt(space, chs, m, ks, zonal_cache):
-            if not picked:
-                # the level-0 zonal is 1 everywhere; raise it at the point
-                # e_n k^{-1} of the middle k, for every level that adds it in
-                n = space.n
-                x_slots = space.index.idx(mat_inv(space.ring, ks)[:, n - 1])
-                j = len(ks) // 2
-                triv = trivial_of(chs)
-                z = zonal_fn(space, triv, 0)
-                z[x_slots[j]] += 0.5
-                zonal_cache[triv.exps, 0] = (z, 1)
-                picked["k"] = ks[int(np.argmax(x_slots == x_slots[j]))].tolist()
-            return space, chs, m, ks
+        def corrupt(real, space, chs, m, ks):
+            # the level-0 zonal is 1 everywhere; raise it at the point
+            # e_n k^{-1} of the middle k, for every level that adds it in
+            n = space.n
+            x_slots = space.index.idx(mat_inv(space.ring, ks)[:, n - 1])
+            j = len(ks) // 2
+            triv = trivial_of(chs)
+            picked["k"] = ks[int(np.argmax(x_slots == x_slots[j]))].tolist()
+            zonal = harmonics.zonal_fn
+
+            def corrupted_zonal(sp, ch, ell):
+                z = zonal(sp, ch, ell)
+                if ch is triv and ell == 0:
+                    z[x_slots[j]] += 0.5
+                return z
+
+            with monkeypatch.context() as mp:
+                mp.setattr(harmonics, "zonal_fn", corrupted_zonal)
+                return real(space, chs, m, ks)
 
         point = ("padic", 2, 1, 2, 2)
         failed, seen = self._run(monkeypatch, point, "idempotent_sum_residual", corrupt)
+        assert len(seen) == 1  # one call for every level
         assert np.array_equal(seen[0][3], group_stack(seen[0][0].ring, 2))  # exhaustive
         assert [r.check_id.split("/")[1] for r in failed] == ["projector-sums"] * 3
         for r in failed:

@@ -66,6 +66,18 @@ def digit_ops(ring, a, b):
     return total, prod
 
 
+def reference_matmul(ring, A, B):
+    """The table product: one gather into the ring's own ``_mul`` table per
+    term, summed through its ``_add`` table; broadcast as ``RingLevel.matmul``."""
+    A, B = np.asarray(A), np.asarray(B)
+    if A.ndim == 1:
+        return reference_matmul(ring, A[None], B)[..., 0, :]
+    out = ring._mul[A[..., :, 0, None], B[..., 0, None, :]]
+    for j in range(1, A.shape[-1]):
+        out = ring._add[out, ring._mul[A[..., :, j, None], B[..., j, None, :]]]
+    return out
+
+
 class TestTables:
     @given(point=points, data=st.data())
     @sweep
@@ -116,6 +128,34 @@ class TestStacks:
         want = np.array([R.matmul(x, y) for x, y in zip(a, b)])
         assert np.array_equal(R.matmul(a, b), want)
         assert np.array_equal(R.matmul(a.reshape(3, 4, n, n), b.reshape(3, 4, n, n)), want.reshape(3, 4, n, n))
+
+    @given(point=points, dims=st.tuples(*[st.integers(1, 4)] * 3), seed=seeds)
+    @sweep
+    def test_matmul_equals_the_table_product(self, point, dims, seed):
+        # the broadcast shapes in use: pairwise stacks, pieces times a column
+        # of stacks, a row times a stack, and points times a stack
+        R = ring_of(point)
+        r, s, t = dims
+        rng = np.random.default_rng(seed)
+        pairs = [
+            ((5, r, s), (5, s, t)),
+            ((3, r, s), (4, 1, s, t)),
+            ((s,), (5, s, t)),
+            ((6, s), (4, s, s)),
+        ]
+        for left, right in pairs:
+            A, B = rng.integers(0, R.size, left), rng.integers(0, R.size, right)
+            got, want = R.matmul(A, B), reference_matmul(R, A, B)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_matmul_at_the_largest_entries(self):
+        # every entry q^m - 1: the integer sum of s products before reduction
+        for point in [("padic", 2, 1, 8), ("padic", 3, 1, 5), ("laurent", 2, 2, 4)]:
+            R = make_ring_level(*point)
+            A = np.full((2, 3, 4), R.size - 1)
+            B = np.full((2, 4, 3), R.size - 1)
+            assert np.array_equal(R.matmul(A, B), reference_matmul(R, A, B))
 
     @given(point=points, n=st.integers(1, 3), seed=seeds)
     @sweep
