@@ -10,16 +10,14 @@ independent brute-force oracles.
 from .ring import (
     RingElem,
     RingLevel,
-    RootOfUnity,
     UnitCharacter,
     UnitGroupBasis,
-    char_eval,
     characters,
     make_ring_level,
     unit_group_basis,
     unit_subgroup_basis,
 )
-from .sphere import SphereIndex, SpherePoint, act_point, enumerate_sphere, reduce_point, sphere_size
+from .sphere import SphereIndex, sphere_size
 from .matgroup import (
     BudgetExceededError,
     SubgroupSpec,

@@ -8,15 +8,18 @@ no floating gamma evaluation ever happens.  One operator, ``laplacian``,
 sums second derivatives over a list of index pairs; the real and complex
 Laplacians differ only in their pairs.  Dimension formulas are
 cross-checked against the rank-nullity oracle: the exact kernel of the
-Laplacian from homogeneous (bi)degree monomials to lower degree, its rank
-taken by fraction-free integer elimination on each connected component of
-the matrix's non-zero pattern.
+Laplacian from homogeneous (bi)degree monomials to lower degree.  Its rank
+is the number of target monomials, certified by a triangular minor: each
+target f has a source, x_0^2 f or z_0 zbar_0 f, whose image is f plus
+monomials of higher x_0-exponent (Axler, Bourdon and Ramey, Harmonic
+Function Theory, 2001, ch. 5).  A target without one fails its record;
+nothing is eliminated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 import numpy as np
 
@@ -137,68 +140,51 @@ def _monomials(total, nvars):
             yield (head,) + rest
 
 
-def _rank_exact(rows):
-    """Row rank over Q of an integer matrix by fraction-free elimination:
-    each pivot row clears its column from the rest by
-    r <- lead[col] * r - r[col] * lead, and each updated row is divided by
-    the gcd of its entries, so every entry stays an integer (Bareiss 1968)."""
-    rows = [list(r) for r in rows]
+def _minor_kernel_dim(monos, targets, pairs, lift):
+    """Exact kernel dimension of ``laplacian(., pairs)`` from the span of
+    ``monos`` to that of ``targets``: each target f needs the source lift(f)
+    in ``monos``, whose image is f with a non-zero coefficient plus terms
+    of higher x_0-exponent.  Ordered by x_0-exponent, these sources give a
+    triangular minor with a non-zero diagonal, so the rank is #targets, the
+    most it can be.  For the first target without one, says so instead."""
+    domain = set(monos)
     rank = 0
-    while rows:
-        lead = rows.pop()
-        col = next((j for j, c in enumerate(lead) if c), None)
-        if col is not None:
-            p = lead[col]
-            rows = [_primitive([p * a - r[col] * b for a, b in zip(r, lead)]) if r[col] else r
-                    for r in rows]
-            rank += 1
-    return rank
-
-
-def _primitive(row):
-    g = gcd(*row)
-    return [c // g for c in row] if g > 1 else row
-
-
-def _kernel_dim(monos, pairs):
-    """Exact kernel dimension of ``laplacian(., pairs)`` on the span of
-    ``monos``: the matrix is block-diagonal over the connected components of
-    its non-zero pattern (monomials joined when their images share a
-    monomial), so its rank is the sum of the blocks' exact ranks.  The split
-    reads the pattern only and assumes nothing about which monomials the
-    operator couples."""
-    images = [laplacian({e: 1}, pairs) for e in monos]
-    root = list(range(len(monos)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    first = {}
-    for i, image in enumerate(images):
-        for e in image:
-            root[find(i)] = find(first.setdefault(e, i))
-    blocks = {}
-    for i in range(len(monos)):
-        blocks.setdefault(find(i), []).append(images[i])
-    rank = 0
-    for block in blocks.values():
-        targets = list(dict.fromkeys(e for image in block for e in image))
-        rank += _rank_exact([[image.get(e, 0) for e in targets] for image in block])
-    return len(monos) - rank
+    for f in targets:
+        src = lift(f)
+        image = laplacian({src: 1}, pairs) if src in domain else {}
+        if not image.get(f) or any(e[0] <= f[0] and e != f for e in image):
+            return f"no triangular pivot at the target {f}"
+        rank += 1
+    return len(domain) - rank
 
 
 def kernel_dim_real(m, n):
-    """Exact kernel dimension of the Laplacian on degree-m monomials."""
-    return _kernel_dim(list(_monomials(m, n)), real_pairs(n))
+    """Exact kernel dimension of the Laplacian on degree-m monomials; the
+    source of f is x_0^2 f, coefficient (f_0 + 2)(f_0 + 1).  There are no
+    monomials of negative degree, so m < 2 has no target."""
+    return _minor_kernel_dim(_monomials(m, n), _monomials(m - 2, n), real_pairs(n),
+                             lambda f: (f[0] + 2,) + f[1:])
 
 
 def kernel_dim_complex(m1, m2, n):
-    """Exact kernel dimension of the complex Laplacian on bidegree monomials."""
-    monos = [a + b for a in _monomials(m1, n) for b in _monomials(m2, n)]
-    return _kernel_dim(monos, complex_pairs(n))
+    """Exact kernel dimension of the complex Laplacian on bidegree monomials;
+    the source of f is z_0 zbar_0 f, coefficient (f_0 + 1)(f_n + 1)."""
+    monos = (a + b for a in _monomials(m1, n) for b in _monomials(m2, n))
+    targets = (a + b for a in _monomials(m1 - 1, n) for b in _monomials(m2 - 1, n))
+    return _minor_kernel_dim(monos, targets, complex_pairs(n),
+                             lambda f: (f[0] + 1,) + f[1:n] + (f[n] + 1,) + f[n + 1:])
+
+
+def monomial_count(total, nvars, cap):
+    """C(total + nvars - 1, nvars - 1), the number of degree-``total``
+    monomials in ``nvars`` variables, or the first partial product over
+    ``cap``: they only grow, so huge bounds cost a few steps."""
+    k, count = min(total, nvars - 1), 1
+    for i in range(1, k + 1):
+        count = count * (total + nvars - 1 - k + i) // i
+        if count > cap:
+            break
+    return count
 
 
 def e_n_point_real(n):

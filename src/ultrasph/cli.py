@@ -247,8 +247,13 @@ def cmd_principal_series(cfg, rec):
         ring = make_ring_level(cfg.branch, cfg.p, cfg.f, level, cfg.poly)
         chars = select_characters(ring, cfg.chars, cfg.n)
         from .pseries import ConductorNotVisible, PSeriesModel
-        from .verify import pseries_model_checks
+        from .verify import _check_sample_bytes, pseries_model_checks
 
+        try:
+            _check_sample_bytes(cfg.n, cfg.samples)
+        except BudgetExceededError as e:
+            rec.skip("pseries/budget", "sampled stacks within their budget", {}, str(e))
+            return
         try:
             model = PSeriesModel(chars, n=cfg.n, rng=np.random.default_rng(cfg.seed))
         except BudgetExceededError as e:
@@ -258,8 +263,6 @@ def cmd_principal_series(cfg, rec):
             pseries_model_checks(
                 model, rec, samples=cfg.samples, rng=np.random.default_rng(cfg.seed)
             )
-        except BudgetExceededError as e:
-            rec.skip("pseries/budget", "sampled stacks within their budget", {}, str(e))
         except ConductorNotVisible as e:
             rec.skip("pseries/newform", "minimal invariant line", {}, str(e))
     else:
@@ -272,11 +275,14 @@ def cmd_principal_series(cfg, rec):
 
 
 def cmd_arch(cfg, rec):
-    arch_suite(
-        rec=rec,
-        real_bounds=(cfg.real_degree, cfg.real_nmax),
-        complex_bounds=(cfg.complex_degree, cfg.complex_nmax),
-    )
+    try:
+        arch_suite(
+            rec=rec,
+            real_bounds=(cfg.real_degree, cfg.real_nmax),
+            complex_bounds=(cfg.complex_degree, cfg.complex_nmax),
+        )
+    except BudgetExceededError as e:
+        rec.skip("arch/budget", "suite within its budgets", {}, str(e))
 
 
 def cmd_verify_all(cfg, rec):

@@ -9,11 +9,13 @@ level-M action is transitive, so every stabiliser has size |K|/|S|; the
 decompose suite certifies that from K's stabiliser chain, whose top orbit
 is the orbit of e_n.
 
-Subspaces of the filtration are built exactly: a level-l function with
-scalar equivariance under a character is supported on scalar orbits of
-the level-l sphere, one basis vector per orbit, so the Gram matrix is
-the identity by construction.  So are the irreducible pieces, fibre by
-fibre: the non-trivial DFT rows over each depth-(m-1) orbit's children.
+Subspaces of the filtration are integer labels on the sphere: a depth-l
+chi-equivariant space has one row per scalar orbit of the level-l sphere,
+and an irreducible piece the non-trivial DFT rows over each depth-(m-1)
+orbit's children.  Exact label facts make the rows an orthonormal basis
+(``Subspace.fault``), and one permutation check per generator makes every
+piece invariant (``SphereIndex.structure_fault``).  Dense rows are built
+only for a caller that reads ``Subspace.basis``, one piece at a time.
 
 The four zonal identity checks (addition theorem, reproducing kernel,
 zonal symmetry, projector sums) act on the whole (N, n, n) stack of
@@ -29,6 +31,7 @@ check returns its worst residual and the index of the k where it occurs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -91,24 +94,88 @@ class SphereSpace:
         """min coordinate valuation over the first n-1 slots, per point."""
         return self.index.coord_vals[:, : self.n - 1].min(axis=1)
 
+    def depth(self, ell):
+        """(orbit, unit, count): x reduces at level l to unit[x] r, for r the
+        least point of scalar orbit orbit[x] of count; depth 0 is one orbit."""
+        if ell == 0:
+            return np.zeros(self.size, dtype=np.int64), np.ones(self.size, dtype=np.int64), 1
+        sub, proj = self.index.child(ell)
+        orbit, unit, count = sub.scalar_orbits()
+        return orbit[proj], unit[proj], count
+
 
 class Subspace:
-    """Orthonormal basis rows of an invariant subspace, with metadata."""
+    """A chi-equivariant space held as integer labels per point x: its
+    fibre[x] < fibres, its position pos[x] < k in the fibre, and the exact
+    rotation index rot[x] of its phase e(rot[x] / L), L = chi.order.  Row
+    (F, j) is sqrt(fibres) w^(j pos(x)) e(rot(x) / L) on fibre F, w = e(1/k),
+    with j = 1..k-1, or j = 0 alone when k = 1 (a depth space)."""
 
-    def __init__(self, space, basis, chi, level, kind):
-        self.space = space
-        self.basis = np.asarray(basis, dtype=np.complex128)
-        self.chi = chi
-        self.level = level
-        self.kind = kind
+    def __init__(self, space, chi, level, fibre, pos, rot, fibres, k):
+        self.space, self.chi, self.level, self.fibres, self.k = space, chi, level, fibres, k
+        self.fibre, self.pos, self.rot = fibre, pos, rot
+        self.js = range(1, k) if k > 1 else range(1)
 
     @property
     def dim(self):
-        return self.basis.shape[0]
+        return self.fibres * len(self.js)
 
-    def gram_residual(self):
-        g = self.basis @ self.basis.conj().T * self.space.weight
-        return float(np.abs(g - np.eye(self.dim)).max()) if self.dim else 0.0
+    @cached_property
+    def basis(self):
+        """The dense (dim, |S|) rows, built from the labels when first read."""
+        size, k, L = self.space.size, self.k, self.chi.order
+        phase = np.exp(2j * np.pi * np.arange(L) / L)[self.rot]
+        dft = np.exp(2j * np.pi * np.arange(k) / k) * np.sqrt(self.fibres)
+        basis = np.zeros((self.fibres, len(self.js), size), dtype=np.complex128)
+        for row, j in enumerate(self.js):
+            basis[self.fibre, row, np.arange(len(self.fibre))] = dft[j * self.pos % k] * phase
+        return basis.reshape(-1, size)
+
+    @cached_property
+    def fault(self):
+        """The first label fact that fails, or None.  Equivariance: each
+        unit-group generator u keeps fibres and positions and adds chi's index
+        at u to rot.  Level: the labels are constant on level-l fibres.
+        Depth: fibres and rot are the scalar orbits and phases at depth l - 1
+        (l when k = 1).  Spread: every (fibre, position) holds as many points.
+        Then the rows are orthonormal rows of V(chi, l), orthogonal to depth
+        l - 1 by the DFT identity and to other characters by equivariance."""
+        space, chi, k, ell = self.space, self.chi, self.k, self.level
+        if not self.dim:
+            return None
+        labels = np.stack([self.fibre, self.pos, self.rot])
+        for u, perm in space.index.unit_perms():
+            moved = labels[:, perm]
+            if not (np.array_equal(moved[:2], labels[:2])
+                    and np.array_equal(moved[2], (self.rot + chi._nums[u]) % chi.order)):
+                return f"labels are not equivariant under the scalar {space.ring.element_str(u)}"
+        proj = space.index.child(ell)[1] if ell else np.zeros(space.size, dtype=np.int64)
+        first = np.empty(space.size, dtype=np.int64)
+        first[proj] = np.arange(space.size)
+        if not np.array_equal(labels[:, first[proj]], labels):
+            return f"labels are not constant on level-{ell} fibres"
+        orbit, unit, count = space.depth(ell - (k > 1))
+        if not (count == self.fibres and np.array_equal(self.fibre, orbit)
+                and np.array_equal(self.rot, chi._nums[unit])):
+            return f"fibres or phases differ from the depth-{ell - (k > 1)} orbits"
+        if not 0 <= self.pos.min() <= self.pos.max() < k or np.ptp(self._counts()):
+            return f"points not spread evenly over the {k} positions of each fibre"
+        return None
+
+    def _counts(self):
+        """The (fibres, k) point counts c_F(i) per fibre and position."""
+        counts = np.bincount(self.fibre * self.k + self.pos, minlength=self.fibres * self.k)
+        return counts.reshape(self.fibres, self.k)
+
+    def block_residual(self):
+        """Worst |G - I| over the per-fibre Gram blocks of a piece without a
+        fault: G[j, j'] = fibres / |S| sum_i c_F(i) w^((j - j') i)."""
+        k = self.k
+        shifts = np.arange(k if k > 2 else 1)  # every j - j' mod k, j, j' in js
+        w = np.exp(2j * np.pi * np.arange(k) / k)[np.outer(shifts, np.arange(k)) % k]
+        gram = self._counts() @ w.T * (self.fibres / self.space.size)
+        gram[:, 0] -= 1
+        return float(np.abs(gram).max(initial=0.0))
 
     def rho(self, k):
         """Matrix of R(k) on this basis; unitary when the space is invariant."""
@@ -116,17 +183,8 @@ class Subspace:
         np.conjugate(moved, out=moved)  # conj(basis @ conj(moved)^T) = conj(basis) @ moved^T
         return (np.conjugate(self.basis @ moved.T) * self.space.weight).T
 
-    def invariant_under(self, gens):
-        """Whether R(g) maps the space into itself for every g in ``gens``:
-        R(g) is unitary, so its compression to the space is unitary exactly
-        when it does."""
-        eye = np.eye(self.dim)
-        return not self.dim or all(
-            np.abs(r @ r.conj().T - eye).max() <= 1e-6 for r in map(self.rho, gens)
-        )
-
     def __repr__(self):
-        return f"Subspace(kind={self.kind}, chi_c={getattr(self.chi, 'c', None)}, level={self.level}, dim={self.dim})"
+        return f"Subspace(chi_c={self.chi.c}, level={self.level}, dim={self.dim})"
 
 
 def phi_fn(space, chi, ell):
@@ -184,33 +242,19 @@ def zonal_fn(space, chi, m):
     return out
 
 
-def _orbit_rows(space, chi, ell):
-    """(row, phase, count): x reduces at level l to u r, for r the least point
-    of scalar orbit row[x] of count, and phase[x] = chi(u); depth 0 is one row."""
-    if ell == 0:
-        return np.zeros(space.size, dtype=np.int64), np.ones(space.size, dtype=np.complex128), 1
-    sub, proj = space.index.child(ell)
-    orbit, unit, count = sub.scalar_orbits()
-    return orbit[proj], chi.eval_arr(unit[proj]), count
-
-
 def chi_level_subspace(space, chi, ell):
-    """Exact orthonormal basis of the depth-l, chi-equivariant subspace.
-
-    One row per scalar orbit of the level-l sphere, the phases of
-    ``_orbit_rows`` pulled back through the fibres: disjoint supports of one
-    size and unit-modulus values, so the rows are orthonormal by
-    construction.  Their number, the orbit count, is what the
-    ``/chi-level-dim`` records compare with ``dim_chi_level``.
-    """
+    """The depth-l, chi-equivariant subspace, one row per scalar orbit of the
+    level-l sphere: chi of the unit that takes the orbit's least point to x.
+    Disjoint supports of one size and unit-modulus values make the rows
+    orthonormal; their number, the orbit count, is what the
+    ``/chi-level-dim`` records compare with ``dim_chi_level``."""
     if ell > space.ring.m:
         raise ValueError(f"depth {ell} above working level {space.ring.m}")
     if ell < chi.c:
-        return Subspace(space, np.zeros((0, space.size)), chi, ell, "chi_level")
-    row, phase, count = _orbit_rows(space, chi, ell)
-    basis = np.zeros((count, space.size), dtype=np.complex128)
-    basis[row, np.arange(space.size)] = phase * np.sqrt(count)
-    return Subspace(space, basis, chi, ell, "chi_level")
+        none = np.zeros(0, dtype=np.int64)
+        return Subspace(space, chi, ell, none, none, none, 0, 1)
+    orbit, unit, count = space.depth(ell)
+    return Subspace(space, chi, ell, orbit, np.zeros_like(orbit), chi._nums[unit], count, 1)
 
 
 def harmonic_subspace(space, chi, m):
@@ -222,32 +266,25 @@ def harmonic_subspace(space, chi, m):
     off the reduction: on O, that row's own phase.  So the k - 1 DFT rows
     w^(j i) times that phase, on the child in position i, w = exp(2 pi i / k)
     and j = 1..k-1, are an orthonormal basis of the complement in the
-    fibre's span, each supported on its fibre.
+    fibre's span; ``Subspace.fault`` checks the facts this rests on.
     """
     if m < chi.c:
         raise ValueError(f"level {m} below conductor {chi.c}")
     if m == chi.c:
-        return Subspace(space, chi_level_subspace(space, chi, m).basis, chi, m, "harmonic")
-    child, _, count = _orbit_rows(space, chi, m)
-    fibre, phase, fibres = _orbit_rows(space, chi, m - 1)
-    k = count // fibres
-    # the (fibre, child) pairs, fibre-major: child i of fibre F has rank F k + i
+        return chi_level_subspace(space, chi, m)
+    child, _, count = space.depth(m)
+    fibre, unit, fibres = space.depth(m - 1)
+    # the (fibre, child) pairs, fibre-major: a fibre's first child has position 0
     pairs, rank = np.unique(fibre * count + child, return_inverse=True)
-    if not np.array_equal(pairs // count, np.arange(count) // k):
-        raise RuntimeError(f"depth-{m} orbits are not split evenly over the depth-{m - 1} fibres")
-    at, points = rank - fibre * k, np.arange(space.size)
-    dft = np.exp(2j * np.pi * np.arange(k) / k) * np.sqrt(fibres)
-    basis = np.zeros((fibres, k - 1, space.size), dtype=np.complex128)
-    for j in range(1, k):
-        basis[fibre, j - 1, points] = dft[j * at % k] * phase
-    return Subspace(space, basis.reshape(-1, space.size), chi, m, "harmonic")
+    pos = rank - np.searchsorted(pairs // count, fibre)
+    return Subspace(space, chi, m, fibre, pos, chi._nums[unit], fibres, count // fibres)
 
 
 def commutant_dimension(sub, gens):
     """dim of the algebra commuting with the action on ``sub``; 1 is irreducible.
 
     ``gens`` must be verified generators of the full group at working level,
-    and ``sub`` must be invariant under them (``Subspace.invariant_under``).
+    and ``sub`` must be invariant under them (``SphereIndex.structure_fault``).
     The commutant of a permutation representation is spanned by its orbital
     operators, the indicators A_j of the group's orbits on S x S, and an
     invariant subspace with projector P has commutant P span{A_j} P
@@ -307,9 +344,13 @@ def invariant_vectors(sub, gens):
 
 def zonal_piece_bytes(q, n, m):
     """Predicted peak bytes of one level-m piece and its checks, before any
-    allocation: the largest piece, d = dim_chi_level(q, n, m, 0) dense rows
-    over |S|, and the copy ``Subspace.rho`` gathers per generator."""
-    return 2 * 16 * dim_chi_level(q, n, m, 0) * sphere_size(q, n, m)
+    allocation: 3 times the 16 d |S| bytes of the largest piece's dense
+    rows, d = dim_chi_level(q, n, m, 0).  The rest is the cached depth
+    labels and scalar orbits, and the sampled stacks and chunk arrays of
+    the identity checks.  Measured with tracemalloc, ``zonal_suite`` peaks
+    at 1.2 times the rows at padic (q5, n2, m3) and at 2.2 times them at
+    (q7, n2, m2), where the arrays that do not grow with d weigh more."""
+    return 3 * 16 * dim_chi_level(q, n, m, 0) * sphere_size(q, n, m)
 
 
 def _stack(ks, n):

@@ -556,39 +556,6 @@ def unit_subgroup_basis(ring, ell):
     return ring._unit_subgroup_bases[ell]
 
 
-class RootOfUnity:
-    """Exact root of unity e^(2*pi*i*num/order)."""
-
-    __slots__ = ("num", "order")
-
-    def __init__(self, num, order):
-        g = math.gcd(num % order, order) if order else 1
-        self.num = (num % order) // g
-        self.order = order // g
-
-    def __complex__(self):
-        return complex(np.exp(2j * np.pi * self.num / self.order))
-
-    def __mul__(self, other):
-        o = math.lcm(self.order, other.order)
-        return RootOfUnity(self.num * (o // self.order) + other.num * (o // other.order), o)
-
-    def __eq__(self, other):
-        return isinstance(other, RootOfUnity) and (self.num, self.order) == (
-            other.num,
-            other.order,
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.order))
-
-    def __repr__(self):
-        return f"RootOfUnity({self.num}/{self.order})"
-
-
-ONE = RootOfUnity(0, 1)
-
-
 class UnitCharacter:
     """A character of (O/p^m)^x given by exponents against a unit basis.
 
@@ -631,11 +598,6 @@ class UnitCharacter:
     @property
     def is_trivial(self):
         return all(e == 0 for e in self.exps)
-
-    def eval_rot(self, u):
-        if self._nums[u] < 0:
-            raise ValueError(f"{self.ring.element_str(u)} is not a unit")
-        return RootOfUnity(int(self._nums[u]), self.order)
 
     def __call__(self, u):
         if self._nums[u] < 0:
@@ -681,10 +643,3 @@ def characters(ring):
         chs.sort(key=lambda ch: ch.exps)
         ring._characters = chs
     return ring._characters
-
-
-def char_eval(chi, u):
-    """Exact value of chi at the unit code (or RingElem) u."""
-    if isinstance(u, RingElem):
-        u = u.code
-    return chi.eval_rot(u)

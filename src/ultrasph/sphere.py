@@ -11,12 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from .matgroup import BudgetExceededError, row_keys
+from .ring import unit_group_basis
 
 # Cap on the bytes of the (N, N) int64 orbital label array (N <= 2048);
 # labelling needs a few arrays of that size at once.
 ORBITAL_BYTES_MAX = 2**25
-# Cap on the bytes of the dense complex piece bases, 16 |S|^2 in all, that
-# decompose builds (|S| <= 8192); its orthogonality Gram takes as much again.
+# Cap on the predicted bytes of a suite's largest arrays: the scalar-orbit
+# permutation stack and one character's piece labels in decompose, a dense
+# piece and its checks in zonal, the sampled stacks, and the archimedean
+# monomials of the largest (bi)degree.
 BASIS_BYTES_MAX = 2**30
 
 
@@ -44,30 +47,6 @@ def orbit_labels(perms, shape):
         lab = lab.ravel()[lab]
         if np.array_equal(lab, prev):
             return lab
-
-
-class SpherePoint:
-    __slots__ = ("ring", "coords")
-
-    def __init__(self, ring, coords):
-        coords = tuple(int(c) for c in coords)
-        if not any(ring.is_unit(c) for c in coords):
-            raise ValueError("not a sphere point: no unit coordinate")
-        self.ring = ring
-        self.coords = coords
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpherePoint)
-            and self.ring == other.ring
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.coords))
-
-    def __repr__(self):
-        return "SpherePoint(" + ",".join(self.ring.element_str(c) for c in self.coords) + ")"
 
 
 class SphereIndex:
@@ -99,6 +78,7 @@ class SphereIndex:
         self.e_n = self.idx(np.eye(n, dtype=np.int64)[n - 1])
         self.coord_vals = ring.val_arr(self.points)
         self._scalar_orbits = None
+        self._unit_perms = None
         self._matrix_perms = {}
         self._orbitals = {}
         self._children = {}
@@ -164,6 +144,34 @@ class SphereIndex:
             raise ValueError("scalar action requires a unit")
         return self.idx(self.ring.mul_arr(self.points, np.int64(a)))
 
+    def unit_perms(self):
+        """[(u, scalar_perm(u))] for the unit-group generators u, cached."""
+        if self._unit_perms is None:
+            gens = unit_group_basis(self.ring).gens
+            self._unit_perms = [(int(u), self.scalar_perm(u)) for u in gens]
+        return self._unit_perms
+
+    def structure_fault(self, mats):
+        """Why the slot permutation s of some g in ``mats`` does not commute
+        with every unit-group generator's scalar permutation, or does not map
+        each level-l fibre into one fibre (1 <= l < m); None when all do.
+        Then R(g) keeps every depth space, chi-equivariant functions of level
+        l, and, being unitary, every piece V(chi, m), depth m minus depth
+        m - 1: an exact certificate that needs no basis."""
+        levels = [(ell, *self.child(ell)) for ell in range(1, self.ring.m)]
+        for i, g in enumerate(mats):
+            s = self.perm_of_matrix(g)
+            for u, t in self.unit_perms():
+                if not np.array_equal(s[t], t[s]):
+                    scalar = self.ring.element_str(u)
+                    return f"generator {i} does not commute with the scalar {scalar}"
+            for ell, sub, proj in levels:
+                image = np.empty(sub.size, dtype=proj.dtype)
+                image[proj] = proj[s]
+                if not np.array_equal(image[proj], proj[s]):
+                    return f"generator {i} splits a level-{ell} fibre"
+        return None
+
     def scalar_orbits(self):
         """(orbit, unit, count), cached: points[i] = unit[i] * r for the least
         point r of its orbit under the units, and the only unit to fix a sphere
@@ -188,27 +196,3 @@ class SphereIndex:
             sub = SphereIndex(self.ring.at_level(ell), self.n, cap=cap)
             self._children[ell] = (sub, sub.idx(self.ring.reduce_arr(self.points, ell)))
         return self._children[ell]
-
-
-def enumerate_sphere(ring, n, cap=10**6):
-    return SphereIndex(ring, n, cap=cap)
-
-
-def reduce_point(pt, ell):
-    """Coordinatewise reduction to level ell <= m."""
-    ring = pt.ring
-    if not 1 <= ell <= ring.m:
-        raise ValueError("1 <= ell <= m required")
-    low = ring.at_level(ell)
-    return SpherePoint(low, tuple(ring.reduce_code(c, ell) for c in pt.coords))
-
-
-def act_point(pt, k):
-    """Right action x . k (row vector times the (n, n) code array k) over the
-    ring; ValueError on a wrong shape or entries outside range(ring.size)."""
-    ring = pt.ring
-    a = ring.as_codes(k)
-    if a.shape != (len(pt.coords), len(pt.coords)):
-        raise ValueError("dimension mismatch")
-    moved = ring.matmul(np.array(pt.coords, dtype=np.int64), a)
-    return SpherePoint(ring, tuple(int(c) for c in moved))

@@ -148,17 +148,15 @@ def _piece_name(H):
 
 def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
     """Dimension grid, completeness, orthogonality, the measure lemma and
-    (optionally) the irreducibility certificates.  Raises
-    BudgetExceededError, before building anything, when the dense piece
-    bases would exceed BASIS_BYTES_MAX.  ``rng`` is accepted for callers
-    that pass one, and nothing draws from it."""
+    (optionally) the irreducibility certificates, one character's pieces
+    held at a time.  Raises BudgetExceededError, before building anything,
+    when ``decompose_bytes`` is over BASIS_BYTES_MAX.  ``rng`` is accepted
+    for callers that pass one, and nothing draws from it.  ``/orthogonality``
+    rests on every piece's label facts (``Subspace.fault``), which it FAILs
+    on, and its residual is the worst per-fibre Gram block entry."""
     rec = rec if rec is not None else Recorder()
     q, M = ring.q, ring.m
-    nbytes = 16 * sphere_size(q, n, M) ** 2
-    if nbytes > BASIS_BYTES_MAX:
-        raise BudgetExceededError(
-            f"dense piece bases need {nbytes} bytes, over the cap {BASIS_BYTES_MAX}"
-        )
+    _check_bytes(decompose_bytes(q, n, M), "scalar orbits and piece labels")
     lab = _ring_label(ring, n)
     space = SphereSpace(ring, n)
     params = {"q": q, "n": n, "m": M}
@@ -180,18 +178,16 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
         q ** (M - 1) * (q - 1),
         len(chs),
     )
-    pieces = {}
-    total = 0
+    facts, fault, worst = {}, None, None
     for chi in chs:
         cl = _chi_label(chi)
         for ell in range(M + 1):
-            sub = chi_level_subspace(space, chi, ell)
             rec.exact(
                 f"{lab}/chi-level-dim/{cl}/l{ell}",
                 "dim = [l=c=0] + [l>=max(c,1)] q^((l-1)(n-1)) (q^n-1)/(q-1)",
                 {"q": q, "n": n, "l": ell, "c": chi.c},
                 dim_chi_level(q, n, ell, chi.c),
-                sub.dim,
+                chi_level_subspace(space, chi, ell).dim,
             )
         for m in range(chi.c, M + 1):
             H = harmonic_subspace(space, chi, m)
@@ -202,27 +198,25 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
                 dim_harmonic(q, n, m, chi.c),
                 H.dim,
             )
-            pieces[chi.exps, m] = H
-            total += H.dim
+            facts[chi.exps, m] = (H.dim, _piece_fault(H))
+            fault = fault or facts[chi.exps, m][1]
+            if fault is None and H.dim:
+                err = H.block_residual()
+                if worst is None or err > worst[0]:
+                    worst = (err, _piece_name(H))
     rec.exact(
         f"{lab}/completeness",
         "sum of irreducible dims = |S|",
         {"q": q, "n": n, "M": M},
         space.size,
-        total,
+        sum(d for d, _ in facts.values()),
     )
-    held = [H for H in pieces.values() if H.dim]
-    stack = np.concatenate([H.basis for H in held], axis=0)
-    err = np.abs(stack @ stack.conj().T * space.weight - np.eye(stack.shape[0]))
-    i, j = np.unravel_index(err.argmax(), err.shape)
-    rec.residual(
-        f"{lab}/orthogonality",
-        "pairwise orthonormality of all irreducible pieces",
-        {"q": q, "n": n, "M": M},
-        float(err[i, j]),
-        TOL_TIGHT,
-        witness=_gram_witness(held, i, j),
-    )
+    args = (f"{lab}/orthogonality", "pairwise orthonormality of all irreducible pieces",
+            {"q": q, "n": n, "M": M})
+    if fault is not None:
+        rec.exact(*args, f"< {TOL_TIGHT:g}", fault)
+    else:
+        rec.residual(*args, worst[0], TOL_TIGHT, witness=f"pieces {worst[1]}, {worst[1]}")
     # measure lemma: K's chain starts at e_n, so its top orbit is e_n K, and
     # an orbit of |S| points is hit |K|/|S| times by k -> e_n k
     cert = verify_generators(SubgroupSpec("K"), ring, n)
@@ -234,16 +228,28 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
         cert["orbit"] == space.size,
     )
     if include_commutants:
-        irreducibility_suite(ring, n, rec=rec, space=space, pieces=pieces, cert=cert)
+        irreducibility_suite(ring, n, rec=rec, space=space, pieces=facts, cert=cert)
     return rec
 
 
-def _gram_witness(held, i, j):
-    """The pieces of ``held`` that hold rows i and j of their stacked bases,
-    as "pieces (chi label, m), (chi label, m)"."""
-    ends = np.cumsum([H.dim for H in held])
-    at = np.searchsorted(ends, [i, j], side="right")
-    return "pieces " + ", ".join(_piece_name(held[a]) for a in at)
+def decompose_bytes(q, n, M):
+    """Predicted peak bytes of ``decompose_suite``'s own arrays: the |units| x
+    |S| scalar-orbit stack (int32 rows and their stacked copy) and one
+    character's labels, 8 int64 |S|-arrays a level.  With tracemalloc they
+    peak at 0.67-0.81 times this at padic (q5, n2, m3), (q3, n2, m5),
+    (q2, n2, m8) and (q7, n3, m2); K's chain has its own cap."""
+    return 8 * sphere_size(q, n, M) * (q ** (M - 1) * (q - 1) + 8 * (M + 1))
+
+
+def _piece_fault(H):
+    """The failing label fact of piece ``H``, naming it; None when all hold."""
+    return None if H.fault is None else f"piece {_piece_name(H)}: {H.fault}"
+
+
+def _check_bytes(nbytes, what):
+    """Raise BudgetExceededError when ``what`` needs over BASIS_BYTES_MAX."""
+    if nbytes > BASIS_BYTES_MAX:
+        raise BudgetExceededError(f"{what} need {nbytes} bytes, over the cap {BASIS_BYTES_MAX}")
 
 
 def _check_sample_bytes(n, count):
@@ -253,12 +259,7 @@ def _check_sample_bytes(n, count):
     bytes.  Measured with tracemalloc, the sampler's kept batches, the
     mat_inv working copies and the per-k residuals peak at 10-12 times the
     stack in the zonal suite, and at 4.5-8 times it in the model checks."""
-    nbytes = 16 * 8 * n * n * count
-    if nbytes > BASIS_BYTES_MAX:
-        raise BudgetExceededError(
-            f"{count} sampled elements and their checks need {nbytes} bytes, "
-            f"over the cap {BASIS_BYTES_MAX}"
-        )
+    _check_bytes(16 * 8 * n * n * count, f"{count} sampled elements and their checks")
 
 
 def _count_reason(size, dims, fault, orbits):
@@ -276,39 +277,38 @@ def irreducibility_suite(ring, n, rec=None, space=None, pieces=None, cert=None):
 
     K's certificate ``cert`` (``verify_generators``, run here when not
     given) must have e_n's orbit all of S, and ``_count_reason`` must hold
-    with every piece K-invariant.  The pieces are orthogonal
-    (``/orthogonality``), so they split L^2(S) = Ind_P^K 1, P the stabiliser
-    of e_n.  ``mirabolic_orbit_count`` refuses a generator outside P, so the
-    count is at least #P-orbits = sum m_rho^2 >= sum m_rho >= #pieces, and
-    equality makes each piece irreducible and no two isomorphic: each
-    ``/commutant/`` record observes dim End = 1, and each
+    with no failing label fact (``Subspace.fault``) and every piece
+    K-invariant, which one permutation check per K generator shows for all
+    pieces at once (``SphereIndex.structure_fault``).  The pieces are
+    orthogonal (``/orthogonality``), so they split L^2(S) = Ind_P^K 1, P
+    the stabiliser of e_n.  ``mirabolic_orbit_count`` refuses a generator
+    outside P, so the count is at least #P-orbits = sum m_rho^2 >= sum
+    m_rho >= #pieces, and equality makes each piece irreducible and no two
+    isomorphic: each ``/commutant/`` record observes dim End = 1, and each
     ``/commutant-filtration/`` record the number of pieces in the depth-M
     space of its character.  Otherwise every record FAILs and names why.
 
     ``pieces`` maps (chi.exps, m) to harmonic pieces already built on
-    ``space``; missing ones are built here.
+    ``space``, or to their (dim, fault) pairs; missing ones are built here.
     """
     rec = rec if rec is not None else Recorder()
     q, M = ring.q, ring.m
     lab = _ring_label(ring, n)
     space = space if space is not None else SphereSpace(ring, n)
-    pieces = pieces if pieces is not None else {}
-    chs = characters(ring)
+    facts = {}
+    for chi in characters(ring):
+        for m in range(chi.c, M + 1):
+            H = (pieces or {}).get((chi.exps, m)) or harmonic_subspace(space, chi, m)
+            facts[chi.exps, m] = H if isinstance(H, tuple) else (H.dim, _piece_fault(H))
     cert = cert if cert is not None else verify_generators(SubgroupSpec("K"), ring, n)
-    pieces = {
-        (chi.exps, m): pieces.get((chi.exps, m)) or harmonic_subspace(space, chi, m)
-        for chi in chs
-        for m in range(chi.c, M + 1)
-    }
-    kgens = subgroup_generators(SubgroupSpec("K"), ring, n)
     orbits = mirabolic_orbit_count(space, subgroup_generators(SubgroupSpec("Kmirab"), ring, n))
-    moved = next((H for H in pieces.values() if H.dim and not H.invariant_under(kgens)), None)
-    fault = None if moved is None else f"piece {_piece_name(moved)} is not K-invariant"
+    moved = space.index.structure_fault(subgroup_generators(SubgroupSpec("K"), ring, n))
+    fault = f"K {moved}" if moved else next((f for _, f in facts.values() if f), None)
     if cert["orbit"] != space.size:
         reason = f"K-orbit of e_n has {cert['orbit']} of {space.size} points"
     else:
-        reason = _count_reason(space.size, [H.dim for H in pieces.values()], fault, orbits)
-    for chi in chs:
+        reason = _count_reason(space.size, [d for d, _ in facts.values()], fault, orbits)
+    for chi in characters(ring):
         cl = _chi_label(chi)
         for m in range(chi.c, M + 1):
             rec.exact(
@@ -318,7 +318,7 @@ def irreducibility_suite(ring, n, rec=None, space=None, pieces=None, cert=None):
                 1,
                 reason or 1,
             )
-        inside = sum(1 for m in range(chi.c, M + 1) if pieces[chi.exps, m].dim)
+        inside = sum(1 for m in range(chi.c, M + 1) if facts[chi.exps, m][0])
         rec.exact(
             f"{lab}/commutant-filtration/{cl}/m{M}",
             "dim End of the depth-m filtration space = m - c + 1",
@@ -340,19 +340,17 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
     sampled stack of a piece (at most max(samples, 8) elements), would
     exceed BASIS_BYTES_MAX.  A piece H's invariant line is proj_H
     delta_{e_n}, a multiple of conj(basis[:, e_n]) @ basis, which the group
-    P' of the ``Kmirab`` generators fixes when it fixes H and e_n; so a
-    non-zero line in every piece and ``_count_reason`` force dim H^P' = 1.
+    P' of the ``Kmirab`` generators fixes when it fixes H and e_n.  One
+    permutation check per generator (``SphereIndex.structure_fault``)
+    shows P' fixes every piece; so a non-zero line in every piece, no
+    failing label fact and ``_count_reason`` force dim H^P' = 1.
     A failed identity record names its worst k, a failed ``phi-gram`` its
     worst (l1, l2), and a failed ``zonal-oracle`` or ``zonal-shells`` its
     worst sphere point."""
     rec = rec if rec is not None else Recorder()
     rng = np.random.default_rng(seed)
     q, M = ring.q, ring.m
-    nbytes = zonal_piece_bytes(q, n, M)
-    if nbytes > BASIS_BYTES_MAX:
-        raise BudgetExceededError(
-            f"a dense piece and its checks need {nbytes} bytes, over the cap {BASIS_BYTES_MAX}"
-        )
+    _check_bytes(zonal_piece_bytes(q, n, M), "a dense piece and its checks")
     _check_sample_bytes(n, max(samples, 8))
     lab = _ring_label(ring, n)
     space = SphereSpace(ring, n)
@@ -360,7 +358,8 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
     minv = space.min_val_head()
     mirab_gens = subgroup_generators(SubgroupSpec("Kmirab"), ring, n)
     orbits = mirabolic_orbit_count(space, mirab_gens)
-    dims, fault = [], None
+    moved = space.index.structure_fault(mirab_gens)
+    dims, fault = [], None if moved is None else f"Kmirab {moved}"
     for chi in chs:
         cl = _chi_label(chi)
         # invariant-pairing Gram of the depth functions
@@ -390,8 +389,7 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
             z = zonal_fn(space, chi, m)
             at_en = H.basis[:, space.index.e_n].conj()
             dims.append(H.dim)
-            if fault is None and not H.invariant_under(mirab_gens):
-                fault = f"piece {_piece_name(H)} is not Kmirab-invariant"
+            fault = fault or _piece_fault(H)
             if fault is None and not at_en.any():
                 fault = f"piece {_piece_name(H)} vanishes at e_n"
             if at_en.any():
@@ -628,9 +626,10 @@ def pseries_suite(
     level_override=None,
 ):
     """Newform, oldform growth, K-type multiplicities, coefficient law,
-    and the twist-minimality criterion over all character tuples; a model
-    over its coset budget, or whose sampled stacks would be over theirs,
-    gives one SKIP record."""
+    and the twist-minimality criterion over all character tuples.  A tuple
+    whose sampled stacks would be over their budget gives one ``/budget``
+    SKIP record before its model is built, and a model over its coset
+    budget one ``/model`` SKIP record."""
     rec = rec if rec is not None else Recorder()
     rng = np.random.default_rng(seed)
     for total in range(sum_max + 1):
@@ -640,14 +639,16 @@ def pseries_suite(
         for chars in character_tuples(ring, n, total):
             label = f"pseries-q{q}-n{n}-M{M}/" + "-".join(_chi_label(c) for c in chars)
             try:
+                _check_sample_bytes(n, samples)
+            except BudgetExceededError as e:
+                rec.skip(label + "/budget", "sampled stacks within their budget", {}, str(e))
+                continue
+            try:
                 model = PSeriesModel(chars, n=n, rng=rng)
             except BudgetExceededError as e:
                 rec.skip(label + "/model", "model build", {}, str(e))
                 continue
-            try:
-                pseries_model_checks(model, rec, samples=samples, rng=rng, label=label)
-            except BudgetExceededError as e:
-                rec.skip(label + "/budget", "sampled stacks within their budget", {}, str(e))
+            pseries_model_checks(model, rec, samples=samples, rng=rng, label=label)
     return rec
 
 
@@ -788,7 +789,12 @@ def roundtrip_suite(rec=None, seed=0):
 
 
 def arch_suite(rec=None, real_bounds=(6, 4), complex_bounds=(5, 3)):
+    """Zonal and dimension records of the real and complex spheres within the
+    bounds; BudgetExceededError, before any record, when ``arch_bytes`` is
+    over BASIS_BYTES_MAX.  A dimension whose triangular minor fails observes
+    why, naming the target monomial."""
     rec = rec if rec is not None else Recorder()
+    _check_bytes(arch_bytes(real_bounds, complex_bounds), "the largest (bi)degree's monomials")
     m_max, n_max = real_bounds
     for n in range(2, n_max + 1):
         for m in range(m_max + 1):
@@ -845,6 +851,19 @@ def arch_suite(rec=None, real_bounds=(6, 4), complex_bounds=(5, 3)):
         1e-10,
     )
     return rec
+
+
+def arch_bytes(real_bounds, complex_bounds):
+    """Predicted peak bytes of ``arch_suite``: 320 bytes per monomial of the
+    largest (bi)degree, whose set ``kernel_dim_*`` holds.  Counts grow with
+    degree and variables, and a bidegree of total s is largest split evenly,
+    so only the top bounds count.  With tracemalloc the suite peaks at
+    150-225 bytes per such monomial, from real m <= 10, n <= 6 to real
+    m <= 14, n <= 8 with complex m1 + m2 <= 10, n <= 5."""
+    cap = BASIS_BYTES_MAX
+    (m, n), (s, nc) = real_bounds, complex_bounds
+    both = arch.monomial_count(s // 2, nc, cap) * arch.monomial_count(s - s // 2, nc, cap)
+    return 320 * max(arch.monomial_count(m, n, cap), both)
 
 
 # -- acceptance grid --------------------------------------------------------------

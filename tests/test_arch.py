@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,8 @@ from exactpoly import (
 )
 from ultrasph import arch, verify
 from ultrasph.arch import (
-    _kernel_dim,
+    _minor_kernel_dim,
     _monomials,
-    _rank_exact,
     complex_pairs,
     complex_zonal_poly,
     e_n_point_complex,
@@ -31,6 +31,62 @@ from ultrasph.arch import (
     real_zonal_poly,
     rotation_invariance_residual,
 )
+
+
+# -- the block elimination the triangular minor replaced, kept as a reference --
+
+
+def _rank_exact(rows):
+    """Row rank over Q of an integer matrix by fraction-free elimination:
+    each pivot row clears its column from the rest by
+    r <- lead[col] * r - r[col] * lead, and each updated row is divided by
+    the gcd of its entries, so every entry stays an integer (Bareiss 1968)."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    while rows:
+        lead = rows.pop()
+        col = next((j for j, c in enumerate(lead) if c), None)
+        if col is not None:
+            p = lead[col]
+            rows = [_primitive([p * a - r[col] * b for a, b in zip(r, lead)]) if r[col] else r
+                    for r in rows]
+            rank += 1
+    return rank
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return [c // g for c in row] if g > 1 else row
+
+
+def _kernel_dim(monos, pairs):
+    """Exact kernel dimension of ``arch.laplacian(., pairs)`` on the span of
+    ``monos``: the matrix is block-diagonal over the connected components of
+    its non-zero pattern (monomials joined when their images share a
+    monomial), so its rank is the sum of the blocks' exact ranks.  The split
+    reads the pattern only and assumes nothing about which monomials the
+    operator couples."""
+    images = [arch.laplacian({e: 1}, pairs) for e in monos]
+    root = list(range(len(monos)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    first = {}
+    for i, image in enumerate(images):
+        for e in image:
+            root[find(i)] = find(first.setdefault(e, i))
+    blocks = {}
+    for i in range(len(monos)):
+        blocks.setdefault(find(i), []).append(images[i])
+    rank = 0
+    for block in blocks.values():
+        targets = list(dict.fromkeys(e for image in block for e in image))
+        rank += _rank_exact([[image.get(e, 0) for e in targets] for image in block])
+    return len(monos) - rank
 
 
 def reference_rank_exact(rows):
@@ -250,6 +306,129 @@ class TestKernelBlocks:
         assert max(len(p) for p in parities) == 2
         want = reference_kernel_dim_real(m, n, laplacian=coupled)
         assert _kernel_dim(monos, pairs) == want
+        # the extra pair raises the x_0-exponent too, so x_0^2 f still pivots
+        targets = list(_monomials(m - 2, n))
+        assert _minor_kernel_dim(monos, targets, pairs, real_lift) == want
+
+
+def real_lift(f):
+    return (f[0] + 2,) + f[1:]
+
+
+def complex_targets(m1, m2, n):
+    if not (m1 and m2):
+        return []
+    return [a + b for a in _monomials(m1 - 1, n) for b in _monomials(m2 - 1, n)]
+
+
+class TestTriangularMinor:
+    """The triangular-minor kernel dimension against the block elimination
+    and the dense elimination it replaced."""
+
+    @given(m=st.integers(0, 8), n=st.integers(2, 5))
+    @settings(max_examples=25, deadline=None)
+    def test_real_matches_both_references(self, m, n):
+        monos = list(_monomials(m, n))
+        got = kernel_dim_real(m, n)
+        assert got == _kernel_dim(monos, real_pairs(n)) == reference_kernel_dim_real(m, n)
+        assert got == harmonic_dim_real(m, n)
+
+    @given(data=st.data(), n=st.integers(2, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_complex_matches_both_references(self, data, n):
+        m1 = data.draw(st.integers(0, 5))
+        m2 = data.draw(st.integers(0, 5 - m1))
+        monos = [a + b for a in _monomials(m1, n) for b in _monomials(m2, n)]
+        got = kernel_dim_complex(m1, m2, n)
+        assert got == _kernel_dim(monos, complex_pairs(n))
+        assert got == reference_kernel_dim_complex(m1, m2, n) == harmonic_dim_complex(m1, m2, n)
+
+    def test_missing_source_names_the_target(self):
+        # without x_0^2 x_1^2 among the sources, the target x_1^2 has no pivot
+        monos = [e for e in _monomials(4, 3) if e != (2, 2, 0)]
+        got = _minor_kernel_dim(monos, list(_monomials(2, 3)), real_pairs(3), real_lift)
+        assert got == "no triangular pivot at the target (0, 2, 0)"
+
+    def test_image_at_or_below_the_target_names_it(self):
+        # d^2/dx_1^2 keeps the x_0-exponent, so x_1^2 f pivots on nothing
+        def lift(f):
+            return (f[0], f[1] + 2) + f[2:]
+
+        got = _minor_kernel_dim(_monomials(4, 3), _monomials(2, 3), real_pairs(3), lift)
+        assert got == "no triangular pivot at the target (0, 0, 2)"
+
+
+def laplacian_with(coefficient):
+    """``arch.laplacian`` with its coefficient e_i (e_k - [i = k]) of the
+    pair (i, k) at x^e replaced by ``coefficient(e, i, k)``."""
+
+    def lap(poly, pairs):
+        out = {}
+        for e, c in poly.items():
+            for i, k in pairs:
+                a = coefficient(e, i, k)
+                if a:
+                    d = list(e)
+                    d[i] -= 1
+                    d[k] -= 1
+                    d = tuple(d)
+                    out[d] = out.get(d, 0) + a * c
+        return {d: c for d, c in out.items() if c}
+
+    return lap
+
+
+def dense_rank(monos, targets, pairs):
+    """``reference_rank_exact`` of the dense matrix of ``arch.laplacian``."""
+    images = [arch.laplacian({e: 1}, pairs) for e in monos]
+    return reference_rank_exact([[image.get(t, 0) for t in targets] for image in images])
+
+
+def dropping(bad):
+    """The coefficient of ``laplacian`` with every term onto x^bad read as 0."""
+
+    def coefficient(e, i, k):
+        d = list(e)
+        d[i] -= 1
+        d[k] -= 1
+        return 0 if tuple(d) == bad else e[i] * (e[k] - (i == k))
+
+    return coefficient
+
+
+class TestCorruptedLaplacian:
+    """One wrong coefficient in ``laplacian``, x^bad read as 0 in every image:
+    the triangular minor names the target it loses, and both eliminations
+    see the rank fall by one."""
+
+    def test_the_copy_is_the_laplacian(self):
+        right = laplacian_with(lambda e, i, k: e[i] * (e[k] - (i == k)))
+        for m, n in [(4, 3), (5, 2)]:
+            for e in _monomials(m, n):
+                assert right({e: 1}, real_pairs(n)) == laplacian({e: 1}, real_pairs(n))
+        for e in (a + b for a in _monomials(2, 2) for b in _monomials(3, 2)):
+            assert right({e: 1}, complex_pairs(2)) == laplacian({e: 1}, complex_pairs(2))
+
+    def test_real_coefficient(self, monkeypatch):
+        m, n, bad = 4, 3, (0, 1, 1)
+        monkeypatch.setattr(arch, "laplacian", laplacian_with(dropping(bad)))
+        assert kernel_dim_real(m, n) == "no triangular pivot at the target (0, 1, 1)"
+        monos, targets = list(_monomials(m, n)), list(_monomials(m - 2, n))
+        assert _kernel_dim(monos, real_pairs(n)) == harmonic_dim_real(m, n) + 1
+        assert dense_rank(monos, targets, real_pairs(n)) == len(targets) - 1
+        rec = verify.arch_suite(real_bounds=(4, 3), complex_bounds=(3, 2))
+        dims = {r.check_id: r for r in rec.records if r.check_id.endswith("/dim")}
+        failed = {i: r.observed for i, r in dims.items() if r.status != "PASS"}
+        assert failed == {"arch-real/m4-n3/dim": "no triangular pivot at the target (0, 1, 1)"}
+
+    def test_complex_coefficient(self, monkeypatch):
+        m1, m2, n, bad = 2, 1, 2, (0, 1, 0, 0)
+        monkeypatch.setattr(arch, "laplacian", laplacian_with(dropping(bad)))
+        assert kernel_dim_complex(m1, m2, n) == "no triangular pivot at the target (0, 1, 0, 0)"
+        monos = [a + b for a in _monomials(m1, n) for b in _monomials(m2, n)]
+        targets = complex_targets(m1, m2, n)
+        assert _kernel_dim(monos, complex_pairs(n)) == harmonic_dim_complex(m1, m2, n) + 1
+        assert dense_rank(monos, targets, complex_pairs(n)) == len(targets) - 1
 
 
 def _random_poly(data, nvars):

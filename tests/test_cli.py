@@ -341,12 +341,32 @@ class TestMain:
         assert all(r["status"] == "PASS" for r in commutants)
 
     def test_decompose_q5_n2_m3_fails_closed_under_a_memory_limit(self, tmp_path):
-        # |S| = 15,000: the dense piece bases would need 3.6 GB.  The suite
-        # must refuse before allocating, in a child with 2 GiB of address space.
+        # |S| = 15,000: dense piece bases would need 3.6 GB, but the pieces
+        # are labels and their certificates exact, so in a child with 2 GiB
+        # of address space the suite emits every record
         proc, records = run_under_memory_limit(tmp_path, "decompose", p=5, n=2, level=3)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_PASS
+        assert len(records) == 755 and all(r["status"] == "PASS" for r in records)
+        commutants = [r for r in records if "/commutant/" in r["check_id"]]
+        assert len(commutants) == 125 and all(r["observed"] == "1" for r in commutants)
+
+    def test_decompose_q7_n3_m2_certifies_irreducibility_under_a_memory_limit(self, tmp_path):
+        # |S| = 117,306: the scalar-orbit stack is 39 MB, and no dense row
+        # is built
+        proc, records = run_under_memory_limit(tmp_path, "decompose", p=7, n=3, level=2)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_PASS
+        assert len(records) == 271 and all(r["status"] == "PASS" for r in records)
+
+    def test_decompose_q2_n2_m10_fails_closed_under_a_memory_limit(self, tmp_path):
+        # 512 units times |S| = 786,432: the scalar-orbit stack alone is
+        # 3.2 GB, so the suite refuses before it builds the sphere
+        proc, records = run_under_memory_limit(tmp_path, "decompose", p=2, n=2, level=10)
         assert "Traceback" not in proc.stderr
         assert proc.returncode == EXIT_SKIP
         assert [(r["check_id"], r["status"]) for r in records] == [("decompose/budget", "SKIP")]
+        assert "over the cap" in records[0]["observed"]
 
     def test_zonal_q7_n3_m2_fails_closed_under_a_memory_limit(self, tmp_path):
         # |S| = 117,306: the largest piece alone has 2,793 dense rows, 5.2 GB.
@@ -388,6 +408,59 @@ class TestMain:
         assert all(r["check_id"].endswith("budget") for r in skips)
         assert all("over the cap" in r["observed"] for r in skips)
         assert not any(r["status"] == "FAIL" for r in records)
+
+    def test_sample_budget_is_checked_before_any_model_is_built(self, tmp_path, monkeypatch):
+        import ultrasph.pseries
+        import ultrasph.verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("PSeriesModel built")
+
+        monkeypatch.setattr(ultrasph.pseries, "PSeriesModel", refuse)
+        monkeypatch.setattr(ultrasph.verify, "PSeriesModel", refuse)
+        for chars in ("1:0,0:0,0:0", None):
+            cfg = tmp_path / "c.txt"
+            text = "[ring]\nbranch = padic\np = 5\n\n[run]\nn = 3\nlevel = 2\n"
+            cfg.write_text(text + (f"\n[pseries]\nchars = {chars}\n" if chars else ""))
+            out = tmp_path / "ps.jsonl"
+            code = main(["principal-series", "--config", str(cfg), "--samples", "100000000",
+                         "--out", str(out)])
+            assert code == EXIT_SKIP
+            records = [json.loads(line) for line in out.read_text().splitlines()]
+            assert records and all(r["status"] == "SKIP" for r in records)
+            if chars:
+                assert [r["check_id"] for r in records] == ["pseries/budget"]
+            assert all(r["check_id"].endswith("/budget") for r in records)
+
+    def test_arch_verify_over_its_budget_fails_closed_under_a_memory_limit(self, tmp_path):
+        # degree 40 in 20 variables is 10^15 monomials: the suite refuses
+        # before it builds one, in a child with 3,000,000 KiB of address space
+        cfg = tmp_path / "a.txt"
+        cfg.write_text("[arch]\nreal_degree = 40\nreal_nmax = 20\n")
+        out = tmp_path / "a.jsonl"
+        limit = 3_000_000 * 1024
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(ultrasph.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ultrasph.cli", "arch-verify", "--config", str(cfg),
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120, preexec_fn=cap_address_space,
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_SKIP
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["check_id"], r["status"]) for r in records] == [("arch/budget", "SKIP")]
+        assert "over the cap" in records[0]["observed"]
+
+    def test_arch_budget_admits_the_m14_point(self):
+        from ultrasph.verify import arch_bytes
+
+        assert arch_bytes((14, 8), (10, 5)) < BASIS_BYTES_MAX < arch_bytes((40, 20), (5, 3))
+        assert arch_bytes((6, 4), (10**9, 10**9)) > BASIS_BYTES_MAX
 
     def test_suites_leave_numpy_ma_unimported(self):
         # numpy.ma costs 11-19 ms to import; a plain np.unique pulls it in

@@ -38,8 +38,8 @@ from ultrasph.matgroup import (
     verify_generators,
 )
 from ultrasph.numerics import kernel_basis, orthonormalize_rows
-from ultrasph.ring import characters, make_ring_level
-from ultrasph.sphere import sphere_size
+from ultrasph.ring import characters, make_ring_level, unit_group_basis
+from ultrasph.sphere import SphereIndex, sphere_size
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +188,7 @@ class TestSubspaces:
                 for ell in range(ring.m + 1):
                     sub = chi_level_subspace(sp, chi, ell)
                     assert sub.dim == dim_chi_level(ring.q, n, ell, chi.c)
-                    assert sub.gram_residual() < 1e-12
+                    assert reference_gram_residual(sub) < 1e-12
 
     def test_dim_examples(self):
         assert dim_chi_level(2, 2, 1, 0) == 3
@@ -373,7 +373,7 @@ class TestIrreducibilityCount:
         assert mirabolic_orbit_count(space, mirab) == len(held)
         gens = subgroup_generators(SubgroupSpec("K"), ring, n)
         for H in held:
-            assert H.invariant_under(gens)
+            assert reference_invariant_under(H, gens)
             assert commutant_dimension(H, gens) == 1
         records = verify.irreducibility_suite(ring, n, space=space).records
         assert records and all(r.status == "PASS" for r in records)
@@ -431,19 +431,18 @@ class TestIrreducibilityCount:
             verify.irreducibility_suite(ring, 2, space=sp222)
 
     def test_non_invariant_piece_fails_every_record(self, sp222, chars222):
-        # a piece's basis mixed with a row from another piece is not K-invariant
+        # one point of the trivial level-2 piece moved to another position in
+        # its fibre: the rows are no longer those of a scalar-invariant space
         pieces = pieces_of(sp222)
         key = (trivial_of(chars222).exps, 2)
-        other = pieces[trivial_of(chars222).exps, 0].basis
-        H = pieces[key]
-        pieces[key] = harmonics.Subspace(
-            sp222, np.concatenate([H.basis[:-1], other]), H.chi, H.level, H.kind
-        )
+        pieces[key] = relabelled(pieces[key], pos=lambda H: moved_point(H.pos, H.k))
         records = commutant_records(
             verify.irreducibility_suite(sp222.ring, 2, space=sp222, pieces=pieces).records
         )
         assert records and all(r.status == "FAIL" for r in records)
-        assert {r.observed for r in records} == {"piece (c0e0, m2) is not K-invariant"}
+        assert {r.observed for r in records} == {
+            "piece (c0e0, m2): labels are not equivariant under the scalar 3"
+        }
 
     @pytest.mark.parametrize("point", verify.DIMENSION_GRID, ids=lambda pt: "-".join(map(str, pt)))
     def test_uniform_stabilisers_from_the_chain(self, point):
@@ -553,6 +552,225 @@ class TestExactPieces:
                 assert np.abs(line / line[e] - fixed / fixed[e]).max() < 1e-10
 
 
+# -- the dense builders and certificates the labels replaced, kept as references --
+
+
+def reference_orbit_rows(space, chi, ell):
+    """(row, phase, count): x reduces at level l to u r, for r the least point
+    of scalar orbit row[x] of count, and phase[x] = chi(u); depth 0 is one row."""
+    if ell == 0:
+        return np.zeros(space.size, dtype=np.int64), np.ones(space.size, dtype=np.complex128), 1
+    sub, proj = space.index.child(ell)
+    orbit, unit, count = sub.scalar_orbits()
+    return orbit[proj], chi.eval_arr(unit[proj]), count
+
+
+def reference_dense_chi_level(space, chi, ell):
+    """The dense depth-l rows as the package built them before its pieces
+    became labels: one row per scalar orbit, phases from the character table."""
+    if ell < chi.c:
+        return np.zeros((0, space.size), dtype=np.complex128)
+    row, phase, count = reference_orbit_rows(space, chi, ell)
+    basis = np.zeros((count, space.size), dtype=np.complex128)
+    basis[row, np.arange(space.size)] = phase * np.sqrt(count)
+    return basis
+
+
+def reference_dense_harmonic(space, chi, m):
+    """The dense rows of the level-m piece as the package built them before
+    its pieces became labels, with its uneven-split error."""
+    if m == chi.c:
+        return reference_dense_chi_level(space, chi, m)
+    child, _, count = reference_orbit_rows(space, chi, m)
+    fibre, phase, fibres = reference_orbit_rows(space, chi, m - 1)
+    k = count // fibres
+    pairs, rank = np.unique(fibre * count + child, return_inverse=True)
+    if not np.array_equal(pairs // count, np.arange(count) // k):
+        raise RuntimeError(f"depth-{m} orbits are not split evenly over the depth-{m - 1} fibres")
+    at, points = rank - fibre * k, np.arange(space.size)
+    dft = np.exp(2j * np.pi * np.arange(k) / k) * np.sqrt(fibres)
+    basis = np.zeros((fibres, k - 1, space.size), dtype=np.complex128)
+    for j in range(1, k):
+        basis[fibre, j - 1, points] = dft[j * at % k] * phase
+    return basis.reshape(-1, space.size)
+
+
+def reference_gram_residual(sub):
+    """Worst |G - I| of the dense Gram of ``sub``'s rows."""
+    g = sub.basis @ sub.basis.conj().T * sub.space.weight
+    return float(np.abs(g - np.eye(sub.dim)).max()) if sub.dim else 0.0
+
+
+def reference_invariant_under(sub, gens):
+    """Whether R(g) maps the space into itself for every g in ``gens``: R(g)
+    is unitary, so its dense compression to the space is unitary exactly
+    when it does."""
+    eye = np.eye(sub.dim)
+    return not sub.dim or all(
+        np.abs(r @ r.conj().T - eye).max() <= 1e-6 for r in map(sub.rho, gens)
+    )
+
+
+def relabelled(H, **changes):
+    """``H`` with the label arrays named in ``changes`` replaced by
+    change(H); the facts and the rows are those of the new labels."""
+    labels = {name: changes[name](H) if name in changes else getattr(H, name)
+              for name in ("fibre", "pos", "rot")}
+    return harmonics.Subspace(H.space, H.chi, H.level, **labels, fibres=H.fibres, k=H.k)
+
+
+def moved_point(labels, modulus):
+    """A copy of ``labels`` with the label of point 0 moved on by one."""
+    out = labels.copy()
+    out[0] = (out[0] + 1) % modulus
+    return out
+
+
+def scalar_orbit_of(index, x):
+    """The slots of u x for every unit u."""
+    return np.array([index.scalar_perm(a)[x] for a in index.ring.units()])
+
+
+# each corruption breaks one label fact of the trivial level-1 piece at padic
+# (q3, n2, m2), whose k = 4 positions are the level-1 scalar orbits
+LABEL_CORRUPTIONS = {
+    # one point moved: its scalar orbit no longer shares its position
+    "equivariance": (dict(pos=lambda H: moved_point(H.pos, H.k)),
+                     "labels are not equivariant under the scalar 8"),
+    # a whole level-2 scalar orbit moved: equivariant, but it splits its
+    # level-1 fibre
+    "level": (dict(pos=lambda H: np.where(
+        np.isin(np.arange(H.space.size), scalar_orbit_of(H.space.index, 0)),
+        (H.pos + 1) % H.k, H.pos)), "labels are not constant on level-1 fibres"),
+    # every rotation index moved on by one: equivariant and level-1, but no
+    # longer the depth-0 phase
+    "depth": (dict(rot=lambda H: (H.rot + 1) % H.chi.order),
+              "fibres or phases differ from the depth-0 orbits"),
+    # one level-1 orbit merged into another: a fibre with uneven positions
+    "spread": (dict(pos=lambda H: np.where(H.pos == 1, 0, H.pos)),
+               "points not spread evenly over the 4 positions of each fibre"),
+}
+
+
+class TestLabelFacts:
+    """The label pieces against the dense rows they replaced, and each label
+    fact failing closed."""
+
+    @given(point=st.sampled_from(SMALL_SPHERES))
+    @settings(max_examples=20, deadline=None)
+    def test_rows_are_the_dense_build(self, point):
+        space = small_space(point)
+        for chi in characters(space.ring):
+            for ell in range(space.ring.m + 1):
+                C = chi_level_subspace(space, chi, ell)
+                assert np.array_equal(C.basis, reference_dense_chi_level(space, chi, ell))
+                assert C.fault is None and C.dim == len(C.basis)
+            for m in range(chi.c, space.ring.m + 1):
+                H = harmonic_subspace(space, chi, m)
+                assert np.array_equal(H.basis, reference_dense_harmonic(space, chi, m))
+                assert H.fault is None and H.dim == len(H.basis)
+                assert abs(H.block_residual() - reference_gram_residual(H)) < 1e-14
+
+    @pytest.mark.parametrize("kind", sorted(LABEL_CORRUPTIONS))
+    def test_each_corrupted_fact_fails_and_names_the_piece(self, kind, monkeypatch):
+        ring = make_ring_level("padic", 3, 1, 2)
+        changes, reason = LABEL_CORRUPTIONS[kind]
+        exact = verify.harmonic_subspace
+
+        def corrupted(space, chi, m):
+            H = exact(space, chi, m)
+            return relabelled(H, **changes) if chi.is_trivial and m == 1 else H
+
+        monkeypatch.setattr(verify, "harmonic_subspace", corrupted)
+        records = verify.decompose_suite(ring, 2).records
+        named = f"piece (c0e00, m1): {reason}"
+        (ortho,) = [r for r in records if r.check_id.endswith("/orthogonality")]
+        assert (ortho.status, ortho.observed) == ("FAIL", named)
+        commutants = commutant_records(records)
+        assert commutants and all(r.status == "FAIL" for r in commutants)
+        assert {r.observed for r in commutants} == {named}
+        assert all(r.status == "PASS" for r in records if r is not ortho and r not in commutants)
+
+
+def corrupted_perm(index, s, kind):
+    """``s`` made to break the scalars, by a swap of point 0 with a point of
+    another scalar orbit, or to split a level-1 fibre while it commutes with
+    every scalar, by a swap of the scalar orbit of point 0 with that of a
+    point in another level-1 scalar orbit."""
+    s = s.copy()
+    if kind == "scalar":
+        orbit = index.scalar_orbits()[0]
+        z = int(np.argmax(orbit != orbit[0]))
+        s[[0, z]] = s[[z, 0]]
+        return s
+    sub, proj = index.child(1)
+    level1 = sub.scalar_orbits()[0][proj]
+    xs = scalar_orbit_of(index, 0)
+    ys = scalar_orbit_of(index, int(np.argmax(level1 != level1[0])))
+    s[xs], s[ys] = s[ys], s[xs].copy()
+    return s
+
+
+PERM_FAULTS = {
+    "scalar": "generator 0 does not commute with the scalar",
+    "level": "generator 0 splits a level-1 fibre",
+}
+
+
+class TestStructureCheck:
+    """One permutation check per generator against the dense invariance
+    reference it replaced."""
+
+    @given(point=st.sampled_from(SMALL_SPHERES), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_agrees_with_the_dense_reference(self, point, data):
+        space = small_space(point)
+        ring, n = space.ring, space.n
+        pieces = [H for H in pieces_of(space).values() if H.dim]
+        for kind in ("K", "Kmirab"):
+            gens = subgroup_generators(SubgroupSpec(kind), ring, n)
+            assert space.index.structure_fault(gens) is None
+            assert all(reference_invariant_under(H, gens) for H in pieces)
+        kinds = [kind for kind, ok in [("scalar", unit_group_basis(ring).gens), ("level", ring.m > 1)]
+                 if ok]
+        if not kinds:
+            return
+        kind = data.draw(st.sampled_from(kinds))
+        g = subgroup_generators(SubgroupSpec("K"), ring, n)[:1]
+        fresh = harmonics.SphereSpace(ring, n)
+        s = fresh.index.perm_of_matrix(g[0])
+        bad = corrupted_perm(fresh.index, s, kind)
+        fresh.index._matrix_perms[ring.as_codes(g[0]).tobytes()] = bad
+        assert fresh.index.structure_fault(g).startswith(PERM_FAULTS[kind])
+        moved = [H for H in pieces_of(fresh).values() if H.dim]
+        assert not all(reference_invariant_under(H, g) for H in moved)
+
+    @pytest.mark.parametrize("kind", sorted(PERM_FAULTS))
+    def test_corrupted_permutations_fail_the_suites(self, kind, monkeypatch):
+        ring = make_ring_level("padic", 3, 1, 2)
+        right = SphereIndex.perm_of_matrix
+        first = {spec: subgroup_generators(SubgroupSpec(spec), ring, 2)[0]
+                 for spec in ("K", "Kmirab")}
+
+        def run(spec):
+            def perm(index, k):
+                s = right(index, k)
+                same = np.array_equal(np.asarray(k), first[spec])
+                return corrupted_perm(index, s, kind) if same else s
+
+            with monkeypatch.context() as mp:
+                mp.setattr(SphereIndex, "perm_of_matrix", perm)
+                if spec == "K":
+                    return commutant_records(verify.irreducibility_suite(ring, 2).records)
+                return multiplicity_records(verify.zonal_suite(ring, 2, samples=20).records)
+
+        for spec in ("K", "Kmirab"):
+            records = run(spec)
+            assert records and all(r.status == "FAIL" for r in records)
+            (observed,) = {r.observed for r in records}
+            assert observed.startswith(f"{spec} {PERM_FAULTS[kind]}")
+
+
 def multiplicity_records(records):
     return [r for r in records if "/multiplicity-one/" in r.check_id]
 
@@ -571,45 +789,50 @@ class TestMultiplicityOneCount:
         assert all(r.status == "PASS" for r in records if r not in mult)
 
     def test_piece_that_is_not_mirabolic_invariant_fails_every_record(self, monkeypatch):
-        # the last row of the trivial level-2 piece, swapped for the constant:
-        # the piece keeps its dimension, and the mirabolic moves the fibre of
-        # (1, 0) onto that of (1, 1), which no row covers any more
+        # one rotation index of the trivial level-2 piece shifted: the piece
+        # keeps its dimension, and its rows are no longer scalar-equivariant
         ring = make_ring_level("padic", 2, 1, 2)
         exact = verify.harmonic_subspace
 
-        def swapped(space, chi, m):
+        def shifted(space, chi, m):
             H = exact(space, chi, m)
             if chi.is_trivial and m == 2:
-                basis = np.concatenate([H.basis[:-1], np.ones((1, space.size))])
-                H = harmonics.Subspace(space, basis, chi, m, H.kind)
+                H = relabelled(H, rot=lambda H: moved_point(H.rot, H.chi.order))
             return H
 
-        monkeypatch.setattr(verify, "harmonic_subspace", swapped)
+        monkeypatch.setattr(verify, "harmonic_subspace", shifted)
         mult = multiplicity_records(verify.zonal_suite(ring, 2, samples=20).records)
         assert len(mult) == 4 and all(r.status == "FAIL" for r in mult)
-        assert {r.observed for r in mult} == {"piece (c0e0, m2) is not Kmirab-invariant"}
+        assert {r.observed for r in mult} == {
+            "piece (c0e0, m2): labels are not equivariant under the scalar 3"
+        }
 
 
 class TestOrthogonalityWitness:
     def test_rows_map_to_their_pieces(self, sp222):
-        held = [H for H in pieces_of(sp222).values() if H.dim]
-        names = [f"({verify._chi_label(H.chi)}, m{H.level})" for H in held]
-        rows = [name for H, name in zip(held, names) for _ in range(H.dim)]
-        for i in (0, 1, len(rows) - 1):
-            for j in range(len(rows)):
-                assert verify._gram_witness(held, i, j) == f"pieces {rows[i]}, {rows[j]}"
-
-    def test_failing_record_names_the_worst_pair(self, sp222, monkeypatch):
+        # the dense Gram of all pieces is block-diagonal by piece, and each
+        # piece's block is what its per-fibre blocks give from the counts
         held = [H for H in pieces_of(sp222).values() if H.dim]
         stack = np.concatenate([H.basis for H in held])
-        err = np.abs(stack @ stack.conj().T * sp222.weight - np.eye(len(stack)))
-        i, j = np.unravel_index(err.argmax(), err.shape)
+        gram = stack @ stack.conj().T * sp222.weight
+        owner = np.repeat(np.arange(len(held)), [H.dim for H in held])
+        assert np.abs(gram[owner[:, None] != owner]).max() < 1e-15
+        for H in held:
+            assert abs(H.block_residual() - reference_gram_residual(H)) < 1e-15
+
+    def test_failing_record_names_the_worst_pair(self, sp222, monkeypatch):
+        held = {verify._piece_name(H): H for H in pieces_of(sp222).values() if H.dim}
+        dense = {name: reference_gram_residual(H) for name, H in held.items()}
         # no float residual is below -1: the record fails and names its pair
         monkeypatch.setattr(verify, "TOL_TIGHT", -1.0)
         rec = verify.decompose_suite(sp222.ring, 2, include_commutants=False)
         (record,) = [r for r in rec.records if r.check_id.endswith("/orthogonality")]
         assert record.status == "FAIL"
-        assert record.observed == f"{err[i, j]:.3e} at {verify._gram_witness(held, i, j)}"
+        value, witness = record.observed.split(" at pieces ")
+        first, second = witness.split(", (")
+        assert "(" + second == first in held
+        assert abs(float(value) - max(dense.values())) < 1e-15
+        assert abs(dense[first] - float(value)) < 1e-15
 
 
 class TestIdentities:
@@ -636,9 +859,9 @@ class TestIdentities:
         H = harmonic_subspace(sp222, chi, 2)
         rng = np.random.default_rng(2)
         u, _ = np.linalg.qr(rng.normal(size=(H.dim, H.dim)) + 1j * rng.normal(size=(H.dim, H.dim)))
-        H2 = type(H)(sp222, u.T @ H.basis, chi, 2, "harmonic")
+        rotated = u.T @ H.basis
         k1 = H.basis.conj().T @ H.basis
-        k2 = H2.basis.conj().T @ H2.basis
+        k2 = rotated.conj().T @ rotated
         assert np.abs(k1 - k2).max() < 1e-9
 
     def test_reproducing_kernel(self, sp222, chars222):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ultrasph.sphere
+from spherepoint import SpherePoint, act_point, enumerate_sphere, reduce_point
 from ultrasph.matgroup import (
     BudgetExceededError,
     SubgroupSpec,
@@ -14,13 +15,7 @@ from ultrasph.matgroup import (
     subgroup_generators,
 )
 from ultrasph.ring import characters, make_ring_level
-from ultrasph.sphere import (
-    SpherePoint,
-    act_point,
-    enumerate_sphere,
-    reduce_point,
-    sphere_size,
-)
+from ultrasph.sphere import sphere_size
 
 
 # small rings of both branches, (branch, p, f, m)
