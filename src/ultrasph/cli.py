@@ -238,7 +238,10 @@ def cmd_zonal(cfg, rec):
 
 def cmd_double_cosets(cfg, rec):
     ring = cfg.ring()
-    double_coset_suite(ring, cfg.n, rec=rec, budget=cfg.budget)
+    try:
+        double_coset_suite(ring, cfg.n, rec=rec, budget=cfg.budget)
+    except BudgetExceededError as e:
+        rec.skip("double-cosets/budget", "suite within its budgets", {}, str(e))
 
 
 def cmd_principal_series(cfg, rec):

@@ -7,7 +7,13 @@ membership masks on level-M stacks.  Generating sets are proposed as one
 (G, n, n) stack of elementary matrices and diagonal units, then certified
 exactly: every generator satisfies the membership mask, and a stabiliser
 chain of the group they generate reaches the order formula (Sims 1970;
-Seress, Permutation Group Algorithms, 2003, ch. 4).
+Seress, Permutation Group Algorithms, 2003, ch. 4).  The mirabolic
+subgroup Kmirab is the stabiliser of the row e_{n-1} in K, so when the
+generators of H contain a certified generating set of Kmirab, the
+stabiliser of e_{n-1} in H is Kmirab and |H| = |e_{n-1} H| |Kmirab|:
+K, K_1(p^l) and K_0(p^l) are certified by one orbit above a Kmirab chain
+built once per (ring, n).  Every chain predicts its bytes before it
+allocates them.
 
 Uniform samples of K and K_0(p^l) are drawn as whole stacks by rejection,
 one random draw and one stacked determinant per batch.  Each batch rewinds
@@ -257,7 +263,10 @@ def subgroup_generators(spec, ring, n):
 
 def group_order(ring, n):
     """|GL_n(O/p^m)| = q^((m-1)n^2) * prod_{i<n} (q^n - q^i)."""
-    q, m = ring.q, ring.m
+    return _gl_order(ring.q, n, ring.m)
+
+
+def _gl_order(q, n, m):
     out = q ** ((m - 1) * n * n)
     for i in range(n):
         out *= q**n - q**i
@@ -388,7 +397,12 @@ class _Level:
             cand = ring.matmul(front, G[apply]).reshape(-1, front.shape[-1])
             ckeys = row_keys(ring, cand)
             unseen = np.flatnonzero(self.table[ckeys] < 0)
-            fresh = np.sort(unseen[np.unique(ckeys[unseen], return_index=True)[1]])
+            # the first occurrence of each unseen row: its least position,
+            # found in the table slots the row is about to take
+            ukeys = ckeys[unseen]
+            self.table[ukeys] = np.iinfo(np.int32).max
+            np.minimum.at(self.table, ukeys, unseen.astype(np.int32))
+            fresh = unseen[self.table[ukeys] == unseen]
             self.table[ckeys[fresh]] = np.arange(size, size + len(fresh))
             parent.append(lo + fresh % len(front))
             via.append(apply[fresh // len(front)])
@@ -514,46 +528,134 @@ class StabiliserChain:
         return False
 
 
-def verify_generators(spec, ring, n):
-    """Exact certificate that the proposed generators generate the subgroup.
+def chain_bytes(q, n, m, order):
+    """(points, transversals): predicted bytes of a stabiliser chain of a
+    group of ``order`` in GL_n(O/p^m) before its first sift, and of the
+    transversals a sift builds.  Level t moves row n-1-t among the rows whose
+    first n - t entries are unimodular, q^((m-1)(n-t)) (q^(n-t) - 1) q^(m t)
+    of them; orbit sizes multiply to at most ``order``, so they sum to at
+    most order + n - 1.  A point takes 8 (n + 2) bytes (row, parent,
+    generator), a level's direct-address table 4 q^(m n), and a point's
+    transversal element and inverse 16 n^2."""
+    rows = sum(q ** ((m - 1) * (n - t) + m * t) * (q ** (n - t) - 1) for t in range(n))
+    points = min(rows, order + n - 1)
+    return 8 * (n + 2) * points + 4 * n * q ** (m * n), 16 * n * n * points
 
-    Every generator must satisfy the membership predicate, so the group they
-    generate has order at most ``subgroup_order``.  A stabiliser chain built
-    from random Schreier generators bounds that order from below; it stops
-    as soon as the bound reaches the formula.  The random batches come from
-    a private generator with a fixed seed, so the result is deterministic and
-    no caller's generator is drawn from.  When CHAIN_QUIET_PASSES passes add
-    nothing, every Schreier generator is sifted: the chain is then complete
-    and a RuntimeError names the exact order next to the formula.  The
-    result's ``orbit`` is the size of the chain's top orbit, the orbit of
-    e_n under the subgroup.
-    """
-    G = subgroup_generators(spec, ring, n)
-    expected = subgroup_order(spec, ring, n)
-    if not subgroup_membership(spec, ring, G).all():
-        raise RuntimeError(f"proposed generator outside {spec}")
-    # each of the n orbits is a set of unimodular rows, no more of them than
-    # group elements; a point's transversal element and inverse take 16 n^2
-    # bytes, and each level's direct-address table 4 ring.size^n bytes
-    rows = ring.q ** ((ring.m - 1) * n) * (ring.q**n - 1)
-    nbytes = 16 * n**3 * min(rows, expected) + 4 * n * ring.size**n
+
+def orbit_bytes(q, n, m, index):
+    """Predicted bytes of the top level alone, the orbit of e_{n-1}: at most
+    ``index`` points and the unimodular rows, and one table."""
+    return 8 * (n + 2) * min(index, q ** ((m - 1) * n) * (q**n - 1)) + 4 * q ** (m * n)
+
+
+def k_certificate_bytes(q, n, m):
+    """What ``verify_generators`` charges for K in GL_n(O/p^m) before it
+    allocates, on the shared Kmirab path: the larger of K's top orbit (every
+    unimodular row) with its table, and the Kmirab chain's points and tables.
+    |Kmirab| = |GL_{n-1}| q^(m(n-1))."""
+    sphere = q ** ((m - 1) * n) * (q**n - 1)
+    mirab = _gl_order(q, n - 1, m) * q ** (m * (n - 1))
+    return max(orbit_bytes(q, n, m, sphere), chain_bytes(q, n, m, mirab)[0])
+
+
+def _charge(spec, nbytes):
     if nbytes > CHAIN_BYTES_MAX:
         raise BudgetExceededError(
             f"stabiliser chain of {spec} needs up to {nbytes} bytes, over the cap {CHAIN_BYTES_MAX}"
         )
+
+
+def _chain_order(spec, ring, n, G, expected):
+    """(order, top orbit size) of <G> from a full stabiliser chain, exact
+    below ``expected``.  Random Schreier generators come from a private
+    generator with a fixed seed; when CHAIN_QUIET_PASSES passes add nothing,
+    every Schreier generator is sifted, which completes the chain.  The
+    chain's points and tables are charged before it is built, and its
+    transversals before the first sift reads them."""
+    points, transversals = chain_bytes(ring.q, n, ring.m, expected)
+    _charge(spec, points)
     chain = StabiliserChain(ring, n, G)
+    if chain.order() < expected:
+        _charge(spec, points + transversals)
     rng = np.random.default_rng(0)
     quiet = 0
     while chain.order() < expected and quiet < CHAIN_QUIET_PASSES:
         quiet = 0 if chain.random_pass(rng) else quiet + 1
     while chain.order() < expected and chain.sweep():
         pass
-    size = chain.order()
+    return chain.order(), len(chain.levels[0].pts)
+
+
+def _holds_mirabolic(ring, n, G, M):
+    """True when each generator of the stack M lies in <G> by inspection: it
+    is one of G, or w g w^-1 for some g of G, where w = E_{n-2,n-1}(1)
+    E_{n-1,n-2}(1)^-1 E_{n-2,n-1}(1) and both factors of w are in G (w moves
+    a diagonal unit at n-1 to n-2).  Array equality, so exact."""
+    keys = {g.tobytes() for g in G}
+    missing = [m for m in M if m.tobytes() not in keys]
+    if not missing:
+        return True
+    up, down = _elem(n, n - 2, n - 1, 1), _elem(n, n - 1, n - 2, 1)
+    if up.tobytes() not in keys or down.tobytes() not in keys:
+        return False
+    w = ring.matmul(ring.matmul(up, mat_inv(ring, down)), up)
+    back = ring.matmul(ring.matmul(mat_inv(ring, w), np.array(missing)), w)
+    return all(g.tobytes() in keys for g in back)
+
+
+_MIRABOLIC = {}
+
+
+def _generates_mirabolic(ring, n, M, order):
+    """True when the (G, n, n) stack M lies in Kmirab and generates a group
+    of ``order`` = |Kmirab|, by a full chain; cached under M's bytes."""
+    key = (ring, n, M.tobytes(), order)
+    if key not in _MIRABOLIC:
+        spec = SubgroupSpec("Kmirab")
+        _MIRABOLIC[key] = bool(subgroup_membership(spec, ring, M).all()) and (
+            _chain_order(spec, ring, n, M, order)[0] == order
+        )
+    return _MIRABOLIC[key]
+
+
+def verify_generators(spec, ring, n):
+    """Exact certificate that the proposed generators generate the subgroup.
+
+    Every generator must satisfy the membership predicate, so the group they
+    generate has order at most ``subgroup_order``.  Kmirab is the stabiliser
+    of the row e_{n-1} in K.  When the proposed generators G contain the
+    Kmirab generators (directly, or as conjugates w g w^-1 with w's factors
+    in G) and those are certified to generate Kmirab, the stabiliser of
+    e_{n-1} in <G> is Kmirab, so |<G>| = |e_{n-1} <G>| |Kmirab| exactly: one
+    breadth-first orbit above a Kmirab certificate shared by every such
+    subgroup at (ring, n).  Otherwise (Kmirab itself, Kprin, other lists) a
+    full stabiliser chain bounds the order from below and stops once it
+    reaches the formula; when it does not, the chain is complete.  Either way
+    a RuntimeError names the exact order next to the formula.  Bytes are
+    predicted before each allocation and checked against CHAIN_BYTES_MAX.
+    The result's ``orbit`` is the size of the orbit of e_n under the subgroup.
+    """
+    G = subgroup_generators(spec, ring, n)
+    expected = subgroup_order(spec, ring, n)
+    if not subgroup_membership(spec, ring, G).all():
+        raise RuntimeError(f"proposed generator outside {spec}")
+    mirab = SubgroupSpec("Kmirab")
+    M = subgroup_generators(mirab, ring, n)
+    order = subgroup_order(mirab, ring, n)
+    shared = spec.kind != "Kmirab" and n >= 2 and _holds_mirabolic(ring, n, G, M)
+    if shared:
+        _charge(spec, max(orbit_bytes(ring.q, n, ring.m, expected // order),
+                          chain_bytes(ring.q, n, ring.m, order)[0]))
+    if shared and _generates_mirabolic(ring, n, M, order):
+        orbit = len(_Level(ring, n, n - 1, G).pts)
+        size = orbit * order
+    else:
+        size, orbit = _chain_order(spec, ring, n, G, expected)
     if size > expected:
         raise RuntimeError(f"stabiliser chain of {spec} generators reaches order {size}, above {expected}")
     if size < expected:
         raise RuntimeError(f"{spec} generators generate a group of order {size}, expected {expected}")
-    return {"method": "chain", "size": size, "ok": True, "orbit": len(chain.levels[0].pts)}
+    return {"method": "chain", "size": size, "ok": True, "orbit": orbit}
 
 
 # -- random sampling ---------------------------------------------------------

@@ -4,14 +4,23 @@ The model space is the set of functions f on G = GL_n(O/p^M) with
 f(bg) = prod_j chi_j(b_jj) f(g) for upper-triangular b, acted on by
 right translation.  Functions are stored by their values on canonical
 coset representatives of B\\G, computed by bottom-up row pivoting with
-unit pivots scaled to 1 and entries above pivots cleared.
+unit pivots scaled to 1 and entries above pivots cleared.  The coset of g
+depends only on its bottom n - 1 rows: once they are reduced, the top row
+of the canonical form is e_{j0}, j0 the column no lower row took, and the
+top row's B-factor pivot is det(g) sgn(sigma) / prod of the other pivots,
+sigma the pivot permutation.  So acting on a coset forms only the bottom
+n - 1 rows of reps[r] k, with det(reps[r] k) = det(reps[r]) det(k).
 
 K acts by monomial matrices: a permutation of the coset slots times a
 phase e^{2 pi i rot/L}, rot an exact rotation index mod the exponent L of
 the character group.  Invariant and equivariant subspaces are exact orbit
 and cocycle counts, one line per generator orbit on which the phase
 cocycle closes (Mackey; Serre, Linear Representations of Finite Groups,
-7.3), with no tolerance and no SVD.
+7.3), with no tolerance and no SVD.  Everything that does not read a
+character (the cosets, each generator's slot permutation and pivots, each
+subgroup's orbit forest) is built once per (ring, n); a model adds only
+gathers: rotation indices at the pivots, phases summed along root paths
+by pointer doubling, and one cocycle comparison for every generator.
 
 The strongest end-to-end integrity check lives here: the declared
 conductor (sum of the character conductors) must coincide with the
@@ -21,6 +30,9 @@ a hard error.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import permutations
+
 import numpy as np
 
 from .harmonics import _worst, dim_harmonic, zonal_shell_coefficient
@@ -29,6 +41,7 @@ from .matgroup import (
     SubgroupSpec,
     _complete_to_invertible,
     canonical_spec,
+    det,
     double_coset_index,
     find_keys,
     group_order,
@@ -43,7 +56,7 @@ from .matgroup import (
 from .sphere import orbit_labels
 
 COSET_BUDGET = 300000  # flag cosets a model may hold
-ACTION_CHUNK_BYTES = 1 << 21  # products reps k formed at once for a stack of ks
+ACTION_CHUNK_BYTES = 1 << 21  # temporaries of the (k, coset row) pairs acted on at once
 
 
 class ConductorNotVisible(RuntimeError):
@@ -56,41 +69,123 @@ def flag_count(ring, n):
     return group_order(ring, n) // b_order
 
 
+def _by_entry(stack):
+    """A copy of an (N, r, s) stack laid out by entry: (r, s, N), each entry
+    contiguous."""
+    return stack.transpose(1, 2, 0).copy()
+
+
+def _action_bytes(n):
+    """Bytes per (k, coset row) pair that ``FlagCosets.act`` and a model's
+    phases hold at once: the (n - 1) n product entries, the reduction's row,
+    its temporaries and flags, the keys and slots, and n pivots, each
+    rotation and the complex terms of a translate."""
+    return 8 * (n * n + 8 * n + 12)
+
+
+def _eliminate(ring, A, det=None):
+    """Bottom-up reduction of the bottom n - 1 rows of N matrices, in place.
+
+    ``A`` is the (n - 1, n, N) entry layout of those rows: A[i, j] holds
+    entry (i + 1, j) of every matrix.  Row by row from the bottom, entries
+    above lower pivots are cleared, the first free unit column is the pivot,
+    and the row is scaled to make it 1.  The top row of the canonical form is
+    then e_{j0}, j0 the one column no lower row took.  Returns (A, j0), and
+    with ``det`` (the N determinants) also the (n, N) pivots: the lower rows'
+    at 1..n-1, and the top row's det sgn(sigma) (prod of the others)^{-1} at
+    0, sigma the pivot permutation (det of the canonical form is sgn(sigma)).
+    ValueError when a row has no free unit column or the top pivot is not a
+    unit.
+    """
+    n, N = A.shape[1], A.shape[2]
+    at = np.arange(N)
+    cols = np.empty((n, N), dtype=np.int64)
+    piv = np.ones((n, N), dtype=np.int64)
+    for i in range(n - 2, -1, -1):
+        row = A[i]
+        # clear bottom-up: row r is zero at the pivots of rows below it, so
+        # later subtractions cannot repollute columns cleared earlier
+        for r in range(n - 2, i, -1):
+            row = ring.sub_mul_arr(row, row.ravel().take(cols[r + 1] * N + at), A[r])
+        cand = ring.val_arr(row) == 0
+        for r in range(i + 1, n - 1):
+            cand.ravel()[cols[r + 1] * N + at] = False  # taken by a lower row
+        j = _first(cand)
+        cols[i + 1], piv[i + 1] = j, row.ravel().take(j * N + at)
+        A[i] = ring.mul_arr(ring.inv_arr(piv[i + 1]), row)
+    cols[0] = n * (n - 1) // 2 - cols[1:].sum(axis=0)
+    if det is None:
+        return A, cols[0]
+    if (ring.val_arr(det) != 0).any():
+        raise ValueError("matrix is not invertible: no unit pivot")
+    lower = piv[0]  # still ones
+    for v in piv[1:]:
+        lower = ring.mul_arr(lower, v)
+    pattern = (cols[1:] * (n ** np.arange(n - 1))[:, None]).sum(axis=0)
+    signed = ring.mul_arr(det, np.where(_odd(n)[pattern], ring.neg(1), 1))
+    piv[0] = ring.mul_arr(signed, ring.inv_arr(lower))
+    return A, cols[0], piv
+
+
+@cache
+def _odd(n):
+    """Whether the pivot permutation (j0, c_1, ..., c_{n-1}) is odd, indexed
+    by sum_i c_i n^(i-1) over the lower rows' pivot columns c_i."""
+    odd = np.zeros(n ** (n - 1), dtype=bool)
+    for perm in permutations(range(n)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        odd[sum(c * n**i for i, c in enumerate(perm[1:]))] = inversions % 2
+    return odd
+
+
+def _first(mask):
+    """Index of the first True down each column of an (n, N) mask;
+    ValueError when a column has none."""
+    rank = np.arange(len(mask), 0, -1, dtype=np.int8)[:, None]
+    best = np.multiply(mask, rank, dtype=np.int8).max(axis=0)
+    if not best.all():
+        raise ValueError("matrix is not invertible: no unit pivot")
+    return len(mask) - best.astype(np.int64)
+
+
+def _reps(rows, j0):
+    """(N, n, n) canonical forms from the reduced (n - 1, n, N) bottom rows
+    and the top pivot columns j0."""
+    n, N = rows.shape[1], len(j0)
+    rep = np.empty((N, n, n), dtype=np.int64)
+    rep[:, 0] = np.eye(n, dtype=np.int64)[j0]
+    rep[:, 1:] = rows.transpose(2, 0, 1)
+    return rep
+
+
 def flag_canon(ring, a):
     """Canonical representative of the left B-coset of ``a``, or of each
     matrix in an (N, n, n) stack.
 
     Returns (rep, pivots): rep = T a for upper-triangular T, with pivot
     rows scaled to 1 and entries above pivots cleared; pivots[i] is the
-    diagonal of the B-factor a rep^{-1}.  Rows are processed bottom-up and
-    each takes its first free unit column as pivot.  A single matrix gives
-    pivots as a list of ints, a stack as an (N, n) array.
+    diagonal of the B-factor a rep^{-1}.  The bottom n - 1 rows go through
+    ``_eliminate``; the top row is e_{j0}, and its pivot comes from det(a).
+    A single matrix gives pivots as a list of ints, a stack as an (N, n) array.
     """
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[-1]
-    A = a.reshape(-1, n, n).copy()
-    N = A.shape[0]
-    rows = np.arange(N)
-    piv_cols = np.zeros((N, n), dtype=np.int64)
-    piv_vals = np.ones((N, n), dtype=np.int64)
-    free = np.ones((N, n), dtype=bool)
-    for i in range(n - 1, -1, -1):
-        # clear bottom-up: row r is zero at the pivots of rows below it, so
-        # later subtractions cannot repollute columns cleared earlier
-        for r in range(n - 1, i, -1):
-            x = A[rows, i, piv_cols[:, r]]
-            A[:, i] = ring.sub_arr(A[:, i], ring.mul_arr(x[:, None], A[:, r]))
-        cand = free & (ring.val_arr(A[:, i]) == 0)
-        if not cand.any(axis=1).all():
-            raise ValueError("matrix is not invertible: no unit pivot")
-        j = cand.argmax(axis=1)
-        piv_cols[:, i] = j
-        piv_vals[:, i] = A[rows, i, j]
-        free[rows, j] = False
-        A[:, i] = ring.mul_arr(ring.inv_arr(piv_vals[:, i])[:, None], A[:, i])
+    A = a.reshape(-1, n, n)
+    rows, j0, piv = _eliminate(ring, _by_entry(A[:, 1:]), det(ring, A))
+    rep = _reps(rows, j0)
     if a.ndim == 2:
-        return A[0], [int(v) for v in piv_vals[0]]
-    return A, piv_vals
+        return rep[0], [int(v) for v in piv[:, 0]]
+    return rep, np.ascontiguousarray(piv.T)
+
+
+def _canon_reps(ring, stack):
+    """Canonical forms of the invertible (N, n, n) stack, in place, slice by
+    slice so the reduction's temporaries take at most ACTION_CHUNK_BYTES; no
+    pivots, so no determinants.  The coset closure's canon."""
+    step = max(1, ACTION_CHUNK_BYTES // _action_bytes(stack.shape[-1]))
+    for lo in range(0, len(stack), step):
+        stack[lo : lo + step] = _reps(*_eliminate(ring, _by_entry(stack[lo : lo + step, 1:])))
+    return stack
 
 
 class FlagCosets:
@@ -98,8 +193,10 @@ class FlagCosets:
     and the character-free structure that every model at (ring, n) shares.
 
     Reaching the full count certifies transitivity of the generated group
-    on the flag space.  ``keys`` holds the reps' keys sorted and ``slots``
-    the rep slot of each sorted key.  ``table`` caches one generator's slot
+    on the flag space.  The coset of a canonical form is fixed by its bottom
+    n - 1 rows: ``keys`` holds their keys for the reps, sorted, ``slots`` the
+    rep slot of each sorted key, ``bottom`` the rows in entry layout and
+    ``dets`` each rep's determinant.  ``table`` caches one generator's slot
     permutation and pivots, ``orbit_tree`` one subgroup's orbits and
     breadth-first forest.  Build it through ``flag_cosets``, which checks
     COSET_BUDGET first.
@@ -110,43 +207,72 @@ class FlagCosets:
         self.ring = ring
         self.n = n
         start, _ = flag_canon(ring, np.eye(n, dtype=np.int64))
-        reps = orbit_stack(ring, start, gens, canon=lambda s: flag_canon(ring, s)[0])
+        reps = orbit_stack(ring, start, gens, canon=lambda s: _canon_reps(ring, s))
         if len(reps) != expected:
             raise RuntimeError(f"flag closure found {len(reps)} cosets, expected {expected}")
         self.reps = reps
-        keys = row_keys(ring, reps)
+        self.bottom = _by_entry(reps[:, 1:])
+        self.dets = det(ring, reps)
+        keys = self._keys(self.bottom)
         self.slots = np.argsort(keys)
         self.keys = keys[self.slots]
         self.size = expected
         self._tables = {}
         self._trees = {}
 
-    def slot_of(self, canon):
-        """Rep slot of each canonical representative in an (N, n, n) stack."""
-        return self.slots[find_keys(self.keys, row_keys(self.ring, canon))]
+    def _keys(self, rows):
+        """row_keys of the bottom rows of N matrices, given in entry layout."""
+        return row_keys(self.ring, rows.reshape(-1, rows.shape[-1]).T)
 
     def act(self, K, rows=None):
         """(slots, pivots) of shapes (C, R) and (C, R, n) for a (C, n, n)
         stack K and R coset rows (every row by default): reps[rows[r]] K[c]
         lies in the coset of slot slots[c, r], and pivots[c, r] is the
-        diagonal of its B-factor.  ValueError on codes of K outside the ring."""
-        K = self.ring.as_codes(K)
-        reps = self.reps if rows is None else self.reps[rows]
-        prods = self.ring.matmul(reps, K[:, None]).reshape(-1, self.n, self.n)
-        canon, pivots = flag_canon(self.ring, prods)
-        shape = (len(K), len(reps))
-        return self.slot_of(canon).reshape(shape), pivots.reshape(*shape, self.n)
+        diagonal of its B-factor.  Only the bottom n - 1 rows of each
+        product are formed; the top pivot comes from det(reps[r]) det(K[c]).
+        Pairs go through in blocks whose temporaries take at most
+        ACTION_CHUNK_BYTES (one pair at least).  ValueError on codes of K
+        outside the ring, or on a singular K[c]."""
+        ring, n = self.ring, self.n
+        K = ring.as_codes(K)
+        bottom = self.bottom if rows is None else self.bottom[:, :, rows]
+        dets = self.dets if rows is None else self.dets[rows]
+        C, R = len(K), bottom.shape[-1]
+        kdets = det(ring, K)
+        slots = np.empty((C, R), dtype=np.int64)
+        pivots = np.empty((C, R, n), dtype=np.int64)
+        per = max(1, ACTION_CHUNK_BYTES // _action_bytes(n))
+        cs, rs = max(1, per // max(R, 1)), max(1, min(R, per))
+        for c0 in range(0, C, cs):
+            for r0 in range(0, R, rs):
+                at = np.s_[c0 : c0 + cs], np.s_[r0 : r0 + rs]
+                prods = ring.matmul_by_entry(bottom[:, :, at[1]], K[at[0]])
+                shape = prods.shape[2:]
+                g = ring.mul_arr(kdets[at[0], None], dets[None, at[1]]).ravel()
+                red, _, piv = _eliminate(ring, prods.reshape(n - 1, n, -1), g)
+                slots[at] = self.slots[find_keys(self.keys, self._keys(red))].reshape(shape)
+                pivots[at] = piv.T.reshape(*shape, n)
+        return slots, pivots
 
     def table(self, a):
         """Cached (perm, pivots) of one (n, n) matrix on every coset row,
         shared by every model at (ring, n): the generator tables.  Pivots are
         unit codes, kept in the smallest unsigned type that holds a code."""
-        a = np.asarray(a, dtype=np.int64)
-        key = a.tobytes()
-        if key not in self._tables:
-            slots, pivots = self.act(a[None])
-            self._tables[key] = (slots[0], pivots[0].astype(np.min_scalar_type(self.ring.size - 1)))
-        return self._tables[key]
+        return self.tables(np.asarray(a, dtype=np.int64)[None])[0]
+
+    def tables(self, G):
+        """``table`` of each matrix of the (G, n, n) stack; the missing ones
+        are acted on together, as many at once as ACTION_CHUNK_BYTES allows."""
+        keys = [g.tobytes() for g in G]
+        new = {key: g for key, g in zip(keys, G) if key not in self._tables}
+        missing = np.array(list(new.values()), dtype=np.int64).reshape(-1, self.n, self.n)
+        step = max(1, ACTION_CHUNK_BYTES // (_action_bytes(self.n) * self.size))
+        unit = np.min_scalar_type(self.ring.size - 1)
+        for lo in range(0, len(missing), step):
+            slots, pivots = self.act(missing[lo : lo + step])
+            for g, perm, piv in zip(missing[lo : lo + step], slots, pivots):
+                self._tables[g.tobytes()] = (perm, piv.astype(unit))
+        return [self._tables[key] for key in keys]
 
     def orbit_tree(self, spec):
         """Cached OrbitTree of the verified generators of ``spec``, keyed on
@@ -154,7 +280,7 @@ class FlagCosets:
         spec = canonical_spec(spec, self.ring)
         if spec not in self._trees:
             gens = _verified_subgroup_gens(self.ring, self.n, spec)
-            self._trees[spec] = OrbitTree([self.table(g)[0] for g in gens])
+            self._trees[spec] = OrbitTree([perm for perm, _ in self.tables(gens)])
         return self._trees[spec]
 
 
@@ -182,9 +308,10 @@ class OrbitTree:
     ``root`` is the least slot of each slot's orbit.  The forest grows from
     every root at once, one layer per step: a slot joins at the first layer
     that reaches it, from the first (generator, parent) pair in
-    generator-major order.  ``layers`` holds each layer's (slots, parents)
-    and ``edges`` the flat index generator * dim + parent of each slot's
-    forest edge, in layer order.  Nothing here depends on a character.
+    generator-major order.  ``parent`` and ``via`` hold each slot's forest
+    parent and the generator of its edge (a root is its own parent), and
+    ``rounds`` pointer-doubling steps cover the deepest root path.  Nothing
+    here depends on a character.
     """
 
     def __init__(self, perms):
@@ -192,9 +319,12 @@ class OrbitTree:
         dim = len(perms[0])
         self.root = orbit_labels(perms, (dim,))
         front = np.flatnonzero(self.root == np.arange(dim))
+        self.heads = front
+        self.parent = np.arange(dim)
+        self.via = np.zeros(dim, dtype=np.int64)
         seen = np.zeros(dim, dtype=bool)
         seen[front] = True
-        self.layers, edges = [], [np.zeros(0, dtype=np.int64)]
+        depth = 0
         while True:
             tgt, first = np.unique(np.concatenate([s[front] for s in perms]), return_index=True)
             new = ~seen[tgt]
@@ -202,10 +332,10 @@ class OrbitTree:
                 break
             gen, at = np.divmod(first[new], len(front))
             parent, front = front[at], tgt[new]
+            self.parent[front], self.via[front] = parent, gen
             seen[front] = True
-            self.layers.append((front, parent))
-            edges.append(gen * dim + parent)
-        self.edges = np.concatenate(edges)
+            depth += 1
+        self.rounds = max(depth - 1, 0).bit_length()
 
     def phases(self, rots, twists, L):
         """(phase, closed) per slot for the monomial action
@@ -213,20 +343,29 @@ class OrbitTree:
 
         A vector with g f = w^twists[g] f for every g is c_O w^phase on each
         orbit O when O closes: phase 0 at the root and
-        phase[perm[i]] = phase[i] + twist - rot[i] (mod L) on every edge.
-        ``closed`` says whether the slot's orbit closes.
+        phase[perm[i]] = phase[i] + twist - rot[i] (mod L) on every edge, so
+        a slot's phase sums the steps on its root path, found by pointer
+        doubling.  ``closed`` says whether the slot's orbit closes, every
+        generator's cocycle checked at once.
         """
-        dim = len(self.root)
+        # (G, dim) stacks in int32: rotation indices and slots are below 2^31
+        rots = np.array(rots, dtype=np.int32)
         twists = np.asarray(twists, dtype=np.int64)
-        step = twists[self.edges // dim] - np.stack(rots).ravel()[self.edges]
-        phase = np.zeros(dim, dtype=np.int64)
-        lo = 0
-        for slots, parent in self.layers:
-            phase[slots] = (phase[parent] + step[lo : lo + len(slots)]) % L
-            lo += len(slots)
-        broken = np.zeros(dim, dtype=bool)
-        for s, r, t in zip(self.perms, rots, twists):
-            broken[self.root[(phase[s] - phase + r - t) % L != 0]] = True
+        step = twists[self.via] - rots[self.via, self.parent]
+        step[self.heads] = 0
+        up = self.parent
+        for _ in range(self.rounds):
+            step = step + step[up]
+            up = up[up]
+        phase = step % L
+        phase32 = phase.astype(np.int32)
+        cocycle = phase32[np.array(self.perms, dtype=np.int32)]
+        cocycle += rots
+        cocycle -= phase32
+        cocycle -= twists.astype(np.int32)[:, None]
+        cocycle %= L
+        broken = np.zeros(len(phase), dtype=bool)
+        broken[self.root[cocycle.any(axis=0)]] = True
         return phase, ~broken[self.root]
 
 
@@ -295,12 +434,13 @@ class PSeriesModel:
     def _actions(self, K, rows=None):
         """(lo, perm, rot) for consecutive chunks K[lo:lo + len(perm)] of a
         (C, n, n) stack, on the coset ``rows`` (every row by default); a
-        chunk's products reps k take at most ACTION_CHUNK_BYTES, and a chunk
-        holds at least one k.  Nothing is cached."""
+        chunk's pairs (k, row) take at most ACTION_CHUNK_BYTES by
+        ``_action_bytes``, and a chunk holds at least one k.  Nothing is
+        cached."""
         width = self.dim if rows is None else len(rows)
         # the subset goes by keyword and only when given: _monomials(K) alone stays whole
         subset = {} if rows is None else {"rows": rows}
-        step = max(1, ACTION_CHUNK_BYTES // (8 * self.n * self.n * width))
+        step = max(1, ACTION_CHUNK_BYTES // (_action_bytes(self.n) * width))
         for lo in range(0, len(K), step):
             yield (lo, *self._monomials(K[lo : lo + step], **subset))
 
@@ -342,8 +482,9 @@ class PSeriesModel:
         a = int(units[rng.integers(0, len(units))])
         centre = np.diag([a] * self.n)[None]
         K = np.concatenate([g1, g2, self.ring.matmul(g1, g2), centre])
-        chunks = [(p, r) for _, p, r in self._actions(K)]
-        perm, rot = (np.concatenate(t) for t in zip(*chunks))
+        perm, rot = np.empty((2, len(K), self.dim), dtype=np.int64)
+        for lo, p, r in self._actions(K):
+            perm[lo : lo + len(p)], rot[lo : lo + len(p)] = p, r
         p1, p2, p12 = perm[:-1].reshape(3, trials, -1)
         r1, r2, r12 = rot[:-1].reshape(3, trials, -1)
         if not (

@@ -282,6 +282,37 @@ class RingLevel:
             raise ValueError("non-unit entry")
         return self._inv[A]
 
+    def sub_mul_arr(self, A, X, B):
+        """A - X B entrywise: integer ops and one reduction mod q^m on the
+        padic branch, table lookups on the laurent branch."""
+        if self.branch == "padic":
+            return (A - X * B) % self.size
+        return self._add[A, self._neg[self._mul[X, B]]]
+
+    def matmul_by_entry(self, rows, K):
+        """Entries of every product rows[:, :, r] K[c], laid out by entry:
+        ``rows`` is an (r, s, R) array holding entry (i, t) of R row blocks
+        contiguously, K a (C, s, t') stack, and out[i, j, c, r] is entry
+        (i, j) of the product of row block r and K[c], an (r, t', C, R) array.
+        A padic entry sums its integer products and is reduced once."""
+        KT = np.asarray(K).transpose(1, 2, 0)
+        r, s, R = rows.shape
+        out = np.empty((r, KT.shape[1], KT.shape[2], R), dtype=np.int64)
+        for i in range(r):
+            for j in range(KT.shape[1]):
+                if self.branch == "padic":
+                    acc = np.multiply.outer(KT[0, j], rows[i, 0])
+                    for t in range(1, s):
+                        acc += np.multiply.outer(KT[t, j], rows[i, t])
+                else:
+                    acc = self._mul[KT[0, j, :, None], rows[i, 0]]
+                    for t in range(1, s):
+                        acc = self._add[acc, self._mul[KT[t, j, :, None], rows[i, t]]]
+                out[i, j] = acc
+        if self.branch == "padic":
+            out %= self.size
+        return out
+
     def matmul(self, A, B):
         """Ring matrix product, broadcast as numpy's ``@``: A is (..., r, s)
         or a row (s,), B is (..., s, t), and the leading axes broadcast.  So
@@ -520,6 +551,9 @@ class UnitGroupBasis:
             raise RuntimeError("generators do not span the group")
         self.dlog = dlog
         self.members = members
+        # the same map as arrays: member codes and their exponent rows
+        self.codes = np.fromiter(dlog, dtype=np.int64, count=n)
+        self.vectors = np.array(list(dlog.values()), dtype=np.int64).reshape(n, len(gens))
 
     def __len__(self):
         return len(self.members)
@@ -570,12 +604,9 @@ class UnitCharacter:
         self.exps = tuple(int(e) % d for e, d in zip(exps, basis.orders))
         L = basis.exponent
         self.order = L
+        weights = np.array([a * (L // d) for a, d in zip(self.exps, basis.orders)], dtype=np.int64)
         nums = np.full(ring.size, -1, dtype=np.int64)
-        for u, vec in basis.dlog.items():
-            s = 0
-            for a, e, d in zip(self.exps, vec, basis.orders):
-                s += a * e * (L // d)
-            nums[u] = s % L
+        nums[basis.codes] = basis.vectors @ weights % L
         self._nums = nums
         self._vals = np.where(
             nums >= 0, np.exp(2j * np.pi * np.where(nums >= 0, nums, 0) / L), 0.0
@@ -583,17 +614,12 @@ class UnitCharacter:
         self.c = self._conductor()
 
     def _conductor(self):
-        ring = self.ring
-        for ell in range(ring.m + 1):
-            step = ring.q**ell if ell < ring.m else ring.size
-            ok = True
-            for u in ring.units():
-                if (u - 1) % step == 0 and self._nums[u] != 0:
-                    ok = False
-                    break
-            if ok:
-                return ell
-        raise RuntimeError("unreachable: every character is trivial on 1 + p^m = {1}")
+        """1 + the largest depth val(u - 1) of a unit u where the character is
+        not 1, or 0 when there is none: u lies in 1 + p^l exactly when
+        (u - 1) % q^l == 0, on the codes of both branches."""
+        units = self.ring.units()
+        moved = units[self._nums[units] != 0]
+        return 1 + int(self.ring.val_arr(moved - 1).max()) if len(moved) else 0
 
     @property
     def is_trivial(self):

@@ -39,6 +39,7 @@ from .matgroup import (
     double_coset_witness,
     group_order,
     group_stack,
+    k_certificate_bytes,
     orbit_stack,
     random_stack,
     row_keys,
@@ -156,7 +157,7 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
     on, and its residual is the worst per-fibre Gram block entry."""
     rec = rec if rec is not None else Recorder()
     q, M = ring.q, ring.m
-    _check_bytes(decompose_bytes(q, n, M), "scalar orbits and piece labels")
+    _check_bytes(decompose_bytes(q, n, M), "scalar orbits, piece labels and K's certificate")
     lab = _ring_label(ring, n)
     space = SphereSpace(ring, n)
     params = {"q": q, "n": n, "m": M}
@@ -233,12 +234,12 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
 
 
 def decompose_bytes(q, n, M):
-    """Predicted peak bytes of ``decompose_suite``'s own arrays: the |units| x
-    |S| scalar-orbit stack (int32 rows and their stacked copy) and one
-    character's labels, 8 int64 |S|-arrays a level.  With tracemalloc they
-    peak at 0.67-0.81 times this at padic (q5, n2, m3), (q3, n2, m5),
-    (q2, n2, m8) and (q7, n3, m2); K's chain has its own cap."""
-    return 8 * sphere_size(q, n, M) * (q ** (M - 1) * (q - 1) + 8 * (M + 1))
+    """Predicted peak bytes of ``decompose_suite``: the |units| x |S|
+    scalar-orbit stack (int32 rows and their stacked copy), one character's
+    labels, 8 int64 |S|-arrays a level, and what K's certificate charges
+    (``k_certificate_bytes``)."""
+    labels = 8 * sphere_size(q, n, M) * (q ** (M - 1) * (q - 1) + 8 * (M + 1))
+    return labels + k_certificate_bytes(q, n, M)
 
 
 def _piece_fault(H):
@@ -527,7 +528,9 @@ def double_coset_suite(ring, n, rec=None, budget=200000):
     K_0 u_l K_0 is the orbit of u_l under x -> g x and x -> x g for the
     certified K_0(p^m) generators g, so each orbit must equal its index
     fibre, and the orbit sizes must sum to |K|; the oracle costs
-    O(|K| #gens) and never reads the index formula.
+    O(|K| #gens) and never reads the index formula.  Raises
+    BudgetExceededError, before anything is built, when
+    ``double_coset_bytes`` is over BASIS_BYTES_MAX.
     """
     rec = rec if rec is not None else Recorder()
     q, m = ring.q, ring.m
@@ -541,11 +544,13 @@ def double_coset_suite(ring, n, rec=None, budget=200000):
             f"|K| = {korder} beyond budget {budget}",
         )
         return rec
+    spec0 = SubgroupSpec("K0", m)
+    gens = subgroup_generators(spec0, ring, n)
+    _check_bytes(double_coset_bytes(n, korder, len(gens)), "the double coset orbit closures")
     K = group_stack(ring, n)
     us = u_ell(ring, n, range(m + 1))
     k0, ell, k0p = double_coset_witness(ring, K)
     back = ring.matmul(ring.matmul(k0, us[ell]), k0p)
-    spec0 = SubgroupSpec("K0", m)
     witness_fail = (
         (back != K).any(axis=(1, 2))
         | ~subgroup_membership(spec0, ring, k0)
@@ -567,7 +572,6 @@ def double_coset_suite(ring, n, rec=None, budget=200000):
         np.count_nonzero(np.bincount(ell, minlength=m + 1)),
     )
     verify_generators(spec0, ring, n)
-    gens = subgroup_generators(spec0, ring, n)
     orbits = [orbit_stack(ring, u, gens, left=gens) for u in us]
     keys = row_keys(ring, K)
     brute_fail = sum(
@@ -583,6 +587,15 @@ def double_coset_suite(ring, n, rec=None, budget=200000):
         brute_fail,
     )
     return rec
+
+
+def double_coset_bytes(n, order, gens):
+    """Predicted peak bytes of the orbit-closure oracle: a breadth-first
+    layer multiplies its frontier, at most |K| = ``order`` elements, by each
+    of the ``gens`` generators on both sides, n^2 int64 entries a product,
+    and keys the products, with np.unique's stable argsort and sorted copy
+    beside them (four int64 arrays)."""
+    return order * 2 * gens * (8 * n * n + 32)
 
 
 # -- principal series suite -----------------------------------------------------

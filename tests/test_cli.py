@@ -387,6 +387,72 @@ class TestMain:
             "witness-remultiplication", "class-count", "brute-force-partition",
         }
 
+    def test_double_cosets_over_the_closure_budget_fail_closed_under_a_memory_limit(self, tmp_path):
+        # |K| = 4,838,400 at (q7, n2, m2) is admitted by --budget, but the
+        # orbit-closure oracle's layers would take about 2.5 GB: the suite
+        # refuses before it builds K, in a child with 3,000,000 KiB
+        proc, records = run_under_memory_limit(
+            tmp_path, "double-cosets", 7, 2, 2, limit=3_000_000 * 1024,
+            extra=("--budget", "5000000"),
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_SKIP
+        assert [(r["check_id"], r["status"]) for r in records] == [("double-cosets/budget", "SKIP")]
+        assert "over the cap" in records[0]["observed"]
+
+    def test_double_coset_bytes_admit_the_grid(self):
+        from ultrasph.matgroup import group_order
+        from ultrasph.verify import DOUBLE_COSET_POINTS, double_coset_bytes
+
+        for branch, p, f, m, n in DOUBLE_COSET_POINTS:
+            ring = make_ring_level(branch, p, f, m)
+            gens = subgroup_generators(SubgroupSpec("K0", m), ring, n)
+            assert double_coset_bytes(n, group_order(ring, n), len(gens)) < BASIS_BYTES_MAX
+
+    def test_principal_series_q5_n3_m2_returns_inside_its_deadline(self, tmp_path):
+        # 23,250 flag cosets with one ramified slot, in a child with
+        # 3,000,000 KiB of address space: all 7 records within 30 s
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(
+            "[ring]\nbranch = padic\np = 5\n\n[run]\nn = 3\nlevel = 2\n\n"
+            "[pseries]\nchars = 1:0,0:0,0:0\n"
+        )
+        out = tmp_path / "ps.jsonl"
+        limit = 3_000_000 * 1024
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(ultrasph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ultrasph.cli", "principal-series", "--config", str(cfg),
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=30,
+                preexec_fn=cap_address_space,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("principal-series at (q5, n3, M2) took over 30 s")
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_PASS
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["status"] for r in records] == ["PASS"] * 7
+
+    def test_verify_all_seed_0_records_match_the_committed_file(self, tmp_path):
+        # every record but its timing, byte for byte, against the file
+        # written at seed 0 with the CLI defaults
+        out = tmp_path / "all.jsonl"
+        assert main(["verify-all", "--seed", "0", "--out", str(out)]) == EXIT_PASS
+        got = []
+        for line in out.read_text().splitlines():
+            record = json.loads(line)
+            del record["seconds"]
+            got.append(json.dumps(record, sort_keys=True))
+        want = (Path(__file__).parent / "data" / "verify_all_seed0.jsonl").read_text().splitlines()
+        assert len(got) == len(want) == 893
+        assert [a for a, b in zip(got, want) if a != b] == []
+
     @pytest.mark.parametrize("command, chars, skip_id", [
         ("zonal", None, "zonal/budget"),
         ("principal-series", None, "/budget"),

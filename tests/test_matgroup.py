@@ -905,13 +905,23 @@ class TestStabiliserChain:
         assert calls == []
         rep = verify_generators(SubgroupSpec("K"), R, 2)
         assert rep["ok"] and rep["orbit"] == sphere_size(3, 2, 2)
-        assert calls  # K does sift
+        assert calls  # K inverts w, to match the Kmirab diagonal generators as conjugates
 
     def test_byte_cap_counts_the_tables(self, monkeypatch):
         R, n = ring_of("padic", 3, 1, 2), 2
         spec = SubgroupSpec("K")
-        rows = R.q ** ((R.m - 1) * n) * (R.q**n - 1)
-        bound = 16 * n**3 * min(rows, group_order(R, n)) + 4 * n * R.size**n
+        q, m = R.q, R.m
+        # K takes the shared Kmirab path: the larger of its top orbit (every
+        # unimodular row) with one table, and the Kmirab chain's points (at
+        # most the rows each level can reach, and at most |Kmirab| + n - 1 in
+        # all) with n tables
+        sphere = q ** ((m - 1) * n) * (q**n - 1)
+        reach = sum(q ** ((m - 1) * (n - t) + m * t) * (q ** (n - t) - 1) for t in range(n))
+        mirab = subgroup_order(SubgroupSpec("Kmirab"), R, n)
+        bound = max(
+            8 * (n + 2) * sphere + 4 * R.size**n,
+            8 * (n + 2) * min(reach, mirab + n - 1) + 4 * n * R.size**n,
+        )
         monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", bound - 1)
         with mock.patch.object(matgroup, "_Level", side_effect=AssertionError("allocated")):
             with pytest.raises(BudgetExceededError, match=f"needs up to {bound} bytes"):

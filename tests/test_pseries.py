@@ -846,13 +846,13 @@ class TestSupportRows:
         model = build_model([next(c for c in chs if c.c == 2), trivial_of(chs)])
         v0, _ = model.newform()
         ks = newform_ks(model, 5)
-        counted, canon = [], pseries.flag_canon
+        counted, eliminate = [], pseries._eliminate
 
-        def counting(ring, a):
-            counted.append(np.asarray(a).reshape(-1, model.n, model.n).shape[0])
-            return canon(ring, a)
+        def counting(ring, rows, det=None):
+            counted.append(rows.shape[-1])
+            return eliminate(ring, rows, det)
 
-        monkeypatch.setattr(pseries, "flag_canon", counting)
+        monkeypatch.setattr(pseries, "_eliminate", counting)
         assert model.coefficient_residual(v0, ks)[0] < verify.TOL_RESIDUAL
         support = np.count_nonzero(v0)
         assert (support, model.dim) == (27, 36)
