@@ -87,6 +87,8 @@ class RunConfig:
             raise ConfigError("samples and budget must be positive")
         if self.level < 1:
             raise ConfigError("level must be >= 1")
+        if self.n < 2:
+            raise ConfigError("n must be >= 2")
         if min(self.real_degree, self.complex_degree) < 0:
             raise ConfigError("arch degrees must be >= 0")
         if min(self.real_nmax, self.complex_nmax) < 2:

@@ -18,14 +18,17 @@ piece invariant (``SphereIndex.structure_fault``).  Dense rows are built
 only for a caller that reads ``Subspace.basis``, one piece at a time.
 
 The four zonal identity checks (addition theorem, reproducing kernel,
-zonal symmetry, projector sums) act on the whole (N, n, n) stack of
-sampled ks at once.  The point e_n k is the bottom row of k, so the
-values at e_n k are one slot lookup per stack.  A piece's first three
-checks are one pass: the stack is inverted once, and R(k^{-1}) on all of
-S is built once per chunk, as a (chunk, |S|) permutation stack that
-serves all three and is dropped before the next; nothing is cached per
-sample.  The projector sums of every level share one inverse too.  Each
-check returns its worst residual and the index of the k where it occurs.
+zonal symmetry, projector sums) act on a whole (N, n, n) stack of
+sampled ks at once.  The zonal suite draws every k of a sphere in one
+stack and inverts it once; each check takes its slice of the ks and of
+the inverses (``kinv``), and inverts the ks itself only when called
+without them.  The point e_n k is the bottom row of k, so the values at
+e_n k are one slot lookup per stack.  A piece's first three checks are
+one pass: R(k^{-1}) on all of S is built per piece, once per chunk of its
+slice, as a (chunk, |S|) permutation stack that serves all three and is
+dropped before the next; nothing is cached per sample.  The projector
+sums of every level share one slice.  Each check returns its worst
+residual and the index of the k where it occurs.
 """
 
 from __future__ import annotations
@@ -390,16 +393,17 @@ def _symmetry_err(zonal, at_k, at_kinv):
     return _abs(zonal[at_k] - np.conj(zonal[at_kinv]))
 
 
-def verify_piece_identities(sub, zonal, ks):
+def verify_piece_identities(sub, zonal, ks, kinv=None):
     """Worst residuals of the addition theorem, the reproducing kernel and
     zonal symmetry of one piece over the sampled ks, each as (worst, index
     in ks where it occurs), with index None when ks is empty.
 
-    The stack is inverted once, Q_j(e_n k) is gathered once, and each
-    chunk's R(k^{-1}) serves all three checks.  The addition theorem's
-    sum_j Q_j(x) conj(Q_j(e_n k)) is row k of qk^* @ basis, and its right
-    side dim * P(x k^{-1}) gathers the zonal through R(k^{-1}).  The
-    reproducing kernel's <R(k) Q_j, zonal> sums Q_j(x k) conj(zonal(x))
+    ``kinv`` is the stack of inverses of the ks when the caller has it, and
+    the ks are inverted here when it is None.  Q_j(e_n k) is gathered once,
+    and each chunk's R(k^{-1}) serves all three checks.  The addition
+    theorem's sum_j Q_j(x) conj(Q_j(e_n k)) is row k of qk^* @ basis, and
+    its right side dim * P(x k^{-1}) gathers the zonal through R(k^{-1}).
+    The reproducing kernel's <R(k) Q_j, zonal> sums Q_j(x k) conj(zonal(x))
     over x, which is Q_j(y) conj(zonal(y k^{-1})) summed over y = x k: one
     product of the basis with the gathered conj(zonal) rows.  Zonal
     symmetry compares e_n k, the bottom row of k, with e_n k^{-1}, column
@@ -412,7 +416,8 @@ def verify_piece_identities(sub, zonal, ks):
     zc = zonal.conj()
     add, rep = np.zeros(len(K)), np.zeros(len(K))
     at_kinv = np.zeros(len(K), dtype=np.int64)
-    for lo, perm_inv in _inverse_perms(space, mat_inv(space.ring, K)):
+    kinv = mat_inv(space.ring, K) if kinv is None else kinv
+    for lo, perm_inv in _inverse_perms(space, kinv):
         hi = lo + len(perm_inv)
         lhs = qk[:, lo:hi].conj().T @ sub.basis
         add[lo:hi] = np.abs(lhs - sub.dim * zonal[perm_inv]).max(axis=1)
@@ -446,7 +451,7 @@ def verify_zonal_symmetry(space, zonal, ks):
     return _worst(_symmetry_err(zonal, space.index.idx(K[:, n - 1]), at_kinv))
 
 
-def idempotent_sum_residual(space, chis, m, ks):
+def idempotent_sum_residual(space, chis, m, ks, kinv=None):
     """Pointwise residuals of the two projector-sum identities at each level
     0..m: a list of (max residual, index in ks where it occurs), one per
     level, with index None when ks is empty.
@@ -456,13 +461,14 @@ def idempotent_sum_residual(space, chis, m, ks):
     supported on the depth-l congruence subgroup; summing over characters
     gives the unramified-subgroup form.  The level-l sum is the level-(l-1)
     sum plus one term, so each character's sum runs once up the levels.
-    Every k is evaluated at once, on one inverse of the stack: the slot of
-    e_n k^{-1}, the K_0 and K_1 membership masks and the bottom-right entry
-    are arrays over it.
+    Every k is evaluated at once, on one inverse of the stack, ``kinv`` when
+    the caller has it: the slot of e_n k^{-1}, the K_0 and K_1 membership
+    masks and the bottom-right entry are arrays over it.
     """
     ring, n, q = space.ring, space.n, space.ring.q
     K = _stack(ks, n)
-    x_slots = space.index.idx(mat_inv(ring, K)[:, n - 1])  # e_n k^{-1}
+    kinv = mat_inv(ring, K) if kinv is None else kinv
+    x_slots = space.index.idx(kinv[:, n - 1])  # e_n k^{-1}
     d = K[:, n - 1, n - 1]
     in_k0 = {ell: subgroup_membership(SubgroupSpec("K0", ell), ring, K) for ell in range(1, m + 1)}
     in_k1 = {ell: subgroup_membership(SubgroupSpec("K1", ell), ring, K) for ell in range(1, m + 1)}

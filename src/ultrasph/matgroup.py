@@ -40,7 +40,7 @@ import numpy as np
 from .ring import unit_group_basis, unit_subgroup_basis
 
 
-SAMPLE_BATCH_BYTES = 1 << 21  # Leibniz terms of one batch of sampler candidates
+SAMPLE_BATCH_BYTES = 1 << 21  # Leibniz terms of one batch: sampler candidates, or a det or mat_inv chunk
 CHAIN_BATCH = 64  # Schreier generators sifted at once
 CHAIN_QUIET_PASSES = 4  # random passes that add nothing before every Schreier generator is sifted
 CHAIN_BYTES_MAX = 1 << 27  # cap on the bound of a stabiliser chain's transversals and tables
@@ -51,23 +51,36 @@ class BudgetExceededError(RuntimeError):
 
 
 def det(ring, a):
-    """Determinant of an (n, n) matrix (an int) or an (N, n, n) stack.
+    """Determinant of an (n, n) matrix (an int) or of each matrix in a
+    (..., n, n) stack.
 
     Leibniz expansion over a cached permutation table, vectorised over the
-    stack: exact over any commutative ring, singular matrices included.
+    stack and exact over any commutative ring, singular matrices included.
+    Each term's product is reduced after every factor, and its n! signed
+    terms are summed as ``sum_arr`` does: once mod q^m on the padic branch,
+    through the add table on the laurent one.  The stack is taken in chunks
+    whose terms stay under SAMPLE_BATCH_BYTES.  At n = 0 the one term is
+    the empty product, 1.
     """
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[-1]
+    flat = a.reshape(math.prod(a.shape[:-2]), n, n)
     perms, odd = _perm_table(n)
-    terms = a[..., np.arange(n), perms]  # (..., n!, n): entries a[i, perm[i]]
-    prod = terms[..., 0]
-    for i in range(1, n):
-        prod = ring.mul_arr(prod, terms[..., i])
-    prod[..., odd] = ring.neg_arr(prod[..., odd])
-    total = prod[..., 0]
-    for t in range(1, len(perms)):
-        total = ring.add_arr(total, prod[..., t])
-    return int(total) if a.ndim == 2 else total
+    out = np.empty(len(flat), dtype=np.int64)
+    step = max(1, SAMPLE_BATCH_BYTES // _leibniz_bytes(n))
+    for lo in range(0, len(flat), step):
+        terms = flat[lo : lo + step, np.arange(n), perms]  # (chunk, n!, n): entries a[i, perm[i]]
+        prod = terms[..., 0] if n else np.ones(terms.shape[:-1], dtype=np.int64)
+        for i in range(1, n):
+            prod = ring.mul_arr(prod, terms[..., i])
+        prod[:, odd] = ring.neg_arr(prod[:, odd])
+        out[lo : lo + step] = ring.sum_arr(prod)
+    return int(out[0]) if a.ndim == 2 else out.reshape(a.shape[:-2])
+
+
+def _leibniz_bytes(n):
+    """Bytes of one (n, n) matrix's Leibniz terms: n! products of n entries."""
+    return 8 * max(n, 1) * math.factorial(n)
 
 
 @cache
@@ -78,30 +91,48 @@ def _perm_table(n):
     return perms, inversions.sum(axis=(1, 2)) % 2 == 1
 
 
+@cache
+def _minor_table(n):
+    """(rows, cols, odd): index arrays of shape (n, n, n-1, n-1) that gather
+    from an (n, n) matrix its minor without row i and column j at (i, j),
+    and the (n, n) mask of the cofactor signs (-1)^(i+j) = -1."""
+    keep = np.array([[r for r in range(n) if r != i] for i in range(n)], dtype=np.int64)
+    rows = np.broadcast_to(keep[:, None, :, None], (n, n, n - 1, n - 1))
+    cols = np.broadcast_to(keep[None, :, None, :], (n, n, n - 1, n - 1))
+    return rows, cols, np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
+
+
 def mat_inv(ring, a):
     """Inverse of an (n, n) matrix or of each matrix in an (N, n, n) stack.
 
-    Gauss-Jordan with unit pivots, exact over the local ring O/p^m; raises
-    ValueError when some column has no unit pivot (a non-invertible matrix).
+    Cramer's rule, A^-1 = det(A)^-1 adj(A), which holds over any commutative
+    ring (Lang, Algebra, ch. XIII, sec. 4): adj(A)[j, i] is the cofactor
+    (-1)^(i+j) det(A without row i and column j), and A adj(A) = det(A) 1.
+    All n^2 minors of a chunk are gathered through one cached index table
+    and go through ``det``, the one Leibniz routine; det(A) is then row 0 of
+    A times column 0 of adj(A).  So A is invertible exactly when det(A) is
+    a unit of O/p^m, and a non-unit det, in the maximal ideal p, is the only
+    failure: it raises ValueError.  The inverse is unique, so any exact
+    method gives these codes.  Chunks keep the minors' Leibniz terms under
+    SAMPLE_BATCH_BYTES.
     """
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[-1]
-    A = a.reshape(-1, n, n)
-    M = np.concatenate([A, np.broadcast_to(np.eye(n, dtype=np.int64), A.shape)], axis=2)
-    rows = np.arange(A.shape[0])
-    for col in range(n):
-        unit = ring.val_arr(M[:, col:, col]) == 0
-        if not unit.any(axis=1).all():
-            raise ValueError("matrix is not invertible: no unit pivot")
-        # a non-unit diagonal entry gets the first unit row below added to
-        # it: a non-unit plus a unit is a unit in a local ring
-        r = col + unit.argmax(axis=1)
-        M[:, col] = ring.add_arr(M[:, col], M[rows, r] * (r != col)[:, None])
-        M[:, col] = ring.mul_arr(ring.inv_arr(M[:, col, col])[:, None], M[:, col])
-        f = M[:, :, col, None].copy()
-        f[:, col] = 0
-        M = ring.sub_arr(M, ring.mul_arr(f, M[:, col, None, :]))
-    return M[:, :, n:].reshape(a.shape)
+    flat = a.reshape(-1, n, n)
+    rows, cols, odd = _minor_table(n)
+    out = np.empty_like(flat)
+    step = max(1, SAMPLE_BATCH_BYTES // (n * n * _leibniz_bytes(n - 1)))
+    for lo in range(0, len(flat), step):
+        A = flat[lo : lo + step]
+        cof = det(ring, A[:, rows, cols])  # (chunk, n, n)
+        cof[:, odd] = ring.neg_arr(cof[:, odd])
+        adj = cof.transpose(0, 2, 1)
+        try:
+            dinv = ring.inv_arr(ring.matmul(A[:, :1], adj[:, :, :1]))  # (chunk, 1, 1)
+        except ValueError:
+            raise ValueError("matrix is not invertible: no unit pivot") from None
+        out[lo : lo + step] = ring.mul_arr(dinv, adj)
+    return out.reshape(a.shape)
 
 
 class SubgroupSpec:
@@ -680,7 +711,7 @@ def random_stack(ring, n, count, rng, ell=None):
     highs = np.array(highs, dtype=np.int64)
     # K's acceptance rate exactly; a lower bound for K_0(p^ell)
     rate = math.prod(1 - ring.q ** -i for i in range(1, n + 1))
-    cap = max(1, SAMPLE_BATCH_BYTES // (8 * n * math.factorial(n)))
+    cap = max(1, SAMPLE_BATCH_BYTES // _leibniz_bytes(n))
     out = []
     need = count
     while need > 0:

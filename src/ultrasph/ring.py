@@ -282,6 +282,17 @@ class RingLevel:
             raise ValueError("non-unit entry")
         return self._inv[A]
 
+    def sum_arr(self, A):
+        """Ring sum over the last axis of A: the int64 sum reduced once mod
+        q^m on the padic branch, as ``matmul`` sums, and the terms added
+        through the add table on the laurent branch."""
+        if self.branch == "padic":
+            return A.sum(axis=-1) % self.size
+        out = A[..., 0]
+        for t in range(1, A.shape[-1]):
+            out = self._add[out, A[..., t]]
+        return out
+
     def sub_mul_arr(self, A, X, B):
         """A - X B entrywise: integer ops and one reduction mod q^m on the
         padic branch, table lookups on the laurent branch."""

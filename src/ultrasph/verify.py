@@ -40,6 +40,7 @@ from .matgroup import (
     group_order,
     group_stack,
     k_certificate_bytes,
+    mat_inv,
     orbit_stack,
     random_stack,
     row_keys,
@@ -257,9 +258,9 @@ def _check_sample_bytes(n, count):
     """Raise BudgetExceededError, before anything is drawn, when a stack of
     ``count`` sampled (n, n) elements and the checks on it would exceed
     BASIS_BYTES_MAX.  The prediction is 16 times the stack's 8 n^2 count
-    bytes.  Measured with tracemalloc, the sampler's kept batches, the
-    mat_inv working copies and the per-k residuals peak at 10-12 times the
-    stack in the zonal suite, and at 4.5-8 times it in the model checks."""
+    bytes.  Measured with tracemalloc, the zonal suite's one stack per
+    sphere, its inverse, the Leibniz chunks and the per-k residuals peak at
+    3.0-3.8 times the stack, and the model checks at 4.5-8 times it."""
     _check_bytes(16 * 8 * n * n * count, f"{count} sampled elements and their checks")
 
 
@@ -337,14 +338,23 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
     """Zonal closed form, norms, symmetry, addition and reproducing identities,
     multiplicity one, the invariant-pairing Gram matrix and the projector-sum
     identities, one piece held at a time; BudgetExceededError, before
-    anything is built, when the largest piece and its checks, or the
-    sampled stack of a piece (at most max(samples, 8) elements), would
-    exceed BASIS_BYTES_MAX.  A piece H's invariant line is proj_H
-    delta_{e_n}, a multiple of conj(basis[:, e_n]) @ basis, which the group
-    P' of the ``Kmirab`` generators fixes when it fixes H and e_n.  One
-    permutation check per generator (``SphereIndex.structure_fault``)
-    shows P' fixes every piece; so a non-zero line in every piece, no
-    failing label fact and ``_count_reason`` force dim H^P' = 1.
+    anything is built, when the largest piece and its checks, or the stack
+    of every k the sphere's checks take, would exceed BASIS_BYTES_MAX.
+    A piece H's invariant line is proj_H delta_{e_n}, a multiple of
+    conj(basis[:, e_n]) @ basis, which the group P' of the ``Kmirab``
+    generators fixes when it fixes H and e_n.  One permutation check per
+    generator (``SphereIndex.structure_fault``) shows P' fixes every piece;
+    so a non-zero line in every piece, no failing label fact and
+    ``_count_reason`` force dim H^P' = 1.
+
+    The sphere's ks are one stack: each piece's sample count comes from
+    the closed-form ``dim_harmonic`` before any piece is built, every piece's
+    ks and the projector sums' 1000 (when |K| > 5000) are one
+    ``random_stack`` draw, which consumes the stream as the draws one after
+    another would, and the exhaustive K stack of a small group joins them.
+    The whole stack is inverted once; each piece reads its slice of ks and
+    inverses, and builds R(k^{-1}) on its own slice in chunks
+    (``verify_piece_identities``).
     A failed identity record names its worst k, a failed ``phi-gram`` its
     worst (l1, l2), and a failed ``zonal-oracle`` or ``zonal-shells`` its
     worst sphere point."""
@@ -352,10 +362,25 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
     rng = np.random.default_rng(seed)
     q, M = ring.q, ring.m
     _check_bytes(zonal_piece_bytes(q, n, M), "a dense piece and its checks")
-    _check_sample_bytes(n, max(samples, 8))
+    chs = characters(ring)
+    size = sphere_size(q, n, M)
+    counts = [  # each piece's ks, in the loop's order
+        max(-(-samples // size), -(-samples // max(dim_harmonic(q, n, m, chi.c), 1)), 8)
+        for chi in chs
+        for m in range(chi.c, M + 1)
+    ]
+    korder = group_order(ring, n)
+    exhaustive = korder <= 5000
+    drawn = sum(counts) + (0 if exhaustive else 1000)
+    _check_sample_bytes(n, drawn + (korder if exhaustive else 0))
+    stack = random_stack(ring, n, drawn, rng)
+    if exhaustive:
+        stack = np.concatenate([stack, group_stack(ring, n)])
+    stack_inv = mat_inv(ring, stack)
+    bounds = np.cumsum([0, *counts])
+    spans = zip(bounds, bounds[1:])
     lab = _ring_label(ring, n)
     space = SphereSpace(ring, n)
-    chs = characters(ring)
     minv = space.min_val_head()
     mirab_gens = subgroup_generators(SubgroupSpec("Kmirab"), ring, n)
     orbits = mirabolic_orbit_count(space, mirab_gens)
@@ -423,11 +448,9 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
                 abs(space.ip(z, z) - 1.0 / H.dim),
                 TOL_TIGHT,
             )
-            nk = max(
-                -(-samples // space.size), -(-samples // max(H.dim, 1)), 8
-            )
-            ks = random_stack(ring, n, nk, rng)
-            add, rep, sym = verify_piece_identities(H, z, ks)
+            lo, hi = next(spans)
+            ks = stack[lo:hi]
+            add, rep, sym = verify_piece_identities(H, z, ks, kinv=stack_inv[lo:hi])
             rec.residual(
                 f"{lab}/addition-theorem/{cl}/m{m}",
                 "sum_j Q_j(x) conj(Q_j(e_n k)) = dim * P(x k^{-1})",
@@ -463,16 +486,10 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
                 1,
                 reason or 1,
             )
-    # projector-sum identities
-    korder = group_order(ring, n)
-    exhaustive_cap = 5000
-    if korder <= exhaustive_cap:
-        ks = group_stack(ring, n)
-        mode = "exhaustive"
-    else:
-        ks = random_stack(ring, n, 1000, rng)
-        mode = "sampled-1000"
-    for m, (worst, at) in enumerate(idempotent_sum_residual(space, chs, M, ks)):
+    # projector-sum identities, on the stack's tail
+    ks, mode = stack[bounds[-1] :], "exhaustive" if exhaustive else "sampled-1000"
+    sums = idempotent_sum_residual(space, chs, M, ks, kinv=stack_inv[bounds[-1] :])
+    for m, (worst, at) in enumerate(sums):
         rec.residual(
             f"{lab}/projector-sums/m{m}",
             "level sums of dim * zonal match the congruence-subgroup indicators",

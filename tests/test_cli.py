@@ -3,9 +3,12 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ultrasph
 
@@ -29,12 +32,14 @@ from ultrasph.verify import CheckRecord
 
 
 
-def run_under_memory_limit(tmp_path, command, p, n, level, limit=2 << 30, extra=(), chars=None):
-    """Run one padic command in a child with ``limit`` bytes of address space,
-    ``extra`` appended to its arguments and an optional ``[pseries] chars``
-    selector; return the finished process and its records."""
+def run_under_memory_limit(tmp_path, command, p, n, level, limit=2 << 30, extra=(), chars=None,
+                           branch="padic", f=1, timeout=120):
+    """Run one command on the ring (branch, p, f, level) in a child with
+    ``limit`` bytes of address space, ``extra`` appended to its arguments and
+    an optional ``[pseries] chars`` selector; return the finished process
+    and its records.  subprocess.TimeoutExpired after ``timeout`` seconds."""
     cfg = tmp_path / "c.txt"
-    text = f"[ring]\nbranch = padic\np = {p}\n\n[run]\nn = {n}\nlevel = {level}\n"
+    text = f"[ring]\nbranch = {branch}\np = {p}\nf = {f}\n\n[run]\nn = {n}\nlevel = {level}\n"
     if chars is not None:
         text += f"\n[pseries]\nchars = {chars}\n"
     cfg.write_text(text)
@@ -48,7 +53,7 @@ def run_under_memory_limit(tmp_path, command, p, n, level, limit=2 << 30, extra=
     proc = subprocess.run(
         [sys.executable, "-m", "ultrasph.cli", command, "--config", str(cfg),
          "--out", str(out), *extra],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=timeout,
         preexec_fn=cap_address_space,
     )
     records = [json.loads(line) for line in out.read_text().splitlines()] if out.exists() else []
@@ -475,6 +480,35 @@ class TestMain:
         assert all("over the cap" in r["observed"] for r in skips)
         assert not any(r["status"] == "FAIL" for r in records)
 
+    def test_zonal_budget_counts_the_whole_sphere_before_drawing(self, tmp_path, monkeypatch):
+        # at q2 n2 m2 the pieces draw s, s/2, s/3 and s/6 ks: the largest
+        # stack fits under the cap, the sphere's 2 s do not
+        import ultrasph.verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("random_stack called")
+
+        monkeypatch.setattr(ultrasph.verify, "random_stack", refuse)
+        samples = 1_999_998  # divisible by 6
+        ultrasph.verify._check_sample_bytes(2, samples)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("[ring]\nbranch = padic\np = 2\n\n[run]\nn = 2\nlevel = 2\n")
+        out = tmp_path / "z.jsonl"
+        code = main(["zonal", "--config", str(cfg), "--samples", str(samples), "--out", str(out)])
+        assert code == EXIT_SKIP
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["check_id"], r["status"]) for r in records] == [("zonal/budget", "SKIP")]
+        # the drawn 2 s and the exhaustive K stack of order 96
+        assert records[0]["observed"].startswith(f"{2 * samples + 96} sampled elements")
+
+    def test_n_below_2_is_a_config_error_before_any_budget(self, tmp_path):
+        # refused as a config error, not read as a budget SKIP of the huge draw
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("[ring]\nbranch = padic\np = 2\n\n[run]\nn = 1\nlevel = 1\n")
+        for command in ("zonal", "decompose"):
+            args = [command, "--config", str(cfg), "--samples", "100000000"]
+            assert main([*args, "--out", str(tmp_path / "o.jsonl")]) == EXIT_CONFIG
+
     def test_sample_budget_is_checked_before_any_model_is_built(self, tmp_path, monkeypatch):
         import ultrasph.pseries
         import ultrasph.verify
@@ -572,6 +606,38 @@ class TestMain:
             assert main([command, "--out", str(out)]) == EXIT_PASS
             records = [json.loads(line) for line in out.read_text().splitlines()]
             assert records and all(r["status"] == "PASS" for r in records)
+
+
+class TestCommandSweep:
+    @given(
+        command=st.sampled_from(["zonal", "decompose"]),
+        branch=st.sampled_from(["padic", "laurent"]),
+        p=st.integers(2, 5),
+        f=st.integers(1, 2),
+        level=st.integers(0, 3),
+        n=st.integers(1, 3),
+        samples=st.one_of(st.integers(-1, 300), st.just(10**8)),
+        budget=st.sampled_from([0, 1, 200000]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_small_configs_exit_cleanly(self, command, branch, p, f, level, n, samples, budget):
+        # each run in its own child under a 2 GiB address space and a 20 s
+        # deadline: it passes, fails, skips on a budget, or is refused as a
+        # config error, and never ends in a traceback
+        assume((p**f) ** (level * n) <= 4096)
+        valid = (
+            level >= 1 and n >= 2 and samples > 0 and budget > 0 and p in (2, 3, 5)
+            and (branch == "laurent" or f == 1)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            proc, records = run_under_memory_limit(
+                Path(tmp), command, p=p, n=n, level=level, branch=branch, f=f, timeout=20,
+                extra=("--samples", str(samples), "--budget", str(budget)),
+            )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode in (EXIT_PASS, EXIT_FAIL, EXIT_SKIP, EXIT_CONFIG)
+        assert (proc.returncode == EXIT_CONFIG) == (not valid), proc.stderr
+        assert valid == bool(records)
 
 
 class TestEmitReport:

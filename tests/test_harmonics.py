@@ -1102,23 +1102,33 @@ class TestStackedIdentities:
             want = [space.index.perm_of_matrix(a) for a in mat_inv(space.ring, K[lo : lo + 3])]
             assert np.array_equal(p, np.array(want))
 
-    def test_one_inverse_per_piece_and_one_for_the_projector_sums(self, monkeypatch):
-        # however many chunks R(k^{-1}) takes, a piece's three identities
-        # share one inverse, and every level's projector sum shares another
+    def test_one_draw_and_one_inverse_per_sphere(self, monkeypatch):
+        # however many chunks R(k^{-1}) takes, every piece's three identities
+        # and every level's projector sum read one draw and one inverse
         ring = make_ring_level("padic", 2, 1, 2)
         size = sphere_size(2, 2, 2)
         monkeypatch.setattr(harmonics, "IDENTITY_CHUNK_BYTES", 3 * 8 * 2 * size)
-        calls = []
-        inverse = harmonics.mat_inv
-        monkeypatch.setattr(
-            harmonics, "mat_inv", lambda ring, a: calls.append(len(a)) or inverse(ring, a)
-        )
+        draws, inverses, chunked = [], [], []
+        draw, inverse, perms = verify.random_stack, verify.mat_inv, harmonics._inverse_perms
+
+        def no_inverse(ring, a):
+            raise AssertionError("a piece inverted its own ks")
+
+        def counted_perms(space, kinv):
+            chunked.append(len(kinv))
+            return perms(space, kinv)
+
+        monkeypatch.setattr(verify, "random_stack", lambda *a: draws.append(a[2]) or draw(*a))
+        monkeypatch.setattr(verify, "mat_inv", lambda ring, a: inverses.append(len(a)) or inverse(ring, a))
+        monkeypatch.setattr(harmonics, "mat_inv", no_inverse)
+        monkeypatch.setattr(harmonics, "_inverse_perms", counted_perms)
         rec = verify.zonal_suite(ring, 2, samples=200, seed=0)
         assert all(r.status == "PASS" for r in rec.records)
         pieces = sum(ring.m - ch.c + 1 for ch in characters(ring) if ch.c <= ring.m)
-        assert len(calls) == pieces + 1
-        assert min(calls[:-1]) > 3  # each piece's stack spans several chunks
-        assert calls[-1] == group_order(ring, 2)  # the exhaustive projector-sum stack
+        assert len(chunked) == pieces
+        assert min(chunked) > 3  # each piece's stack spans several chunks
+        # the exhaustive projector-sum stack joins the draw in the one inverse
+        assert inverses == [sum(chunked) + group_order(ring, 2)] and draws == [sum(chunked)]
 
     def test_empty_stack_has_no_witness(self):
         point = ("padic", 2, 1, 2, 2)
@@ -1154,9 +1164,9 @@ class TestIdentityWitness:
         real = getattr(verify, name)
         seen = []
 
-        def replaced(*args):
+        def replaced(*args, **kwargs):
             seen.append(args)
-            return wrap(real, *args)
+            return wrap(real, *args, **kwargs)
 
         monkeypatch.setattr(verify, name, replaced)
         rec = verify.Recorder()
@@ -1168,8 +1178,8 @@ class TestIdentityWitness:
     def test_zonal_symmetry_names_the_corrupted_k(self, monkeypatch):
         picked = {}
 
-        def corrupt(real, H, z, ks):
-            results = real(H, z, ks)
+        def corrupt(real, H, z, ks, kinv=None):
+            results = real(H, z, ks, kinv=kinv)
             if picked:
                 return results
             # a slot that exactly one k reaches, as e_n k or as e_n k^{-1};
@@ -1187,7 +1197,7 @@ class TestIdentityWitness:
             picked["k"] = ks[j].tolist()
             z = z.copy()
             z[slots[0, j]] += 0.5
-            return results[0], results[1], real(H, z, ks)[2]
+            return results[0], results[1], real(H, z, ks, kinv=kinv)[2]
 
         failed, _ = self._run(
             monkeypatch, ("padic", 2, 1, 2, 3), "verify_piece_identities", corrupt
@@ -1199,7 +1209,7 @@ class TestIdentityWitness:
     def test_projector_sums_name_the_first_k_at_the_corrupted_point(self, monkeypatch):
         picked = {}
 
-        def corrupt(real, space, chs, m, ks):
+        def corrupt(real, space, chs, m, ks, kinv=None):
             # the level-0 zonal is 1 everywhere; raise it at the point
             # e_n k^{-1} of the middle k, for every level that adds it in
             n = space.n
@@ -1217,7 +1227,7 @@ class TestIdentityWitness:
 
             with monkeypatch.context() as mp:
                 mp.setattr(harmonics, "zonal_fn", corrupted_zonal)
-                return real(space, chs, m, ks)
+                return real(space, chs, m, ks, kinv=kinv)
 
         point = ("padic", 2, 1, 2, 2)
         failed, seen = self._run(monkeypatch, point, "idempotent_sum_residual", corrupt)

@@ -1,15 +1,20 @@
 """Properties of the table arithmetic and of the stacked det, mat_inv and
-flag_canon, swept over random small (branch, p, f, m, n)."""
+flag_canon, swept over random small (branch, p, f, m, n); det and mat_inv
+also against the references they replaced (``linalgref``)."""
 
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultrasph.matgroup import det, mat_inv
+from ultrasph import matgroup
+from ultrasph.matgroup import _leibniz_bytes, det, mat_inv
 from ultrasph.pseries import flag_canon
 from ultrasph.ring import make_ring_level
+
+from linalgref import reference_det, reference_mat_inv
 
 RING_POINTS = [
     (branch, p, f, m)
@@ -205,3 +210,63 @@ class TestStacks:
                 j = next(c for c in range(n) if c not in taken and R.is_unit(rep[i, c]))
                 assert rep[i, j] == 1 and not rep[:i, j].any()
                 taken.append(j)
+
+
+def outcome(f, ring, a):
+    """f(ring, a), or the message of the ValueError it raises."""
+    try:
+        return f(ring, a)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+class TestLeibnizAgainstReferences:
+    """det and the Cramer inverse equal the table-sum Leibniz det and
+    Gauss-Jordan bit for bit, singular matrices included."""
+
+    @given(point=points, n=st.integers(1, 4), count=st.integers(0, 40), seed=seeds)
+    @sweep
+    def test_equal_to_the_references(self, point, n, count, seed):
+        R = ring_of(point)
+        a = draw(R, n, seed, count=count)
+        assert_same_outcome(det(R, a), reference_det(R, a))
+        # the whole stack, singular ones included, then its invertible part
+        assert_same_outcome(outcome(mat_inv, R, a), outcome(reference_mat_inv, R, a))
+        inv = a[R.val_arr(det(R, a)) == 0]
+        assert_same_outcome(mat_inv(R, inv), reference_mat_inv(R, inv))
+        if count:
+            assert det(R, a[0]) == reference_det(R, a[0])
+            assert_same_outcome(outcome(mat_inv, R, a[0]), outcome(reference_mat_inv, R, a[0]))
+
+    @pytest.mark.parametrize("point", [("padic", 3, 1, 2), ("laurent", 2, 2, 2)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_several_chunks(self, point, n, monkeypatch):
+        # three inverses' minors, or three dets' terms, to a chunk
+        R = ring_of(point)
+        a = draw(R, n, 5, count=40)
+        inv = a[R.val_arr(reference_det(R, a)) == 0]
+        assert len(inv) > 6
+        chunks = []
+        leibniz = matgroup.det
+
+        def counted(ring, b):
+            chunks.append(len(b))
+            return leibniz(ring, b)
+
+        monkeypatch.setattr(matgroup, "SAMPLE_BATCH_BYTES", 3 * n * n * _leibniz_bytes(n - 1))
+        monkeypatch.setattr(matgroup, "det", counted)
+        assert np.array_equal(mat_inv(R, inv), reference_mat_inv(R, inv))
+        assert chunks == [3] * (len(inv) // 3) + [len(inv) % 3] * (len(inv) % 3 > 0)
+        monkeypatch.setattr(matgroup, "SAMPLE_BATCH_BYTES", 3 * _leibniz_bytes(n))
+        assert np.array_equal(leibniz(R, a), reference_det(R, a))
+        monkeypatch.setattr(matgroup, "SAMPLE_BATCH_BYTES", 1)
+        assert np.array_equal(leibniz(R, a), reference_det(R, a))
+        assert np.array_equal(mat_inv(R, inv), reference_mat_inv(R, inv))

@@ -1003,6 +1003,20 @@ class TestRandomStack:
         assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
+    @given(point=st.sampled_from(SAMPLER_RINGS), n=st.integers(1, 4), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_draw_of_a_plus_b_is_a_draw_of_a_then_b(self, point, n, data):
+        # the zonal suite draws all of a sphere's stacks in one call
+        R = ring_of(*point)
+        ell = data.draw(st.sampled_from([None, *range(R.m + 1)]))
+        a, b = data.draw(st.integers(0, 60)), data.draw(st.integers(0, 60))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_stack(R, n, a + b, one, ell=ell)
+        want = np.concatenate([random_stack(R, n, a, two, ell=ell), random_stack(R, n, b, two, ell=ell)])
+        assert got.shape == want.shape == (a + b, n, n) and np.array_equal(got, want)
+        assert one.bit_generator.state == two.bit_generator.state
+
     def test_batches_smaller_than_the_count(self, monkeypatch):
         # a one-candidate byte cap forces a round per candidate
         import ultrasph.matgroup

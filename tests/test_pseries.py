@@ -545,11 +545,17 @@ class TestSuiteDraws:
         assert all(status == "PASS" for _, status, _, _ in first[0])
 
 
+def one_k_or_all(model, per_chunk):
+    """ACTION_CHUNK_BYTES for one k's (k, coset row) pairs a chunk, or for
+    every k in one chunk."""
+    return pseries._action_bytes(model.n) * model.dim if per_chunk == "one" else 1 << 40
+
+
 class TestBatchedActions:
     @pytest.mark.parametrize("per_chunk", ["one", "all"])
     def test_tables_equal_per_k_tables(self, batch_case, per_chunk, monkeypatch):
         model, _, ks = batch_case
-        monkeypatch.setattr(pseries, "ACTION_CHUNK_BYTES", 1 if per_chunk == "one" else 1 << 40)
+        monkeypatch.setattr(pseries, "ACTION_CHUNK_BYTES", one_k_or_all(model, per_chunk))
         K = np.array(ks)
         chunks = list(model._actions(K))
         assert len(chunks) == (len(ks) if per_chunk == "one" else 1)
@@ -564,7 +570,7 @@ class TestBatchedActions:
     @pytest.mark.parametrize("per_chunk", ["one", "all"])
     def test_coefficients_equal_per_k_reference(self, batch_case, per_chunk, monkeypatch):
         model, v0, ks = batch_case
-        monkeypatch.setattr(pseries, "ACTION_CHUNK_BYTES", 1 if per_chunk == "one" else 1 << 40)
+        monkeypatch.setattr(pseries, "ACTION_CHUNK_BYTES", one_k_or_all(model, per_chunk))
         ref = reference_coefficient_residual(model, v0, ks)
         worst, at = model.coefficient_residual(v0, ks)
         assert ref < 1e-9 and abs(worst - ref) < 1e-15 and 0 <= at < len(ks)
@@ -806,12 +812,12 @@ class TestSupportRows:
         ring = make_ring_level(branch, p, f, M)
         tuples = [t for total in range(M + 1) for t in character_tuples(ring, n, total)]
         chars = data.draw(st.sampled_from(tuples))
-        chunk = data.draw(st.sampled_from([1, 1 << 40]))
+        per_chunk = data.draw(st.sampled_from(["one", "all"]))
         model = build_model(chars, rng=np.random.default_rng(0))
         v0, _ = model.newform()
         ks = newform_ks(model, data.draw(st.integers(0, 99)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pseries, "ACTION_CHUNK_BYTES", chunk)
+            mp.setattr(pseries, "ACTION_CHUNK_BYTES", one_k_or_all(model, per_chunk))
             worst, at = model.coefficient_residual(v0, ks)
             ref, _ = reference_full_coefficient_residual(model, v0, ks)
         assert abs(worst - ref) < 1e-15 and 0 <= at < len(ks)
@@ -820,7 +826,8 @@ class TestSupportRows:
 
     @pytest.mark.parametrize("chunk", [1, 1 << 40])
     def test_any_row_subset(self, chunk, monkeypatch):
-        # a dense vector with zeros at random rows: the subset is general, not the newform's
+        # a dense vector with zeros at random rows: the subset is general, not
+        # the newform's; chunk 1 acts on one (k, coset row) pair a block
         monkeypatch.setattr(pseries, "ACTION_CHUNK_BYTES", chunk)
         ring = make_ring_level("padic", 3, 1, 2)
         chs = characters(ring)
