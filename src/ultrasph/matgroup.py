@@ -246,9 +246,15 @@ def subgroup_generators(spec, ring, n):
     ``verify_generators`` for the certificate.
 
     The identity is returned for subgroups that collapse to the trivial
-    group at the working level, so closures always start somewhere.
+    group at the working level, so closures always start somewhere.  The
+    stack is built once per (canonical spec, ring, n) and is read-only, so a
+    caller that writes to it fails.
     """
-    spec = canonical_spec(spec, ring)
+    return _generators(canonical_spec(spec, ring), ring, n)
+
+
+@cache
+def _generators(spec, ring, n):
     ell = spec.level
     if spec.kind == "K":
         gens = _gl_generators(ring, n)
@@ -289,7 +295,9 @@ def subgroup_generators(spec, ring, n):
         gens += [_scalar(n, u) for u in unit_group_basis(ring).gens]
     else:
         raise AssertionError
-    return np.array(gens, dtype=np.int64).reshape(-1, n, n)
+    gens = np.array(gens, dtype=np.int64).reshape(-1, n, n)
+    gens.flags.writeable = False
+    return gens
 
 
 def group_order(ring, n):
@@ -339,25 +347,14 @@ def row_keys(ring, stack):
     return np.ascontiguousarray(flat).view(np.dtype((np.void, 8 * width))).ravel()
 
 
-def find_keys(sorted_keys, keys):
-    """Positions of ``keys`` in the sorted array ``sorted_keys``; KeyError
-    when one is absent."""
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    if not (sorted_keys[pos] == keys).all():
-        raise KeyError("key not in the index")
-    return pos
-
-
-def orbit_stack(ring, start, gens, canon=None, budget=None, left=()):
+def orbit_stack(ring, start, gens, budget=None, left=()):
     """Breadth-first orbit of the (n, n) matrix ``start`` under right
     multiplication by the (n, n) arrays ``gens`` and left multiplication by
     those of ``left``, as an (N, n, n) stack.
 
-    ``canon`` maps a product stack to the representatives it stands for
-    (cosets); without it the products themselves are the elements.  Each
-    layer multiplies the frontier by every generator, generator-major, right
-    products first, and keeps the first occurrence of each key not seen
-    before, in stack order, so the order is that of a one-at-a-time BFS.
+    Each layer multiplies the frontier by every generator, generator-major,
+    right products first, and keeps the first occurrence of each key not
+    seen before, in stack order, so the order is that of a one-at-a-time BFS.
     Raises BudgetExceededError when the orbit outgrows ``budget``.
     """
     frontier = np.asarray(start, dtype=np.int64)[None]
@@ -368,8 +365,6 @@ def orbit_stack(ring, start, gens, canon=None, budget=None, left=()):
         cand = np.concatenate(
             [ring.matmul(frontier, g) for g in gens] + [ring.matmul(g, frontier) for g in left]
         )
-        if canon is not None:
-            cand = canon(cand)
         keys, first = np.unique(row_keys(ring, cand), return_index=True)
         slot = np.searchsorted(seen, keys)
         new = seen[np.minimum(slot, len(seen) - 1)] != keys
@@ -495,16 +490,33 @@ class StabiliserChain:
     rows, plus every residue added at level t or below.  Each orbit is then
     an orbit of a subgroup of the true stabiliser, so ``order`` never exceeds
     the order of the group, and equals it once ``sweep`` finds nothing to add
-    (Sims 1970; Seress, Permutation Group Algorithms, 2003, ch. 4).
+    (Sims 1970; Seress, Permutation Group Algorithms, 2003, ch. 4).  With
+    ``expected``, ``on_short`` is called once, as soon as the levels built
+    show that the chain's first order falls below ``expected``, so it will
+    sift.
     """
 
-    def __init__(self, ring, n, gens):
+    def __init__(self, ring, n, gens, expected=None, on_short=None):
         self.ring, self.n = ring, n
         eye = np.eye(n, dtype=np.int64)
-        self.levels = []
-        for t in range(n):
+        self.levels = [None] * n
+        # the top level first, then bottom-up: where the lower orbits fall
+        # short, that shows before the middle levels are built
+        for t in [0, *range(n - 1, 0, -1)]:
             fixed = [g for g in gens if np.array_equal(g[n - t :], eye[n - t :])]
-            self.levels.append(_Level(ring, n, n - 1 - t, fixed))
+            self.levels[t] = _Level(ring, n, n - 1 - t, fixed)
+            if on_short is not None and self._bound() < expected:
+                on_short()
+                on_short = None
+
+    def _bound(self):
+        """The order once every level is built; before, the product of the
+        orbits built and the row counts ``_level_rows`` bounding the rest."""
+        q, m = self.ring.q, self.ring.m
+        return math.prod(
+            _level_rows(q, self.n, m, t) if lev is None else len(lev.pts)
+            for t, lev in enumerate(self.levels)
+        )
 
     def order(self):
         return math.prod(len(lev.pts) for lev in self.levels)
@@ -568,15 +580,20 @@ def chain_bytes(q, n, m, order):
     most order + n - 1.  A point takes 8 (n + 2) bytes (row, parent,
     generator), a level's direct-address table 4 q^(m n), and a point's
     transversal element and inverse 16 n^2."""
-    rows = sum(q ** ((m - 1) * (n - t) + m * t) * (q ** (n - t) - 1) for t in range(n))
+    rows = sum(_level_rows(q, n, m, t) for t in range(n))
     points = min(rows, order + n - 1)
     return 8 * (n + 2) * points + 4 * n * q ** (m * n), 16 * n * n * points
+
+
+def _level_rows(q, n, m, t):
+    """Rows a level-t point can be: the first n - t entries unimodular."""
+    return q ** ((m - 1) * (n - t) + m * t) * (q ** (n - t) - 1)
 
 
 def orbit_bytes(q, n, m, index):
     """Predicted bytes of the top level alone, the orbit of e_{n-1}: at most
     ``index`` points and the unimodular rows, and one table."""
-    return 8 * (n + 2) * min(index, q ** ((m - 1) * n) * (q**n - 1)) + 4 * q ** (m * n)
+    return 8 * (n + 2) * min(index, _level_rows(q, n, m, 0)) + 4 * q ** (m * n)
 
 
 def k_certificate_bytes(q, n, m):
@@ -584,9 +601,8 @@ def k_certificate_bytes(q, n, m):
     allocates, on the shared Kmirab path: the larger of K's top orbit (every
     unimodular row) with its table, and the Kmirab chain's points and tables.
     |Kmirab| = |GL_{n-1}| q^(m(n-1))."""
-    sphere = q ** ((m - 1) * n) * (q**n - 1)
     mirab = _gl_order(q, n - 1, m) * q ** (m * (n - 1))
-    return max(orbit_bytes(q, n, m, sphere), chain_bytes(q, n, m, mirab)[0])
+    return max(orbit_bytes(q, n, m, _level_rows(q, n, m, 0)), chain_bytes(q, n, m, mirab)[0])
 
 
 def _charge(spec, nbytes):
@@ -602,12 +618,12 @@ def _chain_order(spec, ring, n, G, expected):
     generator with a fixed seed; when CHAIN_QUIET_PASSES passes add nothing,
     every Schreier generator is sifted, which completes the chain.  The
     chain's points and tables are charged before it is built, and its
-    transversals before the first sift reads them."""
+    transversals as soon as the chain is known to fall short of
+    ``expected``, before the first sift reads them and before the levels
+    still to build."""
     points, transversals = chain_bytes(ring.q, n, ring.m, expected)
     _charge(spec, points)
-    chain = StabiliserChain(ring, n, G)
-    if chain.order() < expected:
-        _charge(spec, points + transversals)
+    chain = StabiliserChain(ring, n, G, expected, lambda: _charge(spec, points + transversals))
     rng = np.random.default_rng(0)
     quiet = 0
     while chain.order() < expected and quiet < CHAIN_QUIET_PASSES:
@@ -700,15 +716,17 @@ def random_stack(ring, n, count, rng, ell=None):
     bottom-left digits drawn below size / q^min(ell, m) and scaled by
     q^min(ell, m).  With an array ``high``, Generator.integers draws element
     by element in C order, as the separate scalar-``high`` calls did, and a
-    ``high`` of 1 consumes nothing; so one (B, width) draw is B passes.  The
-    round that completes the stack rewinds the generator and redraws only up
-    to its last kept candidate, leaving the stream where the loop left it.
+    ``high`` of 1 consumes nothing; so one (B, width) draw is B passes.  K's
+    entries share the scalar bound ring.size, which draws the same stream
+    as an array of it, faster.  The round that completes the stack rewinds
+    the generator and redraws only up to its last kept candidate, leaving
+    the stream where the loop left it.
     """
-    highs = [ring.size] * (n * n)
+    highs, width = ring.size, n * n
     if ell is not None:
         step = ring.q ** min(ell, ring.m)
-        highs += [ring.size // step] * (n - 1)
-    highs = np.array(highs, dtype=np.int64)
+        highs = np.array([ring.size] * width + [ring.size // step] * (n - 1), dtype=np.int64)
+        width = len(highs)
     # K's acceptance rate exactly; a lower bound for K_0(p^ell)
     rate = math.prod(1 - ring.q ** -i for i in range(1, n + 1))
     cap = max(1, SAMPLE_BATCH_BYTES // _leibniz_bytes(n))
@@ -717,14 +735,14 @@ def random_stack(ring, n, count, rng, ell=None):
     while need > 0:
         batch = min(cap, math.ceil((need + 2 * math.sqrt(need)) / rate) + 2)
         state = rng.bit_generator.state
-        draw = rng.integers(0, highs, size=(batch, len(highs)))
+        draw = rng.integers(0, highs, size=(batch, width))
         cand = draw[:, : n * n].reshape(batch, n, n)
         if ell is not None:
             cand[:, n - 1, : n - 1] = draw[:, n * n :] * step
         kept = np.flatnonzero(ring.val_arr(det(ring, cand)) == 0)[:need]
         if len(kept) == need:
             rng.bit_generator.state = state
-            rng.integers(0, highs, size=(kept[-1] + 1, len(highs)))
+            rng.integers(0, highs, size=(kept[-1] + 1, width))
         out.append(cand[kept])
         need -= len(kept)
     return np.concatenate(out) if out else np.zeros((0, n, n), dtype=np.int64)

@@ -9,7 +9,12 @@ depends only on its bottom n - 1 rows: once they are reduced, the top row
 of the canonical form is e_{j0}, j0 the column no lower row took, and the
 top row's B-factor pivot is det(g) sgn(sigma) / prod of the other pivots,
 sigma the pivot permutation.  So acting on a coset forms only the bottom
-n - 1 rows of reps[r] k, with det(reps[r] k) = det(reps[r]) det(k).
+n - 1 rows of reps[r] k, one 2-D ring product per block of pairs, with
+det(reps[r] k) = det(reps[r]) det(k).  The reduced rows are a pivot
+pattern plus free entries, and a mixed-radix rank over them (Knuth, TAOCP
+4A, 7.2.1) is a perfect index onto the cosets: a coset's slot is one
+gather, and the cosets themselves are every rank unranked, ordered by a
+breadth-first search over the K generators' rank permutations.
 
 K acts by monomial matrices: a permutation of the coset slots times a
 phase e^{2 pi i rot/L}, rot an exact rotation index mod the exponent L of
@@ -43,13 +48,10 @@ from .matgroup import (
     canonical_spec,
     det,
     double_coset_index,
-    find_keys,
     group_order,
     group_stack,
     mat_inv,
-    orbit_stack,
     random_stack,
-    row_keys,
     subgroup_generators,
     verify_generators,
 )
@@ -77,83 +79,96 @@ def _by_entry(stack):
 
 def _action_bytes(n):
     """Bytes per (k, coset row) pair that ``FlagCosets.act`` and a model's
-    phases hold at once: the (n - 1) n product entries, the reduction's row,
-    its temporaries and flags, the keys and slots, and n pivots, each
-    rotation and the complex terms of a translate."""
+    phases hold at once: the (n - 1) n product entries and their copy in
+    entry layout, the reduction's row, its temporaries and masks, the rank's
+    weighted terms, the slot and n pivots; then each rotation and the
+    complex terms of a translate.  tracemalloc puts ``act`` at 142, 237, 358
+    and 471 bytes a pair for n = 2, 3, 4, 5 on both branches, and a translate
+    below that."""
     return 8 * (n * n + 8 * n + 12)
 
 
-def _eliminate(ring, A, det=None):
+def _eliminate(ring, A, det):
     """Bottom-up reduction of the bottom n - 1 rows of N matrices, in place.
 
     ``A`` is the (n - 1, n, N) entry layout of those rows: A[i, j] holds
-    entry (i + 1, j) of every matrix.  Row by row from the bottom, entries
-    above lower pivots are cleared, the first free unit column is the pivot,
-    and the row is scaled to make it 1.  The top row of the canonical form is
-    then e_{j0}, j0 the one column no lower row took.  Returns (A, j0), and
-    with ``det`` (the N determinants) also the (n, N) pivots: the lower rows'
-    at 1..n-1, and the top row's det sgn(sigma) (prod of the others)^{-1} at
-    0, sigma the pivot permutation (det of the canonical form is sgn(sigma)).
-    ValueError when a row has no free unit column or the top pivot is not a
-    unit.
+    entry (i + 1, j) of every matrix, and ``det`` holds the N determinants.
+    Row by row from the bottom, entries above lower pivots are cleared; that
+    leaves the columns lower rows took exactly 0, so the pivot is the first
+    unit column (the lowest set bit of the row's unit mask, from a table),
+    and the row is scaled by the pivot's inverse to make it 1.
+    The top row of the canonical form is then e_{j0}, j0 the one column no
+    lower row took.  Returns (A, pattern, pivots): ``pattern`` indexes the
+    lower rows' pivot columns c_i as sum_i c_i n^(i-1), and the (n, N)
+    pivots hold the lower rows' at 1..n-1 and the top row's at 0, det
+    sgn(sigma) times the product of the lower pivots' inverses, carried
+    along the rows; sigma is the pivot permutation, and the canonical form
+    has determinant sgn(sigma).  ValueError when a row has no unit column or
+    a determinant is not a unit.
     """
     n, N = A.shape[1], A.shape[2]
     at = np.arange(N)
-    cols = np.empty((n, N), dtype=np.int64)
-    piv = np.ones((n, N), dtype=np.int64)
+    flat = np.empty((n, N), dtype=np.int64)  # offsets j * N + at of the pivots in a row
+    piv = np.empty((n, N), dtype=np.int64)
+    pattern = np.zeros(N, dtype=np.int64)
+    inv = np.ones(N, dtype=np.int64)
     for i in range(n - 2, -1, -1):
         row = A[i]
         # clear bottom-up: row r is zero at the pivots of rows below it, so
         # later subtractions cannot repollute columns cleared earlier
         for r in range(n - 2, i, -1):
-            row = ring.sub_mul_arr(row, row.ravel().take(cols[r + 1] * N + at), A[r])
-        cand = ring.val_arr(row) == 0
-        for r in range(i + 1, n - 1):
-            cand.ravel()[cols[r + 1] * N + at] = False  # taken by a lower row
-        j = _first(cand)
-        cols[i + 1], piv[i + 1] = j, row.ravel().take(j * N + at)
-        A[i] = ring.mul_arr(ring.inv_arr(piv[i + 1]), row)
-    cols[0] = n * (n - 1) // 2 - cols[1:].sum(axis=0)
-    if det is None:
-        return A, cols[0]
+            row = ring.sub_mul_arr(row, row.ravel().take(flat[r + 1]), A[r])
+        unit = ring.val_arr(row) == 0
+        mask = np.zeros(N, dtype=np.uint16)
+        for c in range(n):
+            mask |= np.left_shift(unit[c], c, dtype=np.uint16)
+        j = _first_set(n)[mask]
+        if (j == n).any():
+            raise ValueError("matrix is not invertible: no unit pivot")
+        flat[i + 1] = j * N + at
+        piv[i + 1] = row.ravel().take(flat[i + 1])
+        scale = ring._inv[piv[i + 1]]  # the pivot is a unit
+        A[i] = ring.mul_arr(scale, row)
+        inv = ring.mul_arr(inv, scale)
+        pattern += j * n**i
     if (ring.val_arr(det) != 0).any():
         raise ValueError("matrix is not invertible: no unit pivot")
-    lower = piv[0]  # still ones
-    for v in piv[1:]:
-        lower = ring.mul_arr(lower, v)
-    pattern = (cols[1:] * (n ** np.arange(n - 1))[:, None]).sum(axis=0)
-    signed = ring.mul_arr(det, np.where(_odd(n)[pattern], ring.neg(1), 1))
-    piv[0] = ring.mul_arr(signed, ring.inv_arr(lower))
-    return A, cols[0], piv
+    signed = np.where(_pivot_orders(n)[1][pattern], ring.neg_arr(det), det)
+    piv[0] = ring.mul_arr(signed, inv)
+    return A, pattern, piv
 
 
 @cache
-def _odd(n):
-    """Whether the pivot permutation (j0, c_1, ..., c_{n-1}) is odd, indexed
-    by sum_i c_i n^(i-1) over the lower rows' pivot columns c_i."""
+def _first_set(n):
+    """The lowest set bit of every n-bit mask, and n for the empty mask."""
+    masks = np.arange(2**n)
+    first = np.full(2**n, n)
+    for j in range(n - 1, -1, -1):
+        first[masks >> j & 1 == 1] = j
+    return first
+
+
+@cache
+def _pivot_orders(n):
+    """The pivot permutations (j0, c_1, ..., c_{n-1}), and two tables indexed
+    by sum_i c_i n^(i-1) over the lower rows' pivot columns c_i: whether the
+    permutation is odd, and its top column j0."""
+    perms = list(permutations(range(n)))
     odd = np.zeros(n ** (n - 1), dtype=bool)
-    for perm in permutations(range(n)):
-        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
-        odd[sum(c * n**i for i, c in enumerate(perm[1:]))] = inversions % 2
-    return odd
+    top = np.zeros(n ** (n - 1), dtype=np.int64)
+    for perm in perms:
+        at = sum(c * n**i for i, c in enumerate(perm[1:]))
+        odd[at] = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :]) % 2
+        top[at] = perm[0]
+    return perms, odd, top
 
 
-def _first(mask):
-    """Index of the first True down each column of an (n, N) mask;
-    ValueError when a column has none."""
-    rank = np.arange(len(mask), 0, -1, dtype=np.int8)[:, None]
-    best = np.multiply(mask, rank, dtype=np.int8).max(axis=0)
-    if not best.all():
-        raise ValueError("matrix is not invertible: no unit pivot")
-    return len(mask) - best.astype(np.int64)
-
-
-def _reps(rows, j0):
+def _reps(rows, pattern):
     """(N, n, n) canonical forms from the reduced (n - 1, n, N) bottom rows
-    and the top pivot columns j0."""
-    n, N = rows.shape[1], len(j0)
+    and their pivot patterns."""
+    n, N = rows.shape[1], len(pattern)
     rep = np.empty((N, n, n), dtype=np.int64)
-    rep[:, 0] = np.eye(n, dtype=np.int64)[j0]
+    rep[:, 0] = np.eye(n, dtype=np.int64)[_pivot_orders(n)[2][pattern]]
     rep[:, 1:] = rows.transpose(2, 0, 1)
     return rep
 
@@ -171,74 +186,158 @@ def flag_canon(ring, a):
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[-1]
     A = a.reshape(-1, n, n)
-    rows, j0, piv = _eliminate(ring, _by_entry(A[:, 1:]), det(ring, A))
-    rep = _reps(rows, j0)
+    rows, pattern, piv = _eliminate(ring, _by_entry(A[:, 1:]), det(ring, A))
+    rep = _reps(rows, pattern)
     if a.ndim == 2:
         return rep[0], [int(v) for v in piv[:, 0]]
     return rep, np.ascontiguousarray(piv.T)
 
 
-def _canon_reps(ring, stack):
-    """Canonical forms of the invertible (N, n, n) stack, in place, slice by
-    slice so the reduction's temporaries take at most ACTION_CHUNK_BYTES; no
-    pivots, so no determinants.  The coset closure's canon."""
-    step = max(1, ACTION_CHUNK_BYTES // _action_bytes(stack.shape[-1]))
-    for lo in range(0, len(stack), step):
-        stack[lo : lo + step] = _reps(*_eliminate(ring, _by_entry(stack[lo : lo + step, 1:])))
-    return stack
+def _closure_order(moves, start):
+    """Ranks in breadth-first order from ``start`` under the (G, dim) rank
+    permutations ``moves``: each layer takes the images of the frontier
+    generator-major, in frontier order, and keeps the first occurrence of
+    each rank not seen before, as a one-at-a-time search would."""
+    seen = np.zeros(moves.shape[1], dtype=bool)
+    front = np.array([start])
+    seen[front] = True
+    layers = [front]
+    while len(front):
+        cand = moves[:, front].ravel()
+        cand = cand[~seen[cand]]
+        front = cand[np.sort(np.unique(cand, return_index=True)[1])]
+        seen[front] = True
+        layers.append(front)
+    return np.concatenate(layers)
 
 
 class FlagCosets:
-    """Canonical representatives of B\\G, found by closure from the identity,
-    and the character-free structure that every model at (ring, n) shares.
+    """Canonical representatives of B\\G and the character-free structure
+    that every model at (ring, n) shares.
 
-    Reaching the full count certifies transitivity of the generated group
-    on the flag space.  The coset of a canonical form is fixed by its bottom
-    n - 1 rows: ``keys`` holds their keys for the reps, sorted, ``slots`` the
-    rep slot of each sorted key, ``bottom`` the rows in entry layout and
-    ``dets`` each rep's determinant.  ``table`` caches one generator's slot
-    permutation and pivots, ``orbit_tree`` one subgroup's orbits and
-    breadth-first forest.  Build it through ``flag_cosets``, which checks
-    COSET_BUDGET first.
+    The coset of a canonical form is fixed by its bottom n - 1 rows: a pivot
+    pattern (c_1, ..., c_{n-1}), row i's pivot c_i with the columns of the
+    rows below it taken, and free entries in the untaken columns other than
+    c_i.  An entry left of the pivot is a non-unit, digit code // q of radix
+    q^(m-1) (on both branches the non-units are the multiples of q); one
+    right of it is any code, of radix q^m.  The mixed-radix rank
+    offset[pattern] + sum digit * place is a perfect index onto range(size),
+    found with one weight per entry (the places times q on the right) and
+    one exact division by q.  Every rank is unranked, the K generators act
+    on all of them at once, and a breadth-first search over their rank
+    permutations from the identity orders the slots: each layer takes the
+    generators' images generator-major, in frontier order, and keeps the
+    first occurrence of each unseen rank.  Reaching every rank certifies
+    transitivity of the generated group on the flag space.
+
+    ``reps`` holds the canonical forms by slot, ``bottom`` their bottom rows
+    as the right factor of a product (bottom[t, i, r] is entry (i + 1, t)
+    of reps[r]), ``dets`` their determinants and ``slot_of_rank`` each
+    rank's slot.  ``table`` caches one generator's slot permutation and
+    pivots, ``orbit_tree`` one subgroup's orbits and breadth-first forest.
+    Build it through ``flag_cosets``, which checks COSET_BUDGET first.
     """
 
     def __init__(self, ring, n, gens):
         expected = flag_count(ring, n)
         self.ring = ring
         self.n = n
-        start, _ = flag_canon(ring, np.eye(n, dtype=np.int64))
-        reps = orbit_stack(ring, start, gens, canon=lambda s: _canon_reps(ring, s))
-        if len(reps) != expected:
-            raise RuntimeError(f"flag closure found {len(reps)} cosets, expected {expected}")
-        self.reps = reps
-        self.bottom = _by_entry(reps[:, 1:])
-        self.dets = det(ring, reps)
-        keys = self._keys(self.bottom)
-        self.slots = np.argsort(keys)
-        self.keys = keys[self.slots]
         self.size = expected
+        q, m = ring.q, ring.m
+        perms, odd, _ = _pivot_orders(n)
+        self._offset = np.zeros(n ** (n - 1), dtype=np.int64)
+        self._weight = np.zeros((n * (n - 1), n ** (n - 1)), dtype=np.int64)
+        spans = []  # (permutation, pattern, first rank, count, free entries) of each pivot pattern
+        total = 0
+        for perm in perms:
+            at = sum(c * n**i for i, c in enumerate(perm[1:]))
+            self._offset[at] = total
+            place, free = 1, []
+            for i in range(n - 1):
+                for j in range(n):
+                    if j in perm[i + 1 :]:
+                        continue  # the pivot, or a column a lower row took
+                    left = j < perm[i + 1]
+                    free.append((i, j, place, left))
+                    self._weight[i * n + j, at] = place if left else place * q
+                    place *= q ** (m - 1) if left else q**m
+            spans.append((perm, at, total, place, free))
+            total += place
+        if total != expected:
+            raise RuntimeError(f"pivot patterns hold {total} cosets, expected {expected}")
+        rows, pattern = self._unrank(spans, total)
+        if not np.array_equal(self._rank(rows, pattern), np.arange(total)):
+            raise RuntimeError("the coset rank does not invert the unrank")
+        reps = _reps(rows, pattern)
+        dets = np.where(odd[pattern], ring.neg(1), 1)
+        self._set_slots(reps, dets, np.arange(total))
         self._tables = {}
         self._trees = {}
+        # the identity is canonical with every free entry 0: its rank is its
+        # pattern's offset
+        start = self._offset[sum(i * n ** (i - 1) for i in range(1, n))]
+        if not np.array_equal(reps[start], flag_canon(ring, np.eye(n, dtype=np.int64))[0]):
+            raise RuntimeError("the identity's coset is not at its rank")
+        # rank permutations while slot = rank, then the breadth-first order
+        moves = np.stack([perm for perm, _ in self.tables(gens)])
+        order = _closure_order(moves, start)
+        if len(order) != expected:
+            raise RuntimeError(f"flag closure found {len(order)} cosets, expected {expected}")
+        self._set_slots(reps[order], dets[order], order)
+        self._tables = {
+            key: (self.slot_of_rank[perm[order]], piv[order]) for key, (perm, piv) in self._tables.items()
+        }
 
-    def _keys(self, rows):
-        """row_keys of the bottom rows of N matrices, given in entry layout."""
-        return row_keys(self.ring, rows.reshape(-1, rows.shape[-1]).T)
+    def _unrank(self, spans, total):
+        """(rows, pattern) of every rank: the canonical bottom rows in entry
+        layout (n - 1, n, total), and each rank's pivot pattern."""
+        n, q, m = self.n, self.ring.q, self.ring.m
+        rows = np.zeros((n - 1, n, total), dtype=np.int64)
+        pattern = np.empty(total, dtype=np.int64)
+        for perm, at, lo, count, free in spans:
+            local = np.arange(count)
+            pattern[lo : lo + count] = at
+            for i in range(n - 1):
+                rows[i, perm[i + 1], lo : lo + count] = 1
+            for i, j, place, left in free:
+                digits = local // place % q ** (m - 1 if left else m)
+                rows[i, j, lo : lo + count] = digits * q if left else digits
+        return rows, pattern
+
+    def _rank(self, rows, pattern):
+        """Rank of each canonical form from its reduced (n - 1, n, N) bottom
+        rows and pivot pattern: the codes weighted per pattern, summed, and
+        divided once by q, which is exact."""
+        terms = self._weight[:, pattern]
+        terms *= rows.reshape(terms.shape)
+        return self._offset[pattern] + terms.sum(axis=0) // self.ring.q
+
+    def _set_slots(self, reps, dets, order):
+        """Slot s holds reps[s], the coset of rank order[s]."""
+        self.reps = reps
+        self.bottom = np.ascontiguousarray(reps[:, 1:].transpose(2, 1, 0))
+        self.dets = dets
+        self.slot_of_rank = np.empty(len(order), dtype=np.int64)
+        self.slot_of_rank[order] = np.arange(len(order))
 
     def act(self, K, rows=None):
         """(slots, pivots) of shapes (C, R) and (C, R, n) for a (C, n, n)
         stack K and R coset rows (every row by default): reps[rows[r]] K[c]
         lies in the coset of slot slots[c, r], and pivots[c, r] is the
-        diagonal of its B-factor.  Only the bottom n - 1 rows of each
-        product are formed; the top pivot comes from det(reps[r]) det(K[c]).
-        Pairs go through in blocks whose temporaries take at most
-        ACTION_CHUNK_BYTES (one pair at least).  ValueError on codes of K
-        outside the ring, or on a singular K[c]."""
+        diagonal of its B-factor.  A block's bottom n - 1 rows of every
+        product come from one 2-D ``ring.matmul`` of the K columns by the
+        bottom rows; the top pivot comes from det(reps[r]) det(K[c]), and the
+        slot from the rank of the reduced rows, one gather.  Pairs go through
+        in blocks whose temporaries take at most ACTION_CHUNK_BYTES (one pair
+        at least).  ValueError on codes of K outside the ring, or on a
+        singular K[c]."""
         ring, n = self.ring, self.n
         K = ring.as_codes(K)
         bottom = self.bottom if rows is None else self.bottom[:, :, rows]
         dets = self.dets if rows is None else self.dets[rows]
         C, R = len(K), bottom.shape[-1]
         kdets = det(ring, K)
+        cols = K.transpose(0, 2, 1).reshape(C * n, n)  # row (c, j) is column j of K[c]
         slots = np.empty((C, R), dtype=np.int64)
         pivots = np.empty((C, R, n), dtype=np.int64)
         per = max(1, ACTION_CHUNK_BYTES // _action_bytes(n))
@@ -246,11 +345,15 @@ class FlagCosets:
         for c0 in range(0, C, cs):
             for r0 in range(0, R, rs):
                 at = np.s_[c0 : c0 + cs], np.s_[r0 : r0 + rs]
-                prods = ring.matmul_by_entry(bottom[:, :, at[1]], K[at[0]])
-                shape = prods.shape[2:]
+                right = bottom[:, :, at[1]]
+                shape = (min(cs, C - c0), right.shape[-1])
+                prods = ring.matmul(cols[c0 * n : (c0 + cs) * n], right.reshape(n, -1))
+                # entry (i + 1, j) of reps[r] K[c] sits at prods[(c, j), (i, r)]
+                A = prods.reshape(shape[0], n, n - 1, shape[1]).transpose(2, 1, 0, 3).reshape(n - 1, n, -1)
+                del prods
                 g = ring.mul_arr(kdets[at[0], None], dets[None, at[1]]).ravel()
-                red, _, piv = _eliminate(ring, prods.reshape(n - 1, n, -1), g)
-                slots[at] = self.slots[find_keys(self.keys, self._keys(red))].reshape(shape)
+                red, pattern, piv = _eliminate(ring, A, g)
+                slots[at] = self.slot_of_rank[self._rank(red, pattern)].reshape(shape)
                 pivots[at] = piv.T.reshape(*shape, n)
         return slots, pivots
 

@@ -300,30 +300,6 @@ class RingLevel:
             return (A - X * B) % self.size
         return self._add[A, self._neg[self._mul[X, B]]]
 
-    def matmul_by_entry(self, rows, K):
-        """Entries of every product rows[:, :, r] K[c], laid out by entry:
-        ``rows`` is an (r, s, R) array holding entry (i, t) of R row blocks
-        contiguously, K a (C, s, t') stack, and out[i, j, c, r] is entry
-        (i, j) of the product of row block r and K[c], an (r, t', C, R) array.
-        A padic entry sums its integer products and is reduced once."""
-        KT = np.asarray(K).transpose(1, 2, 0)
-        r, s, R = rows.shape
-        out = np.empty((r, KT.shape[1], KT.shape[2], R), dtype=np.int64)
-        for i in range(r):
-            for j in range(KT.shape[1]):
-                if self.branch == "padic":
-                    acc = np.multiply.outer(KT[0, j], rows[i, 0])
-                    for t in range(1, s):
-                        acc += np.multiply.outer(KT[t, j], rows[i, t])
-                else:
-                    acc = self._mul[KT[0, j, :, None], rows[i, 0]]
-                    for t in range(1, s):
-                        acc = self._add[acc, self._mul[KT[t, j, :, None], rows[i, t]]]
-                out[i, j] = acc
-        if self.branch == "padic":
-            out %= self.size
-        return out
-
     def matmul(self, A, B):
         """Ring matrix product, broadcast as numpy's ``@``: A is (..., r, s)
         or a row (s,), B is (..., s, t), and the leading axes broadcast.  So

@@ -152,13 +152,16 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
     """Dimension grid, completeness, orthogonality, the measure lemma and
     (optionally) the irreducibility certificates, one character's pieces
     held at a time.  Raises BudgetExceededError, before building anything,
-    when ``decompose_bytes`` is over BASIS_BYTES_MAX.  ``rng`` is accepted
+    when ``decompose_bytes`` is over BASIS_BYTES_MAX, and before the first
+    piece when K's certificate is over CHAIN_BYTES_MAX.  ``rng`` is accepted
     for callers that pass one, and nothing draws from it.  ``/orthogonality``
     rests on every piece's label facts (``Subspace.fault``), which it FAILs
     on, and its residual is the worst per-fibre Gram block entry."""
     rec = rec if rec is not None else Recorder()
     q, M = ring.q, ring.m
     _check_bytes(decompose_bytes(q, n, M), "scalar orbits, piece labels and K's certificate")
+    # K's certificate first: a chain over its cap is refused before any piece is built
+    cert = verify_generators(SubgroupSpec("K"), ring, n)
     lab = _ring_label(ring, n)
     space = SphereSpace(ring, n)
     params = {"q": q, "n": n, "m": M}
@@ -221,7 +224,6 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
         rec.residual(*args, worst[0], TOL_TIGHT, witness=f"pieces {worst[1]}, {worst[1]}")
     # measure lemma: K's chain starts at e_n, so its top orbit is e_n K, and
     # an orbit of |S| points is hit |K|/|S| times by k -> e_n k
-    cert = verify_generators(SubgroupSpec("K"), ring, n)
     rec.exact(
         f"{lab}/uniform-stabilisers",
         "orbit map k -> e_n k hits every point |K|/|S| times",

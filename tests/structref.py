@@ -2,7 +2,11 @@
 (ring, n): kept as the references the shared versions must equal bitwise.
 
 - ``reference_flag_canon`` and ``reference_act``: every product reps[r] k
-  formed whole, and all n rows reduced on strided column slices.
+  formed whole, all n rows reduced on strided column slices, and each coset
+  found by binary search in sorted keys (``find_keys``).
+- ``reference_flag_closure``: the cosets closed from the identity as
+  canonical matrices, one product stack per layer deduplicated by sorted
+  merges of their keys.
 - ``ReferenceOrbitTree``: phases walked layer by layer, each generator's
   cocycle checked on its own.
 - ``reference_character``: a character's rotation indices and conductor
@@ -11,8 +15,17 @@
 
 import numpy as np
 
-from ultrasph.matgroup import find_keys, row_keys
+from ultrasph.matgroup import row_keys
 from ultrasph.sphere import orbit_labels
+
+
+def find_keys(sorted_keys, keys):
+    """Positions of ``keys`` in the sorted array ``sorted_keys``; KeyError
+    when one is absent."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    if not (sorted_keys[pos] == keys).all():
+        raise KeyError("key not in the index")
+    return pos
 
 
 def reference_flag_canon(ring, a):
@@ -55,6 +68,25 @@ def reference_act(cosets, K, rows=None):
     slots = order[find_keys(keys[order], row_keys(ring, canon))]
     shape = (len(K), len(reps))
     return slots.reshape(shape), pivots.reshape(*shape, n)
+
+
+def reference_flag_closure(ring, n, gens):
+    """The canonical coset representatives in breadth-first order from the
+    identity: each layer multiplies the frontier by every generator,
+    generator-major, reduces the products with ``reference_flag_canon`` and
+    keeps the first occurrence of each key not seen before, in stack order."""
+    frontier = np.eye(n, dtype=np.int64)[None]
+    layers = [frontier]
+    seen = row_keys(ring, frontier)
+    while len(frontier):
+        cand = reference_flag_canon(ring, np.concatenate([ring.matmul(frontier, g) for g in gens]))[0]
+        keys, first = np.unique(row_keys(ring, cand), return_index=True)
+        slot = np.searchsorted(seen, keys)
+        new = seen[np.minimum(slot, len(seen) - 1)] != keys
+        frontier = cand[np.sort(first[new])]
+        layers.append(frontier)
+        seen = np.insert(seen, slot[new], keys[new])  # a sorted merge
+    return np.concatenate(layers)
 
 
 class ReferenceOrbitTree:

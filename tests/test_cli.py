@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -638,6 +639,25 @@ class TestCommandSweep:
         assert proc.returncode in (EXIT_PASS, EXIT_FAIL, EXIT_SKIP, EXIT_CONFIG)
         assert (proc.returncode == EXIT_CONFIG) == (not valid), proc.stderr
         assert valid == bool(records)
+
+
+class TestDecomposePricesItsCertificate:
+    def test_a_chain_over_its_cap_skips_before_the_pieces(self):
+        # laurent F_9[t]/t^2, n = 3: the Kmirab chain under K's certificate is
+        # over CHAIN_BYTES_MAX; the SKIP comes before any piece is built
+        with tempfile.TemporaryDirectory() as tmp:
+            start = time.monotonic()
+            proc, records = run_under_memory_limit(
+                Path(tmp), "decompose", p=3, n=3, level=2, branch="laurent", f=2, timeout=30,
+            )
+            elapsed = time.monotonic() - start
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_SKIP
+        assert [(r["check_id"], r["status"]) for r in records] == [("decompose/budget", "SKIP")]
+        assert records[0]["observed"] == (
+            "stabiliser chain of Kmirab needs up to 287526348 bytes, over the cap 134217728"
+        )
+        assert elapsed < 1.0
 
 
 class TestEmitReport:

@@ -712,6 +712,23 @@ class TestGenerators:
         assert canonical_spec(SubgroupSpec("K0", m + 1), R) == SubgroupSpec("K0", m)
         assert canonical_spec(SubgroupSpec("Kmirab"), R) == SubgroupSpec("Kmirab")
 
+    @given(point=st.sampled_from(GROUP_POINTS))
+    @settings(max_examples=20, deadline=None)
+    def test_stacks_are_cached_read_only_and_equal_a_fresh_build(self, point):
+        branch, p, f, m, n = point
+        R = ring_of(branch, p, f, m)
+        for kind in SubgroupSpec.KINDS:
+            for level in range(m + 2) if kind in ("Kprin", "K1", "K0") else [None]:
+                spec = SubgroupSpec(kind, level)
+                gens = subgroup_generators(spec, R, n)
+                assert subgroup_generators(spec, R, n) is gens
+                assert subgroup_generators(canonical_spec(spec, R), ring_of(branch, p, f, m), n) is gens
+                assert not gens.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    gens[0, 0, 0] = 1
+                fresh = matgroup._generators.__wrapped__(canonical_spec(spec, R), R, n)
+                assert fresh.shape == gens.shape and fresh.tobytes() == gens.tobytes()
+
     def test_generators_satisfy_membership(self, R4):
         for spec in [SubgroupSpec("K1", 2), SubgroupSpec("K0", 1), SubgroupSpec("Kprin", 2)]:
             gens = subgroup_generators(spec, R4, 2)
@@ -1015,6 +1032,17 @@ class TestRandomStack:
         got = random_stack(R, n, a + b, one, ell=ell)
         want = np.concatenate([random_stack(R, n, a, two, ell=ell), random_stack(R, n, b, two, ell=ell)])
         assert got.shape == want.shape == (a + b, n, n) and np.array_equal(got, want)
+        assert one.bit_generator.state == two.bit_generator.state
+
+    @given(size=st.integers(1, 4096), shape=st.tuples(st.integers(0, 50), st.integers(1, 16)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_a_scalar_bound_draws_as_an_array_of_it(self, size, shape, seed):
+        # K's draws take the scalar bound: the same stream and final state
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = one.integers(0, size, size=shape)
+        want = two.integers(0, np.full(shape[1], size, dtype=np.int64), size=shape)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
         assert one.bit_generator.state == two.bit_generator.state
 
     def test_batches_smaller_than_the_count(self, monkeypatch):

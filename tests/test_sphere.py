@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 import ultrasph.sphere
 from spherepoint import SpherePoint, act_point, enumerate_sphere, reduce_point
+from structref import find_keys
 from ultrasph.matgroup import (
     BudgetExceededError,
     SubgroupSpec,
     closure,
     enumerate_group,
-    find_keys,
     row_keys,
     subgroup_generators,
 )

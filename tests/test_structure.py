@@ -22,7 +22,13 @@ from ultrasph.matgroup import (
 )
 from ultrasph.ring import UnitCharacter, characters, make_ring_level, unit_group_basis
 
-from structref import ReferenceOrbitTree, reference_act, reference_character, reference_flag_canon
+from structref import (
+    ReferenceOrbitTree,
+    reference_act,
+    reference_character,
+    reference_flag_canon,
+    reference_flag_closure,
+)
 
 # (branch, p, f, m, n) with at most a few thousand flag cosets
 ACTION_POINTS = [
@@ -97,6 +103,89 @@ class TestBottomRowAction:
             pseries.flag_canon(ring, bad)
         with pytest.raises(ValueError, match="not invertible"):
             pseries.flag_cosets(ring, 2).act(bad[None])
+
+
+# random small (branch, p, f, m, n), n <= 4, with at most a few thousand flag cosets
+RANK_POINTS = [
+    (branch, p, f, m, n)
+    for branch, p, f in [
+        ("padic", 2, 1), ("padic", 3, 1), ("padic", 5, 1), ("padic", 7, 1),
+        ("laurent", 2, 1), ("laurent", 2, 2), ("laurent", 3, 1), ("laurent", 2, 3), ("laurent", 3, 2),
+    ]
+    for m in (1, 2, 3, 4)
+    for n in (2, 3, 4)
+    if (p**f) ** m <= 512 and pseries.flag_count(make_ring_level(branch, p, f, m), n) <= 3000
+]
+
+
+class TestCosetRank:
+    @given(point=st.sampled_from(RANK_POINTS))
+    @settings(max_examples=40, deadline=None)
+    def test_rank_is_a_bijection_that_unrank_inverts(self, point):
+        branch, p, f, m, n = point
+        ring = ring_of(branch, p, f, m)
+        cosets = pseries.flag_cosets(ring, n)
+        assert cosets.size == pseries.flag_count(ring, n)
+        # each rep is its own canonical form, and its rank leads back to its slot
+        rows, pattern, _ = pseries._eliminate(ring, pseries._by_entry(cosets.reps[:, 1:]), cosets.dets)
+        assert rows.tobytes() == pseries._by_entry(cosets.reps[:, 1:]).tobytes()
+        ranks = cosets._rank(rows, pattern)
+        assert np.array_equal(np.sort(ranks), np.arange(cosets.size))
+        assert np.array_equal(cosets.slot_of_rank[ranks], np.arange(cosets.size))
+
+    @given(point=st.sampled_from(RANK_POINTS), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_act_equals_the_sorted_key_reference(self, point, seed):
+        branch, p, f, m, n = point
+        ring = ring_of(branch, p, f, m)
+        cosets = pseries.flag_cosets(ring, n)
+        ks = random_stack(ring, n, 4, np.random.default_rng(seed))
+        slots, pivots = cosets.act(ks)
+        want_slots, want_pivots = reference_act(cosets, ks)
+        assert slots.tobytes() == want_slots.tobytes() and pivots.tobytes() == want_pivots.tobytes()
+
+    @given(point=st.sampled_from(RANK_POINTS))
+    @settings(max_examples=25, deadline=None)
+    def test_closure_order_equals_the_matrix_closure(self, point):
+        branch, p, f, m, n = point
+        ring = ring_of(branch, p, f, m)
+        gens = subgroup_generators(SubgroupSpec("K"), ring, n)
+        cosets = pseries.FlagCosets(ring, n, gens)
+        assert cosets.reps.tobytes() == reference_flag_closure(ring, n, gens).tobytes()
+        # the generator tables the closure cached, translated to slots
+        for g in gens:
+            perm, piv = cosets._tables[g.tobytes()]
+            want_perm, want_piv = reference_act(cosets, g[None])
+            assert np.array_equal(perm, want_perm[0]) and np.array_equal(piv, want_piv[0])
+
+    @pytest.mark.parametrize("point", RANK_POINTS[::7], ids=str)
+    def test_singular_ks_and_codes_outside_the_ring_raise(self, point):
+        branch, p, f, m, n = point
+        ring = ring_of(branch, p, f, m)
+        cosets = pseries.flag_cosets(ring, n)
+        eye = np.eye(n, dtype=np.int64)
+        with pytest.raises(ValueError, match="matrix is not invertible: no unit pivot"):
+            cosets.act(np.stack([eye, singular(ring, n)]))
+        for bad in (-1, ring.size):
+            k = eye.copy()
+            k[0, n - 1] = bad
+            with pytest.raises(ValueError, match="entries outside the ring"):
+                cosets.act(k[None])
+
+    def test_a_rank_that_does_not_invert_the_unrank_is_refused(self, monkeypatch):
+        ring = ring_of("padic", 3, 1, 2)
+        rank = pseries.FlagCosets._rank
+        monkeypatch.setattr(pseries.FlagCosets, "_rank", lambda self, rows, pattern: rank(self, rows, pattern) ^ 1)
+        with pytest.raises(RuntimeError, match="does not invert"):
+            pseries.FlagCosets(ring, 2, subgroup_generators(SubgroupSpec("K"), ring, 2))
+
+    def test_a_generating_set_too_small_is_refused(self):
+        # the upper unipotents alone do not move the identity's coset
+        ring = ring_of("padic", 3, 1, 2)
+        gens = subgroup_generators(SubgroupSpec("K"), ring, 2)
+        upper = gens[[bool(g[1, 0] == 0 and g[0, 0] == g[1, 1] == 1) for g in gens]]
+        with pytest.raises(RuntimeError, match="flag closure found 1 cosets, expected 12"):
+            pseries.FlagCosets(ring, 2, upper)
 
 
 CHAIN_POINTS = [
@@ -243,6 +332,38 @@ class TestChainBytes:
             verify_generators(SubgroupSpec("K"), ring, n)
         monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", need)
         assert verify_generators(SubgroupSpec("K"), ring, n)["ok"]
+
+
+    def test_a_short_chain_is_charged_before_its_middle_level(self, monkeypatch):
+        # the Kmirab chain at (q3, n3, m2): its top orbit {e_2} and its bottom
+        # orbit (no generator there scales e_0) show it falls short, so its
+        # transversals are refused before the middle level, row 1, is built
+        ring, n = ring_of("padic", 3, 1, 2), 3
+        spec = SubgroupSpec("Kmirab")
+        points, transversals = matgroup.chain_bytes(3, n, 2, subgroup_order(spec, ring, n))
+        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", points + transversals - 1)
+        built, real = [], matgroup._Level
+
+        def counting(ring, n, row, gens):
+            built.append(row)
+            return real(ring, n, row, gens)
+
+        monkeypatch.setattr(matgroup, "_Level", counting)
+        with pytest.raises(BudgetExceededError, match=f"needs up to {points + transversals} bytes"):
+            verify_generators(spec, ring, n)
+        assert built == [2, 0]
+
+    @pytest.mark.parametrize("point", CHAIN_POINTS, ids=str)
+    def test_on_short_is_called_once_exactly_when_the_chain_falls_short(self, point):
+        branch, p, f, m, n = point
+        ring = ring_of(branch, p, f, m)
+        for spec in specs_at(m):
+            expected = subgroup_order(spec, ring, n)
+            calls = []
+            chain = matgroup.StabiliserChain(
+                ring, n, subgroup_generators(spec, ring, n), expected, lambda: calls.append(spec)
+            )
+            assert calls == ([spec] if chain.order() < expected else [])
 
 
 TREE_POINTS = [("padic", 2, 1, 3, 2), ("padic", 3, 1, 2, 2), ("laurent", 2, 2, 2, 2), ("padic", 2, 1, 2, 3)]
