@@ -24,9 +24,7 @@ same samples, and the same later draws, whatever the batch size.
 Double cosets K = union over l of K_0(p^m) u_l K_0(p^m) work on whole
 (N, n, n) stacks: ``double_coset_index`` reads l off the bottom-left block,
 and ``double_coset_witness`` gives every l < m one formula, with the
-``chang_beta`` residue search run only where l = 0.  ``orbit_stack`` closes
-under left and right products, so each double coset is also the orbit of
-u_l under the K_0(p^m) generators.
+``chang_beta`` residue search run only where l = 0.
 """
 
 from __future__ import annotations
@@ -347,42 +345,31 @@ def row_keys(ring, stack):
     return np.ascontiguousarray(flat).view(np.dtype((np.void, 8 * width))).ravel()
 
 
-def orbit_stack(ring, start, gens, budget=None, left=()):
-    """Breadth-first orbit of the (n, n) matrix ``start`` under right
-    multiplication by the (n, n) arrays ``gens`` and left multiplication by
-    those of ``left``, as an (N, n, n) stack.
+def closure(ring, gens, budget=200000):
+    """Breadth-first closure of the (G, n, n) generator stack ``gens``, as an
+    (N, n, n) stack with the identity first.
 
     Each layer multiplies the frontier by every generator, generator-major,
-    right products first, and keeps the first occurrence of each key not
-    seen before, in stack order, so the order is that of a one-at-a-time BFS.
-    Raises BudgetExceededError when the orbit outgrows ``budget``.
+    and keeps the first occurrence of each key not seen before, in stack
+    order, so the order is that of a one-at-a-time BFS.  Raises
+    BudgetExceededError when the closure outgrows ``budget``.
     """
-    frontier = np.asarray(start, dtype=np.int64)[None]
+    frontier = np.eye(gens.shape[-1], dtype=np.int64)[None]
     layers = [frontier]
     seen = row_keys(ring, frontier)
     total = 1
     while len(frontier):
-        cand = np.concatenate(
-            [ring.matmul(frontier, g) for g in gens] + [ring.matmul(g, frontier) for g in left]
-        )
+        cand = np.concatenate([ring.matmul(frontier, g) for g in gens])
         keys, first = np.unique(row_keys(ring, cand), return_index=True)
         slot = np.searchsorted(seen, keys)
         new = seen[np.minimum(slot, len(seen) - 1)] != keys
         total += int(new.sum())
-        if budget is not None and total > budget:
+        if total > budget:
             raise BudgetExceededError(f"closure exceeded budget {budget}")
         frontier = cand[np.sort(first[new])]
         layers.append(frontier)
         seen = np.insert(seen, slot[new], keys[new])  # a sorted merge
     return np.concatenate(layers)
-
-
-def closure(ring, gens, budget=200000):
-    """Breadth-first closure of the (G, n, n) generator stack ``gens``, as an
-    (N, n, n) stack with the identity first; raises past the budget.  Kept
-    only because ``bench/layers.py`` wraps it by name; ``orbit_stack`` is
-    the closure."""
-    return orbit_stack(ring, np.eye(gens.shape[-1], dtype=np.int64), gens, budget=budget)
 
 
 class _Level:

@@ -12,9 +12,8 @@ sigma the pivot permutation.  So acting on a coset forms only the bottom
 n - 1 rows of reps[r] k, one 2-D ring product per block of pairs, with
 det(reps[r] k) = det(reps[r]) det(k).  The reduced rows are a pivot
 pattern plus free entries, and a mixed-radix rank over them (Knuth, TAOCP
-4A, 7.2.1) is a perfect index onto the cosets: a coset's slot is one
-gather, and the cosets themselves are every rank unranked, ordered by a
-breadth-first search over the K generators' rank permutations.
+4A, 7.2.1) is a perfect index onto the cosets: a coset's slot is its
+rank, and the cosets themselves are every rank unranked.
 
 K acts by monomial matrices: a permutation of the coset slots times a
 phase e^{2 pi i rot/L}, rot an exact rotation index mod the exponent L of
@@ -193,24 +192,6 @@ def flag_canon(ring, a):
     return rep, np.ascontiguousarray(piv.T)
 
 
-def _closure_order(moves, start):
-    """Ranks in breadth-first order from ``start`` under the (G, dim) rank
-    permutations ``moves``: each layer takes the images of the frontier
-    generator-major, in frontier order, and keeps the first occurrence of
-    each rank not seen before, as a one-at-a-time search would."""
-    seen = np.zeros(moves.shape[1], dtype=bool)
-    front = np.array([start])
-    seen[front] = True
-    layers = [front]
-    while len(front):
-        cand = moves[:, front].ravel()
-        cand = cand[~seen[cand]]
-        front = cand[np.sort(np.unique(cand, return_index=True)[1])]
-        seen[front] = True
-        layers.append(front)
-    return np.concatenate(layers)
-
-
 class FlagCosets:
     """Canonical representatives of B\\G and the character-free structure
     that every model at (ring, n) shares.
@@ -223,19 +204,17 @@ class FlagCosets:
     right of it is any code, of radix q^m.  The mixed-radix rank
     offset[pattern] + sum digit * place is a perfect index onto range(size),
     found with one weight per entry (the places times q on the right) and
-    one exact division by q.  Every rank is unranked, the K generators act
-    on all of them at once, and a breadth-first search over their rank
-    permutations from the identity orders the slots: each layer takes the
-    generators' images generator-major, in frontier order, and keeps the
-    first occurrence of each unseen rank.  Reaching every rank certifies
-    transitivity of the generated group on the flag space.
+    one exact division by q, and a coset's slot is its rank.  Every rank is
+    unranked, the K generators act on all of them at once, and one orbit of
+    their slot permutations (``orbit_labels``) certifies transitivity of the
+    generated group on the flag space.
 
     ``reps`` holds the canonical forms by slot, ``bottom`` their bottom rows
     as the right factor of a product (bottom[t, i, r] is entry (i + 1, t)
-    of reps[r]), ``dets`` their determinants and ``slot_of_rank`` each
-    rank's slot.  ``table`` caches one generator's slot permutation and
-    pivots, ``orbit_tree`` one subgroup's orbits and breadth-first forest.
-    Build it through ``flag_cosets``, which checks COSET_BUDGET first.
+    of reps[r]) and ``dets`` their determinants.  ``table`` caches one
+    generator's slot permutation and pivots, ``orbit_tree`` one subgroup's
+    orbits and breadth-first forest.  Build it through ``flag_cosets``,
+    which checks COSET_BUDGET first.
     """
 
     def __init__(self, ring, n, gens):
@@ -268,25 +247,20 @@ class FlagCosets:
         rows, pattern = self._unrank(spans, total)
         if not np.array_equal(self._rank(rows, pattern), np.arange(total)):
             raise RuntimeError("the coset rank does not invert the unrank")
-        reps = _reps(rows, pattern)
-        dets = np.where(odd[pattern], ring.neg(1), 1)
-        self._set_slots(reps, dets, np.arange(total))
+        self.reps = _reps(rows, pattern)
+        self.bottom = np.ascontiguousarray(rows.transpose(1, 0, 2))
+        self.dets = np.where(odd[pattern], ring.neg(1), 1)
         self._tables = {}
         self._trees = {}
         # the identity is canonical with every free entry 0: its rank is its
         # pattern's offset
         start = self._offset[sum(i * n ** (i - 1) for i in range(1, n))]
-        if not np.array_equal(reps[start], flag_canon(ring, np.eye(n, dtype=np.int64))[0]):
+        if not np.array_equal(self.reps[start], flag_canon(ring, np.eye(n, dtype=np.int64))[0]):
             raise RuntimeError("the identity's coset is not at its rank")
-        # rank permutations while slot = rank, then the breadth-first order
-        moves = np.stack([perm for perm, _ in self.tables(gens)])
-        order = _closure_order(moves, start)
-        if len(order) != expected:
-            raise RuntimeError(f"flag closure found {len(order)} cosets, expected {expected}")
-        self._set_slots(reps[order], dets[order], order)
-        self._tables = {
-            key: (self.slot_of_rank[perm[order]], piv[order]) for key, (perm, piv) in self._tables.items()
-        }
+        root = orbit_labels([perm for perm, _ in self.tables(gens)], (total,))
+        if root.any():
+            found = np.count_nonzero(root == root[start])
+            raise RuntimeError(f"flag closure found {found} cosets, expected {expected}")
 
     def _unrank(self, spans, total):
         """(rows, pattern) of every rank: the canonical bottom rows in entry
@@ -312,14 +286,6 @@ class FlagCosets:
         terms *= rows.reshape(terms.shape)
         return self._offset[pattern] + terms.sum(axis=0) // self.ring.q
 
-    def _set_slots(self, reps, dets, order):
-        """Slot s holds reps[s], the coset of rank order[s]."""
-        self.reps = reps
-        self.bottom = np.ascontiguousarray(reps[:, 1:].transpose(2, 1, 0))
-        self.dets = dets
-        self.slot_of_rank = np.empty(len(order), dtype=np.int64)
-        self.slot_of_rank[order] = np.arange(len(order))
-
     def act(self, K, rows=None):
         """(slots, pivots) of shapes (C, R) and (C, R, n) for a (C, n, n)
         stack K and R coset rows (every row by default): reps[rows[r]] K[c]
@@ -327,7 +293,7 @@ class FlagCosets:
         diagonal of its B-factor.  A block's bottom n - 1 rows of every
         product come from one 2-D ``ring.matmul`` of the K columns by the
         bottom rows; the top pivot comes from det(reps[r]) det(K[c]), and the
-        slot from the rank of the reduced rows, one gather.  Pairs go through
+        slot is the rank of the reduced rows.  Pairs go through
         in blocks whose temporaries take at most ACTION_CHUNK_BYTES (one pair
         at least).  ValueError on codes of K outside the ring, or on a
         singular K[c]."""
@@ -353,7 +319,7 @@ class FlagCosets:
                 del prods
                 g = ring.mul_arr(kdets[at[0], None], dets[None, at[1]]).ravel()
                 red, pattern, piv = _eliminate(ring, A, g)
-                slots[at] = self.slot_of_rank[self._rank(red, pattern)].reshape(shape)
+                slots[at] = self._rank(red, pattern).reshape(shape)
                 pivots[at] = piv.T.reshape(*shape, n)
         return slots, pivots
 
@@ -429,12 +395,13 @@ class OrbitTree:
         seen[front] = True
         depth = 0
         while True:
-            tgt, first = np.unique(np.concatenate([s[front] for s in perms]), return_index=True)
-            new = ~seen[tgt]
-            if not new.any():
+            cand = np.concatenate([s[front] for s in perms])
+            unseen = np.flatnonzero(~seen[cand])
+            if not len(unseen):
                 break
-            gen, at = np.divmod(first[new], len(front))
-            parent, front = front[at], tgt[new]
+            tgt, first = np.unique(cand[unseen], return_index=True)
+            gen, at = np.divmod(unseen[first], len(front))
+            parent, front = front[at], tgt
             self.parent[front], self.via[front] = parent, gen
             seen[front] = True
             depth += 1

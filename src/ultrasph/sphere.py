@@ -16,10 +16,9 @@ from .ring import unit_group_basis
 # Cap on the bytes of the (N, N) int64 orbital label array (N <= 2048);
 # labelling needs a few arrays of that size at once.
 ORBITAL_BYTES_MAX = 2**25
-# Cap on the predicted bytes of a suite's largest arrays: the scalar-orbit
-# permutation stack and one character's piece labels in decompose, a dense
-# piece and its checks in zonal, the sampled stacks, and the archimedean
-# monomials of the largest (bi)degree.
+# Cap on the predicted bytes of a suite's largest arrays: one character's
+# piece labels in decompose, a dense piece and its checks in zonal, the
+# sampled stacks, and the archimedean monomials of the largest (bi)degree.
 BASIS_BYTES_MAX = 2**30
 
 
@@ -175,13 +174,20 @@ class SphereIndex:
     def scalar_orbits(self):
         """(orbit, unit, count), cached: points[i] = unit[i] * r for the least
         point r of its orbit under the units, and the only unit to fix a sphere
-        point is 1; orbit[i] numbers the orbit by r's slot, of count orbits."""
+        point is 1; orbit[i] numbers the orbit by r's slot, of count orbits.
+        Dividing a point by its first unit coordinate x_j gives the orbit's
+        one point with a 1 there, whose slot keys the orbit; the unit is
+        x_j / r_j."""
         if self._scalar_orbits is None:
-            units = self.ring.units()
-            perms = np.array([self.scalar_perm(a) for a in units])  # slots of a * points
-            at = perms.argmin(axis=0)
-            roots, orbit = np.unique(perms[at, np.arange(self.size)], return_inverse=True)
-            self._scalar_orbits = (orbit, self.ring.inv_arr(units)[at], len(roots))
+            ring, at = self.ring, np.arange(self.size)
+            j = (self.coord_vals == 0).argmax(axis=1)
+            lead = self.points[at, j]
+            key = self.idx(ring.mul_arr(self.points, ring.inv_arr(lead)[:, None]))
+            least = np.full(self.size, self.size)
+            np.minimum.at(least, key, at)
+            roots, orbit = np.unique(least[key], return_inverse=True)
+            unit = ring.mul_arr(lead, ring.inv_arr(self.points[roots[orbit], j]))
+            self._scalar_orbits = (orbit, unit, len(roots))
         return self._scalar_orbits
 
     def child(self, ell, cap=10**6):

@@ -41,9 +41,7 @@ from .matgroup import (
     group_stack,
     k_certificate_bytes,
     mat_inv,
-    orbit_stack,
     random_stack,
-    row_keys,
     subgroup_generators,
     subgroup_membership,
     u_ell,
@@ -55,7 +53,7 @@ from .pseries import (
     vector_from_harmonic,
 )
 from .ring import characters, make_ring_level
-from .sphere import BASIS_BYTES_MAX, sphere_size
+from .sphere import BASIS_BYTES_MAX, SphereIndex, orbit_labels, sphere_size
 
 TOL_TIGHT = 1e-9
 TOL_RESIDUAL = 1e-8
@@ -159,7 +157,7 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
     on, and its residual is the worst per-fibre Gram block entry."""
     rec = rec if rec is not None else Recorder()
     q, M = ring.q, ring.m
-    _check_bytes(decompose_bytes(q, n, M), "scalar orbits, piece labels and K's certificate")
+    _check_bytes(decompose_bytes(q, n, M), "the sphere, piece labels and K's certificate")
     # K's certificate first: a chain over its cap is refused before any piece is built
     cert = verify_generators(SubgroupSpec("K"), ring, n)
     lab = _ring_label(ring, n)
@@ -237,12 +235,14 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
 
 
 def decompose_bytes(q, n, M):
-    """Predicted peak bytes of ``decompose_suite``: the |units| x |S|
-    scalar-orbit stack (int32 rows and their stacked copy), one character's
-    labels, 8 int64 |S|-arrays a level, and what K's certificate charges
-    (``k_certificate_bytes``)."""
-    labels = 8 * sphere_size(q, n, M) * (q ** (M - 1) * (q - 1) + 8 * (M + 1))
-    return labels + k_certificate_bytes(q, n, M)
+    """Predicted peak bytes of ``decompose_suite``: 40 int64 words a sphere
+    point (the sphere index and its children, the scalar orbits and one
+    character's labels), and what K's certificate charges
+    (``k_certificate_bytes``).  tracemalloc puts the suite, K's certificate
+    aside, at 230-310 bytes a point at padic (q5, n2, m3), (q7, n3, m2),
+    (q5, n3, m2), (q3, n3, m3), (q3, n2, m4), (q2, n2, m8) and
+    (q2, n2, m10)."""
+    return 8 * 40 * sphere_size(q, n, M) + k_certificate_bytes(q, n, M)
 
 
 def _piece_fault(H):
@@ -542,14 +542,19 @@ def _zonal_shell_residual(space, chi, m, z, minv):
 
 def double_coset_suite(ring, n, rec=None, budget=200000):
     """Witnesses for all of K at once, checked by remultiplication, and the
-    orbit-closure partition oracle.
+    sphere-orbit partition oracle.
 
-    K_0 u_l K_0 is the orbit of u_l under x -> g x and x -> x g for the
-    certified K_0(p^m) generators g, so each orbit must equal its index
-    fibre, and the orbit sizes must sum to |K|; the oracle costs
-    O(|K| #gens) and never reads the index formula.  Raises
-    BudgetExceededError, before anything is built, when
-    ``double_coset_bytes`` is over BASIS_BYTES_MAX.
+    K_0(p^m) has a zero bottom-left block, so e_n g k = g_nn e_n k, and
+    when K is transitive on S, k -> e_n k induces K_0\\K = S/units: it
+    sends K_0 u_l K_0 to the K_0(p^m)-orbit of e_n u_l, the bottom row of
+    u_l.  So each orbit of the certified K_0(p^m) generators (the scalars
+    among them) on S must equal its index fibre min(val x_1..x_{n-1}) = l,
+    and K's generators must have one orbit on S; the oracle costs
+    O(|S| #gens) and never reads the index formula.  K and its witnesses
+    are priced by ``_check_sample_bytes``, 16 times K's stack, before K is
+    built (BudgetExceededError): tracemalloc puts the suite at 7.0-8.3 times
+    the stack at padic (q2, n3, m2), (q5, n2, m2) and (q3, n2, m3), and
+    under 0.2 MB at the grid points.
     """
     rec = rec if rec is not None else Recorder()
     q, m = ring.q, ring.m
@@ -563,9 +568,8 @@ def double_coset_suite(ring, n, rec=None, budget=200000):
             f"|K| = {korder} beyond budget {budget}",
         )
         return rec
+    _check_sample_bytes(n, korder)
     spec0 = SubgroupSpec("K0", m)
-    gens = subgroup_generators(spec0, ring, n)
-    _check_bytes(double_coset_bytes(n, korder, len(gens)), "the double coset orbit closures")
     K = group_stack(ring, n)
     us = u_ell(ring, n, range(m + 1))
     k0, ell, k0p = double_coset_witness(ring, K)
@@ -591,13 +595,13 @@ def double_coset_suite(ring, n, rec=None, budget=200000):
         np.count_nonzero(np.bincount(ell, minlength=m + 1)),
     )
     verify_generators(spec0, ring, n)
-    orbits = [orbit_stack(ring, u, gens, left=gens) for u in us]
-    keys = row_keys(ring, K)
-    brute_fail = sum(
-        not np.array_equal(np.sort(row_keys(ring, orb)), np.sort(keys[ell == level]))
-        for level, orb in enumerate(orbits)
-    )
-    brute_fail += sum(map(len, orbits)) != len(K)
+    sphere = SphereIndex(ring, n)
+    perms = [sphere.perm_of_matrix(g) for g in subgroup_generators(spec0, ring, n)]
+    orbit = orbit_labels(perms, (sphere.size,))
+    index = sphere.coord_vals[:, : n - 1].min(axis=1)
+    starts = orbit[sphere.idx(us[:, n - 1])]
+    brute_fail = sum(not np.array_equal(orbit == s, index == level) for level, s in enumerate(starts))
+    brute_fail += sphere.orbit_count(subgroup_generators(SubgroupSpec("K"), ring, n)) != 1
     rec.exact(
         f"{lab}/brute-force-partition",
         "each index fiber equals the brute-force double coset of u_l",
@@ -606,15 +610,6 @@ def double_coset_suite(ring, n, rec=None, budget=200000):
         brute_fail,
     )
     return rec
-
-
-def double_coset_bytes(n, order, gens):
-    """Predicted peak bytes of the orbit-closure oracle: a breadth-first
-    layer multiplies its frontier, at most |K| = ``order`` elements, by each
-    of the ``gens`` generators on both sides, n^2 int64 entries a product,
-    and keys the products, with np.unique's stable argsort and sorted copy
-    beside them (four int64 arrays)."""
-    return order * 2 * gens * (8 * n * n + 32)
 
 
 # -- principal series suite -----------------------------------------------------

@@ -358,17 +358,17 @@ class TestMain:
         assert len(commutants) == 125 and all(r["observed"] == "1" for r in commutants)
 
     def test_decompose_q7_n3_m2_certifies_irreducibility_under_a_memory_limit(self, tmp_path):
-        # |S| = 117,306: the scalar-orbit stack is 39 MB, and no dense row
-        # is built
+        # |S| = 117,306: the scalar orbits come without a stack of the units'
+        # permutations, and no dense row is built
         proc, records = run_under_memory_limit(tmp_path, "decompose", p=7, n=3, level=2)
         assert "Traceback" not in proc.stderr
         assert proc.returncode == EXIT_PASS
         assert len(records) == 271 and all(r["status"] == "PASS" for r in records)
 
-    def test_decompose_q2_n2_m10_fails_closed_under_a_memory_limit(self, tmp_path):
-        # 512 units times |S| = 786,432: the scalar-orbit stack alone is
-        # 3.2 GB, so the suite refuses before it builds the sphere
-        proc, records = run_under_memory_limit(tmp_path, "decompose", p=2, n=2, level=10)
+    def test_decompose_q2_n2_m12_fails_closed_under_a_memory_limit(self, tmp_path):
+        # |S| = 12,582,912 at 320 bytes a point is 4.0 GB, so the suite
+        # refuses before it builds the sphere
+        proc, records = run_under_memory_limit(tmp_path, "decompose", p=2, n=2, level=12)
         assert "Traceback" not in proc.stderr
         assert proc.returncode == EXIT_SKIP
         assert [(r["check_id"], r["status"]) for r in records] == [("decompose/budget", "SKIP")]
@@ -384,7 +384,7 @@ class TestMain:
 
     def test_double_cosets_q2_n3_m2_returns_under_a_memory_limit(self, tmp_path):
         # |K| = 86,016 is inside the default budget: the witnesses and the
-        # orbit-closure oracle must finish well inside the child's timeout
+        # sphere-orbit oracle must finish well inside the child's timeout
         proc, records = run_under_memory_limit(tmp_path, "double-cosets", 2, 3, 2)
         assert "Traceback" not in proc.stderr
         assert proc.returncode == EXIT_PASS
@@ -394,9 +394,9 @@ class TestMain:
         }
 
     def test_double_cosets_over_the_closure_budget_fail_closed_under_a_memory_limit(self, tmp_path):
-        # |K| = 4,838,400 at (q7, n2, m2) is admitted by --budget, but the
-        # orbit-closure oracle's layers would take about 2.5 GB: the suite
-        # refuses before it builds K, in a child with 3,000,000 KiB
+        # |K| = 4,838,400 at (q7, n2, m2) is admitted by --budget, but K and
+        # its witnesses are priced at about 2.5 GB: the suite refuses before
+        # it builds K, in a child with 3,000,000 KiB
         proc, records = run_under_memory_limit(
             tmp_path, "double-cosets", 7, 2, 2, limit=3_000_000 * 1024,
             extra=("--budget", "5000000"),
@@ -407,13 +407,12 @@ class TestMain:
         assert "over the cap" in records[0]["observed"]
 
     def test_double_coset_bytes_admit_the_grid(self):
+        # the suite prices K and its witnesses as a sampled stack of |K|
         from ultrasph.matgroup import group_order
-        from ultrasph.verify import DOUBLE_COSET_POINTS, double_coset_bytes
+        from ultrasph.verify import DOUBLE_COSET_POINTS, _check_sample_bytes
 
         for branch, p, f, m, n in DOUBLE_COSET_POINTS:
-            ring = make_ring_level(branch, p, f, m)
-            gens = subgroup_generators(SubgroupSpec("K0", m), ring, n)
-            assert double_coset_bytes(n, group_order(ring, n), len(gens)) < BASIS_BYTES_MAX
+            _check_sample_bytes(n, group_order(make_ring_level(branch, p, f, m), n))
 
     def test_principal_series_q5_n3_m2_returns_inside_its_deadline(self, tmp_path):
         # 23,250 flag cosets with one ramified slot, in a child with

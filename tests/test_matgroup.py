@@ -22,7 +22,6 @@ from ultrasph.matgroup import (
     group_order,
     group_stack,
     mat_inv,
-    orbit_stack,
     random_in_K,
     random_in_K0,
     random_stack,
@@ -34,7 +33,7 @@ from ultrasph.matgroup import (
     verify_generators,
 )
 from ultrasph.ring import make_ring_level, unit_group_basis, unit_subgroup_basis
-from ultrasph.sphere import sphere_size
+from ultrasph.sphere import SphereIndex, orbit_labels, sphere_size
 
 from matk import MatK
 
@@ -524,6 +523,28 @@ def reference_double_cosets(ring, n):
             coset.update(x.tobytes() for x in ring.matmul(au, k0))
         out.append(coset)
     return out
+
+
+def reference_two_sided_orbit(ring, start, gens):
+    """Breadth-first orbit of the (n, n) matrix ``start`` under x -> x g and
+    x -> g x for the (n, n) arrays ``gens``, as an (N, n, n) stack: the
+    double-coset oracle the sphere-orbit partition replaces.  Each layer
+    multiplies the frontier by every generator, right products first, and
+    keeps the first occurrence of each key not seen before."""
+    frontier = np.asarray(start, dtype=np.int64)[None]
+    layers = [frontier]
+    seen = row_keys(ring, frontier)
+    while len(frontier):
+        cand = np.concatenate(
+            [ring.matmul(frontier, g) for g in gens] + [ring.matmul(g, frontier) for g in gens]
+        )
+        keys, first = np.unique(row_keys(ring, cand), return_index=True)
+        slot = np.searchsorted(seen, keys)
+        new = seen[np.minimum(slot, len(seen) - 1)] != keys
+        frontier = cand[np.sort(first[new])]
+        layers.append(frontier)
+        seen = np.insert(seen, slot[new], keys[new])  # a sorted merge
+    return np.concatenate(layers)
 
 
 def assert_witnesses(ring, K):
@@ -1057,6 +1078,18 @@ class TestRandomStack:
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+DOUBLE_COSET_SPHERE_POINTS = [
+    (branch, p, f, m, n)
+    for branch, p, f in [
+        ("padic", 2, 1), ("padic", 3, 1), ("padic", 5, 1), ("padic", 7, 1),
+        ("laurent", 2, 1), ("laurent", 2, 2), ("laurent", 3, 1),
+    ]
+    for m in (1, 2, 3, 4)
+    for n in (2, 3)
+    if group_order(make_ring_level(branch, p, f, m), n) <= 20000
+]
+
+
 class TestDoubleCosets:
     def test_index_examples(self, R4):
         anti = np.array([[0, 1], [1, 0]])
@@ -1115,20 +1148,62 @@ class TestDoubleCosets:
         R = ring_of(branch, p, f, m)
         gens = subgroup_generators(SubgroupSpec("K0", m), R, n)
         orbits = [
-            {x.tobytes() for x in orbit_stack(R, u, gens, left=gens)}
+            {x.tobytes() for x in reference_two_sided_orbit(R, u, gens)}
             for u in u_ell(R, n, range(m + 1))
         ]
         assert orbits == reference_double_cosets(R, n)
         assert sum(map(len, orbits)) == group_order(R, n)
 
-    def test_suite_fails_closed_without_a_k0_generator(self, R4, monkeypatch):
+    @pytest.mark.parametrize("drop", [1, 3])
+    def test_suite_fails_closed_without_a_k0_generator(self, R4, monkeypatch, drop):
+        # the K_0(p^2) list is [diag(3, 1), [[1, 1], [0, 1]], I, 3 I]: without
+        # the unipotent or the scalar 3, e_2 is fixed and its fibre {e_2, 3 e_2}
+        # splits, so exactly one orbit differs from its fibre (without
+        # diag(3, 1) every orbit is still its fibre)
         gens = subgroup_generators
-        monkeypatch.setattr(verify, "subgroup_generators", lambda *a: gens(*a)[1:])
+        k0 = SubgroupSpec("K0", 2)
+        monkeypatch.setattr(
+            verify, "subgroup_generators",
+            lambda spec, *a: np.delete(gens(spec, *a), drop, axis=0) if spec == k0 else gens(spec, *a),
+        )
         rec = verify.double_coset_suite(R4, 2)
         got = {r.check_id.split("/")[-1]: r for r in rec.records}
         assert got["brute-force-partition"].status == "FAIL"
-        assert int(got["brute-force-partition"].observed) > 0
+        assert got["brute-force-partition"].observed == "1"
         assert got["witness-remultiplication"].status == "PASS"
+
+    def test_suite_fails_closed_when_k_is_not_transitive_on_the_sphere(self, R4, monkeypatch):
+        # without its lower unipotent, K's list has 4 orbits on S: the K_0
+        # orbits still match their fibres, and only K's transitivity fails
+        gens = subgroup_generators
+        monkeypatch.setattr(
+            verify, "subgroup_generators",
+            lambda spec, *a: np.delete(gens(spec, *a), 1, axis=0) if spec.kind == "K" else gens(spec, *a),
+        )
+        rec = verify.double_coset_suite(R4, 2)
+        got = {r.check_id.split("/")[-1]: r for r in rec.records}
+        assert got["brute-force-partition"].status == "FAIL"
+        assert got["brute-force-partition"].observed == "1"
+        assert got["witness-remultiplication"].status == "PASS"
+
+    @given(point=st.sampled_from(DOUBLE_COSET_SPHERE_POINTS))
+    @settings(max_examples=30, deadline=None)
+    def test_sphere_orbits_are_the_double_cosets(self, point):
+        branch, p, f, m, n = point
+        R = ring_of(branch, p, f, m)
+        gens = subgroup_generators(SubgroupSpec("K0", m), R, n)
+        S = SphereIndex(R, n)
+        orbit = orbit_labels([S.perm_of_matrix(g) for g in gens], (S.size,))
+        K = group_stack(R, n)
+        us = u_ell(R, n, range(m + 1))
+        # e_n k lies in the orbit of e_n u_l for l = double_coset_index(k)
+        label = orbit[S.idx(K[:, n - 1])]
+        assert np.array_equal(label, orbit[S.idx(us[:, n - 1])][double_coset_index(R, K)])
+        # and the sphere labels partition K as the two-sided closures do
+        keys = {k.tobytes(): i for i, k in enumerate(K)}
+        for u in us:
+            members = [keys[x.tobytes()] for x in reference_two_sided_orbit(R, u, gens)]
+            assert sorted(members) == np.flatnonzero(label == label[members[0]]).tolist()
 
     def test_suite_fails_closed_on_a_corrupt_witness(self, R4, monkeypatch):
         def corrupt(ring, K):

@@ -42,6 +42,17 @@ def reference_idx(S, coords):
     return int(slots[0]) if rows.ndim == 1 else slots
 
 
+def reference_scalar_orbits(S):
+    """(orbit, unit, count) from the stack of every unit's scalar
+    permutation: one argmin over the |units| x |S| slots of a * points[i]
+    picks each orbit's least point."""
+    units = S.ring.units()
+    perms = np.array([S.scalar_perm(a) for a in units])  # slots of a * points
+    at = perms.argmin(axis=0)
+    roots, orbit = np.unique(perms[at, np.arange(S.size)], return_inverse=True)
+    return orbit, S.ring.inv_arr(units)[at], len(roots)
+
+
 class TestEnumeration:
     def test_q2_n2_m1(self):
         R = make_ring_level("padic", 2, 1, 1)
@@ -315,3 +326,23 @@ class TestOrbitals:
         monkeypatch.setattr(ultrasph.sphere, "ORBITAL_BYTES_MAX", 12 * 12 * 8 - 1)
         with pytest.raises(BudgetExceededError):
             S.orbital_labels(subgroup_generators(SubgroupSpec("K"), R, 2))
+
+
+SCALAR_ORBIT_POINTS = [
+    (ring, n)
+    for ring in SMALL_RINGS + [("padic", 7, 1, 2), ("laurent", 3, 2, 2), ("padic", 2, 1, 5)]
+    for n in (2, 3)
+    if sphere_size(make_ring_level(*ring).q, n, ring[3]) <= 20000
+]
+
+
+class TestScalarOrbits:
+    @given(point=st.sampled_from(SCALAR_ORBIT_POINTS))
+    @settings(max_examples=30, deadline=None)
+    def test_equal_the_stacked_reference_bit_for_bit(self, point):
+        ring, n = point
+        S = ultrasph.sphere.SphereIndex(make_ring_level(*ring), n)
+        got, want = S.scalar_orbits(), reference_scalar_orbits(S)
+        assert got[2] == want[2]
+        for a, b in zip(got[:2], want[:2]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -126,12 +126,12 @@ class TestCosetRank:
         ring = ring_of(branch, p, f, m)
         cosets = pseries.flag_cosets(ring, n)
         assert cosets.size == pseries.flag_count(ring, n)
-        # each rep is its own canonical form, and its rank leads back to its slot
+        # each rep is its own canonical form, and its rank is its slot
         rows, pattern, _ = pseries._eliminate(ring, pseries._by_entry(cosets.reps[:, 1:]), cosets.dets)
         assert rows.tobytes() == pseries._by_entry(cosets.reps[:, 1:]).tobytes()
         ranks = cosets._rank(rows, pattern)
         assert np.array_equal(np.sort(ranks), np.arange(cosets.size))
-        assert np.array_equal(cosets.slot_of_rank[ranks], np.arange(cosets.size))
+        assert np.array_equal(ranks, np.arange(cosets.size))
 
     @given(point=st.sampled_from(RANK_POINTS), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -151,8 +151,14 @@ class TestCosetRank:
         ring = ring_of(branch, p, f, m)
         gens = subgroup_generators(SubgroupSpec("K"), ring, n)
         cosets = pseries.FlagCosets(ring, n, gens)
-        assert cosets.reps.tobytes() == reference_flag_closure(ring, n, gens).tobytes()
-        # the generator tables the closure cached, translated to slots
+        # the reps are in rank order, and they are the cosets the matrix
+        # closure reaches from the identity
+        rows, pattern, _ = pseries._eliminate(ring, pseries._by_entry(cosets.reps[:, 1:]), cosets.dets)
+        assert np.array_equal(cosets._rank(rows, pattern), np.arange(cosets.size))
+        want = reference_flag_closure(ring, n, gens)
+        assert len(want) == cosets.size
+        assert {r.tobytes() for r in cosets.reps} == {r.tobytes() for r in want}
+        # the generator tables the transitivity certificate cached
         for g in gens:
             perm, piv = cosets._tables[g.tobytes()]
             want_perm, want_piv = reference_act(cosets, g[None])
