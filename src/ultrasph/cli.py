@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matgroup import BudgetExceededError
-from .ring import characters, make_ring_level
+from .ring import characters, check_ring, make_ring_level
 from .verify import (
     Recorder,
     arch_suite,
+    check_decompose_bytes,
+    check_zonal_bytes,
     decompose_suite,
     double_coset_suite,
     pseries_suite,
@@ -220,10 +222,12 @@ def emit_report(records, out_path=None, seed=None):
 
 
 def cmd_decompose(cfg, rec):
-    ring = cfg.ring()
+    # priced from (q, n, level) before the ring's tables are built
+    q = check_ring(cfg.branch, cfg.p, cfg.f, cfg.level)
     try:
+        check_decompose_bytes(q, cfg.n, cfg.level)
         decompose_suite(
-            ring, cfg.n, rec=rec, rng=np.random.default_rng(cfg.seed),
+            cfg.ring(), cfg.n, rec=rec, rng=np.random.default_rng(cfg.seed),
             include_commutants=True,
         )
     except BudgetExceededError as e:
@@ -231,9 +235,10 @@ def cmd_decompose(cfg, rec):
 
 
 def cmd_zonal(cfg, rec):
-    ring = cfg.ring()
+    q = check_ring(cfg.branch, cfg.p, cfg.f, cfg.level)
     try:
-        zonal_suite(ring, cfg.n, rec=rec, samples=cfg.samples, seed=cfg.seed)
+        check_zonal_bytes(q, cfg.n, cfg.level)
+        zonal_suite(cfg.ring(), cfg.n, rec=rec, samples=cfg.samples, seed=cfg.seed)
     except BudgetExceededError as e:
         rec.skip("zonal/budget", "suite within its budgets", {}, str(e))
 

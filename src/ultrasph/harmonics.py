@@ -6,8 +6,8 @@ level M.  The inner product is the uniform probability measure on sphere
 points; the group acts by right translation, (R(k)f)(x) = f(xk).  The
 pushforward of the Haar measure under k -> e_n k is uniform because the
 level-M action is transitive, so every stabiliser has size |K|/|S|; the
-decompose suite certifies that from K's stabiliser chain, whose top orbit
-is the orbit of e_n.
+decompose suite certifies that from the orbit product of K's stabiliser
+chain, whose top orbit is the orbit of e_n.
 
 Subspaces of the filtration are integer labels on the sphere: a depth-l
 chi-equivariant space has one row per scalar orbit of the level-l sphere,

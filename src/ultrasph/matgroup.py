@@ -5,15 +5,15 @@ an (n, n) array is one group element, an (N, n, n) stack is N of them,
 and nothing wraps either.  Subgroup specifications with depth l <= M are
 membership masks on level-M stacks.  Generating sets are proposed as one
 (G, n, n) stack of elementary matrices and diagonal units, then certified
-exactly: every generator satisfies the membership mask, and a stabiliser
-chain of the group they generate reaches the order formula (Sims 1970;
-Seress, Permutation Group Algorithms, 2003, ch. 4).  The mirabolic
-subgroup Kmirab is the stabiliser of the row e_{n-1} in K, so when the
-generators of H contain a certified generating set of Kmirab, the
-stabiliser of e_{n-1} in H is Kmirab and |H| = |e_{n-1} H| |Kmirab|:
-K, K_1(p^l) and K_0(p^l) are certified by one orbit above a Kmirab chain
-built once per (ring, n).  Every chain predicts its bytes before it
-allocates them.
+exactly: every generator satisfies the membership mask, and the orbit
+lengths of the stabiliser chain with base e_{n-1}, ..., e_0 multiply to
+the order formula.  With the unit diagonal at row 0, every proposed list
+is a strong generating set for that base, so nothing is sifted (Sims 1970;
+Seress, Permutation Group Algorithms, 2003, sec. 4.1-4.2).  The mirabolic
+subgroup Kmirab is the stabiliser of the row e_{n-1} in K, and the K,
+K_1(p^l) and K_0(p^l) lists contain the Kmirab list: each is certified by
+one orbit of e_{n-1} times the Kmirab product, built once per (ring, n).
+Every orbit closure predicts its bytes before it allocates them.
 
 Uniform samples of K and K_0(p^l) are drawn as whole stacks by rejection,
 one random draw and one stacked determinant per batch.  Each batch rewinds
@@ -38,10 +38,8 @@ import numpy as np
 from .ring import unit_group_basis, unit_subgroup_basis
 
 
-SAMPLE_BATCH_BYTES = 1 << 21  # Leibniz terms of one batch: sampler candidates, or a det or mat_inv chunk
-CHAIN_BATCH = 64  # Schreier generators sifted at once
-CHAIN_QUIET_PASSES = 4  # random passes that add nothing before every Schreier generator is sifted
-CHAIN_BYTES_MAX = 1 << 27  # cap on the bound of a stabiliser chain's transversals and tables
+SAMPLE_BATCH_BYTES = 1 << 21  # Leibniz terms of one batch (sampler, det, mat_inv), or an orbit block's products
+CHAIN_BYTES_MAX = 1 << 27  # cap on the predicted bytes of one orbit closure of a certificate
 
 
 class BudgetExceededError(RuntimeError):
@@ -235,7 +233,7 @@ def _gl_generators(ring, n):
                 for b in additive_generators(ring, 0):
                     gens.append(_elem(n, i, j, b))
     for g in unit_group_basis(ring).gens:
-        gens.append(_diag(n, n - 1, g))
+        gens.append(_diag(n, 0, g))
     return gens
 
 
@@ -243,6 +241,9 @@ def subgroup_generators(spec, ring, n):
     """Proposed generators as one (G, n, n) code stack; see
     ``verify_generators`` for the certificate.
 
+    Every list is a strong generating set for the base e_{n-1}, ..., e_0:
+    the unit diagonals of K and Kmirab sit at row 0, which the base moves
+    last, and the K, K_1(p^l) and K_0(p^l) lists contain the Kmirab list.
     The identity is returned for subgroups that collapse to the trivial
     group at the working level, so closures always start somewhere.  The
     stack is built once per (canonical spec, ring, n) and is read-only, so a
@@ -269,15 +270,12 @@ def _generators(spec, ring, n):
                 gens.append(_diag(n, i, v))
         gens = gens or [np.eye(n, dtype=np.int64)]
     elif spec.kind == "Kmirab":
+        # GL_{n-1} in the top-left block; at n = 1, the 1 x 1 unit diagonals
         gens = []
-        if n > 2:
-            for g in _gl_generators(ring, n - 1):
-                a = np.eye(n, dtype=np.int64)
-                a[: n - 1, : n - 1] = g
-                gens.append(a)
-        else:
-            for u in unit_group_basis(ring).gens:
-                gens.append(_diag(n, 0, u))
+        for g in _gl_generators(ring, max(n - 1, 1)):
+            a = np.eye(n, dtype=np.int64)
+            a[: len(g), : len(g)] = g
+            gens.append(a)
         for i in range(n - 1):
             for b in additive_generators(ring, 0):
                 gens.append(_elem(n, i, n - 1, b))
@@ -372,204 +370,56 @@ def closure(ring, gens, budget=200000):
     return np.concatenate(layers)
 
 
-class _Level:
-    """One level of a stabiliser chain: the orbit of the base row e_row under
-    right multiplication by ``gens``, kept as a Schreier vector.  Point i is
-    ``pts[i]``, the image of point ``parent[i]`` under generator ``via[i]``,
-    and ``bounds`` delimit the breadth-first layers.  ``table``, one int32
-    slot per row key (ring.size ** n of them), holds each point's index, or
-    -1.  The transversal ``u`` (row ``row`` of u[i] is point i) and its
-    inverses ``uinv`` are built from the Schreier vector when first read, so
-    a chain that never sifts never forms them."""
+def _orbit_size(ring, n, row, gens):
+    """Number of rows in the orbit of e_row under right multiplication by the
+    (G, n, n) stack ``gens``.
 
-    def __init__(self, ring, n, row, gens):
-        self.ring, self.row, self.gens = ring, row, []
-        self.pts = np.eye(n, dtype=np.int64)[row][None]
-        self.parent = self.via = np.zeros(1, dtype=np.int64)
-        self.bounds = [0, 1]
-        self.table = np.full(ring.size**n, -1, dtype=np.int32)
-        self.table[row_keys(ring, self.pts)] = 0
-        self._u = self._uinv = np.eye(n, dtype=np.int64)[None]
-        self._ginv = np.zeros((0, n, n), dtype=np.int64)
-        self.extend(gens)
-
-    def extend(self, new):
-        """Add the generators ``new`` and close the orbit: images of every
-        point under them, then breadth-first under all generators.  Each
-        layer keeps the first occurrence of each unseen point, in stack
-        order, with the point and generator it came from."""
-        if not len(new):
-            return
-        ring = self.ring
-        self.gens = self.gens + list(new)
-        G = np.stack(self.gens)
-        pts, parent, via = [self.pts], [self.parent], [self.via]
-        front, lo, size = self.pts, 0, len(self.pts)
-        apply = np.arange(len(G) - len(new), len(G))
-        while len(front):
-            cand = ring.matmul(front, G[apply]).reshape(-1, front.shape[-1])
-            ckeys = row_keys(ring, cand)
-            unseen = np.flatnonzero(self.table[ckeys] < 0)
-            # the first occurrence of each unseen row: its least position,
-            # found in the table slots the row is about to take
-            ukeys = ckeys[unseen]
-            self.table[ukeys] = np.iinfo(np.int32).max
-            np.minimum.at(self.table, ukeys, unseen.astype(np.int32))
-            fresh = unseen[self.table[ukeys] == unseen]
-            self.table[ckeys[fresh]] = np.arange(size, size + len(fresh))
-            parent.append(lo + fresh % len(front))
-            via.append(apply[fresh // len(front)])
-            front, lo, size = cand[fresh], size, size + len(fresh)
-            pts.append(front)
-            self.bounds.append(size)
-            apply = np.arange(len(G))
-        self.pts, self.parent, self.via = map(np.concatenate, (pts, parent, via))
-
-    @property
-    def u(self):
-        self._transversal()
-        return self._u
-
-    @property
-    def uinv(self):
-        self._transversal()
-        return self._uinv
-
-    def _transversal(self):
-        """Fill u and uinv for the points added since they were last read,
-        layer by layer: u[i] = u[parent] G[via], uinv[i] = G[via]^-1 uinv[parent]."""
-        done, total = len(self._u), len(self.pts)
-        if done == total:
-            return
-        ring = self.ring
-        G = np.stack(self.gens)
-        if len(self._ginv) < len(G):
-            self._ginv = np.concatenate([self._ginv, mat_inv(ring, G[len(self._ginv) :])])
-        u = np.empty((total,) + G.shape[1:], dtype=np.int64)
-        uinv = np.empty_like(u)
-        u[:done], uinv[:done] = self._u, self._uinv
-        for lo, hi in zip(self.bounds, self.bounds[1:]):
-            if hi > max(lo, done):
-                p, g = self.parent[lo:hi], self.via[lo:hi]
-                u[lo:hi] = ring.matmul(u[p], G[g])
-                uinv[lo:hi] = ring.matmul(self._ginv[g], uinv[p])
-        self._u, self._uinv = u, uinv
-
-    def locate(self, x):
-        """Transversal index of the point of each element of the stack x, and
-        whether that point lies in the orbit at all (index -1 when not)."""
-        slot = self.table[row_keys(self.ring, x[:, self.row])]
-        return slot, slot >= 0
-
-    def schreier(self, p, s):
-        """Schreier generators u_p g_s u_{p g_s}^{-1} for index arrays p, s."""
-        y = self.ring.matmul(self.u[p], np.stack(self.gens)[s])
-        return self.ring.matmul(y, self.uinv[self.locate(y)[0]])
-
-
-class StabiliserChain:
-    """Stabiliser chain of the group generated by (n, n) arrays ``gens``.
-
-    Elements act on row vectors by right multiplication.  The base is
-    e_{n-1}, ..., e_0: level t stabilises the rows of the levels above it and
-    moves row n-1-t, so a matrix fixing every base point is the identity.
-    Level t's generators are those of ``gens`` that fix the earlier base
-    rows, plus every residue added at level t or below.  Each orbit is then
-    an orbit of a subgroup of the true stabiliser, so ``order`` never exceeds
-    the order of the group, and equals it once ``sweep`` finds nothing to add
-    (Sims 1970; Seress, Permutation Group Algorithms, 2003, ch. 4).  With
-    ``expected``, ``on_short`` is called once, as soon as the levels built
-    show that the chain's first order falls below ``expected``, so it will
-    sift.
+    Breadth-first over a direct-address table of int32 slots, one per row
+    key (ring.size ** n of them), -1 until its row is reached.  Each layer
+    is multiplied by every generator in blocks of at most SAMPLE_BATCH_BYTES
+    of products, and each block keeps the first occurrence of every row not
+    reached before, found with ``np.minimum.at`` in the table slots the rows
+    are about to take, so nothing is sorted.
     """
+    table = np.full(ring.size**n, -1, dtype=np.int32)
+    front = np.eye(n, dtype=np.int64)[row][None]
+    table[row_keys(ring, front)] = 0
+    size = 1
+    step = max(1, SAMPLE_BATCH_BYTES // (8 * n * max(len(gens), 1)))
+    while len(front):
+        layer = []
+        for lo in range(0, len(front), step):
+            cand = ring.matmul(front[lo : lo + step], gens).reshape(-1, n)
+            keys = row_keys(ring, cand)
+            unseen = np.flatnonzero(table[keys] < 0)
+            ukeys = keys[unseen]
+            table[ukeys] = np.iinfo(np.int32).max
+            np.minimum.at(table, ukeys, unseen.astype(np.int32))
+            fresh = unseen[table[ukeys] == unseen]
+            table[ukeys] = 0
+            layer.append(cand[fresh])
+        front = np.concatenate(layer)
+        size += len(front)
+    return size
 
-    def __init__(self, ring, n, gens, expected=None, on_short=None):
-        self.ring, self.n = ring, n
-        eye = np.eye(n, dtype=np.int64)
-        self.levels = [None] * n
-        # the top level first, then bottom-up: where the lower orbits fall
-        # short, that shows before the middle levels are built
-        for t in [0, *range(n - 1, 0, -1)]:
-            fixed = [g for g in gens if np.array_equal(g[n - t :], eye[n - t :])]
-            self.levels[t] = _Level(ring, n, n - 1 - t, fixed)
-            if on_short is not None and self._bound() < expected:
-                on_short()
-                on_short = None
 
-    def _bound(self):
-        """The order once every level is built; before, the product of the
-        orbits built and the row counts ``_level_rows`` bounding the rest."""
-        q, m = self.ring.q, self.ring.m
-        return math.prod(
-            _level_rows(q, self.n, m, t) if lev is None else len(lev.pts)
-            for t, lev in enumerate(self.levels)
-        )
-
-    def order(self):
-        return math.prod(len(lev.pts) for lev in self.levels)
-
-    def sift(self, x, t):
-        """Sift the stack x, which fixes the base rows of levels < t, through
-        levels t, t+1, ...  Returns (level, element) for the first element
-        whose point leaves that level's orbit, or None when every element
-        sifts to the identity."""
-        for j in range(t, self.n):
-            lev = self.levels[j]
-            slot, hit = lev.locate(x)
-            if not hit.all():
-                return j, x[np.argmin(hit)]
-            x = self.ring.matmul(x, lev.uinv[slot])
-        return None
-
-    def add(self, j, h):
-        """A residue that fixes the base rows of levels < j becomes a strong
-        generator at level j and every level above it."""
-        for lev in self.levels[: j + 1]:
-            lev.extend([h])
-
-    def random_pass(self, rng):
-        """Sift CHAIN_BATCH random Schreier generators per level, top level
-        first, adding the first residue of each batch.  True when one was added."""
-        grew = False
-        for t, lev in enumerate(self.levels[:-1]):
-            if lev.gens:
-                p = rng.integers(0, len(lev.pts), CHAIN_BATCH)
-                s = rng.integers(0, len(lev.gens), CHAIN_BATCH)
-                hit = self.sift(lev.schreier(p, s), t + 1)
-                if hit is not None:
-                    self.add(*hit)
-                    grew = True
-        return grew
-
-    def sweep(self):
-        """Sift every Schreier generator once, bottom level first.  Adds the
-        first residue and returns True, or returns False: then every Schreier
-        generator sifts to the identity, the chain is complete (Schreier's
-        lemma) and ``order`` is the order of the group."""
-        for t in range(self.n - 2, -1, -1):
-            lev = self.levels[t]
-            total = len(lev.pts) * len(lev.gens)
-            for lo in range(0, total, CHAIN_BATCH):
-                i = np.arange(lo, min(lo + CHAIN_BATCH, total))
-                hit = self.sift(lev.schreier(i // len(lev.gens), i % len(lev.gens)), t + 1)
-                if hit is not None:
-                    self.add(*hit)
-                    return True
-        return False
+def _chain_orbits(ring, n, gens):
+    """Orbit sizes of the chain of ``gens`` with base e_{n-1}, ..., e_0:
+    level t is the orbit of e_{n-1-t} under the generators that fix
+    e_{n-1}, ..., e_{n-t}, inside its orbit under their stabiliser in
+    <gens>.  So the product is at most |<gens>|, with equality exactly when
+    ``gens`` is a strong generating set (Sims 1970; Seress 2003, 4.1-4.2)."""
+    eye = np.eye(n, dtype=np.int64)
+    fixes = [(gens[:, n - t :] == eye[n - t :]).all(axis=(1, 2)) for t in range(n)]
+    return [_orbit_size(ring, n, n - 1 - t, gens[fixed]) for t, fixed in enumerate(fixes)]
 
 
 def chain_bytes(q, n, m, order):
-    """(points, transversals): predicted bytes of a stabiliser chain of a
-    group of ``order`` in GL_n(O/p^m) before its first sift, and of the
-    transversals a sift builds.  Level t moves row n-1-t among the rows whose
-    first n - t entries are unimodular, q^((m-1)(n-t)) (q^(n-t) - 1) q^(m t)
-    of them; orbit sizes multiply to at most ``order``, so they sum to at
-    most order + n - 1.  A point takes 8 (n + 2) bytes (row, parent,
-    generator), a level's direct-address table 4 q^(m n), and a point's
-    transversal element and inverse 16 n^2."""
-    rows = sum(_level_rows(q, n, m, t) for t in range(n))
-    points = min(rows, order + n - 1)
-    return 8 * (n + 2) * points + 4 * n * q ** (m * n), 16 * n * n * points
+    """Predicted peak bytes of the orbit closures of a chain of a group of
+    ``order`` in GL_n(O/p^m), one level at a time: the largest
+    ``orbit_bytes`` over the levels, whose level t holds at most ``order``
+    rows and at most the rows whose first n - t entries are unimodular."""
+    return max(orbit_bytes(q, n, m, min(_level_rows(q, n, m, t), order)) for t in range(n))
 
 
 def _level_rows(q, n, m, t):
@@ -577,19 +427,24 @@ def _level_rows(q, n, m, t):
     return q ** ((m - 1) * (n - t) + m * t) * (q ** (n - t) - 1)
 
 
-def orbit_bytes(q, n, m, index):
-    """Predicted bytes of the top level alone, the orbit of e_{n-1}: at most
-    ``index`` points and the unimodular rows, and one table."""
-    return 8 * (n + 2) * min(index, _level_rows(q, n, m, 0)) + 4 * q ** (m * n)
+def orbit_bytes(q, n, m, points):
+    """Predicted peak bytes of ``_orbit_size`` on at most ``points`` rows:
+    the table, 4 q^(m n); two layers of 8 n bytes a row (distinct rows, so
+    ``points`` at most, copied once when joined); and three blocks of
+    SAMPLE_BATCH_BYTES.  tracemalloc puts the peak beyond the table and the
+    layers at 2.5 blocks or less on every level of the K, K_1(p), Kprin(p)
+    and Kmirab chains at 11 points from padic (q2, n2, m10) and (q3, n4, m2)
+    to laurent F_9 (n3, m2)."""
+    return 4 * q ** (m * n) + 2 * 8 * n * points + 3 * SAMPLE_BATCH_BYTES
 
 
 def k_certificate_bytes(q, n, m):
     """What ``verify_generators`` charges for K in GL_n(O/p^m) before it
     allocates, on the shared Kmirab path: the larger of K's top orbit (every
-    unimodular row) with its table, and the Kmirab chain's points and tables.
+    unimodular row) and the Kmirab chain.
     |Kmirab| = |GL_{n-1}| q^(m(n-1))."""
     mirab = _gl_order(q, n - 1, m) * q ** (m * (n - 1))
-    return max(orbit_bytes(q, n, m, _level_rows(q, n, m, 0)), chain_bytes(q, n, m, mirab)[0])
+    return max(orbit_bytes(q, n, m, _level_rows(q, n, m, 0)), chain_bytes(q, n, m, mirab))
 
 
 def _charge(spec, nbytes):
@@ -599,56 +454,21 @@ def _charge(spec, nbytes):
         )
 
 
-def _chain_order(spec, ring, n, G, expected):
-    """(order, top orbit size) of <G> from a full stabiliser chain, exact
-    below ``expected``.  Random Schreier generators come from a private
-    generator with a fixed seed; when CHAIN_QUIET_PASSES passes add nothing,
-    every Schreier generator is sifted, which completes the chain.  The
-    chain's points and tables are charged before it is built, and its
-    transversals as soon as the chain is known to fall short of
-    ``expected``, before the first sift reads them and before the levels
-    still to build."""
-    points, transversals = chain_bytes(ring.q, n, ring.m, expected)
-    _charge(spec, points)
-    chain = StabiliserChain(ring, n, G, expected, lambda: _charge(spec, points + transversals))
-    rng = np.random.default_rng(0)
-    quiet = 0
-    while chain.order() < expected and quiet < CHAIN_QUIET_PASSES:
-        quiet = 0 if chain.random_pass(rng) else quiet + 1
-    while chain.order() < expected and chain.sweep():
-        pass
-    return chain.order(), len(chain.levels[0].pts)
-
-
-def _holds_mirabolic(ring, n, G, M):
-    """True when each generator of the stack M lies in <G> by inspection: it
-    is one of G, or w g w^-1 for some g of G, where w = E_{n-2,n-1}(1)
-    E_{n-1,n-2}(1)^-1 E_{n-2,n-1}(1) and both factors of w are in G (w moves
-    a diagonal unit at n-1 to n-2).  Array equality, so exact."""
+def _holds_mirabolic(G, M):
+    """True when every generator of the stack M is one of the stack G."""
     keys = {g.tobytes() for g in G}
-    missing = [m for m in M if m.tobytes() not in keys]
-    if not missing:
-        return True
-    up, down = _elem(n, n - 2, n - 1, 1), _elem(n, n - 1, n - 2, 1)
-    if up.tobytes() not in keys or down.tobytes() not in keys:
-        return False
-    w = ring.matmul(ring.matmul(up, mat_inv(ring, down)), up)
-    back = ring.matmul(ring.matmul(mat_inv(ring, w), np.array(missing)), w)
-    return all(g.tobytes() in keys for g in back)
+    return all(g.tobytes() in keys for g in M)
 
 
 _MIRABOLIC = {}
 
 
-def _generates_mirabolic(ring, n, M, order):
-    """True when the (G, n, n) stack M lies in Kmirab and generates a group
-    of ``order`` = |Kmirab|, by a full chain; cached under M's bytes."""
-    key = (ring, n, M.tobytes(), order)
+def _mirabolic_product(ring, n, M):
+    """The orbit product of the chain of the Kmirab stack M, cached under
+    its bytes."""
+    key = (ring, n, M.tobytes())
     if key not in _MIRABOLIC:
-        spec = SubgroupSpec("Kmirab")
-        _MIRABOLIC[key] = bool(subgroup_membership(spec, ring, M).all()) and (
-            _chain_order(spec, ring, n, M, order)[0] == order
-        )
+        _MIRABOLIC[key] = math.prod(_chain_orbits(ring, n, M))
     return _MIRABOLIC[key]
 
 
@@ -656,39 +476,40 @@ def verify_generators(spec, ring, n):
     """Exact certificate that the proposed generators generate the subgroup.
 
     Every generator must satisfy the membership predicate, so the group they
-    generate has order at most ``subgroup_order``.  Kmirab is the stabiliser
-    of the row e_{n-1} in K.  When the proposed generators G contain the
-    Kmirab generators (directly, or as conjugates w g w^-1 with w's factors
-    in G) and those are certified to generate Kmirab, the stabiliser of
-    e_{n-1} in <G> is Kmirab, so |<G>| = |e_{n-1} <G>| |Kmirab| exactly: one
-    breadth-first orbit above a Kmirab certificate shared by every such
-    subgroup at (ring, n).  Otherwise (Kmirab itself, Kprin, other lists) a
-    full stabiliser chain bounds the order from below and stops once it
-    reaches the formula; when it does not, the chain is complete.  Either way
-    a RuntimeError names the exact order next to the formula.  Bytes are
-    predicted before each allocation and checked against CHAIN_BYTES_MAX.
-    The result's ``orbit`` is the size of the orbit of e_n under the subgroup.
+    generate has order at most ``subgroup_order``, and their chain's orbit
+    product (``_chain_orbits``) is at most that order: equality certifies.
+    A shorter product raises a RuntimeError that names it, so a list that
+    generates the group without being strong is refused; every
+    ``subgroup_generators`` list is strong.  Kmirab is the stabiliser of
+    e_{n-1} in K, so when G contains the Kmirab list, which lies in Kmirab,
+    |<G>| >= |e_{n-1} <G>| times the Kmirab product: K, K_1(p^l) and
+    K_0(p^l) are one orbit above a product built once per (ring, n).  Bytes
+    are checked against CHAIN_BYTES_MAX before each allocation.  ``orbit``
+    is the size of the orbit of e_n under the subgroup.
     """
     G = subgroup_generators(spec, ring, n)
     expected = subgroup_order(spec, ring, n)
     if not subgroup_membership(spec, ring, G).all():
         raise RuntimeError(f"proposed generator outside {spec}")
+    q, m = ring.q, ring.m
     mirab = SubgroupSpec("Kmirab")
     M = subgroup_generators(mirab, ring, n)
-    order = subgroup_order(mirab, ring, n)
-    shared = spec.kind != "Kmirab" and n >= 2 and _holds_mirabolic(ring, n, G, M)
-    if shared:
-        _charge(spec, max(orbit_bytes(ring.q, n, ring.m, expected // order),
-                          chain_bytes(ring.q, n, ring.m, order)[0]))
-    if shared and _generates_mirabolic(ring, n, M, order):
-        orbit = len(_Level(ring, n, n - 1, G).pts)
-        size = orbit * order
+    if (
+        spec.kind != "Kmirab" and n >= 2 and _holds_mirabolic(G, M)
+        and subgroup_membership(mirab, ring, M).all()
+    ):
+        order = subgroup_order(mirab, ring, n)
+        _charge(spec, max(orbit_bytes(q, n, m, expected // order), chain_bytes(q, n, m, order)))
+        below = _mirabolic_product(ring, n, M)
+        orbit = _orbit_size(ring, n, n - 1, G)
+        size = orbit * below
     else:
-        size, orbit = _chain_order(spec, ring, n, G, expected)
-    if size > expected:
-        raise RuntimeError(f"stabiliser chain of {spec} generators reaches order {size}, above {expected}")
-    if size < expected:
-        raise RuntimeError(f"{spec} generators generate a group of order {size}, expected {expected}")
+        _charge(spec, chain_bytes(q, n, m, expected))
+        orbits = _chain_orbits(ring, n, G)
+        orbit, size = orbits[0], math.prod(orbits)
+    if size != expected:
+        how = "above" if size > expected else "expected"
+        raise RuntimeError(f"{spec} generators reach an orbit product of {size}, {how} {expected}")
     return {"method": "chain", "size": size, "ok": True, "orbit": orbit}
 
 

@@ -150,6 +150,27 @@ class Fq:
         self.mul = mul
 
 
+def check_ring(branch, p, f, m):
+    """q = p^f when (branch, p, f, m) names a supported ring O/p^m, checked
+    before any table is built; ValueError otherwise."""
+    if branch not in ("padic", "laurent"):
+        raise ValueError(f"unknown branch {branch!r}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if m < 1:
+        raise ValueError("level m must be >= 1")
+    if f < 1:
+        raise ValueError("extension degree f must be >= 1")
+    if branch == "padic" and f != 1:
+        raise ValueError("padic branch requires f = 1 (Galois rings are unsupported)")
+    q = p**f
+    if q**m > MAX_RING_SIZE:
+        raise ValueError(
+            f"ring of size {q}^{m} exceeds {MAX_RING_SIZE} elements; its tables would not fit"
+        )
+    return q
+
+
 class RingLevel:
     """The ring O/p^m for one of the two supported branches.
 
@@ -158,21 +179,7 @@ class RingLevel:
     """
 
     def __init__(self, branch, p, f, m, poly=None):
-        if branch not in ("padic", "laurent"):
-            raise ValueError(f"unknown branch {branch!r}")
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if m < 1:
-            raise ValueError("level m must be >= 1")
-        if f < 1:
-            raise ValueError("extension degree f must be >= 1")
-        if branch == "padic" and f != 1:
-            raise ValueError("padic branch requires f = 1 (Galois rings are unsupported)")
-        q = p**f
-        if q**m > MAX_RING_SIZE:
-            raise ValueError(
-                f"ring of size {q}^{m} exceeds {MAX_RING_SIZE} elements; its tables would not fit"
-            )
+        q = check_ring(branch, p, f, m)
         self.branch = branch
         self.p = p
         self.f = f

@@ -36,7 +36,9 @@ def orbit_labels(perms, shape):
     index; min-label propagation along every permutation, with pointer
     jumping, runs to a fixed point, where each label is the least index of
     its cell's orbit.  The orbits' roots are the cells labelled with their
-    own index.
+    own index.  At the fixed point each label equals the label of its
+    image under every permutation, so it is constant along their cycles:
+    the inverse permutations would add nothing.
     """
     lab = np.arange(np.prod(shape), dtype=np.int64).reshape(shape)
     while True:
@@ -107,7 +109,7 @@ class SphereIndex:
     def orbit_count(self, mats):
         """Number of orbits on the sphere of the group generated by ``mats``:
         the roots of ``orbit_labels`` over the |S| slots."""
-        lab = orbit_labels(self._perms(mats), (self.size,))
+        lab = orbit_labels([self.perm_of_matrix(k) for k in mats], (self.size,))
         return int(np.count_nonzero(lab == np.arange(self.size)))
 
     def orbital_labels(self, mats):
@@ -127,15 +129,10 @@ class SphereIndex:
                 raise BudgetExceededError(
                     f"orbital labels need {nbytes} bytes, over the cap {ORBITAL_BYTES_MAX}"
                 )
-            lab = orbit_labels(self._perms(mats), (self.size, self.size))
+            lab = orbit_labels([self.perm_of_matrix(k) for k in mats], (self.size, self.size))
             firsts, labels = np.unique(lab, return_inverse=True)
             self._orbitals[key] = (labels.reshape(lab.shape), len(firsts))
         return self._orbitals[key]
-
-    def _perms(self, mats):
-        """The slot permutations of ``mats`` and their inverses."""
-        perms = [self.perm_of_matrix(k) for k in mats]
-        return perms + [np.argsort(s) for s in perms]
 
     def scalar_perm(self, a):
         """Permutation i -> index of a * points[i] for a unit code a."""

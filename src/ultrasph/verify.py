@@ -151,14 +151,16 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
     (optionally) the irreducibility certificates, one character's pieces
     held at a time.  Raises BudgetExceededError, before building anything,
     when ``decompose_bytes`` is over BASIS_BYTES_MAX, and before the first
-    piece when K's certificate is over CHAIN_BYTES_MAX.  ``rng`` is accepted
+    piece when an orbit closure of K's certificate is over CHAIN_BYTES_MAX.
+    The certificate is the orbit product of K's strong generators, whose top
+    orbit, e_n K, is the measure lemma's ``cert["orbit"]``.  ``rng`` is accepted
     for callers that pass one, and nothing draws from it.  ``/orthogonality``
     rests on every piece's label facts (``Subspace.fault``), which it FAILs
     on, and its residual is the worst per-fibre Gram block entry."""
     rec = rec if rec is not None else Recorder()
     q, M = ring.q, ring.m
-    _check_bytes(decompose_bytes(q, n, M), "the sphere, piece labels and K's certificate")
-    # K's certificate first: a chain over its cap is refused before any piece is built
+    check_decompose_bytes(q, n, M)
+    # K's certificate first: one over its cap is refused before any piece is built
     cert = verify_generators(SubgroupSpec("K"), ring, n)
     lab = _ring_label(ring, n)
     space = SphereSpace(ring, n)
@@ -243,6 +245,17 @@ def decompose_bytes(q, n, M):
     (q5, n3, m2), (q3, n3, m3), (q3, n2, m4), (q2, n2, m8) and
     (q2, n2, m10)."""
     return 8 * 40 * sphere_size(q, n, M) + k_certificate_bytes(q, n, M)
+
+
+def check_decompose_bytes(q, n, M):
+    """``decompose_bytes`` against BASIS_BYTES_MAX, from (q, n, M) alone:
+    the CLI runs it before it builds the ring."""
+    _check_bytes(decompose_bytes(q, n, M), "the sphere, piece labels and K's certificate")
+
+
+def check_zonal_bytes(q, n, M):
+    """``zonal_piece_bytes`` against BASIS_BYTES_MAX, like ``check_decompose_bytes``."""
+    _check_bytes(zonal_piece_bytes(q, n, M), "a dense piece and its checks")
 
 
 def _piece_fault(H):
@@ -363,7 +376,7 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
     rec = rec if rec is not None else Recorder()
     rng = np.random.default_rng(seed)
     q, M = ring.q, ring.m
-    _check_bytes(zonal_piece_bytes(q, n, M), "a dense piece and its checks")
+    check_zonal_bytes(q, n, M)
     chs = characters(ring)
     size = sphere_size(q, n, M)
     counts = [  # each piece's ks, in the loop's order

@@ -4,7 +4,6 @@ import resource
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import pytest
@@ -641,22 +640,48 @@ class TestCommandSweep:
 
 
 class TestDecomposePricesItsCertificate:
-    def test_a_chain_over_its_cap_skips_before_the_pieces(self):
-        # laurent F_9[t]/t^2, n = 3: the Kmirab chain under K's certificate is
-        # over CHAIN_BYTES_MAX; the SKIP comes before any piece is built
-        with tempfile.TemporaryDirectory() as tmp:
-            start = time.monotonic()
-            proc, records = run_under_memory_limit(
-                Path(tmp), "decompose", p=3, n=3, level=2, branch="laurent", f=2, timeout=30,
+    def test_a_chain_over_its_cap_skips_before_the_pieces(self, monkeypatch):
+        # with CHAIN_BYTES_MAX one byte below what K's certificate is
+        # charged, decompose is refused before any piece is built
+        from ultrasph import matgroup, verify
+
+        ring, n = make_ring_level("padic", 3, 1, 2), 3
+        need = matgroup.k_certificate_bytes(ring.q, n, ring.m)
+        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", need - 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a piece was built")
+
+        monkeypatch.setattr(verify, "harmonic_subspace", refuse)
+        with pytest.raises(BudgetExceededError, match=f"stabiliser chain of K needs up to {need} bytes"):
+            verify.decompose_suite(ring, n)
+
+    @pytest.mark.parametrize("command", ["decompose", "zonal"])
+    def test_a_suite_over_its_budget_skips_before_the_ring_is_built(self, tmp_path, command):
+        # padic (q2, n2, m12): the ring's add and mul tables alone take
+        # 268 MB, so the SKIP, predicted from (q, n, level), comes first
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("[ring]\nbranch = padic\np = 2\nf = 1\n\n[run]\nn = 2\nlevel = 12\n")
+        out, err = tmp_path / "d.jsonl", tmp_path / "err.txt"
+        limit = 3_000_000 * 1024
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(ultrasph.__file__).resolve().parents[1])
+        with open(err, "w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "ultrasph.cli", command, "--config", str(cfg),
+                 "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                stdout=subprocess.DEVNULL, stderr=stderr, preexec_fn=cap_address_space,
             )
-            elapsed = time.monotonic() - start
-        assert "Traceback" not in proc.stderr
-        assert proc.returncode == EXIT_SKIP
-        assert [(r["check_id"], r["status"]) for r in records] == [("decompose/budget", "SKIP")]
-        assert records[0]["observed"] == (
-            "stabiliser chain of Kmirab needs up to 287526348 bytes, over the cap 134217728"
-        )
-        assert elapsed < 1.0
+            _, status, usage = os.wait4(proc.pid, 0)
+        assert "Traceback" not in err.read_text()
+        assert os.waitstatus_to_exitcode(status) == EXIT_SKIP
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["check_id"], r["status"]) for r in records] == [(f"{command}/budget", "SKIP")]
+        assert usage.ru_maxrss < 100 * 1024  # KiB
 
 
 class TestEmitReport:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ultrasph import matgroup, verify
@@ -35,6 +35,7 @@ from ultrasph.matgroup import (
 from ultrasph.ring import make_ring_level, unit_group_basis, unit_subgroup_basis
 from ultrasph.sphere import SphereIndex, orbit_labels, sphere_size
 
+from chainref import Level, StabiliserChain, named_product, reference_level, reference_order
 from matk import MatK
 
 
@@ -58,7 +59,7 @@ def reference_gl_generators(ring, n):
                 for b in matgroup.additive_generators(ring, 0):
                     gens.append(_elem(ring, n, i, j, b))
     for g in unit_group_basis(ring).gens:
-        gens.append(_diag(ring, n, n - 1, g))
+        gens.append(_diag(ring, n, 0, g))
     return gens
 
 
@@ -82,7 +83,7 @@ def reference_subgroup_generators(spec, ring, n):
         return gens or [MatK.identity(ring, n)]
     if spec.kind == "Kmirab":
         gens = []
-        if n > 2:
+        if n > 1:
             for g in reference_gl_generators(ring, n - 1):
                 a = np.eye(n, dtype=np.int64)
                 a[: n - 1, : n - 1] = g.a
@@ -185,52 +186,6 @@ def reference_membership(k, spec):
         bottom = a[n - 1]
         return bool((bottom[: n - 1] == 0).all()) and int(bottom[n - 1]) == 1
     raise AssertionError
-
-
-class reference_level:
-    """The eager stabiliser-chain level the Schreier vector replaced: sorted
-    point keys, and the transversal and its inverses formed on every layer."""
-
-    def __init__(self, ring, n, row, gens):
-        self.ring, self.row, self.gens = ring, row, []
-        self.u = self.uinv = np.eye(n, dtype=np.int64)[None]
-        self.keys = row_keys(ring, self.u[:, row])
-        self.slots = np.zeros(1, dtype=np.int64)
-        self.extend(gens)
-
-    def extend(self, new):
-        if not len(new):
-            return
-        ring = self.ring
-        self.gens = self.gens + list(new)
-        G = np.stack(self.gens)
-        Ginv = mat_inv(ring, G)
-        us, uinvs = [self.u], [self.uinv]
-        size = len(self.u)
-        apply = np.arange(len(G) - len(new), len(G))
-        while len(us[-1]) and len(apply):
-            front, front_inv = us[-1], uinvs[-1]
-            cand = ring.matmul(front[:, self.row], G[apply]).reshape(-1, front.shape[-1])
-            ckeys = row_keys(ring, cand)
-            keys, first = np.unique(ckeys, return_index=True)
-            slot = np.searchsorted(self.keys, keys)
-            fresh = np.sort(first[self.keys[np.minimum(slot, len(self.keys) - 1)] != keys])
-            parent, g = fresh % len(front), apply[fresh // len(front)]
-            us.append(ring.matmul(front[parent], G[g]))
-            uinvs.append(ring.matmul(Ginv[g], front_inv[parent]))
-            fkeys = ckeys[fresh]
-            order = np.argsort(fkeys)
-            at = np.searchsorted(self.keys, fkeys[order])
-            self.keys = np.insert(self.keys, at, fkeys[order])
-            self.slots = np.insert(self.slots, at, size + order)
-            size += len(fresh)
-            apply = np.arange(len(G))
-        self.u, self.uinv = np.concatenate(us), np.concatenate(uinvs)
-
-    def locate(self, x):
-        keys = row_keys(self.ring, x[:, self.row])
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return self.slots[pos], self.keys[pos] == keys
 
 
 def reference_subgroup_element(spec, ring, n, rng):
@@ -875,12 +830,17 @@ class TestStabiliserChain:
     @given(point=st.sampled_from([pt for pt in GROUP_POINTS if pt[4] >= 2]), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_certificate_holds_exactly_when_the_closure_reaches_the_order(self, point, data):
+        # a random subset of a spec's list stands in for every proposed list,
+        # the Kmirab list included: a pass certifies the closure order, so a
+        # closure below the formula raises, and a refusal names an orbit
+        # product no larger than the closure order
         branch, p, f, m, n = point
         R = ring_of(branch, p, f, m)
         kind = data.draw(st.sampled_from(SubgroupSpec.KINDS))
         depth = data.draw(st.integers(0, m + 1)) if kind in ("Kprin", "K1", "K0") else None
         spec = SubgroupSpec(kind, depth)
         gens = subgroup_generators(spec, R, n)
+        assert verify_generators(spec, R, n)["ok"]  # every full list is strong
         mask = data.draw(
             st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)).filter(any)
         )
@@ -889,18 +849,38 @@ class TestStabiliserChain:
         size = len(elems)
         # the chain's top orbit is the orbit of e_n: the closure's bottom rows
         orbit = len(np.unique(row_keys(R, elems[:, n - 1])))
-        # with no random passes, the exhaustive sweep alone must complete the chain
-        quiet = data.draw(st.sampled_from([matgroup.CHAIN_QUIET_PASSES, 0]))
-        with mock.patch.multiple(
-            matgroup, subgroup_generators=lambda *args: subset, CHAIN_QUIET_PASSES=quiet
-        ):
-            if size == subgroup_order(spec, R, n):
-                assert verify_generators(spec, R, n) == {
-                    "method": "chain", "size": size, "ok": True, "orbit": orbit,
-                }
-            else:
-                with pytest.raises(RuntimeError, match=rf"of order {size}, expected"):
+        with mock.patch.object(matgroup, "subgroup_generators", lambda *args: subset):
+            if size < subgroup_order(spec, R, n):
+                with pytest.raises(RuntimeError, match="orbit product of") as err:
                     verify_generators(spec, R, n)
+                assert named_product(err.value) <= size
+            else:
+                try:
+                    rep = verify_generators(spec, R, n)
+                except RuntimeError as exc:
+                    # the subset generates the group without being strong
+                    assert str(exc).endswith(f"expected {size}") and named_product(exc) < size
+                else:
+                    assert rep == {"method": "chain", "size": size, "ok": True, "orbit": orbit}
+
+    @given(
+        branch=st.sampled_from(["padic", "laurent"]), p=st.sampled_from([2, 3, 5]),
+        f=st.integers(1, 2), m=st.integers(1, 3), n=st.integers(2, 4),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_orbit_products_equal_the_order_and_the_reference_chain(self, branch, p, f, m, n):
+        # with the unit diagonal at row 0, every list is strong: its orbit
+        # product is the order formula and the order of a complete
+        # Schreier-Sims chain, which sifts to reach it
+        assume(branch == "laurent" or f == 1)
+        assume((p**f) ** (m * n) <= 4096)
+        R = ring_of(branch, p, f, m)
+        for kind in SubgroupSpec.KINDS:
+            for depth in range(1, m + 1) if kind in ("Kprin", "K1", "K0") else [None]:
+                spec = SubgroupSpec(kind, depth)
+                order = subgroup_order(spec, R, n)
+                assert verify_generators(spec, R, n)["size"] == order
+                assert reference_order(R, n, subgroup_generators(spec, R, n)) == order
 
     @pytest.mark.parametrize("point", [("padic", 3, 1, 2, 2), ("padic", 2, 1, 2, 3)])
     def test_strong_generators_nest(self, point):
@@ -908,7 +888,7 @@ class TestStabiliserChain:
         R = ring_of(*point[:4])
         n = point[4]
         gens = subgroup_generators(SubgroupSpec("K"), R, n)
-        chain = matgroup.StabiliserChain(R, n, gens)
+        chain = StabiliserChain(R, n, gens)
         while chain.sweep():
             pass
         assert chain.order() == group_order(R, n)
@@ -931,37 +911,33 @@ class TestStabiliserChain:
         }
 
     def test_certificates_that_never_sift_invert_nothing(self, monkeypatch):
-        # transversals are built only when a sift reads them
+        # no certificate sifts, so none forms an inverse: K's included
         R = ring_of("padic", 3, 1, 2)
         calls = []
         inverse = matgroup.mat_inv
         monkeypatch.setattr(
             matgroup, "mat_inv", lambda ring, a: calls.append(len(a)) or inverse(ring, a)
         )
-        for kind, depth in [("K1", 1), ("K1", 2), ("K0", 1), ("K0", 2)]:
+        for kind, depth in [("K1", 1), ("K1", 2), ("K0", 1), ("K0", 2), ("Kprin", 1), ("Kmirab", None)]:
             assert verify_generators(SubgroupSpec(kind, depth), R, 2)["ok"]
-        assert calls == []
         rep = verify_generators(SubgroupSpec("K"), R, 2)
         assert rep["ok"] and rep["orbit"] == sphere_size(3, 2, 2)
-        assert calls  # K inverts w, to match the Kmirab diagonal generators as conjugates
+        assert calls == []
 
     def test_byte_cap_counts_the_tables(self, monkeypatch):
         R, n = ring_of("padic", 3, 1, 2), 2
         spec = SubgroupSpec("K")
         q, m = R.q, R.m
         # K takes the shared Kmirab path: the larger of its top orbit (every
-        # unimodular row) with one table, and the Kmirab chain's points (at
-        # most the rows each level can reach, and at most |Kmirab| + n - 1 in
-        # all) with n tables
+        # unimodular row) and the Kmirab chain's largest level (at most the
+        # rows that level can reach, and at most |Kmirab|), each closure one
+        # table, two layers of 8 n bytes a row and three product blocks
         sphere = q ** ((m - 1) * n) * (q**n - 1)
-        reach = sum(q ** ((m - 1) * (n - t) + m * t) * (q ** (n - t) - 1) for t in range(n))
         mirab = subgroup_order(SubgroupSpec("Kmirab"), R, n)
-        bound = max(
-            8 * (n + 2) * sphere + 4 * R.size**n,
-            8 * (n + 2) * min(reach, mirab + n - 1) + 4 * n * R.size**n,
-        )
+        reach = max(min(q ** ((m - 1) * (n - t) + m * t) * (q ** (n - t) - 1), mirab) for t in range(n))
+        bound = 4 * R.size**n + 2 * 8 * n * max(sphere, reach) + 3 * matgroup.SAMPLE_BATCH_BYTES
         monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", bound - 1)
-        with mock.patch.object(matgroup, "_Level", side_effect=AssertionError("allocated")):
+        with mock.patch.object(matgroup, "_orbit_size", side_effect=AssertionError("allocated")):
             with pytest.raises(BudgetExceededError, match=f"needs up to {bound} bytes"):
                 verify_generators(spec, R, n)
         monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", bound)
@@ -970,7 +946,7 @@ class TestStabiliserChain:
     def test_order_above_the_formula_raises(self):
         R = ring_of("padic", 3, 1, 2)
         with mock.patch.object(matgroup, "subgroup_order", lambda *args: 24):
-            with pytest.raises(RuntimeError, match=r"reaches order \d+, above 24"):
+            with pytest.raises(RuntimeError, match=r"orbit product of \d+, above 24"):
                 verify_generators(SubgroupSpec("K"), R, 2)
 
     def test_generator_outside_the_subgroup_raises(self):
@@ -985,6 +961,7 @@ class TestLevel:
     @given(point=st.sampled_from(GROUP_POINTS), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_schreier_vector_matches_the_eager_level(self, point, data):
+        # the reference chain's lazy Schreier-vector level against the eager one
         branch, p, f, m, n = point
         R = ring_of(branch, p, f, m)
         kind = data.draw(st.sampled_from(SubgroupSpec.KINDS))
@@ -995,7 +972,7 @@ class TestLevel:
         chunks = [subset[a:b] for a, b in zip([0, *cuts], [*cuts, len(subset)])]
         row = data.draw(st.integers(0, n - 1))
         ref = reference_level(R, n, row, chunks[0])
-        lev = matgroup._Level(R, n, row, chunks[0])
+        lev = Level(R, n, row, chunks[0])
         for chunk in chunks[1:]:
             if data.draw(st.booleans()):
                 assert np.array_equal(lev.u, ref.u)  # a read between extends
@@ -1003,6 +980,9 @@ class TestLevel:
             lev.extend(chunk)
         assert np.array_equal(lev.pts, ref.u[:, row])
         assert np.array_equal(lev.u, ref.u) and np.array_equal(lev.uinv, ref.uinv)
+        # the certificate's closure counts the same orbit
+        stack = np.array(subset, dtype=np.int64).reshape(-1, n, n)
+        assert matgroup._orbit_size(R, n, row, stack) == len(lev.pts)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = np.concatenate([random_stack(R, n, 20, rng), ref.u[rng.permutation(len(ref.u))]])
         slot, hit = lev.locate(x)

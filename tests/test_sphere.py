@@ -320,6 +320,24 @@ class TestOrbitals:
         _, count = S.orbital_labels(subgroup_generators(SubgroupSpec("K"), R, n))
         assert count == sum(m - ch.c + 1 for ch in characters(R))
 
+    @given(point=st.sampled_from(SMALL_RINGS), n=st.integers(2, 3), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_labels_need_no_inverse_permutations(self, point, n, data):
+        # labels are constant along every generator's cycles at the fixed
+        # point, so adding the inverses changes no label, on slots or pairs
+        R = make_ring_level(*point)
+        S = ultrasph.sphere.SphereIndex(R, n)
+        kind = data.draw(st.sampled_from(SubgroupSpec.KINDS))
+        depth = data.draw(st.integers(1, R.m)) if kind in ("Kprin", "K1", "K0") else None
+        gens = subgroup_generators(SubgroupSpec(kind, depth), R, n)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)).filter(any))
+        perms = [S.perm_of_matrix(k) for k in gens[np.array(keep)]]
+        both = perms + [np.argsort(s) for s in perms]
+        for shape in [(S.size,), (S.size, S.size)][: 2 if S.size <= 200 else 1]:
+            assert np.array_equal(
+                ultrasph.sphere.orbit_labels(perms, shape), ultrasph.sphere.orbit_labels(both, shape)
+            )
+
     def test_label_array_cap(self, monkeypatch):
         R = make_ring_level("padic", 2, 1, 2)
         S = enumerate_sphere(R, 2)

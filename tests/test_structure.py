@@ -22,6 +22,7 @@ from ultrasph.matgroup import (
 )
 from ultrasph.ring import UnitCharacter, characters, make_ring_level, unit_group_basis
 
+from chainref import StabiliserChain, named_product
 from structref import (
     ReferenceOrbitTree,
     reference_act,
@@ -222,13 +223,13 @@ class TestSharedMirabolicChain:
         ring = ring_of("padic", 3, 1, 2)
         levels = []
         monkeypatch.setattr(matgroup, "_MIRABOLIC", {})
-        real = matgroup._Level
+        real = matgroup._orbit_size
 
         def counting(ring, n, row, gens):
             levels.append(row)
             return real(ring, n, row, gens)
 
-        monkeypatch.setattr(matgroup, "_Level", counting)
+        monkeypatch.setattr(matgroup, "_orbit_size", counting)
         for spec in [SubgroupSpec("K1", 1), SubgroupSpec("K0", 2), SubgroupSpec("K")]:
             assert verify_generators(spec, ring, 2)["ok"]
         # the Kmirab chain's two levels once, then one top orbit per certificate
@@ -236,6 +237,9 @@ class TestSharedMirabolicChain:
 
     @pytest.mark.parametrize("point", CHAIN_POINTS, ids=str)
     def test_k1_without_a_kprin_generator_raises_with_the_closure_order(self, point):
+        # a pass certifies the closure order; a refusal names an orbit
+        # product at most the closure order, which is below the formula
+        # unless the list generates K_1(p) without being strong
         branch, p, f, m, n = point
         ring = ring_of(branch, p, f, m)
         spec = SubgroupSpec("K1", 1)
@@ -246,11 +250,10 @@ class TestSharedMirabolicChain:
             size = len(closure(ring, subset, budget=10**6))
             with mock.patch.object(matgroup, "subgroup_generators",
                                    lambda s, *args: subset if s == spec else subgroup_generators(s, *args)):
-                if size == subgroup_order(spec, ring, n):
+                try:
                     assert verify_generators(spec, ring, n)["size"] == size
-                else:
-                    with pytest.raises(RuntimeError, match=rf"of order {size}, expected"):
-                        verify_generators(spec, ring, n)
+                except RuntimeError as exc:
+                    assert named_product(exc) <= size and named_product(exc) < subgroup_order(spec, ring, n)
 
     @pytest.mark.parametrize("point", CHAIN_POINTS, ids=str)
     def test_k_without_its_diagonal_generator_raises_with_the_closure_order(self, point):
@@ -266,15 +269,16 @@ class TestSharedMirabolicChain:
         with mock.patch.object(matgroup, "subgroup_generators",
                                lambda s, *args: subset if s == spec else subgroup_generators(s, *args)):
             if diagonal:
-                with pytest.raises(RuntimeError, match=rf"of order {size}, expected"):
+                with pytest.raises(RuntimeError, match="orbit product of") as err:
                     verify_generators(spec, ring, n)
+                assert named_product(err.value) <= size
             else:
                 assert verify_generators(spec, ring, n)["size"] == size
 
     def test_the_kmirab_certificate_is_keyed_on_its_generators(self, monkeypatch):
         # certify K_1(1) with the true Kmirab list, then offer a Kmirab list
         # without its diagonal unit and a K_1(1) list without it too: the
-        # cached certificate must not stand for the shorter list
+        # cached product must not stand for the shorter list
         ring, n = ring_of("padic", 3, 1, 2), 2
         spec = SubgroupSpec("K1", 1)
         assert verify_generators(spec, ring, n)["ok"]
@@ -286,48 +290,47 @@ class TestSharedMirabolicChain:
         assert size < subgroup_order(spec, ring, n)
         swap = {SubgroupSpec("Kmirab"): short_mirab, spec: short}
         monkeypatch.setattr(matgroup, "subgroup_generators", lambda s, *args: swap[s])
-        with pytest.raises(RuntimeError, match=rf"of order {size}, expected"):
+        with pytest.raises(RuntimeError, match="orbit product of") as err:
             verify_generators(spec, ring, n)
+        assert named_product(err.value) <= size
         order = subgroup_order(SubgroupSpec("Kmirab"), ring, n)
-        assert matgroup._MIRABOLIC[ring, n, mirab.tobytes(), order] is True
-        assert matgroup._MIRABOLIC[ring, n, short_mirab.tobytes(), order] is False
+        assert matgroup._MIRABOLIC[ring, n, mirab.tobytes()] == order
+        assert matgroup._MIRABOLIC[ring, n, short_mirab.tobytes()] < order
 
 
 class TestChainBytes:
-    def test_a_k1_chain_the_transversal_bound_refused_now_certifies(self, monkeypatch):
+    def test_a_k1_certificate_is_charged_its_top_orbit_and_the_kmirab_chain(self, monkeypatch):
+        # the larger of K_1(p)'s top orbit, at most its index over Kmirab,
+        # and the Kmirab chain's largest level; refused before any orbit
         ring, n = ring_of("padic", 3, 1, 2), 2
         spec = SubgroupSpec("K1", 1)
         q, m = ring.q, ring.m
-        rows = q ** ((m - 1) * n) * (q**n - 1)
-        # the bound every certificate was charged: n levels of transversals and tables
-        charged = 16 * n**3 * min(rows, subgroup_order(spec, ring, n)) + 4 * n * ring.size**n
         mirab = subgroup_order(SubgroupSpec("Kmirab"), ring, n)
         need = max(
             matgroup.orbit_bytes(q, n, m, subgroup_order(spec, ring, n) // mirab),
-            matgroup.chain_bytes(q, n, m, mirab)[0],
+            matgroup.chain_bytes(q, n, m, mirab),
         )
-        assert need < charged
-        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", charged - 1)
         monkeypatch.setattr(matgroup, "_MIRABOLIC", {})
-        assert verify_generators(spec, ring, n)["ok"]
         monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", need - 1)
-        with mock.patch.object(matgroup, "_Level", side_effect=AssertionError("allocated")):
+        with mock.patch.object(matgroup, "_orbit_size", side_effect=AssertionError("allocated")):
             with pytest.raises(BudgetExceededError, match=f"needs up to {need} bytes"):
                 verify_generators(spec, ring, n)
+        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", need)
+        assert verify_generators(spec, ring, n)["ok"]
 
-    def test_a_full_chain_is_charged_its_transversals_before_it_sifts(self, monkeypatch):
-        # K's full chain at (q3, n2, m2) sifts; with the cap between its points
-        # and its transversals it is refused after building its levels, before a sift
+    def test_a_full_chain_is_charged_its_largest_level_before_its_first(self, monkeypatch):
+        # K's full chain at (q3, n2, m2), off the shared path: refused with
+        # the cap one byte below its largest level, before any orbit is closed
         ring, n = ring_of("padic", 3, 1, 2), 2
         spec = SubgroupSpec("K")
-        points, transversals = matgroup.chain_bytes(3, n, 2, subgroup_order(spec, ring, n))
+        need = matgroup.chain_bytes(3, n, 2, subgroup_order(spec, ring, n))
+        assert need == matgroup.orbit_bytes(3, n, 2, 72)  # the top level: all 72 unimodular rows
         monkeypatch.setattr(matgroup, "_holds_mirabolic", lambda *args: False)
-        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", points + transversals - 1)
-        with mock.patch.object(matgroup.StabiliserChain, "random_pass",
-                               side_effect=AssertionError("sifted")):
-            with pytest.raises(BudgetExceededError, match=f"needs up to {points + transversals} bytes"):
+        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", need - 1)
+        with mock.patch.object(matgroup, "_orbit_size", side_effect=AssertionError("allocated")):
+            with pytest.raises(BudgetExceededError, match=f"needs up to {need} bytes"):
                 verify_generators(spec, ring, n)
-        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", points + transversals)
+        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", need)
         assert verify_generators(spec, ring, n)["ok"]
 
     def test_k_certificate_bytes_names_what_k_is_charged(self, monkeypatch):
@@ -339,37 +342,39 @@ class TestChainBytes:
         monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", need)
         assert verify_generators(SubgroupSpec("K"), ring, n)["ok"]
 
-
-    def test_a_short_chain_is_charged_before_its_middle_level(self, monkeypatch):
-        # the Kmirab chain at (q3, n3, m2): its top orbit {e_2} and its bottom
-        # orbit (no generator there scales e_0) show it falls short, so its
-        # transversals are refused before the middle level, row 1, is built
+    def test_a_kmirab_chain_is_charged_before_its_first_level(self, monkeypatch):
+        # the Kmirab chain at (q3, n3, m2) is refused one byte below its
+        # largest level, and closes no orbit first
         ring, n = ring_of("padic", 3, 1, 2), 3
         spec = SubgroupSpec("Kmirab")
-        points, transversals = matgroup.chain_bytes(3, n, 2, subgroup_order(spec, ring, n))
-        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", points + transversals - 1)
-        built, real = [], matgroup._Level
+        need = matgroup.chain_bytes(3, n, 2, subgroup_order(spec, ring, n))
+        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", need - 1)
+        built, real = [], matgroup._orbit_size
 
         def counting(ring, n, row, gens):
             built.append(row)
             return real(ring, n, row, gens)
 
-        monkeypatch.setattr(matgroup, "_Level", counting)
-        with pytest.raises(BudgetExceededError, match=f"needs up to {points + transversals} bytes"):
+        monkeypatch.setattr(matgroup, "_orbit_size", counting)
+        with pytest.raises(BudgetExceededError, match=f"needs up to {need} bytes"):
             verify_generators(spec, ring, n)
-        assert built == [2, 0]
+        assert built == []
+        monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", need)
+        assert verify_generators(spec, ring, n)["ok"]
+        assert built == [2, 1, 0]
 
     @pytest.mark.parametrize("point", CHAIN_POINTS, ids=str)
-    def test_on_short_is_called_once_exactly_when_the_chain_falls_short(self, point):
+    def test_each_level_is_the_complete_chains_orbit(self, point):
+        # every list is strong level by level, not only in its product: each
+        # orbit equals that level's orbit in a complete Schreier-Sims chain
         branch, p, f, m, n = point
         ring = ring_of(branch, p, f, m)
         for spec in specs_at(m):
-            expected = subgroup_order(spec, ring, n)
-            calls = []
-            chain = matgroup.StabiliserChain(
-                ring, n, subgroup_generators(spec, ring, n), expected, lambda: calls.append(spec)
-            )
-            assert calls == ([spec] if chain.order() < expected else [])
+            gens = subgroup_generators(spec, ring, n)
+            chain = StabiliserChain(ring, n, gens)
+            while chain.sweep():
+                pass
+            assert matgroup._chain_orbits(ring, n, gens) == [len(lev.pts) for lev in chain.levels]
 
 
 TREE_POINTS = [("padic", 2, 1, 3, 2), ("padic", 3, 1, 2, 2), ("laurent", 2, 2, 2, 2), ("padic", 2, 1, 2, 3)]
