@@ -8,7 +8,6 @@ independent brute-force oracles.
 """
 
 from .ring import (
-    RingElem,
     RingLevel,
     UnitCharacter,
     UnitGroupBasis,

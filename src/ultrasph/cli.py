@@ -89,6 +89,10 @@ class RunConfig:
             raise ConfigError("samples and budget must be positive")
         if self.level < 1:
             raise ConfigError("level must be >= 1")
+        if self.pseries_level is not None and self.pseries_level < 1:
+            raise ConfigError("pseries level must be >= 1")
+        if self.sum_max is not None and self.sum_max < 0:
+            raise ConfigError("pseries sum_max must be >= 0")
         if self.n < 2:
             raise ConfigError("n must be >= 2")
         if min(self.real_degree, self.complex_degree) < 0:
@@ -253,10 +257,10 @@ def cmd_double_cosets(cfg, rec):
 
 def cmd_principal_series(cfg, rec):
     if cfg.chars is not None:
-        level = cfg.pseries_level or cfg.level
+        level = cfg.pseries_level if cfg.pseries_level is not None else cfg.level
         ring = make_ring_level(cfg.branch, cfg.p, cfg.f, level, cfg.poly)
         chars = select_characters(ring, cfg.chars, cfg.n)
-        from .pseries import ConductorNotVisible, PSeriesModel
+        from .pseries import PSeriesModel
         from .verify import _check_sample_bytes, pseries_model_checks
 
         try:
@@ -269,12 +273,7 @@ def cmd_principal_series(cfg, rec):
         except BudgetExceededError as e:
             rec.skip("pseries/model", "model build", {}, str(e))
             return
-        try:
-            pseries_model_checks(
-                model, rec, samples=cfg.samples, rng=np.random.default_rng(cfg.seed)
-            )
-        except ConductorNotVisible as e:
-            rec.skip("pseries/newform", "minimal invariant line", {}, str(e))
+        pseries_model_checks(model, rec, samples=cfg.samples, rng=np.random.default_rng(cfg.seed))
     else:
         sum_max = cfg.sum_max if cfg.sum_max is not None else 3
         pseries_suite(

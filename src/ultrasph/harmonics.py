@@ -12,10 +12,12 @@ chain, whose top orbit is the orbit of e_n.
 Subspaces of the filtration are integer labels on the sphere: a depth-l
 chi-equivariant space has one row per scalar orbit of the level-l sphere,
 and an irreducible piece the non-trivial DFT rows over each depth-(m-1)
-orbit's children.  Exact label facts make the rows an orthonormal basis
-(``Subspace.fault``), and one permutation check per generator makes every
-piece invariant (``SphereIndex.structure_fault``).  Dense rows are built
-only for a caller that reads ``Subspace.basis``, one piece at a time.
+orbit's children.  A character only reads each unit label as a phase, so
+two exact facts on one ``Labels`` per level and kind make every
+character's rows an orthonormal basis (``Labels.fault``), and one
+permutation check per generator makes every piece invariant
+(``SphereIndex.structure_fault``).  Dense rows are built only for a caller
+that reads ``Subspace.basis``, one piece at a time.
 
 The four zonal identity checks (addition theorem, reproducing kernel,
 zonal symmetry, projector sums) act on a whole (N, n, n) stack of
@@ -107,78 +109,94 @@ class SphereSpace:
         return orbit[proj], unit[proj], count
 
 
-class Subspace:
-    """A chi-equivariant space held as integer labels per point x: its
-    fibre[x] < fibres, its position pos[x] < k in the fibre, and the exact
-    rotation index rot[x] of its phase e(rot[x] / L), L = chi.order.  Row
-    (F, j) is sqrt(fibres) w^(j pos(x)) e(rot(x) / L) on fibre F, w = e(1/k),
-    with j = 1..k-1, or j = 0 alone when k = 1 (a depth space)."""
+def labels_name(level, split):
+    """How faults and witnesses name the ``Labels`` of (level, split)."""
+    return f"level-{level} {'complement' if split else 'depth'} labels"
 
-    def __init__(self, space, chi, level, fibre, pos, rot, fibres, k):
-        self.space, self.chi, self.level, self.fibres, self.k = space, chi, level, fibres, k
-        self.fibre, self.pos, self.rot = fibre, pos, rot
-        self.js = range(1, k) if k > 1 else range(1)
 
-    @property
-    def dim(self):
-        return self.fibres * len(self.js)
+class Labels:
+    """The labels every character's level-l piece shares, read off the depth
+    d = level - split scalar orbits (``SphereSpace.depth``): fibre[x] <
+    fibres, x's depth-d orbit, and unit[x], which takes the orbit's least
+    point to x's reduction.  With ``split``, pos[x] < k ranks x's depth-l
+    child in its fibre; otherwise pos = 0 and k = 1.  A character of
+    conductor c <= d reads them with rotation indices chi._nums[unit]."""
 
-    @cached_property
-    def basis(self):
-        """The dense (dim, |S|) rows, built from the labels when first read."""
-        size, k, L = self.space.size, self.k, self.chi.order
-        phase = np.exp(2j * np.pi * np.arange(L) / L)[self.rot]
-        dft = np.exp(2j * np.pi * np.arange(k) / k) * np.sqrt(self.fibres)
-        basis = np.zeros((self.fibres, len(self.js), size), dtype=np.complex128)
-        for row, j in enumerate(self.js):
-            basis[self.fibre, row, np.arange(len(self.fibre))] = dft[j * self.pos % k] * phase
-        return basis.reshape(-1, size)
+    def __init__(self, space, level, split):
+        self.space, self.level, self.split = space, level, split
+        self.fibre, self.unit, self.fibres = space.depth(level - split)
+        if split:
+            child, _, count = space.depth(level)
+            # the (fibre, child) pairs, fibre-major: a fibre's first child has position 0
+            pairs, rank = np.unique(self.fibre * count + child, return_inverse=True)
+            self.pos = rank - np.searchsorted(pairs // count, self.fibre)
+            self.k = count // self.fibres
+        else:
+            self.pos, self.k = np.zeros_like(self.fibre), 1
+        self.js = range(1, self.k) if self.k > 1 else range(1)
+        self.dim = self.fibres * len(self.js)
+
+    def __str__(self):
+        return labels_name(self.level, self.split)
 
     @cached_property
     def fault(self):
         """The first label fact that fails, or None.  Equivariance: each
-        unit-group generator u keeps fibres and positions and adds chi's index
-        at u to rot.  Level: the labels are constant on level-l fibres.
-        Depth: fibres and rot are the scalar orbits and phases at depth l - 1
-        (l when k = 1).  Spread: every (fibre, position) holds as many points.
-        Then the rows are orthonormal rows of V(chi, l), orthogonal to depth
-        l - 1 by the DFT identity and to other characters by equivariance."""
-        space, chi, k, ell = self.space, self.chi, self.k, self.level
-        if not self.dim:
-            return None
-        labels = np.stack([self.fibre, self.pos, self.rot])
+        unit-group generator u keeps fibre and position and takes unit to
+        u unit mod p^d, so chi(u unit) = chi(u) chi(unit) for every chi of
+        conductor c <= d.  Spread: every (fibre, position) holds as many
+        points.  Then every such chi's rows are orthonormal rows of its
+        piece, orthogonal to depth d by the DFT identity and to other
+        characters by equivariance."""
+        space, d, k = self.space, self.level - self.split, self.k
         for u, perm in space.index.unit_perms():
-            moved = labels[:, perm]
-            if not (np.array_equal(moved[:2], labels[:2])
-                    and np.array_equal(moved[2], (self.rot + chi._nums[u]) % chi.order)):
-                return f"labels are not equivariant under the scalar {space.ring.element_str(u)}"
-        proj = space.index.child(ell)[1] if ell else np.zeros(space.size, dtype=np.int64)
-        first = np.empty(space.size, dtype=np.int64)
-        first[proj] = np.arange(space.size)
-        if not np.array_equal(labels[:, first[proj]], labels):
-            return f"labels are not constant on level-{ell} fibres"
-        orbit, unit, count = space.depth(ell - (k > 1))
-        if not (count == self.fibres and np.array_equal(self.fibre, orbit)
-                and np.array_equal(self.rot, chi._nums[unit])):
-            return f"fibres or phases differ from the depth-{ell - (k > 1)} orbits"
-        if not 0 <= self.pos.min() <= self.pos.max() < k or np.ptp(self._counts()):
-            return f"points not spread evenly over the {k} positions of each fibre"
+            ud = space.ring.reduce_code(u, d)
+            scaled = space.ring.at_level(d).mul_arr(self.unit, ud) if d else self.unit
+            moved = ((self.fibre, self.fibre), (self.pos, self.pos), (self.unit, scaled))
+            if not all(np.array_equal(a[perm], b) for a, b in moved):
+                return f"{self} are not equivariant under the scalar {space.ring.element_str(u)}"
+        if not 0 <= self.pos.min() <= self.pos.max() < k or np.ptp(self.counts()):
+            return f"{self} do not spread points evenly over the {k} positions of each fibre"
         return None
 
-    def _counts(self):
+    def counts(self):
         """The (fibres, k) point counts c_F(i) per fibre and position."""
         counts = np.bincount(self.fibre * self.k + self.pos, minlength=self.fibres * self.k)
         return counts.reshape(self.fibres, self.k)
 
     def block_residual(self):
-        """Worst |G - I| over the per-fibre Gram blocks of a piece without a
+        """Worst |G - I| over the per-fibre Gram blocks of labels without a
         fault: G[j, j'] = fibres / |S| sum_i c_F(i) w^((j - j') i)."""
         k = self.k
         shifts = np.arange(k if k > 2 else 1)  # every j - j' mod k, j, j' in js
         w = np.exp(2j * np.pi * np.arange(k) / k)[np.outer(shifts, np.arange(k)) % k]
-        gram = self._counts() @ w.T * (self.fibres / self.space.size)
+        gram = self.counts() @ w.T * (self.fibres / self.space.size)
         gram[:, 0] -= 1
         return float(np.abs(gram).max(initial=0.0))
+
+
+class Subspace:
+    """A chi-equivariant space, ``labels`` with rotation indices
+    rot[x] = chi._nums[unit[x]], L = chi.order; the zero space when
+    ``labels`` is None.  Row (F, j) is sqrt(fibres) w^(j pos(x)) e(rot(x) / L)
+    on fibre F, w = e(1/k), with j = 1..k-1, or j = 0 alone when k = 1."""
+
+    def __init__(self, space, chi, level, labels=None):
+        self.space, self.chi, self.level, self.labels = space, chi, level, labels
+        self.dim = 0 if labels is None else labels.dim
+
+    @cached_property
+    def basis(self):
+        """The dense (dim, |S|) rows, built from the labels when first read."""
+        lab, size, L = self.labels, self.space.size, self.chi.order
+        if lab is None:
+            return np.zeros((0, size), dtype=np.complex128)
+        phase = np.exp(2j * np.pi * np.arange(L) / L)[self.chi._nums[lab.unit]]
+        dft = np.exp(2j * np.pi * np.arange(lab.k) / lab.k) * np.sqrt(lab.fibres)
+        basis = np.zeros((lab.fibres, len(lab.js), size), dtype=np.complex128)
+        for row, j in enumerate(lab.js):
+            basis[lab.fibre, row, np.arange(size)] = dft[j * lab.pos % lab.k] * phase
+        return basis.reshape(-1, size)
 
     def rho(self, k):
         """Matrix of R(k) on this basis; unitary when the space is invariant."""
@@ -253,11 +271,7 @@ def chi_level_subspace(space, chi, ell):
     ``/chi-level-dim`` records compare with ``dim_chi_level``."""
     if ell > space.ring.m:
         raise ValueError(f"depth {ell} above working level {space.ring.m}")
-    if ell < chi.c:
-        none = np.zeros(0, dtype=np.int64)
-        return Subspace(space, chi, ell, none, none, none, 0, 1)
-    orbit, unit, count = space.depth(ell)
-    return Subspace(space, chi, ell, orbit, np.zeros_like(orbit), chi._nums[unit], count, 1)
+    return Subspace(space, chi, ell, Labels(space, ell, 0) if ell >= chi.c else None)
 
 
 def harmonic_subspace(space, chi, m):
@@ -269,18 +283,13 @@ def harmonic_subspace(space, chi, m):
     off the reduction: on O, that row's own phase.  So the k - 1 DFT rows
     w^(j i) times that phase, on the child in position i, w = exp(2 pi i / k)
     and j = 1..k-1, are an orthonormal basis of the complement in the
-    fibre's span; ``Subspace.fault`` checks the facts this rests on.
+    fibre's span; ``Labels.fault`` checks the facts this rests on.
     """
     if m < chi.c:
         raise ValueError(f"level {m} below conductor {chi.c}")
     if m == chi.c:
         return chi_level_subspace(space, chi, m)
-    child, _, count = space.depth(m)
-    fibre, unit, fibres = space.depth(m - 1)
-    # the (fibre, child) pairs, fibre-major: a fibre's first child has position 0
-    pairs, rank = np.unique(fibre * count + child, return_inverse=True)
-    pos = rank - np.searchsorted(pairs // count, fibre)
-    return Subspace(space, chi, m, fibre, pos, chi._nums[unit], fibres, count // fibres)
+    return Subspace(space, chi, m, Labels(space, m, 1))
 
 
 def commutant_dimension(sub, gens):

@@ -379,10 +379,13 @@ def _orbit_size(ring, n, row, gens):
     is multiplied by every generator in blocks of at most SAMPLE_BATCH_BYTES
     of products, and each block keeps the first occurrence of every row not
     reached before, found with ``np.minimum.at`` in the table slots the rows
-    are about to take, so nothing is sorted.
+    are about to take, so nothing is sorted.  A row every generator fixes
+    is its own orbit, and takes no table.
     """
-    table = np.full(ring.size**n, -1, dtype=np.int32)
     front = np.eye(n, dtype=np.int64)[row][None]
+    if (gens[:, row] == front).all():
+        return 1
+    table = np.full(ring.size**n, -1, dtype=np.int32)
     table[row_keys(ring, front)] = 0
     size = 1
     step = max(1, SAMPLE_BATCH_BYTES // (8 * n * max(len(gens), 1)))

@@ -388,58 +388,6 @@ def make_ring_level(branch, p, f, m, poly=None):
     return RingLevel(branch, p, f, m, poly)
 
 
-class RingElem:
-    """A residue at a fixed RingLevel, with operator sugar over codes."""
-
-    __slots__ = ("ring", "code")
-
-    def __init__(self, ring, code):
-        self.ring = ring
-        self.code = int(code) % ring.size
-
-    def __add__(self, other):
-        return RingElem(self.ring, self.ring.add(self.code, self._c(other)))
-
-    def __sub__(self, other):
-        return RingElem(self.ring, self.ring.sub(self.code, self._c(other)))
-
-    def __mul__(self, other):
-        return RingElem(self.ring, self.ring.mul(self.code, self._c(other)))
-
-    def __neg__(self):
-        return RingElem(self.ring, self.ring.neg(self.code))
-
-    def __pow__(self, e):
-        return RingElem(self.ring, self.ring.pow(self.code, e))
-
-    def inverse(self):
-        return RingElem(self.ring, self.ring.inv(self.code))
-
-    def _c(self, other):
-        if isinstance(other, RingElem):
-            if other.ring != self.ring:
-                raise ValueError("ring mismatch")
-            return other.code
-        return int(other) % self.ring.size
-
-    @property
-    def valuation(self):
-        return self.ring.val(self.code)
-
-    @property
-    def is_unit(self):
-        return self.ring.is_unit(self.code)
-
-    def __eq__(self, other):
-        return isinstance(other, RingElem) and self.ring == other.ring and self.code == other.code
-
-    def __hash__(self):
-        return hash((self.ring, self.code))
-
-    def __repr__(self):
-        return f"RingElem({self.ring.element_str(self.code)})"
-
-
 # -- abelian structure of the unit group ----------------------------------
 
 

@@ -18,13 +18,14 @@ import numpy as np
 
 from . import arch
 from .harmonics import (
+    Labels,
     SphereSpace,
     _worst,
-    chi_level_subspace,
     dim_chi_level,
     dim_harmonic,
     harmonic_subspace,
     idempotent_sum_residual,
+    labels_name,
     mirabolic_orbit_count,
     phi_fn,
     verify_piece_identities,
@@ -139,8 +140,22 @@ def _chi_label(chi):
     return f"c{chi.c}e" + "".join(str(e) for e in chi.exps)
 
 
-def _piece_name(H):
-    return f"({_chi_label(H.chi)}, m{H.level})"
+def _piece_key(chi, m):
+    """The (level, split) of V(chi, m)'s labels: depth m at m = c, else split."""
+    return m, int(m > chi.c)
+
+
+def level_facts(space):
+    """(dim, fault, residual) of the ``Labels`` of each (level, split), the
+    2M + 1 built one at a time; the residual, the worst per-fibre Gram
+    entry, is None for labels with a fault."""
+    facts = {}
+    for level in range(space.ring.m + 1):
+        for split in range(min(level, 1) + 1):
+            labels = Labels(space, level, split)
+            fault = labels.fault
+            facts[level, split] = (labels.dim, fault, None if fault else labels.block_residual())
+    return facts
 
 
 # -- harmonic decomposition suite --------------------------------------------
@@ -148,19 +163,19 @@ def _piece_name(H):
 
 def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
     """Dimension grid, completeness, orthogonality, the measure lemma and
-    (optionally) the irreducibility certificates, one character's pieces
-    held at a time.  Raises BudgetExceededError, before building anything,
+    (optionally) the irreducibility certificates from ``level_facts``, with
+    no piece built.  Raises BudgetExceededError, before building anything,
     when ``decompose_bytes`` is over BASIS_BYTES_MAX, and before the first
-    piece when an orbit closure of K's certificate is over CHAIN_BYTES_MAX.
+    labels when an orbit closure of K's certificate is over CHAIN_BYTES_MAX.
     The certificate is the orbit product of K's strong generators, whose top
     orbit, e_n K, is the measure lemma's ``cert["orbit"]``.  ``rng`` is accepted
     for callers that pass one, and nothing draws from it.  ``/orthogonality``
-    rests on every piece's label facts (``Subspace.fault``), which it FAILs
-    on, and its residual is the worst per-fibre Gram block entry."""
+    rests on the facts of every piece's labels (``Labels.fault``), which it
+    FAILs on, and its residual is the worst per-fibre Gram block entry."""
     rec = rec if rec is not None else Recorder()
     q, M = ring.q, ring.m
     check_decompose_bytes(q, n, M)
-    # K's certificate first: one over its cap is refused before any piece is built
+    # K's certificate first: one over its cap is refused before any labels are built
     cert = verify_generators(SubgroupSpec("K"), ring, n)
     lab = _ring_label(ring, n)
     space = SphereSpace(ring, n)
@@ -183,7 +198,8 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
         q ** (M - 1) * (q - 1),
         len(chs),
     )
-    facts, fault, worst = {}, None, None
+    levels = level_facts(space)
+    keys = []  # each piece's labels, in the loop's order
     for chi in chs:
         cl = _chi_label(chi)
         for ell in range(M + 1):
@@ -192,36 +208,32 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
                 "dim = [l=c=0] + [l>=max(c,1)] q^((l-1)(n-1)) (q^n-1)/(q-1)",
                 {"q": q, "n": n, "l": ell, "c": chi.c},
                 dim_chi_level(q, n, ell, chi.c),
-                chi_level_subspace(space, chi, ell).dim,
+                levels[ell, 0][0] if ell >= chi.c else 0,
             )
         for m in range(chi.c, M + 1):
-            H = harmonic_subspace(space, chi, m)
+            keys.append(_piece_key(chi, m))
             rec.exact(
                 f"{lab}/harmonic-dim/{cl}/m{m}",
                 "four-case irreducible dimension formula",
                 {"q": q, "n": n, "m": m, "c": chi.c},
                 dim_harmonic(q, n, m, chi.c),
-                H.dim,
+                levels[keys[-1]][0],
             )
-            facts[chi.exps, m] = (H.dim, _piece_fault(H))
-            fault = fault or facts[chi.exps, m][1]
-            if fault is None and H.dim:
-                err = H.block_residual()
-                if worst is None or err > worst[0]:
-                    worst = (err, _piece_name(H))
     rec.exact(
         f"{lab}/completeness",
         "sum of irreducible dims = |S|",
         {"q": q, "n": n, "M": M},
         space.size,
-        sum(d for d, _ in facts.values()),
+        sum(levels[key][0] for key in keys),
     )
     args = (f"{lab}/orthogonality", "pairwise orthonormality of all irreducible pieces",
             {"q": q, "n": n, "M": M})
+    fault = next((levels[key][1] for key in keys if levels[key][1]), None)
     if fault is not None:
         rec.exact(*args, f"< {TOL_TIGHT:g}", fault)
     else:
-        rec.residual(*args, worst[0], TOL_TIGHT, witness=f"pieces {worst[1]}, {worst[1]}")
+        worst = max(keys, key=lambda key: levels[key][2])
+        rec.residual(*args, levels[worst][2], TOL_TIGHT, witness=labels_name(*worst))
     # measure lemma: K's chain starts at e_n, so its top orbit is e_n K, and
     # an orbit of |S| points is hit |K|/|S| times by k -> e_n k
     rec.exact(
@@ -232,14 +244,14 @@ def decompose_suite(ring, n, rec=None, rng=None, include_commutants=True):
         cert["orbit"] == space.size,
     )
     if include_commutants:
-        irreducibility_suite(ring, n, rec=rec, space=space, pieces=facts, cert=cert)
+        irreducibility_suite(ring, n, rec=rec, space=space, levels=levels, cert=cert)
     return rec
 
 
 def decompose_bytes(q, n, M):
     """Predicted peak bytes of ``decompose_suite``: 40 int64 words a sphere
     point (the sphere index and its children, the scalar orbits and one
-    character's labels), and what K's certificate charges
+    level's labels), and what K's certificate charges
     (``k_certificate_bytes``).  tracemalloc puts the suite, K's certificate
     aside, at 230-310 bytes a point at padic (q5, n2, m3), (q7, n3, m2),
     (q5, n3, m2), (q3, n3, m3), (q3, n2, m4), (q2, n2, m8) and
@@ -256,11 +268,6 @@ def check_decompose_bytes(q, n, M):
 def check_zonal_bytes(q, n, M):
     """``zonal_piece_bytes`` against BASIS_BYTES_MAX, like ``check_decompose_bytes``."""
     _check_bytes(zonal_piece_bytes(q, n, M), "a dense piece and its checks")
-
-
-def _piece_fault(H):
-    """The failing label fact of piece ``H``, naming it; None when all hold."""
-    return None if H.fault is None else f"piece {_piece_name(H)}: {H.fault}"
 
 
 def _check_bytes(nbytes, what):
@@ -281,7 +288,7 @@ def _check_sample_bytes(n, count):
 
 def _count_reason(size, dims, fault, orbits):
     """Why the facts behind an orbit count fail, or None: ``dims`` sum to |S|,
-    no piece has a ``fault``, and the number of non-empty pieces is
+    no piece's labels have a ``fault``, and the number of non-empty pieces is
     ``orbits``, which for orthogonal P'-invariant pieces is sum dim H^P'."""
     held = sum(1 for d in dims if d)
     if sum(dims) != size:
@@ -289,12 +296,12 @@ def _count_reason(size, dims, fault, orbits):
     return fault or (f"{orbits} orbits, {held} pieces" if orbits != held else None)
 
 
-def irreducibility_suite(ring, n, rec=None, space=None, pieces=None, cert=None):
+def irreducibility_suite(ring, n, rec=None, space=None, levels=None, cert=None):
     """Irreducibility and multiplicity one of every piece from one orbit count.
 
     K's certificate ``cert`` (``verify_generators``, run here when not
     given) must have e_n's orbit all of S, and ``_count_reason`` must hold
-    with no failing label fact (``Subspace.fault``) and every piece
+    with no failing label fact (``Labels.fault``) and every piece
     K-invariant, which one permutation check per K generator shows for all
     pieces at once (``SphereIndex.structure_fault``).  The pieces are
     orthogonal (``/orthogonality``), so they split L^2(S) = Ind_P^K 1, P
@@ -305,26 +312,23 @@ def irreducibility_suite(ring, n, rec=None, space=None, pieces=None, cert=None):
     ``/commutant-filtration/`` record the number of pieces in the depth-M
     space of its character.  Otherwise every record FAILs and names why.
 
-    ``pieces`` maps (chi.exps, m) to harmonic pieces already built on
-    ``space``, or to their (dim, fault) pairs; missing ones are built here.
+    ``levels`` is the ``level_facts`` table of ``space``, built here when
+    not given.
     """
     rec = rec if rec is not None else Recorder()
     q, M = ring.q, ring.m
     lab = _ring_label(ring, n)
     space = space if space is not None else SphereSpace(ring, n)
-    facts = {}
-    for chi in characters(ring):
-        for m in range(chi.c, M + 1):
-            H = (pieces or {}).get((chi.exps, m)) or harmonic_subspace(space, chi, m)
-            facts[chi.exps, m] = H if isinstance(H, tuple) else (H.dim, _piece_fault(H))
+    levels = levels if levels is not None else level_facts(space)
+    pieces = [levels[_piece_key(chi, m)] for chi in characters(ring) for m in range(chi.c, M + 1)]
     cert = cert if cert is not None else verify_generators(SubgroupSpec("K"), ring, n)
     orbits = mirabolic_orbit_count(space, subgroup_generators(SubgroupSpec("Kmirab"), ring, n))
     moved = space.index.structure_fault(subgroup_generators(SubgroupSpec("K"), ring, n))
-    fault = f"K {moved}" if moved else next((f for _, f in facts.values() if f), None)
+    fault = f"K {moved}" if moved else next((f for _, f, _ in pieces if f), None)
     if cert["orbit"] != space.size:
         reason = f"K-orbit of e_n has {cert['orbit']} of {space.size} points"
     else:
-        reason = _count_reason(space.size, [d for d, _ in facts.values()], fault, orbits)
+        reason = _count_reason(space.size, [d for d, _, _ in pieces], fault, orbits)
     for chi in characters(ring):
         cl = _chi_label(chi)
         for m in range(chi.c, M + 1):
@@ -335,7 +339,7 @@ def irreducibility_suite(ring, n, rec=None, space=None, pieces=None, cert=None):
                 1,
                 reason or 1,
             )
-        inside = sum(1 for m in range(chi.c, M + 1) if facts[chi.exps, m][0])
+        inside = sum(1 for m in range(chi.c, M + 1) if levels[_piece_key(chi, m)][0])
         rec.exact(
             f"{lab}/commutant-filtration/{cl}/m{M}",
             "dim End of the depth-m filtration space = m - c + 1",
@@ -400,7 +404,9 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
     mirab_gens = subgroup_generators(SubgroupSpec("Kmirab"), ring, n)
     orbits = mirabolic_orbit_count(space, mirab_gens)
     moved = space.index.structure_fault(mirab_gens)
-    dims, fault = [], None if moved is None else f"Kmirab {moved}"
+    levels = level_facts(space)
+    pieces = [levels[_piece_key(chi, m)] for chi in chs for m in range(chi.c, M + 1)]
+    fault = f"Kmirab {moved}" if moved else next((f for _, f, _ in pieces if f), None)
     for chi in chs:
         cl = _chi_label(chi)
         # invariant-pairing Gram of the depth functions
@@ -429,10 +435,8 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
             H = harmonic_subspace(space, chi, m)
             z = zonal_fn(space, chi, m)
             at_en = H.basis[:, space.index.e_n].conj()
-            dims.append(H.dim)
-            fault = fault or _piece_fault(H)
             if fault is None and not at_en.any():
-                fault = f"piece {_piece_name(H)} vanishes at e_n"
+                fault = f"piece ({cl}, m{m}) vanishes at e_n"
             if at_en.any():
                 line = at_en @ H.basis
                 err = np.abs(line / line[space.index.e_n] - z)
@@ -491,7 +495,7 @@ def zonal_suite(ring, n, rec=None, samples=200, seed=0):
                 witness=_k_witness(ks, sym[1]),
             )
             del H  # one piece at a time: the next is built without this one
-    reason = _count_reason(space.size, dims, fault, orbits)
+    reason = _count_reason(space.size, [d for d, _, _ in pieces], fault, orbits)
     for chi in chs:
         for m in range(chi.c, M + 1):
             rec.exact(

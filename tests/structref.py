@@ -11,6 +11,11 @@
   cocycle checked on its own.
 - ``reference_character``: a character's rotation indices and conductor
   from loops over the unit group.
+- ``reference_scalar_orbits``: the scalar orbits from the stack of every
+  unit's scalar permutation.
+- ``reference_piece_fault``: the four label facts each character's piece
+  checked on its own labels, before a level's labels and their facts were
+  shared by every character.
 """
 
 import numpy as np
@@ -144,3 +149,42 @@ def reference_character(ring, basis, exps):
         if all(nums[u] == 0 for u in ring.units() if (u - 1) % step == 0):
             return nums, ell
     raise AssertionError("every character is trivial on 1 + p^m = {1}")
+
+
+def reference_scalar_orbits(S):
+    """(orbit, unit, count) from the stack of every unit's scalar
+    permutation: one argmin over the |units| x |S| slots of a * points[i]
+    picks each orbit's least point."""
+    units = S.ring.units()
+    perms = np.array([S.scalar_perm(a) for a in units])  # slots of a * points
+    at = perms.argmin(axis=0)
+    roots, orbit = np.unique(perms[at, np.arange(S.size)], return_inverse=True)
+    return orbit, S.ring.inv_arr(units)[at], len(roots)
+
+
+def reference_piece_fault(space, chi, level, fibre, pos, rot, fibres, k):
+    """The first of the four label facts that fails for the piece of ``chi``
+    at ``level`` with labels (fibre, pos, rot) over ``fibres`` fibres of
+    ``k`` positions, or None.  Equivariance: each unit-group generator u
+    keeps fibres and positions and adds chi's index at u to rot.  Level:
+    the labels are constant on level-l fibres.  Depth: fibres and rot are
+    the scalar orbits and phases at depth l - 1 (l when k = 1).  Spread:
+    every (fibre, position) holds as many points."""
+    labels = np.stack([fibre, pos, rot])
+    for u, perm in space.index.unit_perms():
+        moved = labels[:, perm]
+        if not (np.array_equal(moved[:2], labels[:2])
+                and np.array_equal(moved[2], (rot + chi._nums[u]) % chi.order)):
+            return f"labels are not equivariant under the scalar {space.ring.element_str(u)}"
+    proj = space.index.child(level)[1] if level else np.zeros(space.size, dtype=np.int64)
+    first = np.empty(space.size, dtype=np.int64)
+    first[proj] = np.arange(space.size)
+    if not np.array_equal(labels[:, first[proj]], labels):
+        return f"labels are not constant on level-{level} fibres"
+    orbit, unit, count = space.depth(level - (k > 1))
+    if not (count == fibres and np.array_equal(fibre, orbit)
+            and np.array_equal(rot, chi._nums[unit])):
+        return f"fibres or phases differ from the depth-{level - (k > 1)} orbits"
+    if not 0 <= pos.min() <= pos.max() < k or np.ptp(np.bincount(fibre * k + pos, minlength=fibres * k)):
+        return f"points not spread evenly over the {k} positions of each fibre"
+    return None

@@ -105,6 +105,19 @@ class TestConfigParsing:
         cfg_file.write_text("[run]\nlevel = 0\n")
         assert main(["decompose", "--config", str(cfg_file)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("lines", [
+        # no tuple of conductor sum at most -1: zero records, exit 0
+        "sum_max = -1",
+        # `level = 0` with chars ran at [run] level, and without them failed
+        "level = 0\nchars = 1:0,0:0", "level = 0",
+    ])
+    def test_pseries_bounds_that_check_nothing_are_config_errors(self, tmp_path, lines, capsys):
+        cfg_file = tmp_path / "c.txt"
+        cfg_file.write_text(f"[ring]\np = 3\n\n[run]\nsamples = 20\n\n[pseries]\n{lines}\n")
+        out = tmp_path / "ps.jsonl"
+        assert main(["principal-series", "--config", str(cfg_file), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists() and capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "line", ["real_nmax = 1", "complex_nmax = 1", "real_degree = -1", "complex_degree = -1"]
     )
@@ -206,6 +219,20 @@ class TestMain:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         conductor = [r for r in records if r["check_id"].endswith("/conductor")]
         assert conductor and conductor[0]["observed"] == "2"
+
+    def test_a_newform_beyond_the_level_skips_from_the_model_checks(self, tmp_path):
+        # conductor sum 2 over level 1: pseries_model_checks records the SKIP
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(
+            "[ring]\nbranch = padic\np = 3\nf = 1\n\n"
+            "[run]\nn = 2\nlevel = 1\nsamples = 20\n\n"
+            "[pseries]\nchars = 1:0,1:0\n"
+        )
+        out = tmp_path / "ps.jsonl"
+        assert main(["principal-series", "--config", str(cfg), "--out", str(out)]) == EXIT_SKIP
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        skips = [(r["check_id"], r["status"]) for r in records if r["status"] != "PASS"]
+        assert skips == [("pseries-q3-n2-M1/c1e1-c1e1/newform", "SKIP")]
 
     def test_zonal_subcommand(self, tmp_path):
         out = tmp_path / "z.jsonl"
@@ -642,7 +669,7 @@ class TestCommandSweep:
 class TestDecomposePricesItsCertificate:
     def test_a_chain_over_its_cap_skips_before_the_pieces(self, monkeypatch):
         # with CHAIN_BYTES_MAX one byte below what K's certificate is
-        # charged, decompose is refused before any piece is built
+        # charged, decompose is refused before any level's labels are built
         from ultrasph import matgroup, verify
 
         ring, n = make_ring_level("padic", 3, 1, 2), 3
@@ -650,11 +677,20 @@ class TestDecomposePricesItsCertificate:
         monkeypatch.setattr(matgroup, "CHAIN_BYTES_MAX", need - 1)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a piece was built")
+            raise AssertionError("labels were built")
 
-        monkeypatch.setattr(verify, "harmonic_subspace", refuse)
+        monkeypatch.setattr(verify, "Labels", refuse)
         with pytest.raises(BudgetExceededError, match=f"stabiliser chain of K needs up to {need} bytes"):
             verify.decompose_suite(ring, n)
+
+    def test_decompose_at_q2_n2_m10_passes_inside_its_deadline(self, tmp_path):
+        # 8,197 records from one set of labels per level: one per character
+        # and level took minutes here
+        proc, records = run_under_memory_limit(
+            tmp_path, "decompose", p=2, n=2, level=10, limit=3_000_000 * 1024, timeout=30,
+        )
+        assert proc.returncode == EXIT_PASS, proc.stderr
+        assert len(records) == 8197 and all(r["status"] == "PASS" for r in records)
 
     @pytest.mark.parametrize("command", ["decompose", "zonal"])
     def test_a_suite_over_its_budget_skips_before_the_ring_is_built(self, tmp_path, command):

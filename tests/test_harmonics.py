@@ -40,6 +40,7 @@ from ultrasph.matgroup import (
 from ultrasph.numerics import kernel_basis, orthonormalize_rows
 from ultrasph.ring import characters, make_ring_level, unit_group_basis
 from ultrasph.sphere import SphereIndex, sphere_size
+from structref import reference_piece_fault, reference_scalar_orbits
 
 
 @pytest.fixture(scope="module")
@@ -430,18 +431,16 @@ class TestIrreducibilityCount:
         with pytest.raises(RuntimeError, match="outside Kmirab"):
             verify.irreducibility_suite(ring, 2, space=sp222)
 
-    def test_non_invariant_piece_fails_every_record(self, sp222, chars222):
-        # one point of the trivial level-2 piece moved to another position in
-        # its fibre: the rows are no longer those of a scalar-invariant space
-        pieces = pieces_of(sp222)
-        key = (trivial_of(chars222).exps, 2)
-        pieces[key] = relabelled(pieces[key], pos=lambda H: moved_point(H.pos, H.k))
-        records = commutant_records(
-            verify.irreducibility_suite(sp222.ring, 2, space=sp222, pieces=pieces).records
-        )
+    def test_non_invariant_piece_fails_every_record(self, monkeypatch):
+        # one point of the level-2 sphere given the other unit: the level-2
+        # depth labels, and the conductor-2 piece that reads them, are no
+        # longer scalar-equivariant
+        ring = make_ring_level("padic", 2, 1, 2)
+        corrupt_scalar_orbits(monkeypatch, 2, "unit")
+        records = commutant_records(verify.irreducibility_suite(ring, 2).records)
         assert records and all(r.status == "FAIL" for r in records)
         assert {r.observed for r in records} == {
-            "piece (c0e0, m2): labels are not equivariant under the scalar 3"
+            "level-2 depth labels are not equivariant under the scalar 3"
         }
 
     @pytest.mark.parametrize("point", verify.DIMENSION_GRID, ids=lambda pt: "-".join(map(str, pt)))
@@ -611,19 +610,11 @@ def reference_invariant_under(sub, gens):
     )
 
 
-def relabelled(H, **changes):
-    """``H`` with the label arrays named in ``changes`` replaced by
-    change(H); the facts and the rows are those of the new labels."""
-    labels = {name: changes[name](H) if name in changes else getattr(H, name)
-              for name in ("fibre", "pos", "rot")}
-    return harmonics.Subspace(H.space, H.chi, H.level, **labels, fibres=H.fibres, k=H.k)
-
-
-def moved_point(labels, modulus):
-    """A copy of ``labels`` with the label of point 0 moved on by one."""
-    out = labels.copy()
-    out[0] = (out[0] + 1) % modulus
-    return out
+def piece_fault(H):
+    """``reference_piece_fault`` of piece ``H`` on its own labels."""
+    lab = H.labels
+    rot = H.chi._nums[lab.unit]
+    return reference_piece_fault(H.space, H.chi, H.level, lab.fibre, lab.pos, rot, lab.fibres, lab.k)
 
 
 def scalar_orbit_of(index, x):
@@ -631,65 +622,147 @@ def scalar_orbit_of(index, x):
     return np.array([index.scalar_perm(a)[x] for a in index.ring.units()])
 
 
-# each corruption breaks one label fact of the trivial level-1 piece at padic
-# (q3, n2, m2), whose k = 4 positions are the level-1 scalar orbits
-LABEL_CORRUPTIONS = {
-    # one point moved: its scalar orbit no longer shares its position
-    "equivariance": (dict(pos=lambda H: moved_point(H.pos, H.k)),
-                     "labels are not equivariant under the scalar 8"),
-    # a whole level-2 scalar orbit moved: equivariant, but it splits its
-    # level-1 fibre
-    "level": (dict(pos=lambda H: np.where(
-        np.isin(np.arange(H.space.size), scalar_orbit_of(H.space.index, 0)),
-        (H.pos + 1) % H.k, H.pos)), "labels are not constant on level-1 fibres"),
-    # every rotation index moved on by one: equivariant and level-1, but no
-    # longer the depth-0 phase
-    "depth": (dict(rot=lambda H: (H.rot + 1) % H.chi.order),
-              "fibres or phases differ from the depth-0 orbits"),
-    # one level-1 orbit merged into another: a fibre with uneven positions
-    "spread": (dict(pos=lambda H: np.where(H.pos == 1, 0, H.pos)),
-               "points not spread evenly over the 4 positions of each fibre"),
+def corrupted_orbits(index, orbits, kind):
+    """``orbits``, the scalar orbits of ``index``, broken one way: point 0
+    given another unit ("unit"), or the orbit of the last point merged into
+    that of point 0, (0, ..., 0, 1), which is another orbit ("merge")."""
+    orbit, unit, count = orbits
+    if kind == "unit":
+        unit = unit.copy()
+        unit[0] = next(u for u in index.ring.units() if u != unit[0])
+    else:
+        orbit = np.where(orbit == orbit[-1], orbit[0], orbit)
+    return orbit, unit, count
+
+
+def corrupt_scalar_orbits(monkeypatch, level, kind):
+    """Make ``SphereIndex.scalar_orbits`` return ``corrupted_orbits`` on
+    every level-``level`` sphere."""
+    exact = SphereIndex.scalar_orbits
+
+    def corrupted(index):
+        orbits = exact(index)
+        return corrupted_orbits(index, orbits, kind) if index.ring.m == level else orbits
+
+    monkeypatch.setattr(SphereIndex, "scalar_orbits", corrupted)
+
+
+# random small spheres beyond SMALL_SPHERES, with dense rows of at most 400 points
+SMALL_POINTS = st.tuples(
+    st.sampled_from(["padic", "laurent"]), st.sampled_from([2, 3, 5]), st.integers(1, 2),
+    st.integers(1, 3), st.integers(2, 4),
+).filter(lambda pt: (pt[0] == "laurent" or pt[2] == 1)
+         and sphere_size(pt[1] ** pt[2], pt[4], pt[3]) <= 400)
+
+
+def labels_of(space):
+    """The ``Labels`` of every level and kind, keyed (level, split)."""
+    return {(level, split): harmonics.Labels(space, level, split)
+            for level in range(space.ring.m + 1) for split in range(min(level, 1) + 1)}
+
+
+# each corruption of the level-1 scalar orbits at padic (q3, n2, m2) breaks
+# one fact of the first labels a piece reads them through
+ORBIT_CORRUPTIONS = {
+    # point 0's unit replaced: the fibres of the level-2 complements are
+    # level-1 orbits, whose units no longer move with the scalars
+    "equivariance": ("unit", "level-2 complement labels are not equivariant under the scalar 8"),
+    # two level-1 orbits merged: the level-1 complement has a fibre with one
+    # position empty and one doubled
+    "spread": ("merge", "level-1 complement labels do not spread points evenly over the 4 "
+                        "positions of each fibre"),
 }
 
 
 class TestLabelFacts:
-    """The label pieces against the dense rows they replaced, and each label
-    fact failing closed."""
+    """The level labels against the per-piece dense rows and label facts
+    they replaced, and each label fact failing closed."""
 
-    @given(point=st.sampled_from(SMALL_SPHERES))
-    @settings(max_examples=20, deadline=None)
+    @given(point=st.one_of(st.sampled_from(SMALL_SPHERES), SMALL_POINTS))
+    @settings(max_examples=30, deadline=None)
     def test_rows_are_the_dense_build(self, point):
         space = small_space(point)
+        levels = verify.level_facts(space)
         for chi in characters(space.ring):
             for ell in range(space.ring.m + 1):
                 C = chi_level_subspace(space, chi, ell)
                 assert np.array_equal(C.basis, reference_dense_chi_level(space, chi, ell))
-                assert C.fault is None and C.dim == len(C.basis)
+                assert C.dim == len(C.basis)
             for m in range(chi.c, space.ring.m + 1):
                 H = harmonic_subspace(space, chi, m)
+                dim, fault, residual = levels[verify._piece_key(chi, m)]
                 assert np.array_equal(H.basis, reference_dense_harmonic(space, chi, m))
-                assert H.fault is None and H.dim == len(H.basis)
-                assert abs(H.block_residual() - reference_gram_residual(H)) < 1e-14
+                assert fault is None and piece_fault(H) is None
+                assert dim == H.dim == len(H.basis)
+                assert abs(residual - reference_gram_residual(H)) < 1e-15
 
-    @pytest.mark.parametrize("kind", sorted(LABEL_CORRUPTIONS))
-    def test_each_corrupted_fact_fails_and_names_the_piece(self, kind, monkeypatch):
+    @given(point=st.sampled_from(SMALL_SPHERES), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_labels_fault_exactly_when_a_piece_on_them_does(self, point, data):
+        # the one chi-free check stands for the per-character facts of every
+        # piece that reads the labels, with the scalar orbits right or broken
+        branch, p, f, m, n = point
+        space = SphereSpace(make_ring_level(branch, p, f, m), n)
+        at = data.draw(st.integers(1, m))
+        kind = data.draw(st.sampled_from(["none", "unit", "merge"]))
+        sub = space.index.child(at)[0]
+        if kind == "unit" and len(sub.ring.units()) == 1:
+            kind = "merge"
+        if kind != "none":
+            sub._scalar_orbits = corrupted_orbits(sub, sub.scalar_orbits(), kind)
+        for (level, split), lab in labels_of(space).items():
+            chs = [chi for chi in characters(space.ring) if chi.c <= level - split]
+            faults = [reference_piece_fault(space, chi, level, lab.fibre, lab.pos,
+                                            chi._nums[lab.unit], lab.fibres, lab.k) for chi in chs]
+            assert (lab.fault is None) == all(f is None for f in faults)
+            assert lab.fault is None or lab.fault.startswith(str(lab))
+
+    @given(point=st.one_of(st.sampled_from(SMALL_SPHERES), SMALL_POINTS))
+    @settings(max_examples=30, deadline=None)
+    def test_labels_read_through_depth_are_level_constant_depth_orbits(self, point):
+        # the level and depth facts hold by construction and leave runtime
+        space = small_space(point)
+        for (level, split), lab in labels_of(space).items():
+            proj = space.index.child(level)[1] if level else np.zeros(space.size, dtype=np.int64)
+            first = np.empty(space.size, dtype=np.int64)
+            first[proj] = np.arange(space.size)
+            for arr in (lab.fibre, lab.pos, lab.unit):
+                assert np.array_equal(arr[first[proj]], arr)
+            d = level - split
+            if d:
+                sub, down = space.index.child(d)
+                orbit, unit, count = reference_scalar_orbits(sub)
+                orbit, unit = orbit[down], unit[down]
+            else:
+                orbit, unit, count = np.zeros(space.size), np.ones(space.size), 1
+            assert lab.fibres == count
+            assert np.array_equal(lab.fibre, orbit) and np.array_equal(lab.unit, unit)
+
+    @pytest.mark.parametrize("kind", sorted(ORBIT_CORRUPTIONS))
+    def test_each_corrupted_orbit_fails_and_names_the_labels(self, kind, monkeypatch):
         ring = make_ring_level("padic", 3, 1, 2)
-        changes, reason = LABEL_CORRUPTIONS[kind]
-        exact = verify.harmonic_subspace
-
-        def corrupted(space, chi, m):
-            H = exact(space, chi, m)
-            return relabelled(H, **changes) if chi.is_trivial and m == 1 else H
-
-        monkeypatch.setattr(verify, "harmonic_subspace", corrupted)
+        how, reason = ORBIT_CORRUPTIONS[kind]
+        corrupt_scalar_orbits(monkeypatch, 1, how)
         records = verify.decompose_suite(ring, 2).records
-        named = f"piece (c0e00, m1): {reason}"
         (ortho,) = [r for r in records if r.check_id.endswith("/orthogonality")]
-        assert (ortho.status, ortho.observed) == ("FAIL", named)
+        assert (ortho.status, ortho.observed) == ("FAIL", reason)
         commutants = commutant_records(records)
         assert commutants and all(r.status == "FAIL" for r in commutants)
-        assert {r.observed for r in commutants} == {named}
+        assert {r.observed for r in commutants} == {reason}
         assert all(r.status == "PASS" for r in records if r is not ortho and r not in commutants)
+
+    def test_one_decompose_run_builds_each_levels_labels_once(self, monkeypatch):
+        ring = make_ring_level("padic", 2, 1, 4)
+        built, init = [], harmonics.Labels.__init__
+
+        def counted(self, space, level, split):
+            built.append((level, split))
+            init(self, space, level, split)
+
+        monkeypatch.setattr(harmonics.Labels, "__init__", counted)
+        records = verify.decompose_suite(ring, 2).records
+        assert records and all(r.status == "PASS" for r in records)
+        assert len(built) == len(set(built)) <= 2 * ring.m + 1
 
 
 def corrupted_perm(index, s, kind):
@@ -789,22 +862,15 @@ class TestMultiplicityOneCount:
         assert all(r.status == "PASS" for r in records if r not in mult)
 
     def test_piece_that_is_not_mirabolic_invariant_fails_every_record(self, monkeypatch):
-        # one rotation index of the trivial level-2 piece shifted: the piece
-        # keeps its dimension, and its rows are no longer scalar-equivariant
+        # one point of the level-2 sphere given the other unit: the
+        # conductor-2 piece keeps its dimension, and its rows are no longer
+        # scalar-equivariant
         ring = make_ring_level("padic", 2, 1, 2)
-        exact = verify.harmonic_subspace
-
-        def shifted(space, chi, m):
-            H = exact(space, chi, m)
-            if chi.is_trivial and m == 2:
-                H = relabelled(H, rot=lambda H: moved_point(H.rot, H.chi.order))
-            return H
-
-        monkeypatch.setattr(verify, "harmonic_subspace", shifted)
+        corrupt_scalar_orbits(monkeypatch, 2, "unit")
         mult = multiplicity_records(verify.zonal_suite(ring, 2, samples=20).records)
         assert len(mult) == 4 and all(r.status == "FAIL" for r in mult)
         assert {r.observed for r in mult} == {
-            "piece (c0e0, m2): labels are not equivariant under the scalar 3"
+            "level-2 depth labels are not equivariant under the scalar 3"
         }
 
 
@@ -818,21 +884,21 @@ class TestOrthogonalityWitness:
         owner = np.repeat(np.arange(len(held)), [H.dim for H in held])
         assert np.abs(gram[owner[:, None] != owner]).max() < 1e-15
         for H in held:
-            assert abs(H.block_residual() - reference_gram_residual(H)) < 1e-15
+            assert abs(H.labels.block_residual() - reference_gram_residual(H)) < 1e-15
 
-    def test_failing_record_names_the_worst_pair(self, sp222, monkeypatch):
-        held = {verify._piece_name(H): H for H in pieces_of(sp222).values() if H.dim}
-        dense = {name: reference_gram_residual(H) for name, H in held.items()}
-        # no float residual is below -1: the record fails and names its pair
+    @pytest.mark.parametrize("point", [("padic", 2, 1, 2, 2), ("padic", 3, 1, 2, 2)])
+    def test_failing_record_names_the_worst_labels(self, point, monkeypatch):
+        space = small_space(point)
+        held = [H for H in pieces_of(space).values() if H.dim]
+        dense = [(str(H.labels), reference_gram_residual(H)) for H in held]
+        # no float residual is below -1: the record fails and names its labels
         monkeypatch.setattr(verify, "TOL_TIGHT", -1.0)
-        rec = verify.decompose_suite(sp222.ring, 2, include_commutants=False)
+        rec = verify.decompose_suite(space.ring, point[4], include_commutants=False)
         (record,) = [r for r in rec.records if r.check_id.endswith("/orthogonality")]
         assert record.status == "FAIL"
-        value, witness = record.observed.split(" at pieces ")
-        first, second = witness.split(", (")
-        assert "(" + second == first in held
-        assert abs(float(value) - max(dense.values())) < 1e-15
-        assert abs(dense[first] - float(value)) < 1e-15
+        value, named = record.observed.split(" at ")
+        assert abs(float(value) - max(err for _, err in dense)) < 1e-15
+        assert min(abs(err - float(value)) for name, err in dense if name == named) < 1e-15
 
 
 class TestIdentities:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultrasph.ring import (
-    RingElem,
     characters,
     make_ring_level,
     unit_group_basis,
@@ -48,9 +47,7 @@ def eval_rot(chi, u):
 
 
 def char_eval(chi, u):
-    """Exact value of chi at the unit code (or RingElem) u."""
-    if isinstance(u, RingElem):
-        u = u.code
+    """Exact value of chi at the unit code u."""
     return eval_rot(chi, u)
 
 
@@ -217,18 +214,6 @@ class TestRingLevel:
                 )
         reduced_units = {R.reduce_code(int(u), 2) for u in R.units()}
         assert reduced_units == {int(u) for u in low.units()}
-
-    def test_ring_elem_wrapper(self):
-        R = make_ring_level("padic", 2, 1, 3)
-        x = RingElem(R, 3)
-        y = RingElem(R, 6)
-        assert (x + y).code == 1
-        assert (x * y).code == 2
-        assert (-x).code == 5
-        assert x.is_unit and not y.is_unit
-        assert y.valuation == 1
-        assert (x ** 2).code == 1
-        assert x.inverse() * x == RingElem(R, 1)
 
 
 class TestUnitGroup:

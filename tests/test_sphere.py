@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import ultrasph.sphere
 from spherepoint import SpherePoint, act_point, enumerate_sphere, reduce_point
-from structref import find_keys
+from structref import find_keys, reference_scalar_orbits
 from ultrasph.matgroup import (
     BudgetExceededError,
     SubgroupSpec,
@@ -40,17 +40,6 @@ def reference_idx(S, coords):
         raise KeyError("not a sphere point: wrong length or entries outside the ring")
     slots = find_keys(row_keys(S.ring, S.points), row_keys(S.ring, stack))
     return int(slots[0]) if rows.ndim == 1 else slots
-
-
-def reference_scalar_orbits(S):
-    """(orbit, unit, count) from the stack of every unit's scalar
-    permutation: one argmin over the |units| x |S| slots of a * points[i]
-    picks each orbit's least point."""
-    units = S.ring.units()
-    perms = np.array([S.scalar_perm(a) for a in units])  # slots of a * points
-    at = perms.argmin(axis=0)
-    roots, orbit = np.unique(perms[at, np.arange(S.size)], return_inverse=True)
-    return orbit, S.ring.inv_arr(units)[at], len(roots)
 
 
 class TestEnumeration:

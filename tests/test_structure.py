@@ -3,6 +3,7 @@ references in ``structref``: the coset action from the bottom n - 1 rows,
 certificates above one shared Kmirab chain, orbit forests answered by
 pointer doubling, and characters from one product."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -234,6 +235,19 @@ class TestSharedMirabolicChain:
             assert verify_generators(spec, ring, 2)["ok"]
         # the Kmirab chain's two levels once, then one top orbit per certificate
         assert levels == [1, 0, 1, 1, 1]
+
+    def test_a_row_every_generator_fixes_takes_no_table(self):
+        # every Kmirab generator fixes e_{n-1}: that one-point orbit is
+        # counted before its 4 q^(mn)-byte table, 4.2 MB here, is allocated
+        ring = ring_of("padic", 2, 1, 10)
+        gens = subgroup_generators(SubgroupSpec("Kmirab"), ring, 2)
+        tracemalloc.start()
+        try:
+            assert matgroup._orbit_size(ring, 2, 1, gens) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("point", CHAIN_POINTS, ids=str)
     def test_k1_without_a_kprin_generator_raises_with_the_closure_order(self, point):
